@@ -4,7 +4,6 @@ benchmark, and a reproducible Monte-Carlo tracking harness."""
 
 __version__ = "0.1.0"
 
-from ._kernels import kernel_backend
 from .errors import (
     ConfigurationError,
     ConsensusCycleWarning,
@@ -15,7 +14,6 @@ from .errors import (
 
 __all__ = [
     "__version__",
-    "kernel_backend",
     "ConfigurationError",
     "ConsensusCycleWarning",
     "DegenerateHeadingWarning",

@@ -7,10 +7,18 @@ mask move; everything else is frozen. Broadcasting node j therefore
 serializes |J| rows of B plus |J| entries of b, i.e. |J|*(n+1) scalars,
 which the bandwidth ledger records.
 
-The L-step loop is the hot path and runs through the selected kernel
-(compiled extension or Python fallback, bit-identical); the single-step
-function below is the reference semantics and also supports per-node
-masks for experiments outside the synchronized-schedule assumption.
+One averaging step over all nodes is the matrix M = I - eps * Lap, with
+Lap the graph Laplacian, applied to the stack of a selected row across
+nodes. The masks partition the rows and averaging is linear, so over L
+steps row r is averaged k_r times and ends at
+
+    rows_r(L) = M^{k_r} @ rows_r(0),   k_r = ceil((L - z_r) / theta)
+
+where z_r is the cycle phase that selects row r (k_r = 0 when z_r >= L).
+`run_consensus` evaluates this closed form (Xiao & Boyd 2004, "Fast
+linear iterations for distributed averaging"); `consensus_step` is the
+step-by-step reference semantics and also supports per-node masks for
+experiments outside the synchronized-schedule assumption.
 """
 
 import warnings
@@ -18,7 +26,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import kernel_backend, run_masked_consensus
 from .errors import ConfigurationError, ConsensusCycleWarning
 from .info_filter import InformationState
 from .network import BandwidthLedger, SensorNetwork
@@ -108,12 +115,27 @@ def consensus_step(state: ConsensusState, net: SensorNetwork, masks,
     return ConsensusState(B=B_next, b=b_next)
 
 
-def _csr_neighborhoods(net: SensorNetwork):
-    indptr = np.zeros(net.n_nodes + 1, dtype=np.intp)
-    for i, hood in enumerate(net.neighborhoods):
-        indptr[i + 1] = indptr[i] + len(hood)
-    indices = np.concatenate(net.neighborhoods).astype(np.intp)
-    return indptr, indices
+def averaging_matrix(net: SensorNetwork, eps: float) -> np.ndarray:
+    """One full-exchange averaging step as an (N, N) matrix: I - eps * Lap."""
+    adj = net.adjacency.astype(float)
+    return np.eye(net.n_nodes) - eps * (np.diag(adj.sum(axis=1)) - adj)
+
+
+def run_masked_consensus(B: np.ndarray, b: np.ndarray, averaging: np.ndarray,
+                         steps: np.ndarray):
+    """Average row r of every node's (B, b) steps[r] times in closed form.
+
+    Row r becomes averaging^steps[r] applied across nodes; rows with zero
+    steps are copied untouched. Returns new (B, b); inputs are not modified.
+    """
+    moved = np.flatnonzero(steps)
+    counts = steps[moved].tolist()
+    powers = {k: np.linalg.matrix_power(averaging, k) for k in set(counts)}
+    per_row = np.array([powers[k] for k in counts])
+    B_out, b_out = B.copy(), b.copy()
+    B_out[:, moved, :] = np.einsum("rij,jrc->irc", per_row, B[:, moved, :])
+    b_out[:, moved] = np.einsum("rij,jr->ir", per_row, b[:, moved])
+    return B_out, b_out
 
 
 def run_consensus(state: ConsensusState, schedule: EntrySelectionSchedule, L: int,
@@ -123,31 +145,29 @@ def run_consensus(state: ConsensusState, schedule: EntrySelectionSchedule, L: in
 
     Step l applies the schedule's mask for l mod theta at every node.
     Warns (and proceeds) when L is not a whole number of selection cycles.
-    Broadcast sizes are recorded per node per step when a ledger is given.
+    When a ledger is given, every node's broadcast sizes are recorded as
+    one compact entry for the whole run.
     """
     if L < 1:
         raise ConfigurationError(f"consensus step count must be >= 1, got {L}")
     if eps <= 0:
         raise ConfigurationError(f"consensus gain must be > 0, got {eps}")
-    if L % schedule.theta_bar != 0:
+    theta = schedule.theta_bar
+    if L % theta != 0:
         warnings.warn(
-            f"consensus ran {L} steps, not a multiple of the {schedule.theta_bar}-step "
+            f"consensus ran {L} steps, not a multiple of the {theta}-step "
             "selection cycle; posterior rows are mixed across cycle phases",
             ConsensusCycleWarning, stacklevel=2,
         )
-    indptr, indices = _csr_neighborhoods(net)
-    mask_rows = np.concatenate(schedule.rows).astype(np.intp)
-    mask_bounds = np.zeros(schedule.theta_bar + 1, dtype=np.intp)
-    for z in range(schedule.theta_bar):
-        mask_bounds[z + 1] = mask_bounds[z] + schedule.rows[z].size
-    B, b = run_masked_consensus(state.B, state.b, indptr, indices,
-                                mask_rows, mask_bounds, L, eps)
+    # row r is selected at the steps l < L with l mod theta == its phase z
+    steps = np.zeros(state.n, dtype=int)
+    for z, rows in enumerate(schedule.rows):
+        steps[rows] = len(range(z, L, theta))
+    B, b = run_masked_consensus(state.B, state.b, averaging_matrix(net, eps), steps)
     if ledger is not None:
-        n = state.n
-        for l in range(L):
-            payload = schedule.rows_at(l).size * (n + 1)
-            for node in range(state.n_nodes):
-                ledger.record_broadcast(node, t, l, payload)
+        ledger.record_consensus(t, state.n_nodes,
+                                [schedule.rows_at(l).size * (state.n + 1)
+                                 for l in range(L)])
     return ConsensusState(B=B, b=b)
 
 
@@ -156,5 +176,4 @@ __all__ = [
     "init_consensus",
     "consensus_step",
     "run_consensus",
-    "kernel_backend",
 ]

@@ -25,7 +25,6 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .consensus import kernel_backend
 from .dicf import NodeFilter, ckf_step, dicf_step
 from .errors import ConfigurationError, FilterNumericsError
 from .info_filter import (
@@ -559,7 +558,6 @@ def emit_outputs(result, out_dir, cfg: ScenarioConfig, extra_metadata: Optional[
     metadata = {
         "config": cfg.to_dict(),
         "code_version": __version__,
-        "kernel_backend": kernel_backend(),
     }
     if extra_metadata:
         metadata.update(extra_metadata)

@@ -10,6 +10,7 @@ verified exactly.
 
 import csv
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -130,9 +131,23 @@ def consensus_gain(net: SensorNetwork) -> float:
     return 1.0 / (net.max_degree() + 1.0)
 
 
+class ConsensusBroadcasts(NamedTuple):
+    """All broadcasts of one consensus run at time t: at step l each of
+    the n_nodes nodes sends payloads[l] scalars."""
+
+    t: int
+    n_nodes: int
+    payloads: tuple
+
+
 @dataclass
 class BandwidthLedger:
-    """Per-broadcast scalar counts, queryable per (t, l, node) and in aggregate."""
+    """Per-broadcast scalar counts, queryable per (t, l, node) and in aggregate.
+
+    `rows` holds single broadcasts as (t, l, node, scalars) tuples and whole
+    consensus runs as compact `ConsensusBroadcasts` entries, which are
+    expanded only when queried or exported.
+    """
 
     rows: list = field(default_factory=list)
     _total: int = 0
@@ -143,22 +158,40 @@ class BandwidthLedger:
         self.rows.append((t, l, node, scalar_count))
         self._total += scalar_count
 
+    def record_consensus(self, t: int, n_nodes: int, payloads):
+        """Record every node broadcasting payloads[l] scalars at step l."""
+        payloads = tuple(payloads)
+        if any(s < 0 for s in payloads):
+            raise ConfigurationError("scalar count must be >= 0")
+        self.rows.append(ConsensusBroadcasts(t, n_nodes, payloads))
+        self._total += n_nodes * sum(payloads)
+
+    def broadcasts(self):
+        """Every broadcast as (t, l, node, scalars), in recording order."""
+        for row in self.rows:
+            if isinstance(row, ConsensusBroadcasts):
+                for l, s in enumerate(row.payloads):
+                    for node in range(row.n_nodes):
+                        yield (row.t, l, node, s)
+            else:
+                yield row
+
     def total_scalars(self) -> int:
         return self._total
 
     def scalars_at(self, t: int = None, l: int = None, node: int = None) -> int:
-        """Aggregate count over rows matching the given keys (None = any)."""
+        """Aggregate count over broadcasts matching the given keys (None = any)."""
         return sum(
-            s for (rt, rl, rn, s) in self.rows
+            s for (rt, rl, rn, s) in self.broadcasts()
             if (t is None or rt == t) and (l is None or rl == l) and (node is None or rn == node)
         )
 
     def to_csv(self, path, run: int = 0):
-        """Write rows as CSV with columns run, t, l, node, scalars."""
+        """Write broadcasts as CSV with columns run, t, l, node, scalars."""
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["run", "t", "l", "node", "scalars"])
-            for t, l, node, s in self.rows:
+            for t, l, node, s in self.broadcasts():
                 writer.writerow([run, t, l, node, s])
 
 

@@ -24,3 +24,10 @@ def path3_net():
 def random_spd(rng, n, scale=1.0):
     a = rng.normal(size=(n, n))
     return scale * (a @ a.T + n * np.eye(n))
+
+
+def assert_rel_close(actual, expected, rel=1e-12):
+    """Max abs difference within `rel` times the largest entry of `expected`."""
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    assert actual.shape == expected.shape
+    assert np.max(np.abs(actual - expected)) <= rel * np.max(np.abs(expected))

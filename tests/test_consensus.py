@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_spd
+from conftest import assert_rel_close, random_spd
 from icfpie.consensus import (
     ConsensusState,
     consensus_step,
@@ -104,8 +104,8 @@ class TestRunConsensus:
         state = two_node_state()
         out_loop = run_consensus(state, sched, 1, pair_net2, 0.5)
         out_step = consensus_step(state, pair_net2, np.ones(2), 0.5)
-        assert np.array_equal(out_loop.B, out_step.B)
-        assert np.array_equal(out_loop.b, out_step.b)
+        assert_rel_close(out_loop.B, out_step.B)
+        assert_rel_close(out_loop.b, out_step.b)
 
     def test_kernel_matches_repeated_steps(self):
         rng = np.random.default_rng(2)
@@ -120,8 +120,8 @@ class TestRunConsensus:
         stepped = state
         for l in range(6):
             stepped = consensus_step(stepped, net, sched.mask_vector(l % 2), eps)
-        assert np.array_equal(out_kernel.B, stepped.B)
-        assert np.array_equal(out_kernel.b, stepped.b)
+        assert_rel_close(out_kernel.B, stepped.B)
+        assert_rel_close(out_kernel.b, stepped.b)
 
     def test_cycle_warning_for_partial_cycle(self, pair_net2):
         sched = build_schedule(2, [[1], [2]])

@@ -1,6 +1,6 @@
 import numpy as np
 
-from conftest import random_spd
+from conftest import assert_rel_close, random_spd
 from icfpie.dicf import NodeFilter, ckf_step, dicf_step
 from icfpie.harness import ScenarioConfig, build_scenario, make_algorithms, run_once
 from icfpie.info_filter import (
@@ -65,8 +65,8 @@ class TestIdentityScheduleReduction:
             scenario.net.neighborhoods, scenario.eps, 4,
             scenario.measurements, scenario.sensed,
             np.zeros(4), np.zeros((4, 4)))
-        assert np.max(np.abs(est - ref_est)) < 1e-12
-        assert np.max(np.abs(omegas - ref_omegas)) < 1e-12
+        assert_rel_close(est, ref_est)
+        assert_rel_close(omegas, ref_omegas)
 
 
 class TestConvergenceToCentral:

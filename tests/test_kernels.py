@@ -1,98 +1,135 @@
-"""Backend equivalence and semantics of the consensus kernels."""
+"""The closed-form masked consensus kernel behind `run_consensus`.
 
-import subprocess
-import sys
+`run_consensus` moves row r of every node's (B, b) by M^{k_r}, with
+M = I - eps * Lap and k_r the number of the L steps that select row r.
+These tests hold it to the step-by-step reference `consensus_step`, to an
+independent matrix-power oracle, and to the invariants of averaging.
+"""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_spd
-from icfpie._kernels import kernel_backend
-from icfpie._kernels._consensus_py import run_masked_consensus as py_kernel
+from conftest import assert_rel_close, random_spd
+from icfpie.consensus import ConsensusState, consensus_step, run_consensus
+from icfpie.network import BandwidthLedger, consensus_gain, random_geometric
+from icfpie.selection import build_schedule, default_schedule
 
-try:
-    from icfpie._kernels._consensus_cy import run_masked_consensus as cy_kernel
-    HAVE_COMPILED = True
-except ImportError:
-    cy_kernel = None
-    HAVE_COMPILED = False
+CASE1 = build_schedule(4, [[1, 3], [2, 4]])
 
 
 def make_problem(seed, n_nodes=10, n=4):
     rng = np.random.default_rng(seed)
-    B = np.array([random_spd(rng, n) for _ in range(n_nodes)])
-    b = rng.normal(size=(n_nodes, n))
-    adj = rng.random((n_nodes, n_nodes)) < 0.35
-    adj = adj | adj.T
-    np.fill_diagonal(adj, False)
-    hoods = [np.array(sorted(set(np.flatnonzero(adj[i]).tolist()) | {i}), dtype=np.intp)
-             for i in range(n_nodes)]
-    indptr = np.zeros(n_nodes + 1, dtype=np.intp)
-    for i, h in enumerate(hoods):
-        indptr[i + 1] = indptr[i] + len(h)
-    indices = np.concatenate(hoods)
-    return B, b, indptr, indices, adj
-
-
-CASE1_ROWS = np.array([0, 2, 1, 3], dtype=np.intp)
-CASE1_BOUNDS = np.array([0, 2, 4], dtype=np.intp)
-
-
-@pytest.mark.skipif(not HAVE_COMPILED, reason="compiled kernel unavailable")
-@pytest.mark.parametrize("L", [1, 2, 7, 64, 1000])
-def test_backends_bit_identical(L):
-    B, b, indptr, indices, _ = make_problem(seed=3)
-    out_py = py_kernel(B, b, indptr, indices, CASE1_ROWS, CASE1_BOUNDS, L, 0.13)
-    out_cy = cy_kernel(B, b, indptr, indices, CASE1_ROWS, CASE1_BOUNDS, L, 0.13)
-    assert np.array_equal(out_py[0], out_cy[0])
-    assert np.array_equal(out_py[1], out_cy[1])
+    net = random_geometric(n_nodes, (0, 600, 0, 600), 300.0, rng)
+    state = ConsensusState(
+        B=np.array([random_spd(rng, n) for _ in range(n_nodes)]),
+        b=rng.normal(size=(n_nodes, n)),
+    )
+    return net, state
 
 
 def test_inputs_not_modified():
-    B, b, indptr, indices, _ = make_problem(seed=5)
-    B0, b0 = B.copy(), b.copy()
-    py_kernel(B, b, indptr, indices, CASE1_ROWS, CASE1_BOUNDS, 8, 0.1)
-    assert np.array_equal(B, B0) and np.array_equal(b, b0)
+    net, state = make_problem(seed=5)
+    B0, b0 = state.B.copy(), state.b.copy()
+    run_consensus(state, CASE1, 8, net, 0.1)
+    assert np.array_equal(state.B, B0) and np.array_equal(state.b, b0)
 
 
 def test_unselected_rows_untouched():
-    B, b, indptr, indices, _ = make_problem(seed=6)
-    out_B, out_b = py_kernel(B, b, indptr, indices,
-                             np.array([0, 2], dtype=np.intp),
-                             np.array([0, 2], dtype=np.intp), 9, 0.11)
-    assert np.array_equal(out_B[:, [1, 3], :], B[:, [1, 3], :])
-    assert np.array_equal(out_b[:, [1, 3]], b[:, [1, 3]])
-    assert not np.array_equal(out_B[:, [0, 2], :], B[:, [0, 2], :])
+    # two steps of the one-row-per-step schedule move rows 0 and 1 only
+    net, state = make_problem(seed=6)
+    out = run_consensus(state, default_schedule(4, "case2"), 2, net, 0.11)
+    assert np.array_equal(out.B[:, [2, 3], :], state.B[:, [2, 3], :])
+    assert np.array_equal(out.b[:, [2, 3]], state.b[:, [2, 3]])
+    assert not np.array_equal(out.B[:, [0, 1], :], state.B[:, [0, 1], :])
 
 
 @pytest.mark.parametrize("cycles", [1, 3, 10])
 def test_full_cycles_match_consensus_matrix_power_oracle(cycles):
     # after c full cycles every row has been averaged exactly c times, so
     # the result is (I - eps * graph_laplacian)^c applied row-wise
-    B, b, indptr, indices, adj = make_problem(seed=9)
+    net, state = make_problem(seed=9)
+    adj = net.adjacency.astype(float)
     deg = adj.sum(axis=1)
     eps = 1.0 / (deg.max() + 1.0)
-    pi = np.eye(adj.shape[0]) - eps * (np.diag(deg) - adj.astype(float))
-    pi_c = np.linalg.matrix_power(pi, cycles)
+    pi_c = np.linalg.matrix_power(np.eye(net.n_nodes) - eps * (np.diag(deg) - adj), cycles)
 
-    out_B, out_b = py_kernel(B, b, indptr, indices, CASE1_ROWS, CASE1_BOUNDS,
-                             2 * cycles, eps)
-    expected_B = np.einsum("ij,jrc->irc", pi_c, B)
-    expected_b = pi_c @ b
-    assert np.allclose(out_B, expected_B, atol=1e-10)
-    assert np.allclose(out_b, expected_b, atol=1e-10)
+    out = run_consensus(state, CASE1, 2 * cycles, net, eps)
+    assert np.allclose(out.B, np.einsum("ij,jrc->irc", pi_c, state.B), atol=1e-10)
+    assert np.allclose(out.b, pi_c @ state.b, atol=1e-10)
 
 
-def test_backend_env_override():
-    code = (
-        "import icfpie; "
-        "print(icfpie.kernel_backend())"
-    )
-    out = subprocess.run([sys.executable, "-c", code],
-                         env={"ICFPIE_KERNEL": "python", "PATH": "/usr/bin:/bin"},
-                         capture_output=True, text=True)
-    assert out.stdout.strip() == "python"
+@st.composite
+def schedules(draw):
+    """A built-in schedule or a random ordered partition of {1..n}."""
+    n = draw(st.integers(min_value=2, max_value=6))
+    kind = draw(st.sampled_from(["case1", "case2", "identity", "random"]))
+    if kind != "random":
+        return default_schedule(n, kind)
+    order = draw(st.permutations(range(1, n + 1)))
+    cuts = draw(st.sets(st.integers(min_value=1, max_value=n - 1)))
+    bounds = [0, *sorted(cuts), n]
+    return build_schedule(n, [order[lo:hi] for lo, hi in zip(bounds, bounds[1:])])
 
 
-def test_selected_backend_reported():
-    assert kernel_backend() in ("compiled", "python")
+@st.composite
+def problems(draw):
+    """A random connected network, a schedule over the state, and a state
+    with exactly symmetric B blocks."""
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    n_nodes = draw(st.integers(min_value=2, max_value=8))
+    schedule = draw(schedules())
+    rng = np.random.default_rng(seed)
+    net = random_geometric(n_nodes, (0, 500, 0, 500), 300.0, rng)
+    B = np.array([random_spd(rng, schedule.n) for _ in range(n_nodes)])
+    state = ConsensusState(B=(B + B.transpose(0, 2, 1)) / 2,
+                           b=rng.normal(size=(n_nodes, schedule.n)))
+    return net, schedule, state
+
+
+@given(problems(), st.integers(min_value=1, max_value=25))
+@settings(max_examples=60, deadline=None)
+def test_closed_form_equals_step_loop(problem, L):
+    net, schedule, state = problem
+    eps = consensus_gain(net)
+    out = run_consensus(state, schedule, L, net, eps)
+    stepped = state
+    for l in range(L):
+        stepped = consensus_step(stepped, net, schedule.mask_vector(l % schedule.theta_bar), eps)
+    assert_rel_close(out.B, stepped.B)
+    assert_rel_close(out.b, stepped.b)
+
+
+@given(problems(), st.integers(min_value=1, max_value=25))
+@settings(max_examples=60, deadline=None)
+def test_global_sums_conserved(problem, L):
+    net, schedule, state = problem
+    out = run_consensus(state, schedule, L, net, consensus_gain(net))
+    scale = max(np.abs(state.B).sum(axis=0).max(), np.abs(state.b).sum(axis=0).max())
+    assert np.max(np.abs(out.B.sum(axis=0) - state.B.sum(axis=0))) < 1e-12 * scale
+    assert np.max(np.abs(out.b.sum(axis=0) - state.b.sum(axis=0))) < 1e-12 * scale
+
+
+@given(problems(), st.integers(min_value=1, max_value=6))
+@settings(max_examples=60, deadline=None)
+def test_symmetric_at_cycle_boundaries(problem, cycles):
+    net, schedule, state = problem
+    out = run_consensus(state, schedule, cycles * schedule.theta_bar, net, consensus_gain(net))
+    assert np.array_equal(out.B, out.B.transpose(0, 2, 1))
+
+
+@given(problems(), st.integers(min_value=1, max_value=25))
+@settings(max_examples=60, deadline=None)
+def test_bandwidth_ratios_exact_integers(problem, L):
+    net, schedule, state = problem
+    N, n, theta = state.n_nodes, state.n, schedule.theta_bar
+    partial, full = BandwidthLedger(), BandwidthLedger()
+    run_consensus(state, schedule, L, net, 0.1, ledger=partial)
+    run_consensus(state, default_schedule(n, "identity"), L, net, 0.1, ledger=full)
+    selected = sum(schedule.rows_at(l).size for l in range(L))
+    assert partial.total_scalars() == N * (n + 1) * selected == partial.scalars_at()
+    assert full.total_scalars() == L * N * n * (n + 1) == full.scalars_at()
+    # a whole number of cycles sends every row once per cycle instead of theta times
+    if L % theta == 0:
+        assert full.total_scalars() == theta * partial.total_scalars()

@@ -128,3 +128,25 @@ class TestBandwidthLedger:
             rows = list(csv.reader(fh))
         assert rows[0] == ["run", "t", "l", "node", "scalars"]
         assert rows[1] == ["7", "1", "2", "3", "10"]
+
+    def test_consensus_entry_expands_like_per_broadcast_records(self, tmp_path):
+        # one compact entry per consensus run answers every query, and
+        # exports, exactly as the N * L single records it stands for
+        payloads = [15, 5, 15, 5, 15]
+        compact, single = BandwidthLedger(), BandwidthLedger()
+        for ledger in (compact, single):
+            ledger.record_broadcast(1, t=0, l=0, scalar_count=7)
+        compact.record_consensus(3, 4, payloads)
+        for l, s in enumerate(payloads):
+            for node in range(4):
+                single.record_broadcast(node, 3, l, s)
+        assert len(compact.rows) == 2
+        assert compact.total_scalars() == single.total_scalars() == 7 + 4 * 55
+        for keys in ({}, {"t": 3}, {"l": 1}, {"node": 2}, {"t": 3, "l": 4, "node": 0},
+                     {"t": 0, "node": 1}):
+            assert compact.scalars_at(**keys) == single.scalars_at(**keys)
+        compact.to_csv(tmp_path / "compact.csv", run=2)
+        single.to_csv(tmp_path / "single.csv", run=2)
+        assert (tmp_path / "compact.csv").read_text() == (tmp_path / "single.csv").read_text()
+        with pytest.raises(ConfigurationError):
+            compact.record_consensus(0, 4, [5, -1])
