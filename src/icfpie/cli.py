@@ -64,6 +64,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _configure(args) -> tuple:
+    if args.jobs < 1:
+        raise ConfigurationError(f"--jobs must be >= 1, got {args.jobs}")
     cfg = ScenarioConfig()
     extra = {}
     if args.config:

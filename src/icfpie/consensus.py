@@ -47,19 +47,10 @@ class ConsensusState:
     def n(self) -> int:
         return self.B.shape[1]
 
-    def __getitem__(self, node: int):
-        return self.B[node], self.b[node]
-
-    @classmethod
-    def from_pairs(cls, pairs) -> "ConsensusState":
-        """Build from an ordered iterable of per-node (B_i, b_i) pairs."""
-        mats, vecs = zip(*pairs)
-        return cls(B=np.array(mats, dtype=float), b=np.array(vecs, dtype=float))
-
 
 def init_consensus(prior: InformationState, delta_omega: np.ndarray,
                    delta_q: np.ndarray, n_nodes: int):
-    """Per-node consensus initialization:
+    """Consensus initialization of one node or of the whole stack:
     B(0) = Omega_prior / N + delta_Omega, b(0) = q_prior / N + delta_q."""
     if n_nodes < 1:
         raise ConfigurationError(f"node count must be >= 1, got {n_nodes}")

@@ -1,13 +1,16 @@
 """Per-timestep distributed and centralized filter steps.
 
-A distributed step per node: local correction terms from its own
-measurement (zero when the target is unsensed), consensus initialization,
-L masked consensus steps with the whole network, posterior recovery
-(Omega = N * B(L), estimate from the B(L) b(L) pair with the singular
-policy), then an information-form prediction linearized at the node's own
-posterior estimate. With the identity selection schedule this is exactly
-the original full-exchange consensus filter; the centralized step fuses
-every node's contribution at once and serves as the benchmark.
+The network's filter state is one stacked InformationState: omega of
+shape (N, n, n) and q of shape (N, n), row k being node k. A distributed
+step: local correction terms from each node's own measurement (zero
+where the target is unsensed), consensus initialization, L masked
+consensus steps with the whole network, posterior recovery (Omega =
+N * B(L), estimate from the B(L) b(L) pair with the singular policy),
+then an information-form prediction. Every stage acts on the whole stack
+at once. With the identity selection schedule this is exactly the
+original full-exchange consensus filter; the centralized step fuses
+every node's contribution at once, with the same primitives on a single
+estimate, and serves as the benchmark.
 """
 
 from dataclasses import dataclass
@@ -32,103 +35,53 @@ from .selection import EntrySelectionSchedule
 
 
 @dataclass
-class NodeFilter:
-    """One node's filter state carried between timesteps."""
-
-    node_id: int
-    prior: InformationState
-    meas_model: MeasurementModel
-    last_estimate: Optional[np.ndarray] = None
-
-
-@dataclass
 class StepOutput:
     """Results of one timestep across the network."""
 
-    posteriors: list               # per-node InformationState
+    posterior: InformationState    # stacked: omega (N, n, n), q (N, n)
     estimates: np.ndarray          # (N, n) posterior state estimates
-    prior_estimates: np.ndarray    # (N, n) estimates before correction
-    centralized: Optional[InformationState] = None
-    errors: Optional[np.ndarray] = None        # (N, n) truth - posterior estimate
-    prior_errors: Optional[np.ndarray] = None  # (N, n) truth - prior estimate
 
 
-def _linearized_contribution(node: NodeFilter, measurement, x_prior: np.ndarray,
-                             v: np.ndarray):
-    """(delta_Omega, delta_q) for one node; zeros when there is no measurement."""
-    n = node.prior.n
-    if measurement is None:
-        return np.zeros((n, n)), np.zeros(n)
-    c = linearize(node.meas_model, x_prior)
-    # linearization offset; collapses to the raw measurement for linear h
-    ybar = np.asarray(measurement, dtype=float) - node.meas_model.observe(x_prior) + c @ x_prior
-    return local_correction_terms(c, v, ybar)
-
-
-def dicf_step(nodes: list, net: SensorNetwork, schedule: EntrySelectionSchedule,
-              L: int, eps: float, measurements: list, sys: SystemModel,
-              n_nodes: int, ledger: Optional[BandwidthLedger] = None,
-              noise: Optional[NoiseInformation] = None, t: int = 0,
-              truth: Optional[np.ndarray] = None,
+def dicf_step(prior: InformationState, net: SensorNetwork, schedule: EntrySelectionSchedule,
+              L: int, eps: float, measurements: np.ndarray, sensed: np.ndarray,
+              sensor: MeasurementModel, sys: SystemModel, noise: NoiseInformation,
+              ledger: Optional[BandwidthLedger] = None, t: int = 0,
               log: Optional[NumericsLog] = None):
-    """Advance every node one timestep; returns (updated nodes, StepOutput)."""
-    if noise is None:
-        noise = NoiseInformation.from_covariances(
-            sys.process_cov, {nf.node_id: nf.meas_model.meas_cov for nf in nodes})
-    prior_estimates = np.array([to_state_estimate(nf.prior, log) for nf in nodes])
-    pairs = []
-    for nf, y, x_prior in zip(nodes, measurements, prior_estimates):
-        d_omega, d_q = _linearized_contribution(nf, y, x_prior, noise.v_per_node[nf.node_id])
-        pairs.append(init_consensus(nf.prior, d_omega, d_q, n_nodes))
-    state = run_consensus(ConsensusState.from_pairs(pairs), schedule, L, net,
-                          eps, ledger=ledger, t=t)
+    """Advance every node one timestep; returns (next prior, StepOutput).
 
-    new_nodes = []
-    posteriors = []
-    estimates = np.zeros((len(nodes), nodes[0].prior.n))
-    for k, nf in enumerate(nodes):
-        b_mat, b_vec = state[k]
-        posterior = information_state(n_nodes * b_mat, n_nodes * b_vec)
-        # estimate from the consensus pair itself; the N factor cancels
-        x_post = to_state_estimate(information_state(b_mat, b_vec), log)
-        a = linearize(sys, x_post)
-        next_prior = predict(posterior, a, noise.w, transition=sys.transition, log=log)
-        new_nodes.append(NodeFilter(node_id=nf.node_id, prior=next_prior,
-                                    meas_model=nf.meas_model, last_estimate=x_post))
-        posteriors.append(posterior)
-        estimates[k] = x_post
+    `prior` is the stacked state of the N nodes, `measurements` is (N, m)
+    and `sensed` is (N,) bool: node k corrects with measurements[k] only
+    where sensed[k].
+    """
+    n_nodes = prior.q.shape[0]
+    c = linearize(sensor, to_state_estimate(prior, log))
+    d_omega, d_q = local_correction_terms(c, noise.v, measurements)
+    d_omega = np.where(sensed[:, None, None], d_omega, 0.0)
+    d_q = np.where(sensed[:, None], d_q, 0.0)
+    state = run_consensus(ConsensusState(*init_consensus(prior, d_omega, d_q, n_nodes)),
+                          schedule, L, net, eps, ledger=ledger, t=t)
 
-    errors = prior_errors = None
-    if truth is not None:
-        truth = np.asarray(truth, dtype=float)
-        errors = truth - estimates
-        prior_errors = truth - prior_estimates
-    return new_nodes, StepOutput(posteriors=posteriors, estimates=estimates,
-                                 prior_estimates=prior_estimates, errors=errors,
-                                 prior_errors=prior_errors)
+    posterior = information_state(n_nodes * state.B, n_nodes * state.b)
+    # estimates from the consensus pairs themselves; the N factor cancels
+    estimates = to_state_estimate(information_state(state.B, state.b), log)
+    a = linearize(sys, estimates)
+    next_prior = predict(posterior, a, noise.w, log=log)
+    return next_prior, StepOutput(posterior=posterior, estimates=estimates)
 
 
-def ckf_step(central: InformationState, measurements: list, models: list,
-             sys: SystemModel, noise: Optional[NoiseInformation] = None,
+def ckf_step(central: InformationState, measurements: np.ndarray, sensed: np.ndarray,
+             sensor: MeasurementModel, sys: SystemModel, noise: NoiseInformation,
              log: Optional[NumericsLog] = None):
-    """One centralized information-filter cycle over all sensors.
+    """One centralized information-filter cycle over all sensed nodes.
 
+    `measurements` is (N, m) and `sensed` (N,) bool, as for dicf_step.
     Returns (posterior, next_prior); the posterior is the benchmark fused
     estimate for this timestep.
     """
-    if noise is None:
-        noise = NoiseInformation.from_covariances(
-            sys.process_cov, {m.node_id: m.meas_cov for m in models})
     x_prior = to_state_estimate(central, log)
-    contributions = []
-    for y, model in zip(measurements, models):
-        if y is None:
-            continue
-        c = linearize(model, x_prior)
-        ybar = np.asarray(y, dtype=float) - model.observe(x_prior) + c @ x_prior
-        contributions.append((c, noise.v_per_node[model.node_id], ybar))
-    posterior = centralized_correct(central, contributions)
+    c = linearize(sensor, x_prior)
+    posterior = centralized_correct(central, [(c, noise.v, y) for y in measurements[sensed]])
     x_post = to_state_estimate(posterior, log)
     a = linearize(sys, x_post)
-    next_prior = predict(posterior, a, noise.w, transition=sys.transition, log=log)
+    next_prior = predict(posterior, a, noise.w, log=log)
     return posterior, next_prior

@@ -17,6 +17,7 @@ import ast
 import dataclasses
 import json
 import math
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -25,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .dicf import NodeFilter, ckf_step, dicf_step
+from .dicf import ckf_step, dicf_step
 from .errors import ConfigurationError, FilterNumericsError
 from .info_filter import (
     InformationState,
@@ -47,6 +48,17 @@ from .network import BandwidthLedger, SensorNetwork, consensus_gain, random_geom
 from .selection import EntrySelectionSchedule, build_schedule, default_schedule
 
 STATE_DIM = 4
+MEAS_DIM = 2
+
+_INTEGER_FIELDS = ("n_nodes", "L", "seed", "mc_runs", "max_placement_retries")
+_NUMBER_FIELDS = ("comm_range", "sensing_range", "dt", "horizon", "speed_variance")
+_VECTOR_FIELDS = {"region": 4, "q_diag": STATE_DIM, "r_diag": MEAS_DIM,
+                  "target_initial_position": 2, "speed_range": 2, "heading_range": 2,
+                  "initial_estimate": STATE_DIM}
+
+
+def _finite_number(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
 
 
 @dataclass(frozen=True)
@@ -68,7 +80,7 @@ class ScenarioConfig:
     initial_estimate: tuple = (0.0, 0.0, 0.0, 0.0)
     selection: object = "case1"      # "case1" | "case2" | "identity" | nested 1-based lists
     L: int = 12
-    eps: Optional[float] = None      # None -> 1 / (max degree + 1)
+    eps: Optional[float] = None      # None -> 1 / (max degree + 1); at most 1 / max degree
     seed: int = 0
     mc_runs: int = 100
     truth_noise: str = "speed"       # "speed" | "process"
@@ -76,6 +88,21 @@ class ScenarioConfig:
     max_placement_retries: int = 200
 
     def __post_init__(self):
+        for name in _INTEGER_FIELDS:
+            v = getattr(self, name)
+            if not isinstance(v, numbers.Integral) or isinstance(v, bool):
+                raise ConfigurationError(f"{name} must be an integer, got {v!r}")
+        for name in _NUMBER_FIELDS + (("eps",) if self.eps is not None else ()):
+            v = getattr(self, name)
+            if not _finite_number(v):
+                raise ConfigurationError(f"{name} must be a finite number, got {v!r}")
+        for name, length in _VECTOR_FIELDS.items():
+            v = getattr(self, name)
+            if (not isinstance(v, (tuple, list)) or len(v) != length
+                    or not all(_finite_number(x) for x in v)):
+                raise ConfigurationError(f"{name} must be {length} finite numbers, got {v!r}")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
         if self.n_nodes < 2:
             raise ConfigurationError("need at least 2 sensor nodes")
         if self.dt <= 0 or self.horizon <= 0:
@@ -177,7 +204,7 @@ class Scenario:
     net: SensorNetwork
     truth_model: TruthModel
     sys: SystemModel
-    meas_models: list
+    sensor: MeasurementModel  # every node carries the same sensor
     noise: NoiseInformation
     eps: float
     truth: np.ndarray         # (T, 4)
@@ -185,17 +212,16 @@ class Scenario:
     sensed: np.ndarray        # (T, N) bool
 
     def initial_state(self) -> InformationState:
+        """The centralized filter's prior."""
         omega0 = np.zeros((STATE_DIM, STATE_DIM))
         return information_state(omega0, omega0 @ np.asarray(self.cfg.initial_estimate))
 
-    def initial_nodes(self) -> list:
-        return [NodeFilter(node_id=i, prior=self.initial_state(), meas_model=m)
-                for i, m in enumerate(self.meas_models)]
-
-    def measurements_at(self, t: int) -> list:
-        """Per-node measurement list for step t, None where unsensed."""
-        return [self.measurements[t, i] if self.sensed[t, i] else None
-                for i in range(self.net.n_nodes)]
+    def initial_nodes(self) -> InformationState:
+        """Every node's prior, stacked: omega (N, n, n), q (N, n)."""
+        s = self.initial_state()
+        n_nodes = self.net.n_nodes
+        return information_state(np.repeat(s.omega[None], n_nodes, axis=0),
+                                 np.repeat(s.q[None], n_nodes, axis=0))
 
 
 def build_scenario(cfg: ScenarioConfig, seed: int) -> Scenario:
@@ -204,6 +230,16 @@ def build_scenario(cfg: ScenarioConfig, seed: int) -> Scenario:
     net = random_geometric(cfg.n_nodes, cfg.region, cfg.comm_range, rng,
                            max_retries=cfg.max_placement_retries,
                            sensing_range=cfg.sensing_range)
+    if cfg.eps is None:
+        eps = consensus_gain(net)
+    else:
+        eps = float(cfg.eps)
+        # above 1/max degree the averaging matrix has negative entries and
+        # consensus can diverge
+        if not 0 < eps <= 1.0 / net.max_degree():
+            raise ConfigurationError(
+                f"eps = {eps} is outside 0 < eps <= 1/max degree = 1/{net.max_degree()} "
+                f"for the network of seed {seed}")
     truth_model = TruthModel(
         initial_position=tuple(cfg.target_initial_position),
         speed_range=tuple(cfg.speed_range),
@@ -215,9 +251,8 @@ def build_scenario(cfg: ScenarioConfig, seed: int) -> Scenario:
     q = np.diag(cfg.q_diag)
     sys = SystemModel.lti(a, q)
     r = np.diag(cfg.r_diag)
-    c = position_measurement_matrix(STATE_DIM)
-    meas_models = [MeasurementModel.linear(i, c, r) for i in range(cfg.n_nodes)]
-    noise = NoiseInformation.from_covariances(q, {i: r for i in range(cfg.n_nodes)})
+    sensor = MeasurementModel.linear(position_measurement_matrix(STATE_DIM), r)
+    noise = NoiseInformation.from_covariances(q, r)
 
     n_steps = cfg.n_steps
     truth = np.zeros((n_steps, STATE_DIM))
@@ -230,16 +265,15 @@ def build_scenario(cfg: ScenarioConfig, seed: int) -> Scenario:
         for t in range(1, n_steps):
             truth[t] = a @ truth[t - 1] + chol_q @ rng.standard_normal(STATE_DIM)
 
-    measurements = np.zeros((n_steps, cfg.n_nodes, 2))
+    measurements = np.zeros((n_steps, cfg.n_nodes, MEAS_DIM))
     for t in range(n_steps):
-        for i, m in enumerate(meas_models):
-            measurements[t, i] = sample_measurement(truth[t], m, rng)
+        for i in range(cfg.n_nodes):
+            measurements[t, i] = sample_measurement(truth[t], sensor, rng)
     dist = np.linalg.norm(truth[:, None, :2] - net.positions[None, :, :], axis=2)
     sensed = dist <= cfg.sensing_range
 
-    eps = consensus_gain(net) if cfg.eps is None else float(cfg.eps)
     return Scenario(cfg=cfg, seed=seed, net=net, truth_model=truth_model, sys=sys,
-                    meas_models=meas_models, noise=noise, eps=eps, truth=truth,
+                    sensor=sensor, noise=noise, eps=eps, truth=truth,
                     measurements=measurements, sensed=sensed)
 
 
@@ -250,7 +284,6 @@ class RunMetrics:
     t: np.ndarray
     series: dict              # label -> (T,) node-averaged error norm
     final: dict               # label -> float
-    settling: dict            # label -> float | None
     bandwidth: dict           # label -> total scalars broadcast
     diag: Optional[dict] = None
 
@@ -294,64 +327,54 @@ def run_once(scenario: Scenario, L: int, algorithms: Optional[list] = None,
     series = {a.label: np.zeros(n_steps) for a in algorithms}
     ledgers = {a.label: BandwidthLedger() for a in algorithms if a.uses_consensus}
     logs = {a.label: NumericsLog() for a in algorithms}
-    node_errors = {a.label: np.zeros((n_steps, n_nodes))
-                   for a in algorithms if a.uses_consensus}
-    node_prior_errors = {a.label: np.zeros((n_steps, n_nodes))
-                         for a in algorithms if a.uses_consensus} if diagnostics else {}
-    eig_min = {a.label: np.zeros((n_steps, n_nodes))
-               for a in algorithms if a.uses_consensus} if diagnostics else {}
-    eig_max = {a.label: np.zeros((n_steps, n_nodes))
-               for a in algorithms if a.uses_consensus} if diagnostics else {}
+    node_diags = [a.label for a in algorithms if a.uses_consensus] if diagnostics else []
+    node_errors = {label: np.zeros((n_steps, n_nodes)) for label in node_diags}
+    eig_min = {label: np.zeros((n_steps, n_nodes)) for label in node_diags}
+    eig_max = {label: np.zeros((n_steps, n_nodes)) for label in node_diags}
     reg_events = {a.label: np.zeros(n_steps, dtype=int) for a in algorithms}
 
-    nodes = {a.label: scenario.initial_nodes() for a in algorithms if a.uses_consensus}
-    central = {a.label: scenario.initial_state() for a in algorithms if not a.uses_consensus}
+    priors = {a.label: (scenario.initial_nodes() if a.uses_consensus
+                        else scenario.initial_state()) for a in algorithms}
 
     for t in range(n_steps):
-        meas = scenario.measurements_at(t)
+        meas = scenario.measurements[t]
+        sensed = scenario.sensed[t]
         truth_t = scenario.truth[t]
         for a in algorithms:
             log = logs[a.label]
             before = log.count("regularize")
             if a.uses_consensus:
-                nodes[a.label], out = dicf_step(
-                    nodes[a.label], scenario.net, a.schedule, L, scenario.eps,
-                    meas, scenario.sys, n_nodes, ledger=ledgers[a.label],
-                    noise=scenario.noise, t=t, truth=truth_t, log=log)
-                errs = _error_norm(out.errors, cfg.error_metric)
+                priors[a.label], out = dicf_step(
+                    priors[a.label], scenario.net, a.schedule, L, scenario.eps,
+                    meas, sensed, scenario.sensor, scenario.sys, scenario.noise,
+                    ledger=ledgers[a.label], t=t, log=log)
+                errs = _error_norm(truth_t - out.estimates, cfg.error_metric)
                 series[a.label][t] = errs.mean()
-                node_errors[a.label][t] = errs
                 if diagnostics:
-                    node_prior_errors[a.label][t] = _error_norm(out.prior_errors,
-                                                                cfg.error_metric)
-                    for k, post in enumerate(out.posteriors):
-                        ev = np.linalg.eigvalsh(post.omega)
-                        eig_min[a.label][t, k] = ev[0]
-                        eig_max[a.label][t, k] = ev[-1]
+                    node_errors[a.label][t] = errs
+                    ev = np.linalg.eigvalsh(out.posterior.omega)
+                    eig_min[a.label][t] = ev[:, 0]
+                    eig_max[a.label][t] = ev[:, -1]
             else:
-                posterior, central[a.label] = ckf_step(
-                    central[a.label], meas, scenario.meas_models, scenario.sys,
-                    noise=scenario.noise, log=log)
+                posterior, priors[a.label] = ckf_step(
+                    priors[a.label], meas, sensed, scenario.sensor, scenario.sys,
+                    scenario.noise, log=log)
                 x_hat = to_state_estimate(posterior, log)
                 series[a.label][t] = _error_norm(truth_t - x_hat, cfg.error_metric)
             reg_events[a.label][t] = log.count("regularize") - before
 
     final = {label: float(s[-1]) for label, s in series.items()}
-    settling = {label: settling_time(t_axis, s, cfg.dt) for label, s in series.items()}
     bandwidth = {a.label: (ledgers[a.label].total_scalars() if a.uses_consensus else 0)
                  for a in algorithms}
     diag = None
     if diagnostics:
         diag = {
             "node_errors": node_errors,
-            "node_prior_errors": node_prior_errors,
             "eig_min": eig_min,
             "eig_max": eig_max,
             "reg_events": reg_events,
-            "logs": logs,
         }
-    return RunMetrics(t=t_axis, series=series, final=final, settling=settling,
-                      bandwidth=bandwidth, diag=diag)
+    return RunMetrics(t=t_axis, series=series, final=final, bandwidth=bandwidth, diag=diag)
 
 
 @dataclass
@@ -361,11 +384,7 @@ class MonteCarloResult:
     t: np.ndarray
     L: int
     mean_series: dict
-    std_series: dict
     final_mean: dict
-    final_std: dict
-    final_min: dict
-    final_max: dict
     bandwidth: dict
     settling: dict            # settling time of the mean series per label
     n_runs: int
@@ -451,11 +470,7 @@ def run_monte_carlo(cfg: ScenarioConfig, L: int, include=("ckf", "icf", "icfpie"
         t=t_axis,
         L=L,
         mean_series=mean_series,
-        std_series={lab: stacked[lab].std(axis=0) for lab in labels},
         final_mean={lab: float(finals[lab].mean()) for lab in labels},
-        final_std={lab: float(finals[lab].std()) for lab in labels},
-        final_min={lab: float(finals[lab].min()) for lab in labels},
-        final_max={lab: float(finals[lab].max()) for lab in labels},
         bandwidth=good[0]["bandwidth"],
         settling={lab: settling_time(t_axis, mean_series[lab], cfg.dt)
                   for lab in labels},

@@ -9,7 +9,7 @@ separate objects.
 
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -46,16 +46,14 @@ def _check_spd(m: np.ndarray, name: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SystemModel:
-    """Process model: transition function, its Jacobian, and noise covariance.
+    """Process model: the transition Jacobian and the noise covariance.
 
-    For linear time-invariant systems `linear_matrix` holds the constant
-    transition matrix and the Jacobian ignores its argument.
+    For linear time-invariant systems the Jacobian is the constant
+    transition matrix and ignores its argument.
     """
 
-    transition: Callable[[np.ndarray], np.ndarray]
     jacobian: Callable[[np.ndarray], np.ndarray]
     process_cov: np.ndarray
-    linear_matrix: Optional[np.ndarray] = None
 
     @classmethod
     def lti(cls, a: np.ndarray, q: np.ndarray, require_invertible: bool = True) -> "SystemModel":
@@ -67,12 +65,7 @@ class SystemModel:
             sv = np.linalg.svd(a, compute_uv=False)
             if sv.min() <= sv.max() * np.finfo(float).eps * a.shape[0]:
                 raise ConfigurationError("linear system matrix is singular")
-        return cls(
-            transition=lambda x, _a=a: _a @ x,
-            jacobian=lambda x, _a=a: _a,
-            process_cov=q,
-            linear_matrix=a,
-        )
+        return cls(jacobian=lambda x, _a=a: _a, process_cov=q)
 
     @property
     def n(self) -> int:
@@ -81,15 +74,15 @@ class SystemModel:
 
 @dataclass(frozen=True)
 class MeasurementModel:
-    """One node's sensor: observation function, Jacobian, noise covariance."""
+    """A sensor model shared by every node: observation function, Jacobian,
+    noise covariance."""
 
-    node_id: int
     observe: Callable[[np.ndarray], np.ndarray]
     jacobian: Callable[[np.ndarray], np.ndarray]
     meas_cov: np.ndarray
 
     @classmethod
-    def linear(cls, node_id: int, c: np.ndarray, r: np.ndarray) -> "MeasurementModel":
+    def linear(cls, c: np.ndarray, r: np.ndarray) -> "MeasurementModel":
         c = np.asarray(c, dtype=float)
         r = _check_spd(r, "meas_cov")
         if r.shape[0] != c.shape[0]:
@@ -97,7 +90,6 @@ class MeasurementModel:
                 f"measurement matrix rows {c.shape[0]} and R size {r.shape[0]} differ"
             )
         return cls(
-            node_id=node_id,
             observe=lambda x, _c=c: _c @ x,
             jacobian=lambda x, _c=c: _c,
             meas_cov=r,
@@ -170,7 +162,7 @@ def sample_measurement(state: np.ndarray, meas: MeasurementModel,
     y = np.asarray(meas.observe(np.asarray(state, dtype=float)), dtype=float)
     if y.shape != (meas.m,):
         raise ConfigurationError(
-            f"observation has shape {y.shape}, expected ({meas.m},) for node {meas.node_id}"
+            f"observation has shape {y.shape}, expected ({meas.m},)"
         )
     chol = np.linalg.cholesky(meas.meas_cov)
     return y + chol @ rng.standard_normal(meas.m)
@@ -179,7 +171,8 @@ def sample_measurement(state: np.ndarray, meas: MeasurementModel,
 def linearize(model, x_hat: np.ndarray) -> np.ndarray:
     """Jacobian of a system or measurement model evaluated at x_hat.
 
-    For linear models this is the constant matrix regardless of x_hat.
+    For linear models this is the constant matrix regardless of x_hat, so
+    x_hat may also be the network's stack of estimates (N, n).
     """
     x_hat = np.asarray(x_hat, dtype=float)
     if not np.all(np.isfinite(x_hat)):

@@ -82,21 +82,20 @@ def test_criterion_1_identity_schedule_reduction():
     scenario = build_scenario(cfg, cfg.seed)
     schedule = default_schedule(4, "identity")
 
-    nodes = scenario.initial_nodes()
+    prior = scenario.initial_nodes()
     n_steps = cfg.n_steps
     est = np.zeros((n_steps, cfg.n_nodes, 4))
     omegas = np.zeros((n_steps, cfg.n_nodes, 4, 4))
     for t in range(n_steps):
-        nodes, out = dicf_step(nodes, scenario.net, schedule, 12, scenario.eps,
-                               scenario.measurements_at(t), scenario.sys,
-                               cfg.n_nodes, noise=scenario.noise, t=t)
+        prior, out = dicf_step(prior, scenario.net, schedule, 12, scenario.eps,
+                               scenario.measurements[t], scenario.sensed[t],
+                               scenario.sensor, scenario.sys, scenario.noise, t=t)
         est[t] = out.estimates
-        for k, post in enumerate(out.posteriors):
-            omegas[t, k] = post.omega
+        omegas[t] = out.posterior.omega
 
     ref_est, ref_omegas = run_original_icf(
         constant_velocity_matrix(cfg.dt), scenario.noise.w,
-        position_measurement_matrix(), scenario.noise.v_per_node[0],
+        position_measurement_matrix(), scenario.noise.v,
         scenario.net.neighborhoods, scenario.eps, 12,
         scenario.measurements, scenario.sensed, np.zeros(4), np.zeros((4, 4)))
     diff = max(np.max(np.abs(est - ref_est)), np.max(np.abs(omegas - ref_omegas)))
@@ -128,18 +127,17 @@ def test_criterion_3_single_step_convergence_to_benchmark():
     cfg = ScenarioConfig(seed=33, mc_runs=1, region=(0.0, 200.0, 0.0, 200.0))
     scenario = build_scenario(cfg, cfg.seed)
     assert scenario.net.max_degree() == cfg.n_nodes - 1
-    meas = scenario.measurements_at(0)
+    meas, sensed = scenario.measurements[0], scenario.sensed[0]
 
-    nodes = scenario.initial_nodes()
-    _, out = dicf_step(nodes, scenario.net, default_schedule(4, "case1"), 400,
-                       scenario.eps, meas, scenario.sys, cfg.n_nodes,
-                       noise=scenario.noise)
-    ckf_post, _ = ckf_step(scenario.initial_state(), meas, scenario.meas_models,
-                           scenario.sys, noise=scenario.noise)
+    _, out = dicf_step(scenario.initial_nodes(), scenario.net, default_schedule(4, "case1"),
+                       400, scenario.eps, meas, sensed, scenario.sensor, scenario.sys,
+                       scenario.noise)
+    ckf_post, _ = ckf_step(scenario.initial_state(), meas, sensed, scenario.sensor,
+                           scenario.sys, scenario.noise)
     x_ckf = to_state_estimate(ckf_post)
 
     worst_omega = max(
-        np.linalg.norm(out.posteriors[k].omega - ckf_post.omega)
+        np.linalg.norm(out.posterior.omega[k] - ckf_post.omega)
         / np.linalg.norm(ckf_post.omega) for k in range(cfg.n_nodes))
     worst_x = max(
         np.linalg.norm(out.estimates[k] - x_ckf) / np.linalg.norm(x_ckf)
@@ -160,10 +158,9 @@ def test_criterion_4_bandwidth_ratios_exact():
     per_step = {}
     for kind in ("identity", "case1", "case2"):
         ledger = BandwidthLedger()
-        nodes = scenario.initial_nodes()
-        dicf_step(nodes, scenario.net, default_schedule(4, kind), L, scenario.eps,
-                  scenario.measurements_at(0), scenario.sys, cfg.n_nodes,
-                  ledger=ledger, noise=scenario.noise)
+        dicf_step(scenario.initial_nodes(), scenario.net, default_schedule(4, kind), L,
+                  scenario.eps, scenario.measurements[0], scenario.sensed[0],
+                  scenario.sensor, scenario.sys, scenario.noise, ledger=ledger)
         totals[kind] = ledger.total_scalars()
         per_step[kind] = ledger.scalars_at(l=0)
     ok = (2 * totals["case1"] == totals["identity"]
@@ -249,15 +246,16 @@ def test_criterion_8_information_vs_covariance_oracle():
         p0 = random_spd(rng, n)
         x0 = rng.normal(size=n)
         sys = SystemModel.lti(a, q)
-        model = MeasurementModel.linear(0, c, r)
-        noise = NoiseInformation.from_covariances(q, {0: r})
+        model = MeasurementModel.linear(c, r)
+        noise = NoiseInformation.from_covariances(q, r)
 
         omega0 = np.linalg.inv(p0)
         state = information_state(omega0, omega0 @ x0)
         ys = [[rng.normal(size=m)] for _ in range(100)]
         xs_ref, ps_ref = run_kf(x0, p0, a, q, [(c, r)], ys)
         for t in range(100):
-            posterior, state = ckf_step(state, ys[t], [model], sys, noise=noise)
+            posterior, state = ckf_step(state, np.array(ys[t]), np.ones(1, dtype=bool),
+                                        model, sys, noise)
             x_hat = to_state_estimate(posterior)
             p_hat = np.linalg.inv(posterior.omega)
             worst = max(

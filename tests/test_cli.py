@@ -2,8 +2,9 @@ import json
 
 import pytest
 
+from icfpie import harness
 from icfpie.cli import EXIT_CONFIG, EXIT_NUMERICS, EXIT_OK, main, parse_sweep, simulate_entry
-from icfpie.errors import ConfigurationError
+from icfpie.errors import ConfigurationError, FilterNumericsError
 
 FAST_CFG = """
 n_nodes = 6
@@ -73,14 +74,38 @@ class TestSimulateCommand:
     def test_unknown_flag_exits_with_config_code(self, capsys):
         assert main(["simulate", "--bogus"]) == EXIT_CONFIG
 
-    @pytest.mark.filterwarnings("ignore")
-    def test_numerical_failure_exit_code(self, tmp_path):
-        # an absurd consensus gain makes the iteration diverge to overflow
-        path = tmp_path / "diverge.cfg"
-        path.write_text(FAST_CFG + "eps = 1e30\nhorizon = 1.0\n")
-        code = main(["simulate", "--config", str(path), "--consensus-steps", "40",
+    def test_numerical_failure_exit_code(self, tmp_path, monkeypatch):
+        # every run fails numerically, so run_monte_carlo's 5% rule trips
+        def failing_run(*args, **kwargs):
+            raise FilterNumericsError("non-finite information matrix in predict")
+        monkeypatch.setattr(harness, "run_once", failing_run)
+        code = main(["simulate", "--config", write_cfg(tmp_path),
                      "--out", str(tmp_path / "out")])
         assert code == EXIT_NUMERICS
+
+    @pytest.mark.parametrize("text, message", [
+        # seed 0 places a node with 6 neighbours, so eps may be at most 1/6
+        ("eps = 0.3\nruns = 1\nseed = 0\n", "eps = 0.3 is outside"),
+        ("comm_range = 3OO\n", "comm_range must be a finite number"),
+        ("horizon = 1e999\n", "horizon must be a finite number"),
+        ("q_diag = [10.0, 10.0]\n", "q_diag must be 4 finite numbers"),
+        ("r_diag = [25.0, 25.0, 1.0]\n", "r_diag must be 2 finite numbers"),
+        ("region = [0.0, 600.0, 0.0]\n", "region must be 4 finite numbers"),
+        ("runs = 2.5\n", "mc_runs must be an integer"),
+    ])
+    def test_bad_config_exits_with_one_line(self, tmp_path, capsys, text, message):
+        path = tmp_path / "bad.cfg"
+        path.write_text(text)
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) \
+            == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and message in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_jobs_below_one_rejected(self, tmp_path, capsys):
+        assert main(["simulate", "--config", write_cfg(tmp_path), "--jobs", "0",
+                     "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert "--jobs must be >= 1" in capsys.readouterr().err
 
     def test_bare_simulate_entry(self, tmp_path):
         out_dir = tmp_path / "out"

@@ -19,7 +19,7 @@ from icfpie.selection import build_schedule, default_schedule
 def two_node_state():
     b_mats = [np.diag([1.0, 2.0]), np.diag([5.0, 8.0])]
     b_vecs = [np.array([1.0, 1.0]), np.array([3.0, 5.0])]
-    return ConsensusState.from_pairs(zip(b_mats, b_vecs))
+    return ConsensusState(B=np.array(b_mats), b=np.array(b_vecs))
 
 
 @pytest.fixture

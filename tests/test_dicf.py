@@ -1,7 +1,7 @@
 import numpy as np
 
 from conftest import assert_rel_close, random_spd
-from icfpie.dicf import NodeFilter, ckf_step, dicf_step
+from icfpie.dicf import ckf_step, dicf_step
 from icfpie.harness import ScenarioConfig, build_scenario, make_algorithms, run_once
 from icfpie.info_filter import (
     NoiseInformation,
@@ -29,27 +29,19 @@ def reference_models():
     return a, q, r, c
 
 
-def fresh_nodes(n_nodes, r, c):
-    zero = information_state(np.zeros((4, 4)), np.zeros(4))
-    return [NodeFilter(node_id=i, prior=zero,
-                       meas_model=MeasurementModel.linear(i, c, r))
-            for i in range(n_nodes)]
-
-
 def run_package_icfpie(scenario, schedule, L):
     """Drive dicf_step over a prebuilt scenario; returns (estimates, omegas)."""
     cfg = scenario.cfg
-    nodes = scenario.initial_nodes()
+    prior = scenario.initial_nodes()
     n_steps = cfg.n_steps
     estimates = np.zeros((n_steps, cfg.n_nodes, 4))
     omegas = np.zeros((n_steps, cfg.n_nodes, 4, 4))
     for t in range(n_steps):
-        nodes, out = dicf_step(nodes, scenario.net, schedule, L, scenario.eps,
-                               scenario.measurements_at(t), scenario.sys,
-                               cfg.n_nodes, noise=scenario.noise, t=t)
+        prior, out = dicf_step(prior, scenario.net, schedule, L, scenario.eps,
+                               scenario.measurements[t], scenario.sensed[t],
+                               scenario.sensor, scenario.sys, scenario.noise, t=t)
         estimates[t] = out.estimates
-        for k, post in enumerate(out.posteriors):
-            omegas[t, k] = post.omega
+        omegas[t] = out.posterior.omega
     return estimates, omegas
 
 
@@ -61,7 +53,7 @@ class TestIdentityScheduleReduction:
 
         a, q, r, c = reference_models()
         ref_est, ref_omegas = run_original_icf(
-            a, scenario.noise.w, c, scenario.noise.v_per_node[0],
+            a, scenario.noise.w, c, scenario.noise.v,
             scenario.net.neighborhoods, scenario.eps, 4,
             scenario.measurements, scenario.sensed,
             np.zeros(4), np.zeros((4, 4)))
@@ -79,18 +71,18 @@ class TestConvergenceToCentral:
         schedule = default_schedule(4, "case1")
         L = 200 * schedule.theta_bar
 
-        nodes = scenario.initial_nodes()
+        prior = scenario.initial_nodes()
         central = scenario.initial_state()
         for t in range(cfg.n_steps):
-            meas = scenario.measurements_at(t)
-            nodes, out = dicf_step(nodes, scenario.net, schedule, L, scenario.eps,
-                                   meas, scenario.sys, cfg.n_nodes,
-                                   noise=scenario.noise, t=t)
-            ckf_post, central = ckf_step(central, meas, scenario.meas_models,
-                                         scenario.sys, noise=scenario.noise)
+            meas, sensed = scenario.measurements[t], scenario.sensed[t]
+            prior, out = dicf_step(prior, scenario.net, schedule, L, scenario.eps,
+                                   meas, sensed, scenario.sensor, scenario.sys,
+                                   scenario.noise, t=t)
+            ckf_post, central = ckf_step(central, meas, sensed, scenario.sensor,
+                                         scenario.sys, scenario.noise)
             x_ckf = to_state_estimate(ckf_post)
             for k in range(cfg.n_nodes):
-                omega_rel = (np.linalg.norm(out.posteriors[k].omega - ckf_post.omega)
+                omega_rel = (np.linalg.norm(out.posterior.omega[k] - ckf_post.omega)
                              / np.linalg.norm(ckf_post.omega))
                 assert omega_rel < 1e-6
                 x_rel = (np.linalg.norm(out.estimates[k] - x_ckf)
@@ -104,9 +96,9 @@ class TestConvergenceToCentral:
 
         central = scenario.initial_state()
         for t in range(cfg.n_steps):
-            ckf_post, central = ckf_step(central, scenario.measurements_at(t),
-                                         scenario.meas_models, scenario.sys,
-                                         noise=scenario.noise)
+            ckf_post, central = ckf_step(central, scenario.measurements[t],
+                                         scenario.sensed[t], scenario.sensor,
+                                         scenario.sys, scenario.noise)
         x_ckf_final = to_state_estimate(ckf_post)
 
         distances = []
@@ -123,10 +115,9 @@ class TestDegenerateNetwork:
     def test_single_node_is_a_standalone_information_filter(self):
         a, q, r, c = reference_models()
         sys = SystemModel.lti(a, q)
-        noise = NoiseInformation.from_covariances(q, {0: r})
+        noise = NoiseInformation.from_covariances(q, r)
         prior = information_state(random_spd(np.random.default_rng(0), 4),
                                   np.random.default_rng(1).normal(size=4))
-        node = NodeFilter(node_id=0, prior=prior, meas_model=MeasurementModel.linear(0, c, r))
         # single-node network: closed neighborhood is just the node itself
         from icfpie.network import SensorNetwork
         net1 = SensorNetwork(positions=np.zeros((1, 2)),
@@ -134,15 +125,17 @@ class TestDegenerateNetwork:
                              neighborhoods=(np.array([0]),),
                              comm_range=300.0, sensing_range=300.0)
         y = np.array([12.0, -3.0])
-        nodes, out = dicf_step([node], net1, default_schedule(4, "identity"), 1,
-                               0.5, [y], sys, 1, noise=noise)
+        stacked = information_state(prior.omega[None], prior.q[None])
+        next_stacked, out = dicf_step(stacked, net1, default_schedule(4, "identity"), 1,
+                                      0.5, y[None], np.array([True]),
+                                      MeasurementModel.linear(c, r), sys, noise)
 
-        post = centralized_correct(prior, [(c, noise.v_per_node[0], y)])
+        post = centralized_correct(prior, [(c, noise.v, y)])
         next_prior = predict(post, a, noise.w)
-        assert np.allclose(out.posteriors[0].omega, post.omega, atol=1e-12)
+        assert np.allclose(out.posterior.omega[0], post.omega, atol=1e-12)
         assert np.allclose(out.estimates[0], to_state_estimate(post), atol=1e-12)
-        assert np.allclose(nodes[0].prior.omega, next_prior.omega, atol=1e-12)
-        assert np.allclose(nodes[0].prior.q, next_prior.q, atol=1e-12)
+        assert np.allclose(next_stacked.omega[0], next_prior.omega, atol=1e-12)
+        assert np.allclose(next_stacked.q[0], next_prior.q, atol=1e-12)
 
 
 class TestCkfStep:
@@ -151,9 +144,10 @@ class TestCkfStep:
         sys = SystemModel.lti(a, q)
         rng = np.random.default_rng(2)
         prior = information_state(random_spd(rng, 4), rng.normal(size=4))
-        models = [MeasurementModel.linear(i, np.zeros((2, 4)), r) for i in range(3)]
-        noise = NoiseInformation.from_covariances(q, {i: r for i in range(3)})
-        posterior, next_prior = ckf_step(prior, [np.zeros(2)] * 3, models, sys, noise=noise)
+        sensor = MeasurementModel.linear(np.zeros((2, 4)), r)
+        noise = NoiseInformation.from_covariances(q, r)
+        posterior, next_prior = ckf_step(prior, np.zeros((3, 2)), np.ones(3, dtype=bool),
+                                         sensor, sys, noise)
         assert np.allclose(posterior.omega, prior.omega)
         expected = predict(prior, a, noise.w)
         assert np.allclose(next_prior.omega, expected.omega, atol=1e-14)
@@ -163,11 +157,11 @@ class TestCkfStep:
         a, q, r, c = reference_models()
         sys = SystemModel.lti(a, q)
         prior = information_state(np.zeros((4, 4)), np.zeros(4))
-        models = [MeasurementModel.linear(i, c, r) for i in range(10)]
-        noise = NoiseInformation.from_covariances(q, {i: r for i in range(10)})
+        noise = NoiseInformation.from_covariances(q, r)
         y = np.array([400.0, 0.0])
-        posterior, _ = ckf_step(prior, [y] * 10, models, sys, noise=noise)
-        v = noise.v_per_node[0]
+        posterior, _ = ckf_step(prior, np.tile(y, (10, 1)), np.ones(10, dtype=bool),
+                                MeasurementModel.linear(c, r), sys, noise)
+        v = noise.v
         assert np.allclose(posterior.omega, 10 * c.T @ v @ c, atol=1e-12)
 
     def test_hundred_step_covariance_form_equivalence(self, rng):
@@ -179,8 +173,8 @@ class TestCkfStep:
         p0 = random_spd(rng, n)
         x0 = rng.normal(size=n)
         sys = SystemModel.lti(a, q)
-        model = MeasurementModel.linear(0, c, r)
-        noise = NoiseInformation.from_covariances(q, {0: r})
+        model = MeasurementModel.linear(c, r)
+        noise = NoiseInformation.from_covariances(q, r)
 
         omega0 = np.linalg.inv(p0)
         state = information_state(omega0, omega0 @ x0)
@@ -188,7 +182,8 @@ class TestCkfStep:
         xs_ref, ps_ref = run_kf(x0, p0, a, q, [(c, r)], ys)
 
         for t in range(100):
-            posterior, state = ckf_step(state, ys[t], [model], sys, noise=noise)
+            posterior, state = ckf_step(state, np.array(ys[t]), np.ones(1, dtype=bool),
+                                        model, sys, noise)
             x_hat = to_state_estimate(posterior)
             p_hat = np.linalg.inv(posterior.omega)
             assert np.linalg.norm(x_hat - xs_ref[t]) / np.linalg.norm(xs_ref[t]) < 1e-9

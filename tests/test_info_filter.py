@@ -5,13 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_spd
-from icfpie.errors import ConfigurationError
+from conftest import assert_rel_close, random_spd
+from icfpie.errors import ConfigurationError, FilterNumericsError
 from icfpie.info_filter import (
     NoiseInformation,
     NumericsLog,
     centralized_correct,
+    ensure_invertible,
     information_state,
+    inv_spd,
     local_correction_terms,
     predict,
     to_state_estimate,
@@ -109,9 +111,9 @@ class TestPredict:
 
     def test_noise_information_from_reference_q(self):
         noise = NoiseInformation.from_covariances(
-            np.diag([10.0, 10.0, 1.0, 1.0]), {0: np.diag([25.0, 25.0])})
+            np.diag([10.0, 10.0, 1.0, 1.0]), np.diag([25.0, 25.0]))
         assert np.allclose(noise.w, np.diag([0.1, 0.1, 1.0, 1.0]))
-        assert np.allclose(noise.v_per_node[0], np.diag([0.04, 0.04]))
+        assert np.allclose(noise.v, np.diag([0.04, 0.04]))
 
     def test_against_covariance_recursion_oracle(self, rng):
         for _ in range(10):
@@ -176,15 +178,82 @@ class TestInformationFormMatchesCovarianceForm:
 
         omega = np.linalg.inv(p0)
         state = information_state(omega, omega @ x0)
-        noise = NoiseInformation.from_covariances(q_cov, {0: r})
+        noise = NoiseInformation.from_covariances(q_cov, r)
 
         ys = [[rng.normal(size=m)] for _ in range(50)]
         xs_ref, ps_ref = run_kf(x0, p0, a, q_cov, [(c, r)], ys)
 
         for t in range(50):
-            post = centralized_correct(state, [(c, noise.v_per_node[0], ys[t][0])])
+            post = centralized_correct(state, [(c, noise.v, ys[t][0])])
             x_hat = to_state_estimate(post)
             p_hat = np.linalg.inv(post.omega)
             assert np.allclose(x_hat, xs_ref[t], rtol=1e-9, atol=1e-11)
             assert np.linalg.norm(p_hat - ps_ref[t]) / np.linalg.norm(ps_ref[t]) < 1e-9
             state = predict(post, a, noise.w)
+
+
+def mixed_slice(rng, kind, n=4):
+    """One information matrix of the given kind."""
+    if kind == "spd":
+        return random_spd(rng, n, scale=10.0 ** rng.uniform(-3, 3))
+    if kind == "zero":
+        return np.zeros((n, n))
+    if kind == "rank_deficient":
+        b = rng.normal(size=(n, int(rng.integers(1, n))))
+        return b @ b.T
+    basis, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    if kind == "indefinite":  # one eigenvalue just below zero
+        eigs = [-10.0 ** rng.uniform(-13, -9)] + list(rng.uniform(0.5, 5.0, n - 1))
+    else:  # just above the singular threshold, yet Cholesky may fail in rounding
+        eigs = [2e-10] + list(10.0 ** rng.uniform(7, 8, n - 1))
+    return (basis * np.array(eigs)) @ basis.T
+
+
+def outcome(fn, arg):
+    """(result or None when it raised FilterNumericsError, log)."""
+    log = NumericsLog()
+    try:
+        return fn(arg, log), log
+    except FilterNumericsError:
+        return None, log
+
+
+class TestStackedPrimitives:
+    """A stack of N slices gives, slice by slice, what N single calls give,
+    and logs the same events, each tagged with its slice index."""
+
+    @given(st.lists(st.sampled_from(["spd", "zero", "rank_deficient", "indefinite",
+                                     "near_threshold"]), min_size=1, max_size=12),
+           st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_slices_match_single_calls(self, kinds, seed):
+        rng = np.random.default_rng(seed)
+        stack = information_state(np.array([mixed_slice(rng, kind) for kind in kinds]),
+                                  rng.normal(size=(len(kinds), 4)))
+        singles = [information_state(o, q) for o, q in zip(stack.omega, stack.q)]
+        a = np.eye(4) + 0.1 * rng.normal(size=(4, 4))
+        w = np.linalg.inv(random_spd(rng, 4))
+
+        def predicted(state, log):
+            out = predict(state, a, w, log)
+            return np.concatenate([out.omega, out.q[..., None]], axis=-1)
+
+        for fn, stacked, single in [
+            (to_state_estimate, stack, singles),
+            (predicted, stack, singles),
+            (lambda m, log: ensure_invertible(m, log, "test"), stack.omega, stack.omega),
+            (lambda m, log: inv_spd(ensure_invertible(m), log, "test"), stack.omega,
+             stack.omega),
+        ]:
+            got, log = outcome(fn, stacked)
+            expected = [outcome(fn, x) for x in single]
+            if any(e is None for e, _ in expected):
+                assert got is None  # inv_spd raises for the stack if for any slice
+                continue
+            assert got is not None
+            for k, (e, single_log) in enumerate(expected):
+                assert_rel_close(got[k], e)
+                for kind in ("regularize", "singular_solve", "ill_conditioned"):
+                    tagged = [ev for ev in log.events if ev["kind"] == kind and ev["node"] == k]
+                    assert len(tagged) == single_log.count(kind)
+            assert all("node" in ev for ev in log.events)

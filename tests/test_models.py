@@ -65,14 +65,14 @@ class TestPropagateTruth:
 
 class TestSampleMeasurement:
     def test_near_noiseless_position_readout(self, rng):
-        meas = MeasurementModel.linear(0, position_measurement_matrix(),
+        meas = MeasurementModel.linear(position_measurement_matrix(),
                                        1e-20 * np.eye(2))
         y = sample_measurement(np.array([400.0, 0.0, 3.0, 4.0]), meas, rng)
         assert np.allclose(y, [400.0, 0.0], atol=1e-8)
 
     def test_reference_noise_scale(self):
         # R = diag([25, 25]) means a 5 m standard deviation per axis
-        meas = MeasurementModel.linear(0, position_measurement_matrix(),
+        meas = MeasurementModel.linear(position_measurement_matrix(),
                                        np.diag([25.0, 25.0]))
         rng = np.random.default_rng(11)
         draws = np.array([sample_measurement(np.zeros(4), meas, rng) for _ in range(20000)])
@@ -80,7 +80,7 @@ class TestSampleMeasurement:
 
     def test_sample_covariance_matches_r(self):
         r = np.array([[25.0, 6.0], [6.0, 16.0]])
-        meas = MeasurementModel.linear(0, position_measurement_matrix(), r)
+        meas = MeasurementModel.linear(position_measurement_matrix(), r)
         rng = np.random.default_rng(5)
         n_draws = 100000
         draws = np.array([sample_measurement(np.zeros(4), meas, rng)
@@ -89,7 +89,7 @@ class TestSampleMeasurement:
         assert np.linalg.norm(cov - r) / np.linalg.norm(r) < 0.05
 
     def test_noise_is_unbiased(self):
-        meas = MeasurementModel.linear(0, position_measurement_matrix(),
+        meas = MeasurementModel.linear(position_measurement_matrix(),
                                        np.diag([25.0, 25.0]))
         rng = np.random.default_rng(9)
         n_draws = 10000
@@ -107,18 +107,16 @@ class TestLinearize:
             assert np.array_equal(linearize(sys, x), a)
 
     def test_position_sensor_jacobian(self):
-        meas = MeasurementModel.linear(0, position_measurement_matrix(), np.eye(2))
+        meas = MeasurementModel.linear(position_measurement_matrix(), np.eye(2))
         jac = linearize(meas, np.array([1.0, 2.0, 3.0, 4.0]))
         assert np.array_equal(jac, [[1, 0, 0, 0], [0, 1, 0, 0]])
 
     def test_identity_transition(self):
-        sys = SystemModel(transition=lambda x: x, jacobian=lambda x: np.eye(4),
-                          process_cov=np.eye(4))
+        sys = SystemModel(jacobian=lambda x: np.eye(4), process_cov=np.eye(4))
         assert np.array_equal(linearize(sys, np.ones(4)), np.eye(4))
 
     def test_nonfinite_rejected(self):
-        sys = SystemModel(transition=lambda x: x,
-                          jacobian=lambda x: np.full((4, 4), np.nan),
+        sys = SystemModel(jacobian=lambda x: np.full((4, 4), np.nan),
                           process_cov=np.eye(4))
         from icfpie.errors import FilterNumericsError
         with pytest.raises(FilterNumericsError):
@@ -137,7 +135,7 @@ class TestModelValidation:
 
     def test_non_spd_meas_cov_rejected(self):
         with pytest.raises(ConfigurationError):
-            MeasurementModel.linear(0, position_measurement_matrix(),
+            MeasurementModel.linear(position_measurement_matrix(),
                                     np.array([[1.0, 2.0], [2.0, 1.0]]))
 
     def test_truth_model_invariants(self):
