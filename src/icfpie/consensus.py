@@ -17,8 +17,7 @@ steps row r is averaged k_r times and ends at
 where z_r is the cycle phase that selects row r (k_r = 0 when z_r >= L).
 `run_consensus` evaluates this closed form (Xiao & Boyd 2004, "Fast
 linear iterations for distributed averaging"); `consensus_step` is the
-step-by-step reference semantics and also supports per-node masks for
-experiments outside the synchronized-schedule assumption.
+step-by-step reference semantics.
 """
 
 import warnings
@@ -59,50 +58,24 @@ def init_consensus(prior: InformationState, delta_omega: np.ndarray,
     return b0_mat, b0_vec
 
 
-def _mask_vectors(masks, n_nodes: int, n: int) -> np.ndarray:
-    """Normalize mask input to an (N, n) 0/1 array of per-sender masks.
-
-    A dict {node: mask} gives heterogeneous per-sender masks; any other
-    input (length-n vector or n x n diagonal matrix) is shared by all.
-    """
-    def as_vector(m):
-        m = np.asarray(m, dtype=float)
-        if m.ndim == 2 and m.shape == (n, n):
-            m = np.diag(m)
-        if m.shape != (n,):
-            raise ConfigurationError(f"cannot interpret mask with shape {m.shape}")
-        return m
-
-    if isinstance(masks, dict):
-        if set(masks) != set(range(n_nodes)):
-            raise ConfigurationError("per-node masks must cover every node id")
-        return np.array([as_vector(masks[i]) for i in range(n_nodes)])
-    return np.tile(as_vector(masks), (n_nodes, 1))
-
-
-def consensus_step(state: ConsensusState, net: SensorNetwork, masks,
+def consensus_step(state: ConsensusState, net: SensorNetwork, mask,
                    eps: float) -> ConsensusState:
     """One synchronous averaging step, reading every node from the previous
-    iterate. `masks` may be a single mask (applied by all senders) or a
-    per-node stack; the sender's mask gates which rows it contributes.
+    iterate. Only the rows and entries selected by the length-n 0/1 `mask`,
+    shared by every node, move.
     """
     if eps <= 0:
         raise ConfigurationError(f"consensus gain must be > 0, got {eps}")
-    mvec = _mask_vectors(masks, state.n_nodes, state.n)
+    mask = np.asarray(mask, dtype=float)
+    if mask.shape != (state.n,):
+        raise ConfigurationError(f"mask must have shape ({state.n},), got {mask.shape}")
+    sel = mask > 0
     B, b = state.B, state.b
     B_next = B.copy()
     b_next = b.copy()
-    for i in range(state.n_nodes):
-        acc_B = np.zeros_like(B[i])
-        acc_b = np.zeros_like(b[i])
-        touched = np.zeros(state.n, dtype=bool)
-        for j in net.neighborhoods[i]:
-            sel = mvec[j] > 0
-            touched |= sel
-            acc_B[sel, :] += B[j, sel, :] - B[i, sel, :]
-            acc_b[sel] += b[j, sel] - b[i, sel]
-        B_next[i, touched, :] = B[i, touched, :] + eps * acc_B[touched, :]
-        b_next[i, touched] = b[i, touched] + eps * acc_b[touched]
+    for i, hood in enumerate(net.neighborhoods):
+        B_next[i, sel, :] += eps * (B[hood][:, sel, :] - B[i, sel, :]).sum(axis=0)
+        b_next[i, sel] += eps * (b[hood][:, sel] - b[i, sel]).sum(axis=0)
     return ConsensusState(B=B_next, b=b_next)
 
 

@@ -80,7 +80,7 @@ def ckf_step(central: InformationState, measurements: np.ndarray, sensed: np.nda
     """
     x_prior = to_state_estimate(central, log)
     c = linearize(sensor, x_prior)
-    posterior = centralized_correct(central, [(c, noise.v, y) for y in measurements[sensed]])
+    posterior = centralized_correct(central, c, noise.v, measurements[sensed])
     x_post = to_state_estimate(posterior, log)
     a = linearize(sys, x_post)
     next_prior = predict(posterior, a, noise.w, log=log)

@@ -50,11 +50,14 @@ from .selection import EntrySelectionSchedule, build_schedule, default_schedule
 STATE_DIM = 4
 MEAS_DIM = 2
 
-_INTEGER_FIELDS = ("n_nodes", "L", "seed", "mc_runs", "max_placement_retries")
+_INTEGER_FIELDS = ("n_nodes", "L", "seed", "mc_runs")
 _NUMBER_FIELDS = ("comm_range", "sensing_range", "dt", "horizon", "speed_variance")
 _VECTOR_FIELDS = {"region": 4, "q_diag": STATE_DIM, "r_diag": MEAS_DIM,
-                  "target_initial_position": 2, "speed_range": 2, "heading_range": 2,
-                  "initial_estimate": STATE_DIM}
+                  "target_initial_position": 2, "speed_range": 2, "heading_range": 2}
+# keys that configs written by earlier versions carry, with the one value
+# (their old default) under which dropping them changes nothing
+_RETIRED_KEYS = {"initial_estimate": (0.0, 0.0, 0.0, 0.0), "truth_noise": "speed",
+                 "error_metric": "full", "max_placement_retries": 200}
 
 
 def _finite_number(v) -> bool:
@@ -77,15 +80,11 @@ class ScenarioConfig:
     speed_range: tuple = (10.0, 15.0)
     heading_range: tuple = (math.pi / 2, 3 * math.pi / 4)
     speed_variance: float = 0.25
-    initial_estimate: tuple = (0.0, 0.0, 0.0, 0.0)
     selection: object = "case1"      # "case1" | "case2" | "identity" | nested 1-based lists
     L: int = 12
     eps: Optional[float] = None      # None -> 1 / (max degree + 1); at most 1 / max degree
     seed: int = 0
     mc_runs: int = 100
-    truth_noise: str = "speed"       # "speed" | "process"
-    error_metric: str = "full"       # "full" | "position"
-    max_placement_retries: int = 200
 
     def __post_init__(self):
         for name in _INTEGER_FIELDS:
@@ -111,10 +110,22 @@ class ScenarioConfig:
             raise ConfigurationError("mc_runs must be >= 1")
         if self.L < 1:
             raise ConfigurationError("consensus step count L must be >= 1")
-        if self.truth_noise not in ("speed", "process"):
-            raise ConfigurationError(f"unknown truth_noise mode {self.truth_noise!r}")
-        if self.error_metric not in ("full", "position"):
-            raise ConfigurationError(f"unknown error_metric {self.error_metric!r}")
+        for name in ("comm_range", "sensing_range"):
+            if getattr(self, name) <= 0:
+                raise ConfigurationError(f"{name} must be > 0, got {getattr(self, name)!r}")
+        for name in ("q_diag", "r_diag"):
+            v = getattr(self, name)
+            if min(v) <= 0:
+                raise ConfigurationError(f"{name} entries must be > 0, got {list(v)}")
+        for name in ("speed_range", "heading_range"):
+            low, high = getattr(self, name)
+            if low > high:
+                raise ConfigurationError(f"{name} must be ordered (low, high), got {[low, high]}")
+        if self.speed_variance < 0:
+            raise ConfigurationError(f"speed_variance must be >= 0, got {self.speed_variance!r}")
+        if self.n_steps < 1:
+            raise ConfigurationError(f"horizon = {self.horizon} with dt = {self.dt} gives "
+                                     f"{self.n_steps} steps; need at least 1")
 
     @property
     def n_steps(self) -> int:
@@ -144,14 +155,18 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScenarioConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(d) - known
+        kwargs = dict(d)
+        for key, old_default in _RETIRED_KEYS.items():
+            value = kwargs.pop(key, old_default)
+            if (tuple(value) if isinstance(value, list) else value) != old_default:
+                raise ConfigurationError(
+                    f"config key {key} was removed; it may only hold its old default "
+                    f"{old_default!r}, got {value!r}")
+        unknown = set(kwargs) - {f.name for f in dataclasses.fields(cls)}
         if unknown:
             raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
-        kwargs = dict(d)
-        for key in ("region", "q_diag", "r_diag", "target_initial_position",
-                    "speed_range", "heading_range", "initial_estimate"):
-            if key in kwargs and isinstance(kwargs[key], list):
+        for key in _VECTOR_FIELDS:
+            if isinstance(kwargs.get(key), list):
                 kwargs[key] = tuple(kwargs[key])
         return cls(**kwargs)
 
@@ -202,7 +217,6 @@ class Scenario:
     cfg: ScenarioConfig
     seed: int
     net: SensorNetwork
-    truth_model: TruthModel
     sys: SystemModel
     sensor: MeasurementModel  # every node carries the same sensor
     noise: NoiseInformation
@@ -213,8 +227,7 @@ class Scenario:
 
     def initial_state(self) -> InformationState:
         """The centralized filter's prior."""
-        omega0 = np.zeros((STATE_DIM, STATE_DIM))
-        return information_state(omega0, omega0 @ np.asarray(self.cfg.initial_estimate))
+        return information_state(np.zeros((STATE_DIM, STATE_DIM)), np.zeros(STATE_DIM))
 
     def initial_nodes(self) -> InformationState:
         """Every node's prior, stacked: omega (N, n, n), q (N, n)."""
@@ -227,9 +240,7 @@ class Scenario:
 def build_scenario(cfg: ScenarioConfig, seed: int) -> Scenario:
     """Deterministically materialize network, truth, and measurements."""
     rng = np.random.default_rng(seed)
-    net = random_geometric(cfg.n_nodes, cfg.region, cfg.comm_range, rng,
-                           max_retries=cfg.max_placement_retries,
-                           sensing_range=cfg.sensing_range)
+    net = random_geometric(cfg.n_nodes, cfg.region, cfg.comm_range, rng)
     if cfg.eps is None:
         eps = consensus_gain(net)
     else:
@@ -247,9 +258,8 @@ def build_scenario(cfg: ScenarioConfig, seed: int) -> Scenario:
         speed_variance=cfg.speed_variance,
         dt=cfg.dt,
     )
-    a = cfg.system_matrix()
     q = np.diag(cfg.q_diag)
-    sys = SystemModel.lti(a, q)
+    sys = SystemModel.lti(cfg.system_matrix(), q)
     r = np.diag(cfg.r_diag)
     sensor = MeasurementModel.linear(position_measurement_matrix(STATE_DIM), r)
     noise = NoiseInformation.from_covariances(q, r)
@@ -257,13 +267,8 @@ def build_scenario(cfg: ScenarioConfig, seed: int) -> Scenario:
     n_steps = cfg.n_steps
     truth = np.zeros((n_steps, STATE_DIM))
     truth[0] = truth_model.initial_state(rng)
-    if cfg.truth_noise == "speed":
-        for t in range(1, n_steps):
-            truth[t] = propagate_truth(truth[t - 1], truth_model, rng)
-    else:
-        chol_q = np.linalg.cholesky(q)
-        for t in range(1, n_steps):
-            truth[t] = a @ truth[t - 1] + chol_q @ rng.standard_normal(STATE_DIM)
+    for t in range(1, n_steps):
+        truth[t] = propagate_truth(truth[t - 1], truth_model, rng)
 
     measurements = np.zeros((n_steps, cfg.n_nodes, MEAS_DIM))
     for t in range(n_steps):
@@ -272,9 +277,8 @@ def build_scenario(cfg: ScenarioConfig, seed: int) -> Scenario:
     dist = np.linalg.norm(truth[:, None, :2] - net.positions[None, :, :], axis=2)
     sensed = dist <= cfg.sensing_range
 
-    return Scenario(cfg=cfg, seed=seed, net=net, truth_model=truth_model, sys=sys,
-                    sensor=sensor, noise=noise, eps=eps, truth=truth,
-                    measurements=measurements, sensed=sensed)
+    return Scenario(cfg=cfg, seed=seed, net=net, sys=sys, sensor=sensor, noise=noise,
+                    eps=eps, truth=truth, measurements=measurements, sensed=sensed)
 
 
 @dataclass
@@ -286,31 +290,6 @@ class RunMetrics:
     final: dict               # label -> float
     bandwidth: dict           # label -> total scalars broadcast
     diag: Optional[dict] = None
-
-
-def settling_time(t: np.ndarray, series: np.ndarray, dt: float,
-                  band: float = 0.05) -> Optional[float]:
-    """First time after which the series stays within `band` of its
-    final-1-second average; None when it never settles."""
-    k = max(1, int(round(1.0 / dt)))
-    final_avg = float(series[-k:].mean())
-    tol = band * abs(final_avg)
-    inside = np.abs(series - final_avg) <= tol
-    # last index before which some sample is outside the band
-    outside = np.flatnonzero(~inside)
-    if outside.size == 0:
-        return float(t[0])
-    first = outside[-1] + 1
-    if first >= len(series):
-        return None
-    return float(t[first])
-
-
-def _error_norm(err: np.ndarray, metric: str) -> np.ndarray:
-    """Row-wise error norms; `err` is (..., 4)."""
-    if metric == "position":
-        err = err[..., :2]
-    return np.linalg.norm(err, axis=-1)
 
 
 def run_once(scenario: Scenario, L: int, algorithms: Optional[list] = None,
@@ -348,7 +327,7 @@ def run_once(scenario: Scenario, L: int, algorithms: Optional[list] = None,
                     priors[a.label], scenario.net, a.schedule, L, scenario.eps,
                     meas, sensed, scenario.sensor, scenario.sys, scenario.noise,
                     ledger=ledgers[a.label], t=t, log=log)
-                errs = _error_norm(truth_t - out.estimates, cfg.error_metric)
+                errs = np.linalg.norm(truth_t - out.estimates, axis=-1)
                 series[a.label][t] = errs.mean()
                 if diagnostics:
                     node_errors[a.label][t] = errs
@@ -360,7 +339,7 @@ def run_once(scenario: Scenario, L: int, algorithms: Optional[list] = None,
                     priors[a.label], meas, sensed, scenario.sensor, scenario.sys,
                     scenario.noise, log=log)
                 x_hat = to_state_estimate(posterior, log)
-                series[a.label][t] = _error_norm(truth_t - x_hat, cfg.error_metric)
+                series[a.label][t] = np.linalg.norm(truth_t - x_hat, axis=-1)
             reg_events[a.label][t] = log.count("regularize") - before
 
     final = {label: float(s[-1]) for label, s in series.items()}
@@ -386,7 +365,6 @@ class MonteCarloResult:
     mean_series: dict
     final_mean: dict
     bandwidth: dict
-    settling: dict            # settling time of the mean series per label
     n_runs: int
     failures: int
     failed_seeds: list
@@ -472,8 +450,6 @@ def run_monte_carlo(cfg: ScenarioConfig, L: int, include=("ckf", "icf", "icfpie"
         mean_series=mean_series,
         final_mean={lab: float(finals[lab].mean()) for lab in labels},
         bandwidth=good[0]["bandwidth"],
-        settling={lab: settling_time(t_axis, mean_series[lab], cfg.dt)
-                  for lab in labels},
         n_runs=len(good),
         failures=len(failed),
         failed_seeds=[r["seed"] for r in failed],

@@ -180,18 +180,16 @@ def local_correction_terms(c: np.ndarray, v: np.ndarray, y: np.ndarray):
     return symmetrize(ctv @ c), _matvec(ctv, y)
 
 
-def centralized_correct(prior: InformationState, contributions) -> InformationState:
-    """Fuse measurement contributions additively at a single center.
-
-    `contributions` is an iterable of (C_i, V_i, y_i) triples.
-    """
-    omega = prior.omega.copy()
-    q = prior.q.copy()
-    for c, v, y in contributions:
-        d_omega, d_q = local_correction_terms(c, v, y)
-        omega = omega + d_omega
-        q = q + d_q
-    return information_state(omega, q)
+def centralized_correct(prior: InformationState, c: np.ndarray, v: np.ndarray,
+                        y: np.ndarray) -> InformationState:
+    """Fuse a stack of k measurements y (k, m), all taken by the sensor
+    (C, V), at a single center: Omega + k C^T V C and q + sum_i C^T V y_i.
+    With k = 0 the prior comes back unchanged."""
+    y = np.asarray(y, dtype=float)
+    if y.ndim != 2:
+        raise ConfigurationError(f"measurements must be a (k, m) stack, got shape {y.shape}")
+    d_omega, d_q = local_correction_terms(c, v, y)
+    return information_state(prior.omega + y.shape[0] * d_omega, prior.q + d_q.sum(axis=0))
 
 
 def predict(post: InformationState, a: np.ndarray, w: np.ndarray,

@@ -56,15 +56,14 @@ class SystemModel:
     process_cov: np.ndarray
 
     @classmethod
-    def lti(cls, a: np.ndarray, q: np.ndarray, require_invertible: bool = True) -> "SystemModel":
+    def lti(cls, a: np.ndarray, q: np.ndarray) -> "SystemModel":
         a = np.asarray(a, dtype=float)
         q = _check_spd(q, "process_cov")
         if a.shape != q.shape:
             raise ConfigurationError(f"A {a.shape} and Q {q.shape} dimensions differ")
-        if require_invertible:
-            sv = np.linalg.svd(a, compute_uv=False)
-            if sv.min() <= sv.max() * np.finfo(float).eps * a.shape[0]:
-                raise ConfigurationError("linear system matrix is singular")
+        sv = np.linalg.svd(a, compute_uv=False)
+        if sv.min() <= sv.max() * np.finfo(float).eps * a.shape[0]:
+            raise ConfigurationError("linear system matrix is singular")
         return cls(jacobian=lambda x, _a=a: _a, process_cov=q)
 
     @property

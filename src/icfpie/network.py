@@ -8,7 +8,6 @@ counts every scalar a node broadcasts, so partial-exchange savings can be
 verified exactly.
 """
 
-import csv
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -24,16 +23,10 @@ class SensorNetwork:
     positions: np.ndarray
     adjacency: np.ndarray
     neighborhoods: tuple
-    comm_range: float
-    sensing_range: float
 
     @property
     def n_nodes(self) -> int:
         return self.positions.shape[0]
-
-    def degree(self, i: int) -> int:
-        """Number of neighbors of node i, excluding i itself."""
-        return int(self.adjacency[i].sum())
 
     def max_degree(self) -> int:
         return int(self.adjacency.sum(axis=1).max())
@@ -72,7 +65,7 @@ def _closed_neighborhoods(adjacency: np.ndarray) -> tuple:
     return tuple(hoods)
 
 
-def network_from_positions(positions, comm_range: float, sensing_range: float) -> SensorNetwork:
+def network_from_positions(positions, comm_range: float) -> SensorNetwork:
     """Build a SensorNetwork from fixed positions (must be connected)."""
     positions = np.asarray(positions, dtype=float)
     adj = adjacency_from_positions(positions, comm_range)
@@ -82,13 +75,11 @@ def network_from_positions(positions, comm_range: float, sensing_range: float) -
         positions=positions,
         adjacency=adj,
         neighborhoods=_closed_neighborhoods(adj),
-        comm_range=comm_range,
-        sensing_range=sensing_range,
     )
 
 
 def random_geometric(n_nodes: int, region, comm_range: float, rng: np.random.Generator,
-                     max_retries: int = 200, sensing_range: float = None) -> SensorNetwork:
+                     max_retries: int = 200) -> SensorNetwork:
     """Uniform placement in `region` = (xmin, xmax, ymin, ymax), resampled
     until the induced disk graph is connected.
 
@@ -100,8 +91,6 @@ def random_geometric(n_nodes: int, region, comm_range: float, rng: np.random.Gen
     xmin, xmax, ymin, ymax = (float(v) for v in region)
     if not (xmax > xmin and ymax > ymin):
         raise ConfigurationError(f"degenerate placement region {region}")
-    if sensing_range is None:
-        sensing_range = comm_range
     for _ in range(max_retries):
         positions = np.column_stack([
             rng.uniform(xmin, xmax, size=n_nodes),
@@ -113,8 +102,6 @@ def random_geometric(n_nodes: int, region, comm_range: float, rng: np.random.Gen
                 positions=positions,
                 adjacency=adj,
                 neighborhoods=_closed_neighborhoods(adj),
-                comm_range=comm_range,
-                sensing_range=sensing_range,
             )
     raise PlacementError(
         f"no connected placement of {n_nodes} nodes in {region} with range "
@@ -142,21 +129,11 @@ class ConsensusBroadcasts(NamedTuple):
 
 @dataclass
 class BandwidthLedger:
-    """Per-broadcast scalar counts, queryable per (t, l, node) and in aggregate.
-
-    `rows` holds single broadcasts as (t, l, node, scalars) tuples and whole
-    consensus runs as compact `ConsensusBroadcasts` entries, which are
-    expanded only when queried or exported.
-    """
+    """Scalars broadcast during consensus: one compact `ConsensusBroadcasts`
+    entry per consensus run in `rows`, and their total."""
 
     rows: list = field(default_factory=list)
     _total: int = 0
-
-    def record_broadcast(self, node: int, t: int, l: int, scalar_count: int):
-        if scalar_count < 0:
-            raise ConfigurationError("scalar count must be >= 0")
-        self.rows.append((t, l, node, scalar_count))
-        self._total += scalar_count
 
     def record_consensus(self, t: int, n_nodes: int, payloads):
         """Record every node broadcasting payloads[l] scalars at step l."""
@@ -166,37 +143,5 @@ class BandwidthLedger:
         self.rows.append(ConsensusBroadcasts(t, n_nodes, payloads))
         self._total += n_nodes * sum(payloads)
 
-    def broadcasts(self):
-        """Every broadcast as (t, l, node, scalars), in recording order."""
-        for row in self.rows:
-            if isinstance(row, ConsensusBroadcasts):
-                for l, s in enumerate(row.payloads):
-                    for node in range(row.n_nodes):
-                        yield (row.t, l, node, s)
-            else:
-                yield row
-
     def total_scalars(self) -> int:
         return self._total
-
-    def scalars_at(self, t: int = None, l: int = None, node: int = None) -> int:
-        """Aggregate count over broadcasts matching the given keys (None = any)."""
-        return sum(
-            s for (rt, rl, rn, s) in self.broadcasts()
-            if (t is None or rt == t) and (l is None or rl == l) and (node is None or rn == node)
-        )
-
-    def to_csv(self, path, run: int = 0):
-        """Write broadcasts as CSV with columns run, t, l, node, scalars."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["run", "t", "l", "node", "scalars"])
-            for t, l, node, s in self.broadcasts():
-                writer.writerow([run, t, l, node, s])
-
-
-def record_broadcast(ledger: BandwidthLedger, node: int, t: int, l: int,
-                     scalar_count: int) -> BandwidthLedger:
-    """Functional alias for BandwidthLedger.record_broadcast."""
-    ledger.record_broadcast(node, t, l, scalar_count)
-    return ledger

@@ -12,13 +12,13 @@ def rng():
 @pytest.fixture
 def pair_net():
     """Two nodes within range: closed neighborhoods {0,1} each, eps = 0.5."""
-    return network_from_positions([[0.0, 0.0], [100.0, 0.0]], 300.0, 300.0)
+    return network_from_positions([[0.0, 0.0], [100.0, 0.0]], 300.0)
 
 
 @pytest.fixture
 def path3_net():
     """Three nodes in a line: 0-1 and 1-2 linked, 0-2 out of range."""
-    return network_from_positions([[0.0, 0.0], [250.0, 0.0], [500.0, 0.0]], 300.0, 300.0)
+    return network_from_positions([[0.0, 0.0], [250.0, 0.0], [500.0, 0.0]], 300.0)
 
 
 def random_spd(rng, n, scale=1.0):

@@ -162,7 +162,8 @@ def test_criterion_4_bandwidth_ratios_exact():
                   scenario.eps, scenario.measurements[0], scenario.sensed[0],
                   scenario.sensor, scenario.sys, scenario.noise, ledger=ledger)
         totals[kind] = ledger.total_scalars()
-        per_step[kind] = ledger.scalars_at(l=0)
+        (entry,) = ledger.rows
+        per_step[kind] = entry.n_nodes * entry.payloads[0]
     ok = (2 * totals["case1"] == totals["identity"]
           and 4 * totals["case2"] == totals["identity"]
           and 2 * per_step["case1"] == per_step["identity"]

@@ -92,6 +92,18 @@ class TestSimulateCommand:
         ("r_diag = [25.0, 25.0, 1.0]\n", "r_diag must be 2 finite numbers"),
         ("region = [0.0, 600.0, 0.0]\n", "region must be 4 finite numbers"),
         ("runs = 2.5\n", "mc_runs must be an integer"),
+        ("sensing_range = -1.0\n", "sensing_range must be > 0"),
+        ("comm_range = -5.0\n", "comm_range must be > 0"),
+        ("horizon = 0.04\n", "horizon = 0.04 with dt = 0.1 gives 0 steps"),
+        ("q_diag = [10.0, 10.0, 0.0, 1.0]\n", "q_diag entries must be > 0"),
+        ("r_diag = [25.0, -25.0]\n", "r_diag entries must be > 0"),
+        ("speed_range = [15.0, 10.0]\n", "speed_range must be ordered"),
+        ("heading_range = [2.0, 1.0]\n", "heading_range must be ordered"),
+        ("speed_variance = -0.25\n", "speed_variance must be >= 0"),
+        ("initial_estimate = [100.0, -50.0, 3.0, 1.0]\n", "config key initial_estimate"),
+        ("truth_noise = process\n", "config key truth_noise"),
+        ("error_metric = position\n", "config key error_metric"),
+        ("max_placement_retries = 5\n", "config key max_placement_retries"),
     ])
     def test_bad_config_exits_with_one_line(self, tmp_path, capsys, text, message):
         path = tmp_path / "bad.cfg"
@@ -135,3 +147,21 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", str(first / "metadata.json"),
                      "--out", str(second)]) == EXIT_OK
         assert (first / "sweep.csv").read_bytes() == (second / "sweep.csv").read_bytes()
+
+    def test_metadata_with_retired_keys_at_old_defaults_reruns(self, tmp_path):
+        # metadata.json files written before four config keys were retired
+        # carry them at their defaults; such a file still reproduces its CSV
+        first = tmp_path / "a"
+        assert main(["simulate", "--config", write_cfg(tmp_path), "--consensus-steps", "4",
+                     "--out", str(first)]) == EXIT_OK
+        meta = json.loads((first / "metadata.json").read_text())
+        meta["config"].update(initial_estimate=[0.0, 0.0, 0.0, 0.0], truth_noise="speed",
+                              error_metric="full", max_placement_retries=200)
+        old = tmp_path / "old_metadata.json"
+        old.write_text(json.dumps(meta, indent=2, sort_keys=True))
+        second = tmp_path / "b"
+        assert main(["simulate", "--config", str(old), "--out", str(second)]) == EXIT_OK
+        assert (first / "timeseries.csv").read_bytes() == \
+            (second / "timeseries.csv").read_bytes()
+        rewritten = json.loads((second / "metadata.json").read_text())["config"]
+        assert "initial_estimate" not in rewritten

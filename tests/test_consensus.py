@@ -24,7 +24,7 @@ def two_node_state():
 
 @pytest.fixture
 def pair_net2():
-    return network_from_positions([[0.0, 0.0], [100.0, 0.0]], 300.0, 300.0)
+    return network_from_positions([[0.0, 0.0], [100.0, 0.0]], 300.0)
 
 
 class TestInitConsensus:
@@ -79,18 +79,15 @@ class TestConsensusStep:
         assert np.array_equal(out.B, state.B)
         assert np.array_equal(out.b, state.b)
 
-    def test_sender_mask_gates_contribution(self, pair_net2):
-        # node 1 broadcasts nothing, so node 0 stays put while node 1 moves
-        state = two_node_state()
-        masks = {0: np.array([1.0, 1.0]), 1: np.array([0.0, 0.0])}
-        out = consensus_step(state, pair_net2, masks, eps=0.5)
-        assert np.array_equal(out.b[0], state.b[0])
-        assert np.array_equal(out.B[0], state.B[0])
-        assert np.allclose(out.b[1], [2.0, 3.0])
-
     def test_bad_eps_rejected(self, pair_net2):
         with pytest.raises(ConfigurationError):
             consensus_step(two_node_state(), pair_net2, np.ones(2), eps=0.0)
+
+    def test_mask_must_be_one_length_n_vector(self, pair_net2):
+        # one mask is shared by every node; the n x n matrix form is refused
+        for mask in (np.eye(2), np.ones(3)):
+            with pytest.raises(ConfigurationError):
+                consensus_step(two_node_state(), pair_net2, mask, eps=0.5)
 
 
 class TestRunConsensus:
@@ -155,7 +152,7 @@ class TestRunConsensus:
         ledger = BandwidthLedger()
         run_consensus(two_node_state(), sched, 4, pair_net2, 0.5, ledger=ledger, t=3)
         # per step per node: 1 selected row of B (n=2) plus 1 entry of b
-        assert ledger.scalars_at(t=3, l=0, node=0) == 3
+        assert ledger.rows == [(3, 2, (3, 3, 3, 3))]
         assert ledger.total_scalars() == 4 * 2 * 3
         identity_ledger = BandwidthLedger()
         run_consensus(two_node_state(), default_schedule(2, "identity"), 4,

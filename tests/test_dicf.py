@@ -122,15 +122,14 @@ class TestDegenerateNetwork:
         from icfpie.network import SensorNetwork
         net1 = SensorNetwork(positions=np.zeros((1, 2)),
                              adjacency=np.zeros((1, 1), dtype=bool),
-                             neighborhoods=(np.array([0]),),
-                             comm_range=300.0, sensing_range=300.0)
+                             neighborhoods=(np.array([0]),))
         y = np.array([12.0, -3.0])
         stacked = information_state(prior.omega[None], prior.q[None])
         next_stacked, out = dicf_step(stacked, net1, default_schedule(4, "identity"), 1,
                                       0.5, y[None], np.array([True]),
                                       MeasurementModel.linear(c, r), sys, noise)
 
-        post = centralized_correct(prior, [(c, noise.v, y)])
+        post = centralized_correct(prior, c, noise.v, y[None])
         next_prior = predict(post, a, noise.w)
         assert np.allclose(out.posterior.omega[0], post.omega, atol=1e-12)
         assert np.allclose(out.estimates[0], to_state_estimate(post), atol=1e-12)

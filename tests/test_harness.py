@@ -1,9 +1,14 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import icfpie
 from icfpie.errors import ConfigurationError
 from icfpie.harness import (
     ScenarioConfig,
@@ -13,7 +18,6 @@ from icfpie.harness import (
     make_algorithms,
     run_monte_carlo,
     run_once,
-    settling_time,
     sweep_consensus_steps,
 )
 
@@ -45,11 +49,6 @@ class TestBuildScenario:
             heading = np.arctan2(x0[3], x0[2])
             assert 10.0 <= speed <= 15.0
             assert np.pi / 2 <= heading <= 3 * np.pi / 4
-
-    def test_truth_driven_by_process_noise_mode(self):
-        cfg = dataclasses.replace(ScenarioConfig(**FAST), truth_noise="process")
-        s = build_scenario(cfg, 1)
-        assert np.all(np.isfinite(s.truth))
 
     def test_consensus_gain_override(self):
         cfg = dataclasses.replace(ScenarioConfig(**FAST), eps=0.05)
@@ -87,16 +86,6 @@ class TestRunOnce:
             for label, series in metrics.series.items():
                 assert np.all(np.isfinite(series)), label
 
-    def test_position_only_error_metric(self):
-        cfg = dataclasses.replace(ScenarioConfig(**FAST), error_metric="position")
-        scenario = build_scenario(cfg, 2)
-        pos_metrics = run_once(scenario, 4, make_algorithms(cfg, ["ckf"]))
-        full_cfg = ScenarioConfig(**FAST)
-        full_metrics = run_once(build_scenario(full_cfg, 2), 4,
-                                make_algorithms(full_cfg, ["ckf"]))
-        # position norm is a lower bound on the full-state norm
-        assert np.all(pos_metrics.series["ckf"] <= full_metrics.series["ckf"] + 1e-12)
-
     def test_bandwidth_totals_scale_with_selected_entries(self):
         cfg = ScenarioConfig(**FAST)
         scenario = build_scenario(cfg, 2)
@@ -106,24 +95,6 @@ class TestRunOnce:
         assert metrics.bandwidth["ckf"] == 0
         n_steps, L, n_nodes = cfg.n_steps, 4, cfg.n_nodes
         assert ident == n_steps * L * n_nodes * (4 * 4 + 4)
-
-
-class TestSettlingTime:
-    def test_settles_at_known_index(self):
-        t = np.arange(1, 11, dtype=float)
-        series = np.array([10.0, 8.0, 5.0, 2.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0])
-        assert settling_time(t, series, dt=1.0) == 5.0
-
-    def test_unsettled_when_final_sample_is_outside(self):
-        # final-1s window covers two samples; the last one leaves the band
-        t = np.arange(1, 6, dtype=float) * 0.5
-        series = np.array([1.0, 1.0, 1.0, 3.0, 1.0])
-        assert settling_time(t, series, dt=0.5) is None
-
-    def test_settled_from_start(self):
-        t = np.arange(1, 6, dtype=float)
-        series = np.ones(5)
-        assert settling_time(t, series, dt=1.0) == 1.0
 
 
 class TestMonteCarlo:
@@ -252,3 +223,23 @@ class TestConfigFile:
         path.write_text("this is not a config line\n")
         with pytest.raises(ConfigurationError):
             load_config(path)
+
+
+def test_runtime_path_imports_no_scipy():
+    # numpy is the only runtime dependency; scipy is for the reference
+    # filters in tests/ only. A fresh interpreter builds and runs a scenario
+    # and must not have imported scipy along the way.
+    code = (
+        "import sys\n"
+        "from icfpie.harness import ScenarioConfig, build_scenario, run_once\n"
+        "cfg = ScenarioConfig(n_nodes=6, horizon=1.0, mc_runs=1, seed=3)\n"
+        "run_once(build_scenario(cfg, cfg.seed), 4)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = str(Path(icfpie.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"

@@ -68,7 +68,7 @@ class TestLocalCorrectionTerms:
 class TestCentralizedCorrect:
     def test_identity_contribution(self):
         prior = information_state(np.eye(2), np.zeros(2))
-        post = centralized_correct(prior, [(np.eye(2), np.eye(2), np.array([1.0, 1.0]))])
+        post = centralized_correct(prior, np.eye(2), np.eye(2), np.array([[1.0, 1.0]]))
         assert np.allclose(post.omega, 2 * np.eye(2))
         assert np.allclose(post.q, [1.0, 1.0])
 
@@ -77,7 +77,7 @@ class TestCentralizedCorrect:
         v = np.diag([0.04, 0.04])
         y = np.array([10.0, -4.0])
         prior = information_state(np.zeros((4, 4)), np.zeros(4))
-        post = centralized_correct(prior, [(c, v, y)] * 10)
+        post = centralized_correct(prior, c, v, np.tile(y, (10, 1)))
         single_omega, single_q = local_correction_terms(c, v, y)
         assert np.allclose(post.omega, 10 * single_omega, atol=1e-12)
         assert np.allclose(post.omega, np.diag([0.4, 0.4, 0.0, 0.0]))
@@ -85,21 +85,22 @@ class TestCentralizedCorrect:
 
     def test_empty_contributions_keep_prior(self):
         prior = information_state(np.diag([1.0, 2.0]), np.array([3.0, 4.0]))
-        post = centralized_correct(prior, [])
+        post = centralized_correct(prior, np.eye(2), np.eye(2), np.zeros((0, 2)))
         assert np.array_equal(post.omega, prior.omega)
         assert np.array_equal(post.q, prior.q)
 
     def test_order_independence(self, rng):
         prior = information_state(random_spd(rng, 4), rng.normal(size=4))
-        contribs = [(rng.normal(size=(2, 4)), random_spd(rng, 2), rng.normal(size=2))
-                    for _ in range(4)]
-        results = []
+        c, v, ys = rng.normal(size=(2, 4)), random_spd(rng, 2), rng.normal(size=(4, 2))
+        # reference: add the measurements' terms one at a time
+        omega, q = prior.omega, prior.q
+        for y in ys:
+            d_omega, d_q = local_correction_terms(c, v, y)
+            omega, q = omega + d_omega, q + d_q
         for perm in itertools.permutations(range(4)):
-            post = centralized_correct(prior, [contribs[k] for k in perm])
-            results.append((post.omega, post.q))
-        for omega, q in results[1:]:
-            assert np.allclose(omega, results[0][0], atol=1e-12)
-            assert np.allclose(q, results[0][1], atol=1e-12)
+            post = centralized_correct(prior, c, v, ys[list(perm)])
+            assert_rel_close(post.omega, omega)
+            assert_rel_close(post.q, q)
 
 
 class TestPredict:
@@ -184,7 +185,7 @@ class TestInformationFormMatchesCovarianceForm:
         xs_ref, ps_ref = run_kf(x0, p0, a, q_cov, [(c, r)], ys)
 
         for t in range(50):
-            post = centralized_correct(state, [(c, noise.v, ys[t][0])])
+            post = centralized_correct(state, c, noise.v, np.array(ys[t]))
             x_hat = to_state_estimate(post)
             p_hat = np.linalg.inv(post.omega)
             assert np.allclose(x_hat, xs_ref[t], rtol=1e-9, atol=1e-11)

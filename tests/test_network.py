@@ -1,5 +1,3 @@
-import csv
-
 import numpy as np
 import pytest
 
@@ -11,7 +9,6 @@ from icfpie.network import (
     is_connected,
     network_from_positions,
     random_geometric,
-    record_broadcast,
 )
 
 
@@ -42,7 +39,7 @@ class TestGeometry:
         adj = adjacency_from_positions(np.array([[0.0, 0.0], [301.0, 0.0]]), 300.0)
         assert not adj[0, 1]
         with pytest.raises(PlacementError):
-            network_from_positions([[0.0, 0.0], [301.0, 0.0]], 300.0, 300.0)
+            network_from_positions([[0.0, 0.0], [301.0, 0.0]], 300.0)
 
     def test_placement_retries_exhausted(self):
         # 3 nodes in a 100 km square with 300 m range: virtually never connected
@@ -77,7 +74,7 @@ class TestGeometry:
 class TestConsensusGain:
     def test_complete_graph_of_ten(self):
         positions = np.column_stack([np.linspace(0, 90, 10), np.zeros(10)])
-        net = network_from_positions(positions, 300.0, 300.0)
+        net = network_from_positions(positions, 300.0)
         assert net.max_degree() == 9
         assert consensus_gain(net) == pytest.approx(0.1)
 
@@ -91,62 +88,30 @@ class TestConsensusGain:
 class TestBandwidthLedger:
     def test_partial_exchange_payload_counts(self):
         # one broadcast of m selected rows of B plus m entries of b
-        ledger = BandwidthLedger()
         n = 4
         for m, expected in ((2, 10), (4, 20), (1, 5)):
             ledger = BandwidthLedger()
-            ledger.record_broadcast(node=0, t=0, l=0, scalar_count=m * n + m)
+            ledger.record_consensus(t=0, n_nodes=1, payloads=[m * n + m])
             assert ledger.total_scalars() == expected
 
     def test_query_by_keys(self):
+        # each consensus run is one entry holding its time, node count and
+        # the per-node payload of every step
         ledger = BandwidthLedger()
-        ledger.record_broadcast(0, t=0, l=0, scalar_count=10)
-        ledger.record_broadcast(1, t=0, l=0, scalar_count=10)
-        ledger.record_broadcast(0, t=0, l=1, scalar_count=10)
-        ledger.record_broadcast(0, t=1, l=0, scalar_count=20)
-        assert ledger.scalars_at(t=0) == 30
-        assert ledger.scalars_at(t=0, l=0) == 20
-        assert ledger.scalars_at(node=0) == 40
-        assert ledger.total_scalars() == 50
+        ledger.record_consensus(0, 2, [10, 10])
+        ledger.record_consensus(1, 2, [20])
+        assert [(e.t, e.n_nodes, e.payloads) for e in ledger.rows] == \
+            [(0, 2, (10, 10)), (1, 2, (20,))]
+        assert sum(e.n_nodes * e.payloads[0] for e in ledger.rows) == 60
+        assert ledger.total_scalars() == 2 * (10 + 10) + 2 * 20
 
     def test_counts_monotone_and_nonnegative(self):
         ledger = BandwidthLedger()
         running = 0
         for k in range(5):
-            record_broadcast(ledger, node=k % 2, t=k, l=0, scalar_count=5)
+            ledger.record_consensus(t=k, n_nodes=2, payloads=[5, 0, 5])
             assert ledger.total_scalars() > running
             running = ledger.total_scalars()
         with pytest.raises(ConfigurationError):
-            ledger.record_broadcast(0, 0, 0, -1)
-
-    def test_csv_export(self, tmp_path):
-        ledger = BandwidthLedger()
-        ledger.record_broadcast(3, t=1, l=2, scalar_count=10)
-        path = tmp_path / "ledger.csv"
-        ledger.to_csv(path, run=7)
-        with open(path) as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["run", "t", "l", "node", "scalars"]
-        assert rows[1] == ["7", "1", "2", "3", "10"]
-
-    def test_consensus_entry_expands_like_per_broadcast_records(self, tmp_path):
-        # one compact entry per consensus run answers every query, and
-        # exports, exactly as the N * L single records it stands for
-        payloads = [15, 5, 15, 5, 15]
-        compact, single = BandwidthLedger(), BandwidthLedger()
-        for ledger in (compact, single):
-            ledger.record_broadcast(1, t=0, l=0, scalar_count=7)
-        compact.record_consensus(3, 4, payloads)
-        for l, s in enumerate(payloads):
-            for node in range(4):
-                single.record_broadcast(node, 3, l, s)
-        assert len(compact.rows) == 2
-        assert compact.total_scalars() == single.total_scalars() == 7 + 4 * 55
-        for keys in ({}, {"t": 3}, {"l": 1}, {"node": 2}, {"t": 3, "l": 4, "node": 0},
-                     {"t": 0, "node": 1}):
-            assert compact.scalars_at(**keys) == single.scalars_at(**keys)
-        compact.to_csv(tmp_path / "compact.csv", run=2)
-        single.to_csv(tmp_path / "single.csv", run=2)
-        assert (tmp_path / "compact.csv").read_text() == (tmp_path / "single.csv").read_text()
-        with pytest.raises(ConfigurationError):
-            compact.record_consensus(0, 4, [5, -1])
+            ledger.record_consensus(0, 4, [5, -1])
+        assert ledger.total_scalars() == running and len(ledger.rows) == 5
