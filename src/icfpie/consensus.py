@@ -120,7 +120,8 @@ def run_consensus(state: ConsensusState, schedule: EntrySelectionSchedule, L: in
     if L % theta != 0:
         warnings.warn(
             f"consensus ran {L} steps, not a multiple of the {theta}-step "
-            "selection cycle; posterior rows are mixed across cycle phases",
+            f"selection cycle of subsets {schedule.subsets}; posterior rows are "
+            "mixed across cycle phases",
             ConsensusCycleWarning, stacklevel=2,
         )
     # row r is selected at the steps l < L with l mod theta == its phase z

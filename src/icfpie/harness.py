@@ -33,7 +33,7 @@ from .info_filter import (
     NoiseInformation,
     NumericsLog,
     information_state,
-    to_state_estimate,
+    to_state_estimate,  # noqa: F401  unused here; perfbench/tracer.py wraps it by this name
 )
 from .models import (
     MeasurementModel,
@@ -229,12 +229,13 @@ class Scenario:
         """The centralized filter's prior."""
         return information_state(np.zeros((STATE_DIM, STATE_DIM)), np.zeros(STATE_DIM))
 
-    def initial_nodes(self) -> InformationState:
-        """Every node's prior, stacked: omega (N, n, n), q (N, n)."""
+    def initial_nodes(self, n_lanes: int = 1) -> InformationState:
+        """Every node's prior, stacked n_lanes times: omega (n_lanes*N, n, n),
+        q (n_lanes*N, n)."""
         s = self.initial_state()
-        n_nodes = self.net.n_nodes
-        return information_state(np.repeat(s.omega[None], n_nodes, axis=0),
-                                 np.repeat(s.q[None], n_nodes, axis=0))
+        n_slices = n_lanes * self.net.n_nodes
+        return information_state(np.repeat(s.omega[None], n_slices, axis=0),
+                                 np.repeat(s.q[None], n_slices, axis=0))
 
 
 def build_scenario(cfg: ScenarioConfig, seed: int) -> Scenario:
@@ -292,68 +293,97 @@ class RunMetrics:
     diag: Optional[dict] = None
 
 
-def run_once(scenario: Scenario, L: int, algorithms: Optional[list] = None,
-             diagnostics: bool = False) -> RunMetrics:
+def run_once(scenario: Scenario, L, algorithms: Optional[list] = None,
+             diagnostics: bool = False):
     """Simulate the full horizon once, stepping every algorithm on the
-    same truth and measurement sequences."""
+    same truth and measurement sequences.
+
+    `L` is one consensus depth or a sequence of them. Every consensus
+    algorithm runs at every depth, and each such (algorithm, L) lane is a
+    block of one stacked state that a single dicf_step per timestep
+    advances. One depth returns RunMetrics keyed by algorithm label; a
+    sequence returns {L: RunMetrics}, each of which also holds the
+    centralized filter, which has no depth.
+    """
     cfg = scenario.cfg
     if algorithms is None:
         algorithms = make_algorithms(cfg)
+    one_depth = isinstance(L, numbers.Integral)
+    depths = [L] if one_depth else list(dict.fromkeys(int(v) for v in L))
+    if not depths:
+        raise ConfigurationError("run_once needs at least one consensus depth L")
     n_steps = cfg.n_steps
     n_nodes = scenario.net.n_nodes
     t_axis = np.array([round((k + 1) * cfg.dt, 10) for k in range(n_steps)])
 
-    series = {a.label: np.zeros(n_steps) for a in algorithms}
-    ledgers = {a.label: BandwidthLedger() for a in algorithms if a.uses_consensus}
-    logs = {a.label: NumericsLog() for a in algorithms}
-    node_diags = [a.label for a in algorithms if a.uses_consensus] if diagnostics else []
-    node_errors = {label: np.zeros((n_steps, n_nodes)) for label in node_diags}
-    eig_min = {label: np.zeros((n_steps, n_nodes)) for label in node_diags}
-    eig_max = {label: np.zeros((n_steps, n_nodes)) for label in node_diags}
-    reg_events = {a.label: np.zeros(n_steps, dtype=int) for a in algorithms}
+    # lane k = d * len(consensus) + j runs consensus[j] at depths[d]
+    consensus = [a for a in algorithms if a.uses_consensus]
+    lanes = [(a.schedule, lv) for lv in depths for a in consensus]
+    n_lanes = len(lanes)
+    ledgers = [BandwidthLedger() for _ in lanes]
+    lane_log = NumericsLog()
+    lane_series = np.zeros((n_lanes, n_steps))
+    lane_reg = np.zeros((n_lanes, n_steps), dtype=int)
+    node_diag = {key: np.zeros((n_lanes, n_steps, n_nodes))
+                 for key in ("node_errors", "eig_min", "eig_max")} if diagnostics else {}
+    prior = scenario.initial_nodes(n_lanes)
 
-    priors = {a.label: (scenario.initial_nodes() if a.uses_consensus
-                        else scenario.initial_state()) for a in algorithms}
+    central = [a for a in algorithms if not a.uses_consensus]
+    central_series = {a.label: np.zeros(n_steps) for a in central}
+    central_reg = {a.label: np.zeros(n_steps, dtype=int) for a in central}
+    central_logs = {a.label: NumericsLog() for a in central}
+    central_priors = {a.label: scenario.initial_state() for a in central}
 
     for t in range(n_steps):
         meas = scenario.measurements[t]
         sensed = scenario.sensed[t]
         truth_t = scenario.truth[t]
-        for a in algorithms:
-            log = logs[a.label]
+        if lanes:
+            seen = len(lane_log.events)
+            prior, out = dicf_step(
+                prior, scenario.net, lanes, scenario.eps, meas, sensed,
+                scenario.sensor, scenario.sys, scenario.noise,
+                ledgers=ledgers, t=t, log=lane_log)
+            errs = np.linalg.norm(truth_t - out.estimates, axis=-1).reshape(n_lanes, n_nodes)
+            lane_series[:, t] = errs.mean(axis=1)
+            # an event's node is its slice in the lane-major stack
+            for event in lane_log.events[seen:]:
+                if event["kind"] == "regularize":
+                    lane_reg[event["node"] // n_nodes, t] += 1
+            if diagnostics:
+                node_diag["node_errors"][:, t] = errs
+                ev = np.linalg.eigvalsh(out.posterior.omega).reshape(n_lanes, n_nodes, -1)
+                node_diag["eig_min"][:, t] = ev[..., 0]
+                node_diag["eig_max"][:, t] = ev[..., -1]
+        for a in central:
+            log = central_logs[a.label]
             before = log.count("regularize")
-            if a.uses_consensus:
-                priors[a.label], out = dicf_step(
-                    priors[a.label], scenario.net, a.schedule, L, scenario.eps,
-                    meas, sensed, scenario.sensor, scenario.sys, scenario.noise,
-                    ledger=ledgers[a.label], t=t, log=log)
-                errs = np.linalg.norm(truth_t - out.estimates, axis=-1)
-                series[a.label][t] = errs.mean()
-                if diagnostics:
-                    node_errors[a.label][t] = errs
-                    ev = np.linalg.eigvalsh(out.posterior.omega)
-                    eig_min[a.label][t] = ev[:, 0]
-                    eig_max[a.label][t] = ev[:, -1]
-            else:
-                posterior, priors[a.label] = ckf_step(
-                    priors[a.label], meas, sensed, scenario.sensor, scenario.sys,
-                    scenario.noise, log=log)
-                x_hat = to_state_estimate(posterior, log)
-                series[a.label][t] = np.linalg.norm(truth_t - x_hat, axis=-1)
-            reg_events[a.label][t] = log.count("regularize") - before
+            central_priors[a.label], out = ckf_step(
+                central_priors[a.label], meas, sensed, scenario.sensor, scenario.sys,
+                scenario.noise, log=log)
+            central_series[a.label][t] = np.linalg.norm(truth_t - out.estimates, axis=-1)
+            central_reg[a.label][t] = log.count("regularize") - before
 
-    final = {label: float(s[-1]) for label, s in series.items()}
-    bandwidth = {a.label: (ledgers[a.label].total_scalars() if a.uses_consensus else 0)
-                 for a in algorithms}
-    diag = None
-    if diagnostics:
-        diag = {
-            "node_errors": node_errors,
-            "eig_min": eig_min,
-            "eig_max": eig_max,
-            "reg_events": reg_events,
-        }
-    return RunMetrics(t=t_axis, series=series, final=final, bandwidth=bandwidth, diag=diag)
+    def metrics_at(d: int) -> RunMetrics:
+        lane = {a.label: d * len(consensus) + j for j, a in enumerate(consensus)}
+
+        def by_label(lane_values, central_values):
+            return {a.label: lane_values[lane[a.label]] if a.label in lane
+                    else central_values[a.label] for a in algorithms}
+        series = by_label(lane_series, central_series)
+        final = {label: float(s[-1]) for label, s in series.items()}
+        bandwidth = by_label([ledger.total_scalars() for ledger in ledgers],
+                             dict.fromkeys(central_series, 0))
+        diag = None
+        if diagnostics:
+            diag = {key: {label: values[k] for label, k in lane.items()}
+                    for key, values in node_diag.items()}
+            diag["reg_events"] = by_label(lane_reg, central_reg)
+        return RunMetrics(t=t_axis, series=series, final=final, bandwidth=bandwidth, diag=diag)
+
+    if one_depth:
+        return metrics_at(0)
+    return {lv: metrics_at(d) for d, lv in enumerate(depths)}
 
 
 @dataclass
@@ -475,28 +505,16 @@ class SweepResult:
 def _sweep_single_run(args) -> dict:
     cfg, L_values, seed = args
     scenario = build_scenario(cfg, seed)
-    case1 = dataclasses.replace(cfg, selection="case1")
-    case2 = dataclasses.replace(cfg, selection="case2")
-    algs = {
-        "icfpie[1]": make_algorithms(case1, ["icfpie"])[0],
-        "icfpie[2]": make_algorithms(case2, ["icfpie"])[0],
-        "icf[identity]": make_algorithms(cfg, ["icf"])[0],
-    }
-    out = {"seed": seed, "failed": None, "finals": {}, "bandwidth": {}}
+    algorithms = make_algorithms(cfg, ["ckf", "icf"]) + [
+        make_algorithms(dataclasses.replace(cfg, selection=case), ["icfpie"])[0]
+        for case in ("case1", "case2")]
     try:
-        ckf_metrics = run_once(scenario, 1, [make_algorithms(cfg, ["ckf"])[0]])
-        out["finals"]["ckf"] = {lv: ckf_metrics.final["ckf"] for lv in L_values}
-        out["bandwidth"]["ckf"] = {lv: 0 for lv in L_values}
-        for label, alg in algs.items():
-            out["finals"][label] = {}
-            out["bandwidth"][label] = {}
-            for lv in L_values:
-                metrics = run_once(scenario, lv, [alg])
-                out["finals"][label][lv] = metrics.final[label]
-                out["bandwidth"][label][lv] = metrics.bandwidth[label]
+        by_depth = run_once(scenario, L_values, algorithms)
     except (FilterNumericsError, np.linalg.LinAlgError) as exc:
         return {"seed": seed, "failed": str(exc)}
-    return out
+    return {"seed": seed, "failed": None,
+            "finals": {lv: m.final for lv, m in by_depth.items()},
+            "bandwidth": {lv: m.bandwidth for lv, m in by_depth.items()}}
 
 
 def sweep_consensus_steps(cfg: ScenarioConfig, L_values, jobs: int = 1) -> SweepResult:
@@ -522,14 +540,14 @@ def sweep_consensus_steps(cfg: ScenarioConfig, L_values, jobs: int = 1) -> Sweep
     rows = []
     for lv in L_values:
         for label, alg, case in label_case:
-            finals = np.array([r["finals"][label][lv] for r in good])
+            finals = np.array([r["finals"][lv][label] for r in good])
             rows.append({
                 "L": lv,
                 "alg": alg,
                 "case": case,
                 "label": label,
                 "final_error": float(finals.mean()),
-                "total_scalars": int(good[0]["bandwidth"][label][lv]),
+                "total_scalars": int(good[0]["bandwidth"][lv][label]),
             })
     return SweepResult(rows=rows, n_runs=len(good), failures=len(failed))
 

@@ -87,7 +87,7 @@ def test_criterion_1_identity_schedule_reduction():
     est = np.zeros((n_steps, cfg.n_nodes, 4))
     omegas = np.zeros((n_steps, cfg.n_nodes, 4, 4))
     for t in range(n_steps):
-        prior, out = dicf_step(prior, scenario.net, schedule, 12, scenario.eps,
+        prior, out = dicf_step(prior, scenario.net, [(schedule, 12)], scenario.eps,
                                scenario.measurements[t], scenario.sensed[t],
                                scenario.sensor, scenario.sys, scenario.noise, t=t)
         est[t] = out.estimates
@@ -129,11 +129,12 @@ def test_criterion_3_single_step_convergence_to_benchmark():
     assert scenario.net.max_degree() == cfg.n_nodes - 1
     meas, sensed = scenario.measurements[0], scenario.sensed[0]
 
-    _, out = dicf_step(scenario.initial_nodes(), scenario.net, default_schedule(4, "case1"),
-                       400, scenario.eps, meas, sensed, scenario.sensor, scenario.sys,
-                       scenario.noise)
-    ckf_post, _ = ckf_step(scenario.initial_state(), meas, sensed, scenario.sensor,
-                           scenario.sys, scenario.noise)
+    _, out = dicf_step(scenario.initial_nodes(), scenario.net,
+                       [(default_schedule(4, "case1"), 400)], scenario.eps, meas, sensed,
+                       scenario.sensor, scenario.sys, scenario.noise)
+    _, ckf = ckf_step(scenario.initial_state(), meas, sensed, scenario.sensor,
+                      scenario.sys, scenario.noise)
+    ckf_post = ckf.posterior
     x_ckf = to_state_estimate(ckf_post)
 
     worst_omega = max(
@@ -158,9 +159,9 @@ def test_criterion_4_bandwidth_ratios_exact():
     per_step = {}
     for kind in ("identity", "case1", "case2"):
         ledger = BandwidthLedger()
-        dicf_step(scenario.initial_nodes(), scenario.net, default_schedule(4, kind), L,
+        dicf_step(scenario.initial_nodes(), scenario.net, [(default_schedule(4, kind), L)],
                   scenario.eps, scenario.measurements[0], scenario.sensed[0],
-                  scenario.sensor, scenario.sys, scenario.noise, ledger=ledger)
+                  scenario.sensor, scenario.sys, scenario.noise, ledgers=[ledger])
         totals[kind] = ledger.total_scalars()
         (entry,) = ledger.rows
         per_step[kind] = entry.n_nodes * entry.payloads[0]
@@ -255,8 +256,9 @@ def test_criterion_8_information_vs_covariance_oracle():
         ys = [[rng.normal(size=m)] for _ in range(100)]
         xs_ref, ps_ref = run_kf(x0, p0, a, q, [(c, r)], ys)
         for t in range(100):
-            posterior, state = ckf_step(state, np.array(ys[t]), np.ones(1, dtype=bool),
-                                        model, sys, noise)
+            state, out = ckf_step(state, np.array(ys[t]), np.ones(1, dtype=bool),
+                                  model, sys, noise)
+            posterior = out.posterior
             x_hat = to_state_estimate(posterior)
             p_hat = np.linalg.inv(posterior.omega)
             worst = max(

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -122,7 +124,8 @@ class TestRunConsensus:
 
     def test_cycle_warning_for_partial_cycle(self, pair_net2):
         sched = build_schedule(2, [[1], [2]])
-        with pytest.warns(ConsensusCycleWarning):
+        # the message names the schedule, so a sweep's warnings can be told apart
+        with pytest.warns(ConsensusCycleWarning, match=re.escape("subsets ((1,), (2,))")):
             run_consensus(two_node_state(), sched, 3, pair_net2, 0.5)
 
     def test_each_row_updated_once_per_cycle(self, pair_net2):
@@ -186,7 +189,7 @@ class TestConsensusProperties:
             B=np.array([random_spd(rng, 4) for _ in range(5)]),
             b=rng.normal(size=(5, 4)),
         )
-        with pytest.warns(ConsensusCycleWarning):
+        with pytest.warns(ConsensusCycleWarning, match=re.escape("subsets ((1, 3), (2, 4))")):
             out = run_consensus(state, sched, 1, net, consensus_gain(net))
         assert np.array_equal(out.B[:, [1, 3], :], state.B[:, [1, 3], :])
         assert np.array_equal(out.b[:, [1, 3]], state.b[:, [1, 3]])

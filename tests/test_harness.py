@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 import icfpie
+from conftest import assert_rel_close
+from icfpie import harness
 from icfpie.errors import ConfigurationError
 from icfpie.harness import (
     ScenarioConfig,
@@ -146,6 +148,68 @@ class TestSweep:
     def test_empty_grid_rejected(self):
         with pytest.raises(ConfigurationError):
             sweep_consensus_steps(ScenarioConfig(**FAST), [])
+
+
+class TestOnePassLanes:
+    """Every (algorithm, L) lane of a seed advances in one stacked state;
+    each lane must read as if it had run alone."""
+
+    def test_sweep_matches_per_lane_run_once_loop(self):
+        cfg = ScenarioConfig(**FAST)
+        sweep = sweep_consensus_steps(cfg, [1, 2, 3, 4])
+        algs = {a.label: a for a in make_algorithms(cfg, ["ckf", "icf"])}
+        for case in ("case1", "case2"):
+            (a,) = make_algorithms(dataclasses.replace(cfg, selection=case), ["icfpie"])
+            algs[a.label] = a
+        scenarios = [build_scenario(cfg, cfg.seed + k) for k in range(cfg.mc_runs)]
+        assert len(sweep.rows) == 4 * len(algs)
+        for row in sweep.rows:
+            label = row["label"]
+            runs = [run_once(s, row["L"], [algs[label]]) for s in scenarios]
+            expected = np.array([m.final[label] for m in runs]).mean()
+            assert abs(row["final_error"] - expected) <= 1e-12 * abs(expected)
+            assert row["total_scalars"] == runs[0].bandwidth[label]
+
+    def test_diagnostics_match_one_algorithm_runs(self):
+        # case 2 at partial cycles regularizes some nodes after t = 0, so the
+        # lanes' regularize counts differ and must land on the right label
+        cfg = dataclasses.replace(ScenarioConfig(**FAST), selection="case2")
+        scenario = build_scenario(cfg, 4)
+        algorithms = make_algorithms(cfg)
+        by_depth = run_once(scenario, (2, 3, 5), algorithms, diagnostics=True)
+        assert sorted(by_depth) == [2, 3, 5]
+        assert by_depth[3].diag["reg_events"]["icfpie[2]"][1:].sum() > 0
+        for L, together in by_depth.items():
+            for a in algorithms:
+                alone = run_once(scenario, L, [a], diagnostics=True)
+                assert np.array_equal(together.diag["reg_events"][a.label],
+                                      alone.diag["reg_events"][a.label])
+                assert together.bandwidth[a.label] == alone.bandwidth[a.label]
+                assert_rel_close(together.series[a.label], alone.series[a.label])
+                if a.uses_consensus:
+                    assert together.diag["reg_events"][a.label].sum() > 0
+                    for key in ("eig_min", "eig_max", "node_errors"):
+                        assert_rel_close(together.diag[key][a.label],
+                                         alone.diag[key][a.label])
+
+    def test_one_run_once_and_one_dicf_step_per_timestep(self, monkeypatch):
+        calls = {"run_once": 0, "dicf_step": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+        for name in calls:
+            monkeypatch.setattr(harness, name, counting(name, getattr(harness, name)))
+        cfg = dataclasses.replace(ScenarioConfig(**FAST), mc_runs=1)
+        sweep_consensus_steps(cfg, [1, 2, 3])
+        assert calls == {"run_once": 1, "dicf_step": cfg.n_steps}
+
+    def test_empty_depth_sequence_rejected(self):
+        scenario = build_scenario(ScenarioConfig(**FAST), 2)
+        with pytest.raises(ConfigurationError):
+            run_once(scenario, [])
 
 
 class TestOutputs:
