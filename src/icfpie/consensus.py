@@ -16,8 +16,9 @@ steps row r is averaged k_r times and ends at
 
 where z_r is the cycle phase that selects row r (k_r = 0 when z_r >= L).
 `run_consensus` evaluates this closed form (Xiao & Boyd 2004, "Fast
-linear iterations for distributed averaging"); `consensus_step` is the
-step-by-step reference semantics.
+linear iterations for distributed averaging") from a table of the powers
+M^0 .. M^L that `averaging_powers` builds once per network;
+`consensus_step` is the step-by-step reference semantics.
 """
 
 import warnings
@@ -85,17 +86,27 @@ def averaging_matrix(net: SensorNetwork, eps: float) -> np.ndarray:
     return np.eye(net.n_nodes) - eps * (np.diag(adj.sum(axis=1)) - adj)
 
 
-def run_masked_consensus(B: np.ndarray, b: np.ndarray, averaging: np.ndarray,
+def averaging_powers(net: SensorNetwork, eps: float, k_max: int) -> np.ndarray:
+    """The powers M^0 .. M^k_max of M = I - eps * Lap, stacked (k_max + 1, N, N).
+
+    Consensus of any depth L <= k_max on this network reads its powers from
+    the table, so one table serves every lane and timestep of a run.
+    """
+    if eps <= 0:
+        raise ConfigurationError(f"consensus gain must be > 0, got {eps}")
+    m = averaging_matrix(net, eps)
+    return np.array([np.linalg.matrix_power(m, k) for k in range(k_max + 1)])
+
+
+def run_masked_consensus(B: np.ndarray, b: np.ndarray, powers: np.ndarray,
                          steps: np.ndarray):
     """Average row r of every node's (B, b) steps[r] times in closed form.
 
-    Row r becomes averaging^steps[r] applied across nodes; rows with zero
+    Row r becomes powers[steps[r]] applied across nodes; rows with zero
     steps are copied untouched. Returns new (B, b); inputs are not modified.
     """
     moved = np.flatnonzero(steps)
-    counts = steps[moved].tolist()
-    powers = {k: np.linalg.matrix_power(averaging, k) for k in set(counts)}
-    per_row = np.array([powers[k] for k in counts])
+    per_row = powers[steps[moved]]
     B_out, b_out = B.copy(), b.copy()
     B_out[:, moved, :] = np.einsum("rij,jrc->irc", per_row, B[:, moved, :])
     b_out[:, moved] = np.einsum("rij,jr->ir", per_row, b[:, moved])
@@ -103,19 +114,21 @@ def run_masked_consensus(B: np.ndarray, b: np.ndarray, averaging: np.ndarray,
 
 
 def run_consensus(state: ConsensusState, schedule: EntrySelectionSchedule, L: int,
-                  net: SensorNetwork, eps: float, ledger: BandwidthLedger = None,
+                  powers: np.ndarray, ledger: BandwidthLedger = None,
                   t: int = 0) -> ConsensusState:
     """Run L masked consensus steps under a synchronized schedule.
 
-    Step l applies the schedule's mask for l mod theta at every node.
+    Step l applies the schedule's mask for l mod theta at every node;
+    `powers` is the network's `averaging_powers` table, up to at least M^L.
     Warns (and proceeds) when L is not a whole number of selection cycles.
     When a ledger is given, every node's broadcast sizes are recorded as
     one compact entry for the whole run.
     """
     if L < 1:
         raise ConfigurationError(f"consensus step count must be >= 1, got {L}")
-    if eps <= 0:
-        raise ConfigurationError(f"consensus gain must be > 0, got {eps}")
+    if L >= len(powers):
+        raise ConfigurationError(f"{L} consensus steps need powers up to M^{L}; "
+                                 f"the table ends at M^{len(powers) - 1}")
     theta = schedule.theta_bar
     if L % theta != 0:
         warnings.warn(
@@ -128,11 +141,10 @@ def run_consensus(state: ConsensusState, schedule: EntrySelectionSchedule, L: in
     steps = np.zeros(state.n, dtype=int)
     for z, rows in enumerate(schedule.rows):
         steps[rows] = len(range(z, L, theta))
-    B, b = run_masked_consensus(state.B, state.b, averaging_matrix(net, eps), steps)
+    B, b = run_masked_consensus(state.B, state.b, powers, steps)
     if ledger is not None:
-        ledger.record_consensus(t, state.n_nodes,
-                                [schedule.rows_at(l).size * (state.n + 1)
-                                 for l in range(L)])
+        sizes = [rows.size * (state.n + 1) for rows in schedule.rows]
+        ledger.record_consensus(t, state.n_nodes, [sizes[l % theta] for l in range(L)])
     return ConsensusState(B=B, b=b)
 
 
@@ -140,5 +152,6 @@ __all__ = [
     "ConsensusState",
     "init_consensus",
     "consensus_step",
+    "averaging_powers",
     "run_consensus",
 ]

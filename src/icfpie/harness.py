@@ -19,13 +19,13 @@ import json
 import math
 import numbers
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from . import __version__
+from .consensus import averaging_powers
 from .dicf import ckf_step, dicf_step
 from .errors import ConfigurationError, FilterNumericsError
 from .info_filter import (
@@ -42,7 +42,6 @@ from .models import (
     constant_velocity_matrix,
     position_measurement_matrix,
     propagate_truth,
-    sample_measurement,
 )
 from .network import BandwidthLedger, SensorNetwork, consensus_gain, random_geometric
 from .selection import EntrySelectionSchedule, build_schedule, default_schedule
@@ -271,10 +270,10 @@ def build_scenario(cfg: ScenarioConfig, seed: int) -> Scenario:
     for t in range(1, n_steps):
         truth[t] = propagate_truth(truth[t - 1], truth_model, rng)
 
-    measurements = np.zeros((n_steps, cfg.n_nodes, MEAS_DIM))
-    for t in range(n_steps):
-        for i in range(cfg.n_nodes):
-            measurements[t, i] = sample_measurement(truth[t], sensor, rng)
+    # one draw in the (t, node) order of a per-measurement loop
+    noise_draw = rng.standard_normal((n_steps, cfg.n_nodes, MEAS_DIM))
+    measurements = ((truth @ sensor.c.T)[:, None, :]
+                    + noise_draw @ np.linalg.cholesky(sensor.meas_cov).T)
     dist = np.linalg.norm(truth[:, None, :2] - net.positions[None, :, :], axis=2)
     sensed = dist <= cfg.sensing_range
 
@@ -333,6 +332,7 @@ def run_once(scenario: Scenario, L, algorithms: Optional[list] = None,
     central_reg = {a.label: np.zeros(n_steps, dtype=int) for a in central}
     central_logs = {a.label: NumericsLog() for a in central}
     central_priors = {a.label: scenario.initial_state() for a in central}
+    powers = averaging_powers(scenario.net, scenario.eps, max(depths))
 
     for t in range(n_steps):
         meas = scenario.measurements[t]
@@ -341,7 +341,7 @@ def run_once(scenario: Scenario, L, algorithms: Optional[list] = None,
         if lanes:
             seen = len(lane_log.events)
             prior, out = dicf_step(
-                prior, scenario.net, lanes, scenario.eps, meas, sensed,
+                prior, powers, lanes, meas, sensed,
                 scenario.sensor, scenario.sys, scenario.noise,
                 ledgers=ledgers, t=t, log=lane_log)
             errs = np.linalg.norm(truth_t - out.estimates, axis=-1).reshape(n_lanes, n_nodes)
@@ -446,6 +446,8 @@ def _mc_single_run(args) -> dict:
 def _execute(fn, arglist, jobs: int):
     if jobs <= 1 or len(arglist) <= 1:
         return [fn(a) for a in arglist]
+    # imported here so that serial runs do not load the process-pool machinery
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(fn, arglist))
 
@@ -530,7 +532,8 @@ def sweep_consensus_steps(cfg: ScenarioConfig, L_values, jobs: int = 1) -> Sweep
     failed = [r for r in results if r["failed"] is not None]
     if len(failed) > 0.05 * cfg.mc_runs:
         raise FilterNumericsError(
-            f"{len(failed)}/{cfg.mc_runs} sweep runs failed numerically"
+            f"{len(failed)}/{cfg.mc_runs} sweep runs failed numerically "
+            f"(seeds {[r['seed'] for r in failed]})"
         )
     if not good:
         raise FilterNumericsError("all sweep runs failed")

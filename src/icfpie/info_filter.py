@@ -17,6 +17,12 @@ Numerical policy (applied everywhere, per slice, logged via NumericsLog):
     plus whatever clears a negative eigenvalue;
   * state extraction from a singular Omega returns the minimum-norm
     least-squares solution and flags the event.
+Both eigenvalue checks are skipped for a slice whose Cholesky factor
+certifies it: lambda_min(L L^T) >= 1 / ||L^-1||_F^2, so a slice whose
+bound (less a rounding margin) clears SINGULAR_EIG, and whose condition
+estimate is at most ILL_CONDITIONED, would be flagged by neither check.
+`recover_and_predict` runs posterior recovery and prediction from one
+such factor per slice.
 """
 
 from collections import Counter
@@ -29,6 +35,8 @@ from .errors import ConfigurationError, FilterNumericsError
 
 SINGULAR_EIG = 1e-10
 REG_SCALE = 1e-8
+ILL_CONDITIONED = 1e12
+CERT_MARGIN = 64 * np.finfo(float).eps
 
 
 @dataclass
@@ -50,7 +58,7 @@ class NumericsLog:
 
 def symmetrize(m: np.ndarray) -> np.ndarray:
     """(M + M^T)/2 over the last two axes, suppressing asymmetry drift."""
-    return (m + np.swapaxes(m, -1, -2)) / 2.0
+    return (m + m.swapaxes(-1, -2)) * 0.5
 
 
 def _matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -101,7 +109,7 @@ class NoiseInformation:
 
 
 def _slices(m: np.ndarray):
-    """(stack (N, n, n), per-slice event info) for one matrix or a stack."""
+    """(stack (K, n, n), per-slice event info) for one matrix or a stack."""
     if m.ndim == 2:
         return m[None], lambda k: {}
     return m, lambda k: {"node": int(k)}
@@ -117,6 +125,22 @@ def _min_eigenvalues(m: np.ndarray, context: str) -> np.ndarray:
         raise FilterNumericsError(f"eigenvalue computation failed in {context}: {exc}")
 
 
+def _regularize(stack: np.ndarray, where, log: Optional[NumericsLog],
+                context: str) -> np.ndarray:
+    """The diagonal-shift policy on a stack; events are tagged by where(k)."""
+    eig_min = _min_eigenvalues(stack, context)
+    flagged = np.flatnonzero(eig_min < SINGULAR_EIG)
+    n = stack.shape[-1]
+    out = stack.copy()
+    for k in flagged:
+        e = float(eig_min[k])
+        lam = REG_SCALE * (1.0 + abs(float(np.trace(stack[k]))) / n) + max(0.0, -e)
+        if log is not None:
+            log.record("regularize", context, eig_min=e, lam=lam, **where(k))
+        out[k] += lam * np.eye(n)
+    return out
+
+
 def ensure_invertible(omega: np.ndarray, log: Optional[NumericsLog] = None,
                       context: str = "") -> np.ndarray:
     """Apply the diagonal-shift regularization to every near-singular slice.
@@ -127,17 +151,28 @@ def ensure_invertible(omega: np.ndarray, log: Optional[NumericsLog] = None,
     above the threshold are returned unchanged.
     """
     stack, where = _slices(omega)
-    eig_min = _min_eigenvalues(stack, context or "ensure_invertible")
-    flagged = np.flatnonzero(eig_min < SINGULAR_EIG)
-    n = omega.shape[-1]
-    out = stack.copy()
-    for k in flagged:
-        e = float(eig_min[k])
-        lam = REG_SCALE * (1.0 + abs(float(np.trace(stack[k]))) / n) + max(0.0, -e)
-        if log is not None:
-            log.record("regularize", context, eig_min=e, lam=lam, **where(k))
-        out[k] += lam * np.eye(n)
-    return out.reshape(omega.shape)
+    return _regularize(stack, where, log, context or "ensure_invertible").reshape(omega.shape)
+
+
+def _condition_estimates(c: np.ndarray) -> np.ndarray:
+    """Cheap condition estimate of L L^T from its Cholesky factors' diagonals."""
+    d = np.abs(c.diagonal(axis1=-2, axis2=-1))
+    return (d.max(axis=-1) / d.min(axis=-1)) ** 2
+
+
+def _inv_spd(stack: np.ndarray, where, log: Optional[NumericsLog], context: str) -> np.ndarray:
+    try:
+        c = np.linalg.cholesky(stack)
+    except np.linalg.LinAlgError as exc:
+        raise FilterNumericsError(f"matrix not positive definite in {context or 'inv_spd'}: {exc}")
+    if log is not None:
+        cond_est = _condition_estimates(c)
+        if cond_est.max() > ILL_CONDITIONED:
+            for k in np.flatnonzero(cond_est > ILL_CONDITIONED):
+                log.record("ill_conditioned", context, cond_estimate=float(cond_est[k]),
+                           **where(k))
+    c_inv = np.linalg.inv(c)
+    return symmetrize(c_inv.swapaxes(-1, -2) @ c_inv)
 
 
 def inv_spd(m: np.ndarray, log: Optional[NumericsLog] = None, context: str = "") -> np.ndarray:
@@ -148,17 +183,7 @@ def inv_spd(m: np.ndarray, log: Optional[NumericsLog] = None, context: str = "")
     factorization fails.
     """
     stack, where = _slices(m)
-    try:
-        c = np.linalg.cholesky(stack)
-    except np.linalg.LinAlgError as exc:
-        raise FilterNumericsError(f"matrix not positive definite in {context or 'inv_spd'}: {exc}")
-    if log is not None:
-        d = np.abs(np.diagonal(c, axis1=-2, axis2=-1))
-        cond_est = (d.max(axis=-1) / d.min(axis=-1)) ** 2
-        for k in np.flatnonzero(cond_est > 1e12):
-            log.record("ill_conditioned", context, cond_estimate=float(cond_est[k]), **where(k))
-    c_inv = np.linalg.inv(c)
-    return symmetrize(np.swapaxes(c_inv, -1, -2) @ c_inv).reshape(m.shape)
+    return _inv_spd(stack, where, log, context).reshape(m.shape)
 
 
 def local_correction_terms(c: np.ndarray, v: np.ndarray, y: np.ndarray):
@@ -192,45 +217,149 @@ def centralized_correct(prior: InformationState, c: np.ndarray, v: np.ndarray,
     return information_state(prior.omega + y.shape[0] * d_omega, prior.q + d_q.sum(axis=0))
 
 
-def predict(post: InformationState, a: np.ndarray, w: np.ndarray,
+@dataclass(frozen=True)
+class SliceFactors:
+    """One Cholesky factorization per slice of a symmetrized stack.
+
+    `c_inv` holds the inverse factors L^-1 (the identity where the
+    factorization failed, `ok` False). Since lambda_min(L L^T) >=
+    1 / ||L^-1||_F^2, `bound` is a lower bound on each slice's smallest
+    eigenvalue, less a rounding margin of CERT_MARGIN * ||Omega||_F that
+    covers both the factorization's and eigvalsh's backward error. A
+    slice is `certified` when its bound clears SINGULAR_EIG and its
+    condition estimate is at most ILL_CONDITIONED: eigvalsh would flag it
+    in no check, so it skips eigvalsh. Every other slice takes the
+    eigenvalue policy.
+    """
+
+    stack: np.ndarray
+    where: object
+    c_inv: np.ndarray
+    ok: np.ndarray
+    bound: np.ndarray
+    certified: np.ndarray
+
+    def solve(self, q: np.ndarray) -> np.ndarray:
+        """Omega^-1 q = L^-T L^-1 q for every slice (meaningful where ok)."""
+        return _matvec(self.c_inv.swapaxes(-1, -2), _matvec(self.c_inv, q))
+
+
+def factor_slices(omega: np.ndarray, context: str) -> SliceFactors:
+    """Cholesky-factor every slice of sym(omega) (one matrix or a stack) and
+    certify the slices that need no eigenvalue check. A slice whose
+    factorization fails never affects the others: a failing batched
+    factorization is redone slice by slice."""
+    stack, where = _slices(symmetrize(omega))
+    if not np.all(np.isfinite(stack)):
+        raise FilterNumericsError(f"non-finite information matrix in {context}")
+    ok = np.ones(stack.shape[0], dtype=bool)
+    try:
+        c = np.linalg.cholesky(stack)
+    except np.linalg.LinAlgError:
+        c = np.broadcast_to(np.eye(stack.shape[-1]), stack.shape).copy()
+        for k in range(stack.shape[0]):
+            try:
+                c[k] = np.linalg.cholesky(stack[k])
+            except np.linalg.LinAlgError:
+                ok[k] = False
+    c_inv = np.linalg.inv(c)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        bound = (1.0 / np.einsum("kij,kij->k", c_inv, c_inv)
+                 - CERT_MARGIN * np.sqrt(np.einsum("kij,kij->k", stack, stack)))
+        certified = ok & (bound >= SINGULAR_EIG) & (_condition_estimates(c) <= ILL_CONDITIONED)
+    return SliceFactors(stack=stack, where=where, c_inv=c_inv, ok=ok, bound=bound,
+                        certified=certified)
+
+
+def _estimates(f: SliceFactors, q: np.ndarray, log: Optional[NumericsLog]) -> np.ndarray:
+    """Omega^-1 q per slice; uncertified slices whose smallest eigenvalue is
+    below SINGULAR_EIG, or whose factorization failed, get the
+    minimum-norm least-squares solution and a `singular_solve` event."""
+    x = f.solve(q)
+    if not f.certified.all():
+        check = np.flatnonzero(~f.certified)
+        eig_min = _min_eigenvalues(f.stack[check], "to_state_estimate")
+        for k, e in zip(check, eig_min):
+            if e >= SINGULAR_EIG and f.ok[k]:
+                continue
+            if log is not None:
+                log.record("singular_solve", "to_state_estimate", eig_min=float(e),
+                           **f.where(k))
+            x[k], *_ = np.linalg.lstsq(f.stack[k], q[k], rcond=None)
+    return x
+
+
+def _predicted(f: SliceFactors, scale: float, x: np.ndarray, post: InformationState,
+               a: np.ndarray, q_cov: np.ndarray,
+               log: Optional[NumericsLog]) -> InformationState:
+    """Time update of post = (scale * Omega, scale * q), where f factors
+    Omega and x = Omega^-1 q on certified slices.
+
+    A certified slice uses P = L^-T L^-1 / scale and x_hat = x. Every other
+    slice regularizes and inverts its posterior as `predict` always did.
+    Then Omega+ = (A P A^T + Q)^-1 and q+ = Omega+ A x_hat.
+    """
+    post_omega, _ = _slices(post.omega)
+    post_q = post.q.reshape(post_omega.shape[:-1])
+    # A P A^T = G^T G / scale with G = L^-1 A^T
+    g = f.c_inv @ a.T
+    apa = g.swapaxes(-1, -2) @ g / scale
+    x_hat = x.copy()
+    if not f.certified.all():
+        check = np.flatnonzero(~f.certified)
+
+        def where(k):
+            return f.where(check[k])
+        omega = _regularize(symmetrize(post_omega[check]), where, log, "predict")
+        p = _inv_spd(omega, where, log, "predict: invert posterior")
+        apa[check] = a @ p @ a.T
+        x_hat[check] = _matvec(p, post_q[check])
+    p_next = symmetrize(apa) + q_cov
+    omega_next = inv_spd(p_next.reshape(post.omega.shape), log,
+                         "predict: invert predicted covariance")
+    x_next = _matvec(a, x_hat).reshape(post.q.shape)
+    return information_state(omega_next, _matvec(omega_next, x_next))
+
+
+def predict(post: InformationState, a: np.ndarray, q_cov: np.ndarray,
             log: Optional[NumericsLog] = None) -> InformationState:
     """Time update in information form, for one estimate or a stack.
 
-    Omega+ = (A Omega^-1 A^T + W^-1)^-1 and q+ = Omega+ A x_hat, where
-    x_hat = Omega^-1 q.
+    Omega+ = (A Omega^-1 A^T + Q)^-1 and q+ = Omega+ A x_hat, where
+    x_hat = Omega^-1 q and Q is the process-noise covariance.
     """
-    a = np.asarray(a, dtype=float)
-    omega = ensure_invertible(symmetrize(post.omega), log, "predict")
-    p = inv_spd(omega, log, "predict: invert posterior")
-    x_hat = _matvec(p, post.q)
-    p_next = symmetrize(a @ p @ a.T) + inv_spd(np.asarray(w, dtype=float), log, "predict: invert W")
-    omega_next = inv_spd(p_next, log, "predict: invert predicted covariance")
-    return information_state(omega_next, _matvec(omega_next, _matvec(a, x_hat)))
+    f = factor_slices(post.omega, "predict")
+    x = f.solve(post.q.reshape(f.stack.shape[:-1]))
+    return _predicted(f, 1.0, x, post, np.asarray(a, dtype=float), np.asarray(q_cov, dtype=float),
+                      log)
 
 
 def to_state_estimate(s: InformationState, log: Optional[NumericsLog] = None) -> np.ndarray:
     """State estimate Omega^-1 q of one estimate (n,) or a stack (N, n);
     minimum-norm solution for every slice whose Omega is singular."""
-    omega, where = _slices(symmetrize(s.omega))
-    q = s.q.reshape(omega.shape[:-1])
-    eig_min = _min_eigenvalues(omega, "to_state_estimate")
-    singular = eig_min < SINGULAR_EIG
-    try:
-        c = np.linalg.cholesky(omega[~singular])
-    except np.linalg.LinAlgError:
-        # the batched factorization fails as a whole; find the failing slices
-        for k in np.flatnonzero(~singular):
-            try:
-                np.linalg.cholesky(omega[k])
-            except np.linalg.LinAlgError:
-                singular[k] = True
-        c = np.linalg.cholesky(omega[~singular])
-    x = np.empty_like(q)
-    x[~singular] = np.linalg.solve(np.swapaxes(c, -1, -2),
-                                   np.linalg.solve(c, q[~singular][..., None]))[..., 0]
-    for k in np.flatnonzero(singular):
-        if log is not None:
-            log.record("singular_solve", "to_state_estimate", eig_min=float(eig_min[k]),
-                       **where(k))
-        x[k], *_ = np.linalg.lstsq(omega[k], q[k], rcond=None)
-    return x.reshape(s.q.shape)
+    f = factor_slices(s.omega, "to_state_estimate")
+    return _estimates(f, s.q.reshape(f.stack.shape[:-1]), log).reshape(s.q.shape)
+
+
+def recover_and_predict(b_mat: np.ndarray, b_vec: np.ndarray, scale: float,
+                        a: np.ndarray, q_cov: np.ndarray,
+                        log: Optional[NumericsLog] = None):
+    """Posterior recovery and prediction with one factorization per slice.
+
+    From consensus pairs (B, b), one or a stack, returns (posterior,
+    estimates, next prior): the posterior (scale * B, scale * b), the
+    estimates B^-1 b (what `to_state_estimate` gives for the pairs), and
+    the posterior predicted through (A, Q) (what `predict` gives for it).
+    One Cholesky factor of sym(B) per slice serves both: it gives the
+    estimate, and P = B^-1 / scale for the prediction. The smallest
+    eigenvalue scales with B, so one certificate covers the checks of
+    both.
+    """
+    pair = information_state(b_mat, b_vec)
+    posterior = information_state(scale * b_mat, scale * b_vec)
+    f = factor_slices(pair.omega, "to_state_estimate")
+    x = _estimates(f, pair.q.reshape(f.stack.shape[:-1]), log)
+    if not np.all(np.isfinite(x)):
+        raise FilterNumericsError("non-finite state estimate")
+    next_prior = _predicted(f, scale, x, posterior, a, q_cov, log)
+    return posterior, x.reshape(pair.q.shape), next_prior

@@ -9,7 +9,6 @@ separate objects.
 
 import warnings
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -46,13 +45,10 @@ def _check_spd(m: np.ndarray, name: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SystemModel:
-    """Process model: the transition Jacobian and the noise covariance.
+    """Linear process model x' = A x + w: the transition matrix A and the
+    process-noise covariance Q."""
 
-    For linear time-invariant systems the Jacobian is the constant
-    transition matrix and ignores its argument.
-    """
-
-    jacobian: Callable[[np.ndarray], np.ndarray]
+    a: np.ndarray
     process_cov: np.ndarray
 
     @classmethod
@@ -64,7 +60,11 @@ class SystemModel:
         sv = np.linalg.svd(a, compute_uv=False)
         if sv.min() <= sv.max() * np.finfo(float).eps * a.shape[0]:
             raise ConfigurationError("linear system matrix is singular")
-        return cls(jacobian=lambda x, _a=a: _a, process_cov=q)
+        return cls(a=a, process_cov=q)
+
+    def jacobian(self, x_hat: np.ndarray) -> np.ndarray:
+        """Transition Jacobian at x_hat: the constant A."""
+        return self.a
 
     @property
     def n(self) -> int:
@@ -73,11 +73,10 @@ class SystemModel:
 
 @dataclass(frozen=True)
 class MeasurementModel:
-    """A sensor model shared by every node: observation function, Jacobian,
-    noise covariance."""
+    """A linear sensor shared by every node: y = C x + v, with the
+    measurement matrix C and the noise covariance R."""
 
-    observe: Callable[[np.ndarray], np.ndarray]
-    jacobian: Callable[[np.ndarray], np.ndarray]
+    c: np.ndarray
     meas_cov: np.ndarray
 
     @classmethod
@@ -88,11 +87,11 @@ class MeasurementModel:
             raise ConfigurationError(
                 f"measurement matrix rows {c.shape[0]} and R size {r.shape[0]} differ"
             )
-        return cls(
-            observe=lambda x, _c=c: _c @ x,
-            jacobian=lambda x, _c=c: _c,
-            meas_cov=r,
-        )
+        return cls(c=c, meas_cov=r)
+
+    def jacobian(self, x_hat: np.ndarray) -> np.ndarray:
+        """Measurement Jacobian at x_hat: the constant C."""
+        return self.c
 
     @property
     def m(self) -> int:
@@ -153,18 +152,6 @@ def propagate_truth(state: np.ndarray, model: TruthModel, rng: np.random.Generat
     if not np.all(np.isfinite(out)):
         raise FilterNumericsError("non-finite truth state after propagation")
     return out
-
-
-def sample_measurement(state: np.ndarray, meas: MeasurementModel,
-                       rng: np.random.Generator) -> np.ndarray:
-    """Observation of `state` plus zero-mean Gaussian noise with cov meas_cov."""
-    y = np.asarray(meas.observe(np.asarray(state, dtype=float)), dtype=float)
-    if y.shape != (meas.m,):
-        raise ConfigurationError(
-            f"observation has shape {y.shape}, expected ({meas.m},)"
-        )
-    chol = np.linalg.cholesky(meas.meas_cov)
-    return y + chol @ rng.standard_normal(meas.m)
 
 
 def linearize(model, x_hat: np.ndarray) -> np.ndarray:

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from conftest import random_spd
-from icfpie.consensus import ConsensusState, run_consensus
+from icfpie.consensus import ConsensusState, averaging_powers, run_consensus
 from icfpie.dicf import ckf_step, dicf_step
 from icfpie.harness import (
     ScenarioConfig,
@@ -83,11 +83,12 @@ def test_criterion_1_identity_schedule_reduction():
     schedule = default_schedule(4, "identity")
 
     prior = scenario.initial_nodes()
+    powers = averaging_powers(scenario.net, scenario.eps, 12)
     n_steps = cfg.n_steps
     est = np.zeros((n_steps, cfg.n_nodes, 4))
     omegas = np.zeros((n_steps, cfg.n_nodes, 4, 4))
     for t in range(n_steps):
-        prior, out = dicf_step(prior, scenario.net, [(schedule, 12)], scenario.eps,
+        prior, out = dicf_step(prior, powers, [(schedule, 12)],
                                scenario.measurements[t], scenario.sensed[t],
                                scenario.sensor, scenario.sys, scenario.noise, t=t)
         est[t] = out.estimates
@@ -112,8 +113,8 @@ def test_criterion_2_average_consensus_limit():
         B=np.array([random_spd(rng, 4) for _ in range(10)]),
         b=rng.normal(size=(10, 4)),
     )
-    out = run_consensus(state, default_schedule(4, "case1"), 1000, net,
-                        consensus_gain(net))
+    out = run_consensus(state, default_schedule(4, "case1"), 1000,
+                        averaging_powers(net, consensus_gain(net), 1000))
     dev = max(np.max(np.abs(out.B - state.B.mean(axis=0))),
               np.max(np.abs(out.b - state.b.mean(axis=0))))
     elapsed = time.time() - start
@@ -129,8 +130,9 @@ def test_criterion_3_single_step_convergence_to_benchmark():
     assert scenario.net.max_degree() == cfg.n_nodes - 1
     meas, sensed = scenario.measurements[0], scenario.sensed[0]
 
-    _, out = dicf_step(scenario.initial_nodes(), scenario.net,
-                       [(default_schedule(4, "case1"), 400)], scenario.eps, meas, sensed,
+    _, out = dicf_step(scenario.initial_nodes(),
+                       averaging_powers(scenario.net, scenario.eps, 400),
+                       [(default_schedule(4, "case1"), 400)], meas, sensed,
                        scenario.sensor, scenario.sys, scenario.noise)
     _, ckf = ckf_step(scenario.initial_state(), meas, sensed, scenario.sensor,
                       scenario.sys, scenario.noise)
@@ -159,8 +161,8 @@ def test_criterion_4_bandwidth_ratios_exact():
     per_step = {}
     for kind in ("identity", "case1", "case2"):
         ledger = BandwidthLedger()
-        dicf_step(scenario.initial_nodes(), scenario.net, [(default_schedule(4, kind), L)],
-                  scenario.eps, scenario.measurements[0], scenario.sensed[0],
+        dicf_step(scenario.initial_nodes(), averaging_powers(scenario.net, scenario.eps, L),
+                  [(default_schedule(4, kind), L)], scenario.measurements[0], scenario.sensed[0],
                   scenario.sensor, scenario.sys, scenario.noise, ledgers=[ledger])
         totals[kind] = ledger.total_scalars()
         (entry,) = ledger.rows

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import assert_rel_close, random_spd
 from icfpie.consensus import (
     ConsensusState,
+    averaging_powers,
     consensus_step,
     init_consensus,
     run_consensus,
@@ -96,12 +97,19 @@ class TestRunConsensus:
     def test_zero_steps_rejected(self, pair_net2):
         sched = default_schedule(2, "identity")
         with pytest.raises(ConfigurationError):
-            run_consensus(two_node_state(), sched, 0, pair_net2, 0.5)
+            run_consensus(two_node_state(), sched, 0, averaging_powers(pair_net2, 0.5, 0))
+
+    def test_power_table_must_reach_L(self, pair_net2):
+        sched = default_schedule(2, "identity")
+        with pytest.raises(ConfigurationError):
+            run_consensus(two_node_state(), sched, 3, averaging_powers(pair_net2, 0.5, 2))
+        with pytest.raises(ConfigurationError):
+            averaging_powers(pair_net2, 0.0, 2)
 
     def test_single_identity_step_equals_consensus_step(self, pair_net2):
         sched = default_schedule(2, "identity")
         state = two_node_state()
-        out_loop = run_consensus(state, sched, 1, pair_net2, 0.5)
+        out_loop = run_consensus(state, sched, 1, averaging_powers(pair_net2, 0.5, 1))
         out_step = consensus_step(state, pair_net2, np.ones(2), 0.5)
         assert_rel_close(out_loop.B, out_step.B)
         assert_rel_close(out_loop.b, out_step.b)
@@ -115,7 +123,7 @@ class TestRunConsensus:
             b=rng.normal(size=(6, 4)),
         )
         eps = consensus_gain(net)
-        out_kernel = run_consensus(state, sched, 6, net, eps)
+        out_kernel = run_consensus(state, sched, 6, averaging_powers(net, eps, 6))
         stepped = state
         for l in range(6):
             stepped = consensus_step(stepped, net, sched.mask_vector(l % 2), eps)
@@ -126,13 +134,13 @@ class TestRunConsensus:
         sched = build_schedule(2, [[1], [2]])
         # the message names the schedule, so a sweep's warnings can be told apart
         with pytest.warns(ConsensusCycleWarning, match=re.escape("subsets ((1,), (2,))")):
-            run_consensus(two_node_state(), sched, 3, pair_net2, 0.5)
+            run_consensus(two_node_state(), sched, 3, averaging_powers(pair_net2, 0.5, 3))
 
     def test_each_row_updated_once_per_cycle(self, pair_net2):
         # after one full cycle both entries moved exactly one averaging step
         sched = build_schedule(2, [[1], [2]])
         state = two_node_state()
-        out = run_consensus(state, sched, 2, pair_net2, 0.5)
+        out = run_consensus(state, sched, 2, averaging_powers(pair_net2, 0.5, 2))
         full = consensus_step(state, pair_net2, np.ones(2), 0.5)
         assert np.allclose(out.b, full.b)
 
@@ -143,8 +151,8 @@ class TestRunConsensus:
             B=np.array([random_spd(rng, 4) for _ in range(10)]),
             b=rng.normal(size=(10, 4)),
         )
-        out = run_consensus(state, default_schedule(4, "identity"), 500, net,
-                            consensus_gain(net))
+        out = run_consensus(state, default_schedule(4, "identity"), 500,
+                            averaging_powers(net, consensus_gain(net), 500))
         mean_b = state.B.mean(axis=0)
         mean_v = state.b.mean(axis=0)
         assert np.max(np.abs(out.B - mean_b)) < 1e-6
@@ -153,13 +161,14 @@ class TestRunConsensus:
     def test_ledger_records_selected_payload_sizes(self, pair_net2):
         sched = build_schedule(2, [[1], [2]])
         ledger = BandwidthLedger()
-        run_consensus(two_node_state(), sched, 4, pair_net2, 0.5, ledger=ledger, t=3)
+        run_consensus(two_node_state(), sched, 4, averaging_powers(pair_net2, 0.5, 4),
+                      ledger=ledger, t=3)
         # per step per node: 1 selected row of B (n=2) plus 1 entry of b
         assert ledger.rows == [(3, 2, (3, 3, 3, 3))]
         assert ledger.total_scalars() == 4 * 2 * 3
         identity_ledger = BandwidthLedger()
         run_consensus(two_node_state(), default_schedule(2, "identity"), 4,
-                      pair_net2, 0.5, ledger=identity_ledger)
+                      averaging_powers(pair_net2, 0.5, 4), ledger=identity_ledger)
         assert identity_ledger.total_scalars() == 4 * 2 * (2 * 2 + 2)
 
 
@@ -190,7 +199,7 @@ class TestConsensusProperties:
             b=rng.normal(size=(5, 4)),
         )
         with pytest.warns(ConsensusCycleWarning, match=re.escape("subsets ((1, 3), (2, 4))")):
-            out = run_consensus(state, sched, 1, net, consensus_gain(net))
+            out = run_consensus(state, sched, 1, averaging_powers(net, consensus_gain(net), 1))
         assert np.array_equal(out.B[:, [1, 3], :], state.B[:, [1, 3], :])
         assert np.array_equal(out.b[:, [1, 3]], state.b[:, [1, 3]])
 
@@ -202,12 +211,12 @@ class TestConsensusProperties:
             B=np.array([random_spd(rng, 4) for _ in range(10)]),
             b=rng.normal(size=(10, 4)),
         )
-        eps = consensus_gain(net)
+        powers = averaging_powers(net, consensus_gain(net), sched.theta_bar)
         mean_b = state.B.mean(axis=0)
         deviations = []
         current = state
         for _ in range(30):
-            current = run_consensus(current, sched, sched.theta_bar, net, eps)
+            current = run_consensus(current, sched, sched.theta_bar, powers)
             deviations.append(np.max(np.abs(current.B - mean_b)))
         for prev, nxt in zip(deviations, deviations[1:]):
             assert nxt <= prev * (1 + 1e-12)
@@ -220,7 +229,8 @@ class TestConsensusProperties:
             B=np.array([random_spd(rng, 4) for _ in range(8)]),
             b=rng.normal(size=(8, 4)),
         )
-        out = run_consensus(state, sched, 4 * sched.theta_bar, net, consensus_gain(net))
+        out = run_consensus(state, sched, 4 * sched.theta_bar,
+                            averaging_powers(net, consensus_gain(net), 4 * sched.theta_bar))
         for k in range(8):
             assert np.array_equal(out.B[k], out.B[k].T)
 
@@ -233,7 +243,8 @@ class TestConsensusProperties:
             b=rng.normal(size=(6, 3)),
         )
         eps = consensus_gain(net)
-        out = run_consensus(state, default_schedule(3, "identity"), 7, net, eps)
+        out = run_consensus(state, default_schedule(3, "identity"), 7,
+                            averaging_powers(net, eps, 7))
 
         mats = [m.copy() for m in state.B]
         vecs = [v.copy() for v in state.b]

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import assert_rel_close, random_spd
+from icfpie.consensus import averaging_powers
 from icfpie.dicf import ckf_step, dicf_step
 from icfpie.harness import ScenarioConfig, build_scenario, make_algorithms, run_once
 from icfpie.errors import ConfigurationError
@@ -42,11 +43,12 @@ def run_package_icfpie(scenario, schedule, L):
     """Drive dicf_step over a prebuilt scenario; returns (estimates, omegas)."""
     cfg = scenario.cfg
     prior = scenario.initial_nodes()
+    powers = averaging_powers(scenario.net, scenario.eps, L)
     n_steps = cfg.n_steps
     estimates = np.zeros((n_steps, cfg.n_nodes, 4))
     omegas = np.zeros((n_steps, cfg.n_nodes, 4, 4))
     for t in range(n_steps):
-        prior, out = dicf_step(prior, scenario.net, [(schedule, L)], scenario.eps,
+        prior, out = dicf_step(prior, powers, [(schedule, L)],
                                scenario.measurements[t], scenario.sensed[t],
                                scenario.sensor, scenario.sys, scenario.noise, t=t)
         estimates[t] = out.estimates
@@ -83,7 +85,8 @@ def step_lanes(scenario, lanes, prior, t):
     """One dicf_step over `lanes` with a ledger per lane and one log."""
     ledgers = [BandwidthLedger() for _ in lanes]
     log = NumericsLog()
-    next_prior, out = dicf_step(prior, scenario.net, lanes, scenario.eps,
+    powers = averaging_powers(scenario.net, scenario.eps, max((L for _, L in lanes), default=0))
+    next_prior, out = dicf_step(prior, powers, lanes,
                                 scenario.measurements[t], scenario.sensed[t], scenario.sensor,
                                 scenario.sys, scenario.noise, ledgers=ledgers, t=t, log=log)
     return next_prior, out, ledgers, log
@@ -156,9 +159,10 @@ class TestConvergenceToCentral:
 
         prior = scenario.initial_nodes()
         central = scenario.initial_state()
+        powers = averaging_powers(scenario.net, scenario.eps, L)
         for t in range(cfg.n_steps):
             meas, sensed = scenario.measurements[t], scenario.sensed[t]
-            prior, out = dicf_step(prior, scenario.net, [(schedule, L)], scenario.eps,
+            prior, out = dicf_step(prior, powers, [(schedule, L)],
                                    meas, sensed, scenario.sensor, scenario.sys,
                                    scenario.noise, t=t)
             central, ckf = ckf_step(central, meas, sensed, scenario.sensor,
@@ -209,12 +213,13 @@ class TestDegenerateNetwork:
                              neighborhoods=(np.array([0]),))
         y = np.array([12.0, -3.0])
         stacked = information_state(prior.omega[None], prior.q[None])
-        next_stacked, out = dicf_step(stacked, net1, [(default_schedule(4, "identity"), 1)],
-                                      0.5, y[None], np.array([True]),
+        next_stacked, out = dicf_step(stacked, averaging_powers(net1, 0.5, 1),
+                                      [(default_schedule(4, "identity"), 1)],
+                                      y[None], np.array([True]),
                                       MeasurementModel.linear(c, r), sys, noise)
 
         post = centralized_correct(prior, c, noise.v, y[None])
-        next_prior = predict(post, a, noise.w)
+        next_prior = predict(post, a, q)
         assert np.allclose(out.posterior.omega[0], post.omega, atol=1e-12)
         assert np.allclose(out.estimates[0], to_state_estimate(post), atol=1e-12)
         assert np.allclose(next_stacked.omega[0], next_prior.omega, atol=1e-12)
@@ -233,7 +238,7 @@ class TestCkfStep:
                                    sensor, sys, noise)
         posterior = out.posterior
         assert np.allclose(posterior.omega, prior.omega)
-        expected = predict(prior, a, noise.w)
+        expected = predict(prior, a, q)
         assert np.allclose(next_prior.omega, expected.omega, atol=1e-14)
         assert np.allclose(next_prior.q, expected.q, atol=1e-12)
 

@@ -11,7 +11,7 @@ import pytest
 import icfpie
 from conftest import assert_rel_close
 from icfpie import harness
-from icfpie.errors import ConfigurationError
+from icfpie.errors import ConfigurationError, FilterNumericsError
 from icfpie.harness import (
     ScenarioConfig,
     build_scenario,
@@ -22,6 +22,9 @@ from icfpie.harness import (
     run_once,
     sweep_consensus_steps,
 )
+from icfpie.models import TruthModel, propagate_truth
+from icfpie.network import random_geometric
+from measurement_reference import sample_measurement
 
 FAST = dict(n_nodes=6, horizon=2.0, mc_runs=2, seed=3)
 
@@ -58,6 +61,25 @@ class TestBuildScenario:
         default = ScenarioConfig(**FAST)
         s = build_scenario(default, 1)
         assert s.eps == pytest.approx(1.0 / (s.net.max_degree() + 1))
+
+    @pytest.mark.parametrize("overrides", [{}, FAST, dict(n_nodes=3, dt=0.2, r_diag=(4.0, 9.0))])
+    def test_measurements_equal_per_measurement_loop(self, overrides):
+        # replay build_scenario's draws with one sample_measurement call per
+        # (timestep, node), in that order, after the network and the truth
+        cfg = ScenarioConfig(**overrides)
+        for seed in range(3):
+            scenario = build_scenario(cfg, seed)
+            rng = np.random.default_rng(seed)
+            random_geometric(cfg.n_nodes, cfg.region, cfg.comm_range, rng)
+            truth_model = TruthModel(cfg.target_initial_position, cfg.speed_range,
+                                     cfg.heading_range, cfg.speed_variance, cfg.dt)
+            truth = [truth_model.initial_state(rng)]
+            for _ in range(1, cfg.n_steps):
+                truth.append(propagate_truth(truth[-1], truth_model, rng))
+            assert np.array_equal(scenario.truth, truth)
+            expected = [[sample_measurement(x, scenario.sensor, rng) for _ in range(cfg.n_nodes)]
+                        for x in truth]
+            assert np.array_equal(scenario.measurements, expected)
 
     def test_step_count(self):
         assert ScenarioConfig().n_steps == 300
@@ -149,6 +171,19 @@ class TestSweep:
         with pytest.raises(ConfigurationError):
             sweep_consensus_steps(ScenarioConfig(**FAST), [])
 
+    def test_too_many_failures_name_the_seeds(self, monkeypatch):
+        cfg = ScenarioConfig(**FAST)
+        run_once = harness.run_once
+
+        def failing(scenario, *args, **kwargs):
+            if scenario.seed == cfg.seed + 1:
+                raise FilterNumericsError("injected failure")
+            return run_once(scenario, *args, **kwargs)
+        monkeypatch.setattr(harness, "run_once", failing)
+        failed = rf"1/2 sweep runs .*\(seeds \[{cfg.seed + 1}\]\)"
+        with pytest.raises(FilterNumericsError, match=failed):
+            sweep_consensus_steps(cfg, [1, 2])
+
 
 class TestOnePassLanes:
     """Every (algorithm, L) lane of a seed advances in one stacked state;
@@ -205,6 +240,23 @@ class TestOnePassLanes:
         cfg = dataclasses.replace(ScenarioConfig(**FAST), mc_runs=1)
         sweep_consensus_steps(cfg, [1, 2, 3])
         assert calls == {"run_once": 1, "dicf_step": cfg.n_steps}
+
+    def test_one_power_table_per_run_once(self, monkeypatch):
+        # every lane and timestep of a seed reads one table of M^0..M^max(L)
+        from icfpie import consensus
+        built = []
+
+        def counting(net, eps, k_max):
+            built.append(k_max)
+            return averaging_powers(net, eps, k_max)
+        averaging_powers = consensus.averaging_powers
+        monkeypatch.setattr(harness, "averaging_powers", counting)
+        monkeypatch.setattr(consensus, "averaging_powers", counting)
+        scenario = build_scenario(ScenarioConfig(**FAST), 2)
+        run_once(scenario, (2, 5, 3))
+        assert built == [5]
+        run_once(scenario, 4)
+        assert built == [5, 4]
 
     def test_empty_depth_sequence_rejected(self):
         scenario = build_scenario(ScenarioConfig(**FAST), 2)
@@ -291,14 +343,14 @@ class TestConfigFile:
 
 def test_runtime_path_imports_no_scipy():
     # numpy is the only runtime dependency; scipy is for the reference
-    # filters in tests/ only. A fresh interpreter builds and runs a scenario
+    # filters in tests/ only. A fresh interpreter runs a serial Monte Carlo
     # and must not have imported scipy along the way.
     code = (
         "import sys\n"
-        "from icfpie.harness import ScenarioConfig, build_scenario, run_once\n"
-        "cfg = ScenarioConfig(n_nodes=6, horizon=1.0, mc_runs=1, seed=3)\n"
-        "run_once(build_scenario(cfg, cfg.seed), 4)\n"
+        "from icfpie.harness import ScenarioConfig, run_monte_carlo\n"
+        "run_monte_carlo(ScenarioConfig(n_nodes=6, horizon=1.0, mc_runs=2, seed=3), 4)\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "print('concurrent.futures.process' in sys.modules)\n"
     )
     src = str(Path(icfpie.__file__).resolve().parents[1])
     env = dict(os.environ)
@@ -306,4 +358,5 @@ def test_runtime_path_imports_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=120)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "[]"
+    # nor, for a serial run, the process-pool machinery
+    assert out.stdout.split() == ["[]", "False"]

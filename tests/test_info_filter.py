@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -11,11 +12,15 @@ from icfpie.info_filter import (
     NoiseInformation,
     NumericsLog,
     centralized_correct,
+    SINGULAR_EIG,
     ensure_invertible,
+    factor_slices,
     information_state,
     inv_spd,
     local_correction_terms,
     predict,
+    recover_and_predict,
+    symmetrize,
     to_state_estimate,
 )
 from kf_reference import run_kf
@@ -122,7 +127,7 @@ class TestPredict:
             q_vec = rng.normal(size=4)
             a = random_spd(rng, 4) / 4 + np.eye(4)
             q_cov = random_spd(rng, 4)
-            pred = predict(information_state(omega, q_vec), a, np.linalg.inv(q_cov))
+            pred = predict(information_state(omega, q_vec), a, q_cov)
             p_next = a @ np.linalg.inv(omega) @ a.T + q_cov
             exp_omega = np.linalg.inv(p_next)
             exp_x = a @ np.linalg.solve(omega, q_vec)
@@ -143,7 +148,7 @@ class TestPredict:
         rng = np.random.default_rng(seed)
         post = information_state(random_spd(rng, 4), rng.normal(size=4))
         a = np.eye(4) + 0.1 * rng.normal(size=(4, 4))
-        pred = predict(post, a, np.linalg.inv(random_spd(rng, 4)))
+        pred = predict(post, a, random_spd(rng, 4))
         assert np.array_equal(pred.omega, pred.omega.T)
         assert np.linalg.eigvalsh(pred.omega).min() > 0
 
@@ -190,13 +195,15 @@ class TestInformationFormMatchesCovarianceForm:
             p_hat = np.linalg.inv(post.omega)
             assert np.allclose(x_hat, xs_ref[t], rtol=1e-9, atol=1e-11)
             assert np.linalg.norm(p_hat - ps_ref[t]) / np.linalg.norm(ps_ref[t]) < 1e-9
-            state = predict(post, a, noise.w)
+            state = predict(post, a, q_cov)
 
 
 def mixed_slice(rng, kind, n=4):
     """One information matrix of the given kind."""
     if kind == "spd":
         return random_spd(rng, n, scale=10.0 ** rng.uniform(-3, 3))
+    if kind == "tiny":  # well conditioned, yet every eigenvalue below the threshold
+        return random_spd(rng, n, scale=10.0 ** rng.uniform(-15, -12))
     if kind == "zero":
         return np.zeros((n, n))
     if kind == "rank_deficient":
@@ -219,13 +226,16 @@ def outcome(fn, arg):
         return None, log
 
 
+MIXED_KINDS = st.lists(st.sampled_from(["spd", "tiny", "zero", "rank_deficient", "indefinite",
+                                        "near_threshold"]), min_size=1, max_size=12)
+SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
+
+
 class TestStackedPrimitives:
     """A stack of N slices gives, slice by slice, what N single calls give,
     and logs the same events, each tagged with its slice index."""
 
-    @given(st.lists(st.sampled_from(["spd", "zero", "rank_deficient", "indefinite",
-                                     "near_threshold"]), min_size=1, max_size=12),
-           st.integers(min_value=0, max_value=2**32 - 1))
+    @given(MIXED_KINDS, SEEDS)
     @settings(max_examples=60, deadline=None)
     def test_slices_match_single_calls(self, kinds, seed):
         rng = np.random.default_rng(seed)
@@ -233,10 +243,10 @@ class TestStackedPrimitives:
                                   rng.normal(size=(len(kinds), 4)))
         singles = [information_state(o, q) for o, q in zip(stack.omega, stack.q)]
         a = np.eye(4) + 0.1 * rng.normal(size=(4, 4))
-        w = np.linalg.inv(random_spd(rng, 4))
+        q_cov = random_spd(rng, 4)
 
         def predicted(state, log):
-            out = predict(state, a, w, log)
+            out = predict(state, a, q_cov, log)
             return np.concatenate([out.omega, out.q[..., None]], axis=-1)
 
         for fn, stacked, single in [
@@ -258,3 +268,82 @@ class TestStackedPrimitives:
                     tagged = [ev for ev in log.events if ev["kind"] == kind and ev["node"] == k]
                     assert len(tagged) == single_log.count(kind)
             assert all("node" in ev for ev in log.events)
+
+
+def event_tags(log):
+    return Counter((e["kind"], e.get("node")) for e in log.events)
+
+
+class TestCertificate:
+    """A slice whose Cholesky factor certifies it skips the eigenvalue checks;
+    the certificate must never claim more than eigvalsh finds."""
+
+    @given(MIXED_KINDS, SEEDS)
+    @settings(max_examples=60, deadline=None)
+    def test_bound_never_exceeds_smallest_eigenvalue(self, kinds, seed):
+        rng = np.random.default_rng(seed)
+        stack = np.array([mixed_slice(rng, kind) for kind in kinds])
+        f = factor_slices(stack, "test")
+        eig_min = np.linalg.eigvalsh(symmetrize(stack))[:, 0]
+        assert np.all(f.bound[f.certified] <= eig_min[f.certified])
+        assert np.all(eig_min[f.certified] >= SINGULAR_EIG)
+        # well-conditioned slices are certified; every kind near or below
+        # the singular threshold takes the eigenvalue policy
+        assert list(f.certified) == [kind == "spd" for kind in kinds]
+
+    def test_certified_slices_skip_eigvalsh(self, rng, monkeypatch):
+        checked = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counting(m):
+            checked.append(len(m))
+            return eigvalsh(m)
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        b_mat = np.array([random_spd(rng, 4) for _ in range(5)])
+        b_vec = rng.normal(size=(5, 4))
+        recover_and_predict(b_mat, b_vec, 10, np.eye(4), np.eye(4))
+        assert checked == []
+        b_mat[3] = 0.0
+        recover_and_predict(b_mat, b_vec, 10, np.eye(4), np.eye(4))
+        # the zero slice alone, once for its estimate and once for its prediction
+        assert checked == [1, 1]
+
+
+class TestRecoverAndPredict:
+    """The fused posterior step gives, slice by slice, what its two unfused
+    steps give: to_state_estimate on the consensus pairs (B, b), then
+    predict on the posterior (N B, N b), with the same events."""
+
+    @given(MIXED_KINDS, SEEDS, st.integers(min_value=1, max_value=12))
+    @settings(max_examples=60, deadline=None)
+    def test_equals_estimate_then_predict(self, kinds, seed, scale):
+        rng = np.random.default_rng(seed)
+        b_mat = np.array([mixed_slice(rng, kind) for kind in kinds])
+        b_vec = rng.normal(size=(len(kinds), 4))
+        a = np.eye(4) + 0.1 * rng.normal(size=(4, 4))
+        q_cov = random_spd(rng, 4)
+
+        def fused(pair, log):
+            return recover_and_predict(*pair, scale, a, q_cov, log)
+
+        def unfused(pair, log):
+            x = to_state_estimate(information_state(*pair), log)
+            posterior = information_state(scale * pair[0], scale * pair[1])
+            return posterior, x, predict(posterior, a, q_cov, log)
+
+        cases = [((b_mat, b_vec), False)] + [(pair, True) for pair in zip(b_mat, b_vec)]
+        for pair, single in cases:
+            got, got_log = outcome(fused, pair)
+            expected, expected_log = outcome(unfused, pair)
+            if expected is None:
+                assert got is None
+                continue
+            assert got is not None
+            (got_post, got_x, got_next), (post, x, nxt) = got, expected
+            for g, e in [(got_post.omega, post.omega), (got_post.q, post.q), (got_x, x),
+                         (got_next.omega, nxt.omega), (got_next.q, nxt.q)]:
+                assert g.shape == e.shape
+                for g_k, e_k in zip(g[None] if single else g, e[None] if single else e):
+                    assert_rel_close(g_k, e_k)
+            assert event_tags(got_log) == event_tags(expected_log)
+            assert all(("node" in ev) != single for ev in got_log.events)

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import assert_rel_close, random_spd
-from icfpie.consensus import ConsensusState, consensus_step, run_consensus
+from icfpie.consensus import ConsensusState, averaging_powers, consensus_step, run_consensus
 from icfpie.network import BandwidthLedger, consensus_gain, random_geometric
 from icfpie.selection import build_schedule, default_schedule
 
@@ -32,14 +32,14 @@ def make_problem(seed, n_nodes=10, n=4):
 def test_inputs_not_modified():
     net, state = make_problem(seed=5)
     B0, b0 = state.B.copy(), state.b.copy()
-    run_consensus(state, CASE1, 8, net, 0.1)
+    run_consensus(state, CASE1, 8, averaging_powers(net, 0.1, 8))
     assert np.array_equal(state.B, B0) and np.array_equal(state.b, b0)
 
 
 def test_unselected_rows_untouched():
     # two steps of the one-row-per-step schedule move rows 0 and 1 only
     net, state = make_problem(seed=6)
-    out = run_consensus(state, default_schedule(4, "case2"), 2, net, 0.11)
+    out = run_consensus(state, default_schedule(4, "case2"), 2, averaging_powers(net, 0.11, 2))
     assert np.array_equal(out.B[:, [2, 3], :], state.B[:, [2, 3], :])
     assert np.array_equal(out.b[:, [2, 3]], state.b[:, [2, 3]])
     assert not np.array_equal(out.B[:, [0, 1], :], state.B[:, [0, 1], :])
@@ -55,7 +55,7 @@ def test_full_cycles_match_consensus_matrix_power_oracle(cycles):
     eps = 1.0 / (deg.max() + 1.0)
     pi_c = np.linalg.matrix_power(np.eye(net.n_nodes) - eps * (np.diag(deg) - adj), cycles)
 
-    out = run_consensus(state, CASE1, 2 * cycles, net, eps)
+    out = run_consensus(state, CASE1, 2 * cycles, averaging_powers(net, eps, 2 * cycles))
     assert np.allclose(out.B, np.einsum("ij,jrc->irc", pi_c, state.B), atol=1e-10)
     assert np.allclose(out.b, pi_c @ state.b, atol=1e-10)
 
@@ -93,7 +93,7 @@ def problems(draw):
 def test_closed_form_equals_step_loop(problem, L):
     net, schedule, state = problem
     eps = consensus_gain(net)
-    out = run_consensus(state, schedule, L, net, eps)
+    out = run_consensus(state, schedule, L, averaging_powers(net, eps, L))
     stepped = state
     for l in range(L):
         stepped = consensus_step(stepped, net, schedule.mask_vector(l % schedule.theta_bar), eps)
@@ -105,7 +105,7 @@ def test_closed_form_equals_step_loop(problem, L):
 @settings(max_examples=60, deadline=None)
 def test_global_sums_conserved(problem, L):
     net, schedule, state = problem
-    out = run_consensus(state, schedule, L, net, consensus_gain(net))
+    out = run_consensus(state, schedule, L, averaging_powers(net, consensus_gain(net), L))
     scale = max(np.abs(state.B).sum(axis=0).max(), np.abs(state.b).sum(axis=0).max())
     assert np.max(np.abs(out.B.sum(axis=0) - state.B.sum(axis=0))) < 1e-12 * scale
     assert np.max(np.abs(out.b.sum(axis=0) - state.b.sum(axis=0))) < 1e-12 * scale
@@ -115,7 +115,8 @@ def test_global_sums_conserved(problem, L):
 @settings(max_examples=60, deadline=None)
 def test_symmetric_at_cycle_boundaries(problem, cycles):
     net, schedule, state = problem
-    out = run_consensus(state, schedule, cycles * schedule.theta_bar, net, consensus_gain(net))
+    L = cycles * schedule.theta_bar
+    out = run_consensus(state, schedule, L, averaging_powers(net, consensus_gain(net), L))
     assert np.array_equal(out.B, out.B.transpose(0, 2, 1))
 
 
@@ -130,8 +131,9 @@ def test_bandwidth_ratios_exact_integers(problem, L):
     net, schedule, state = problem
     N, n, theta = state.n_nodes, state.n, schedule.theta_bar
     partial, full = BandwidthLedger(), BandwidthLedger()
-    run_consensus(state, schedule, L, net, 0.1, ledger=partial)
-    run_consensus(state, default_schedule(n, "identity"), L, net, 0.1, ledger=full)
+    powers = averaging_powers(net, 0.1, L)
+    run_consensus(state, schedule, L, powers, ledger=partial)
+    run_consensus(state, default_schedule(n, "identity"), L, powers, ledger=full)
     selected = sum(schedule.rows_at(l).size for l in range(L))
     assert partial.total_scalars() == N * (n + 1) * selected == entry_sum(partial)
     assert full.total_scalars() == L * N * n * (n + 1) == entry_sum(full)
