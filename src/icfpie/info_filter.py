@@ -167,10 +167,8 @@ def _inv_spd(stack: np.ndarray, where, log: Optional[NumericsLog], context: str)
         raise FilterNumericsError(f"matrix not positive definite in {context or 'inv_spd'}: {exc}")
     if log is not None:
         cond_est = _condition_estimates(c)
-        if cond_est.max() > ILL_CONDITIONED:
-            for k in np.flatnonzero(cond_est > ILL_CONDITIONED):
-                log.record("ill_conditioned", context, cond_estimate=float(cond_est[k]),
-                           **where(k))
+        for k in np.flatnonzero(cond_est > ILL_CONDITIONED):
+            log.record("ill_conditioned", context, cond_estimate=float(cond_est[k]), **where(k))
     c_inv = np.linalg.inv(c)
     return symmetrize(c_inv.swapaxes(-1, -2) @ c_inv)
 
@@ -328,10 +326,11 @@ def predict(post: InformationState, a: np.ndarray, q_cov: np.ndarray,
     Omega+ = (A Omega^-1 A^T + Q)^-1 and q+ = Omega+ A x_hat, where
     x_hat = Omega^-1 q and Q is the process-noise covariance.
     """
+    a = np.asarray(a, dtype=float)
+    q_cov = np.asarray(q_cov, dtype=float)
     f = factor_slices(post.omega, "predict")
     x = f.solve(post.q.reshape(f.stack.shape[:-1]))
-    return _predicted(f, 1.0, x, post, np.asarray(a, dtype=float), np.asarray(q_cov, dtype=float),
-                      log)
+    return _predicted(f, 1.0, x, post, a, q_cov, log)
 
 
 def to_state_estimate(s: InformationState, log: Optional[NumericsLog] = None) -> np.ndarray:

@@ -1,8 +1,8 @@
 """Per-measurement loop oracle for the harness's vectorized measurement draw.
 
-`build_scenario` draws all of a run's measurement noise at once; this is
-the one-call-per-(timestep, node) form it replaced, kept as the reference
-that the draw must match bit for bit.
+`build_scenario` draws all of a run's measurement noise at once. This is
+the same draw made one call per (timestep, node), in that order: the
+reference that the vectorized draw must match bit for bit.
 """
 
 import numpy as np
