@@ -15,6 +15,7 @@ threshold exceeded.
 
 import argparse
 import dataclasses
+import os
 import sys
 
 from .errors import ConfigurationError, FilterNumericsError, PlacementError
@@ -66,6 +67,13 @@ def build_parser() -> argparse.ArgumentParser:
 def _configure(args) -> tuple:
     if args.jobs < 1:
         raise ConfigurationError(f"--jobs must be >= 1, got {args.jobs}")
+    # the outputs are written only after every run, so a path that can never
+    # become a directory is refused now; the directory itself is made then
+    existing = os.path.abspath(args.out)
+    while not os.path.exists(existing):
+        existing = os.path.dirname(existing)
+    if not os.path.isdir(existing):
+        raise ConfigurationError(f"--out {args.out}: {existing} exists and is not a directory")
     cfg = ScenarioConfig()
     extra = {}
     if args.config:

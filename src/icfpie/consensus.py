@@ -1,24 +1,26 @@
 """Masked consensus averaging over per-node (B, b) information pairs.
 
 Each node starts from B(0) = Omega_prior / N + delta_Omega and
-b(0) = q_prior / N + delta_q and repeatedly averages with its closed
-neighborhood. At step l only the rows/entries selected by that step's
-mask move; everything else is frozen. Broadcasting node j therefore
+b(0) = q_prior / N + delta_q and repeatedly averages with its neighbors.
+At step l only the rows/entries that the schedule selects for that step
+move; everything else is frozen. Broadcasting node j therefore
 serializes |J| rows of B plus |J| entries of b, i.e. |J|*(n+1) scalars,
 which the bandwidth ledger records.
 
 One averaging step over all nodes is the matrix M = I - eps * Lap, with
-Lap the graph Laplacian, applied to the stack of a selected row across
-nodes. The masks partition the rows and averaging is linear, so over L
-steps row r is averaged k_r times and ends at
+Lap the Laplacian of the network's adjacency, applied to the stack of a
+selected row across nodes. The selected row sets partition the rows and
+averaging is linear, so over L steps row r is averaged k_r times and
+ends at
 
     rows_r(L) = M^{k_r} @ rows_r(0),   k_r = ceil((L - z_r) / theta)
 
 where z_r is the cycle phase that selects row r (k_r = 0 when z_r >= L).
 `run_consensus` evaluates this closed form (Xiao & Boyd 2004, "Fast
 linear iterations for distributed averaging") from a table of the powers
-M^0 .. M^L that `averaging_powers` builds once per network;
-`consensus_step` is the step-by-step reference semantics.
+M^0 .. M^L that `averaging_powers` builds once per network. The paper's
+step-by-step form, one neighbor sum per node and step, is the test
+suite's reference (`tests/consensus_reference.py`).
 """
 
 import warnings
@@ -59,33 +61,6 @@ def init_consensus(prior: InformationState, delta_omega: np.ndarray,
     return b0_mat, b0_vec
 
 
-def consensus_step(state: ConsensusState, net: SensorNetwork, mask,
-                   eps: float) -> ConsensusState:
-    """One synchronous averaging step, reading every node from the previous
-    iterate. Only the rows and entries selected by the length-n 0/1 `mask`,
-    shared by every node, move.
-    """
-    if eps <= 0:
-        raise ConfigurationError(f"consensus gain must be > 0, got {eps}")
-    mask = np.asarray(mask, dtype=float)
-    if mask.shape != (state.n,):
-        raise ConfigurationError(f"mask must have shape ({state.n},), got {mask.shape}")
-    sel = mask > 0
-    B, b = state.B, state.b
-    B_next = B.copy()
-    b_next = b.copy()
-    for i, hood in enumerate(net.neighborhoods):
-        B_next[i, sel, :] += eps * (B[hood][:, sel, :] - B[i, sel, :]).sum(axis=0)
-        b_next[i, sel] += eps * (b[hood][:, sel] - b[i, sel]).sum(axis=0)
-    return ConsensusState(B=B_next, b=b_next)
-
-
-def averaging_matrix(net: SensorNetwork, eps: float) -> np.ndarray:
-    """One full-exchange averaging step as an (N, N) matrix: I - eps * Lap."""
-    adj = net.adjacency.astype(float)
-    return np.eye(net.n_nodes) - eps * (np.diag(adj.sum(axis=1)) - adj)
-
-
 def averaging_powers(net: SensorNetwork, eps: float, k_max: int) -> np.ndarray:
     """The powers M^0 .. M^k_max of M = I - eps * Lap, stacked (k_max + 1, N, N).
 
@@ -94,7 +69,8 @@ def averaging_powers(net: SensorNetwork, eps: float, k_max: int) -> np.ndarray:
     """
     if eps <= 0:
         raise ConfigurationError(f"consensus gain must be > 0, got {eps}")
-    m = averaging_matrix(net, eps)
+    adj = net.adjacency.astype(float)
+    m = np.eye(net.n_nodes) - eps * (np.diag(adj.sum(axis=1)) - adj)
     return np.array([np.linalg.matrix_power(m, k) for k in range(k_max + 1)])
 
 
@@ -118,7 +94,7 @@ def run_consensus(state: ConsensusState, schedule: EntrySelectionSchedule, L: in
                   t: int = 0) -> ConsensusState:
     """Run L masked consensus steps under a synchronized schedule.
 
-    Step l applies the schedule's mask for l mod theta at every node;
+    Step l moves the rows `schedule.rows_at(l)` at every node;
     `powers` is the network's `averaging_powers` table, up to at least M^L.
     Warns (and proceeds) when L is not a whole number of selection cycles.
     When a ledger is given, every node's broadcast sizes are recorded as
@@ -151,7 +127,6 @@ def run_consensus(state: ConsensusState, schedule: EntrySelectionSchedule, L: in
 __all__ = [
     "ConsensusState",
     "init_consensus",
-    "consensus_step",
     "averaging_powers",
     "run_consensus",
 ]

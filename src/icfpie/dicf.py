@@ -17,7 +17,6 @@ at once, with the same primitives on a single estimate, and serves as
 the benchmark.
 """
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -26,7 +25,6 @@ from .consensus import ConsensusState, init_consensus, run_consensus
 from .errors import ConfigurationError
 from .info_filter import (
     InformationState,
-    NoiseInformation,
     NumericsLog,
     centralized_correct,
     local_correction_terms,
@@ -43,22 +41,15 @@ from .network import BandwidthLedger
 from .selection import EntrySelectionSchedule
 
 
-@dataclass
-class StepOutput:
-    """Results of one timestep: of every lane's nodes, or of the center."""
-
-    posterior: InformationState    # stacked (K*N, n, n) / (K*N, n), or one estimate
-    estimates: np.ndarray          # (K*N, n) posterior state estimates, or (n,)
-
-
 def dicf_step(prior: InformationState, powers: np.ndarray,
               lanes: Sequence[tuple[EntrySelectionSchedule, int]],
               measurements: np.ndarray, sensed: np.ndarray,
-              sensor: MeasurementModel, sys: SystemModel, noise: NoiseInformation,
+              sensor: MeasurementModel, sys: SystemModel,
               ledgers: Optional[Sequence[BandwidthLedger]] = None, t: int = 0,
               log: Optional[NumericsLog] = None):
     """Advance every node of every lane one timestep; returns (next prior,
-    StepOutput).
+    posterior, estimates): the stacked posterior (K*N, n, n) / (K*N, n)
+    and the (K*N, n) posterior state estimates.
 
     `powers` is the network's `averaging_powers` table, up to at least the
     deepest lane's M^L. `lanes` holds K (schedule, L) pairs and `prior`
@@ -78,7 +69,7 @@ def dicf_step(prior: InformationState, powers: np.ndarray,
         ledgers = [None] * n_lanes
     elif len(ledgers) != n_lanes:
         raise ConfigurationError(f"{len(ledgers)} ledgers for {n_lanes} lanes")
-    d_omega, d_q = local_correction_terms(sensor.c, noise.v, measurements)
+    d_omega, d_q = local_correction_terms(sensor.c, sensor.v, measurements)
     d_omega = np.where(sensed[:, None, None], d_omega, 0.0)
     d_q = np.where(sensed[:, None], d_q, 0.0)
     B, b = init_consensus(prior, np.tile(d_omega, (n_lanes, 1, 1)),
@@ -92,19 +83,19 @@ def dicf_step(prior: InformationState, powers: np.ndarray,
     # the estimates come from the consensus pairs themselves; the N factor cancels
     posterior, estimates, next_prior = recover_and_predict(
         B, b, n_nodes, sys.a, sys.process_cov, log)
-    return next_prior, StepOutput(posterior=posterior, estimates=estimates)
+    return next_prior, posterior, estimates
 
 
 def ckf_step(central: InformationState, measurements: np.ndarray, sensed: np.ndarray,
-             sensor: MeasurementModel, sys: SystemModel, noise: NoiseInformation,
+             sensor: MeasurementModel, sys: SystemModel,
              log: Optional[NumericsLog] = None):
     """One centralized information-filter cycle over all sensed nodes.
 
     `measurements` is (N, m) and `sensed` (N,) bool, as for dicf_step.
-    Returns (next prior, StepOutput); the posterior and its estimate are
-    the benchmark fused estimate for this timestep.
+    Returns (next prior, posterior, estimate); the posterior and its
+    (n,) estimate are the benchmark fused estimate for this timestep.
     """
-    fused = centralized_correct(central, sensor.c, noise.v, measurements[sensed])
+    fused = centralized_correct(central, sensor.c, sensor.v, measurements[sensed])
     posterior, x_post, next_prior = recover_and_predict(
         fused.omega, fused.q, 1, sys.a, sys.process_cov, log)
-    return next_prior, StepOutput(posterior=posterior, estimates=x_post)
+    return next_prior, posterior, x_post

@@ -30,7 +30,6 @@ from .dicf import ckf_step, dicf_step
 from .errors import ConfigurationError, FilterNumericsError
 from .info_filter import (
     InformationState,
-    NoiseInformation,
     NumericsLog,
     information_state,
     to_state_estimate,  # noqa: F401  unused here; perfbench/tracer.py wraps it by this name
@@ -125,6 +124,10 @@ class ScenarioConfig:
         if self.n_steps < 1:
             raise ConfigurationError(f"horizon = {self.horizon} with dt = {self.dt} gives "
                                      f"{self.n_steps} steps; need at least 1")
+        try:
+            self.schedule()
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"selection = {self.selection!r}: {exc}") from None
 
     @property
     def n_steps(self) -> int:
@@ -218,7 +221,6 @@ class Scenario:
     net: SensorNetwork
     sys: SystemModel
     sensor: MeasurementModel  # every node carries the same sensor
-    noise: NoiseInformation
     eps: float
     truth: np.ndarray         # (T, 4)
     measurements: np.ndarray  # (T, N, 2)
@@ -258,11 +260,9 @@ def build_scenario(cfg: ScenarioConfig, seed: int) -> Scenario:
         speed_variance=cfg.speed_variance,
         dt=cfg.dt,
     )
-    q = np.diag(cfg.q_diag)
-    sys = SystemModel.lti(cfg.system_matrix(), q)
-    r = np.diag(cfg.r_diag)
-    sensor = MeasurementModel.linear(position_measurement_matrix(STATE_DIM), r)
-    noise = NoiseInformation.from_covariances(q, r)
+    sys = SystemModel.lti(cfg.system_matrix(), np.diag(cfg.q_diag))
+    sensor = MeasurementModel.linear(position_measurement_matrix(STATE_DIM),
+                                     np.diag(cfg.r_diag))
 
     n_steps = cfg.n_steps
     truth = np.zeros((n_steps, STATE_DIM))
@@ -277,8 +277,8 @@ def build_scenario(cfg: ScenarioConfig, seed: int) -> Scenario:
     dist = np.linalg.norm(truth[:, None, :2] - net.positions[None, :, :], axis=2)
     sensed = dist <= cfg.sensing_range
 
-    return Scenario(cfg=cfg, seed=seed, net=net, sys=sys, sensor=sensor, noise=noise,
-                    eps=eps, truth=truth, measurements=measurements, sensed=sensed)
+    return Scenario(cfg=cfg, seed=seed, net=net, sys=sys, sensor=sensor, eps=eps,
+                    truth=truth, measurements=measurements, sensed=sensed)
 
 
 @dataclass
@@ -340,11 +340,10 @@ def run_once(scenario: Scenario, L, algorithms: Optional[list] = None,
         truth_t = scenario.truth[t]
         if lanes:
             seen = len(lane_log.events)
-            prior, out = dicf_step(
-                prior, powers, lanes, meas, sensed,
-                scenario.sensor, scenario.sys, scenario.noise,
+            prior, posterior, estimates = dicf_step(
+                prior, powers, lanes, meas, sensed, scenario.sensor, scenario.sys,
                 ledgers=ledgers, t=t, log=lane_log)
-            errs = np.linalg.norm(truth_t - out.estimates, axis=-1).reshape(n_lanes, n_nodes)
+            errs = np.linalg.norm(truth_t - estimates, axis=-1).reshape(n_lanes, n_nodes)
             lane_series[:, t] = errs.mean(axis=1)
             # an event's node is its slice in the lane-major stack
             for event in lane_log.events[seen:]:
@@ -352,16 +351,15 @@ def run_once(scenario: Scenario, L, algorithms: Optional[list] = None,
                     lane_reg[event["node"] // n_nodes, t] += 1
             if diagnostics:
                 node_diag["node_errors"][:, t] = errs
-                ev = np.linalg.eigvalsh(out.posterior.omega).reshape(n_lanes, n_nodes, -1)
+                ev = np.linalg.eigvalsh(posterior.omega).reshape(n_lanes, n_nodes, -1)
                 node_diag["eig_min"][:, t] = ev[..., 0]
                 node_diag["eig_max"][:, t] = ev[..., -1]
         for a in central:
             log = central_logs[a.label]
             before = log.count("regularize")
-            central_priors[a.label], out = ckf_step(
-                central_priors[a.label], meas, sensed, scenario.sensor, scenario.sys,
-                scenario.noise, log=log)
-            central_series[a.label][t] = np.linalg.norm(truth_t - out.estimates, axis=-1)
+            central_priors[a.label], _, estimate = ckf_step(
+                central_priors[a.label], meas, sensed, scenario.sensor, scenario.sys, log=log)
+            central_series[a.label][t] = np.linalg.norm(truth_t - estimate, axis=-1)
             central_reg[a.label][t] = log.count("regularize") - before
 
     def metrics_at(d: int) -> RunMetrics:
@@ -452,6 +450,20 @@ def _execute(fn, arglist, jobs: int):
         return list(pool.map(fn, arglist))
 
 
+def _split_failures(results: list, what: str) -> tuple:
+    """(good, failed) results of a batch of seeds. Raises FilterNumericsError,
+    naming the failed seeds, when more than 5% of them failed, which
+    includes every batch in which no seed succeeded."""
+    good = [r for r in results if r["failed"] is None]
+    failed = [r for r in results if r["failed"] is not None]
+    if len(failed) > 0.05 * len(results):
+        raise FilterNumericsError(
+            f"{len(failed)}/{len(results)} {what} runs failed numerically "
+            f"(seeds {[r['seed'] for r in failed]})"
+        )
+    return good, failed
+
+
 def run_monte_carlo(cfg: ScenarioConfig, L: int, include=("ckf", "icf", "icfpie"),
                     diagnostics: bool = False, jobs: int = 1) -> MonteCarloResult:
     """Average run_once over cfg.mc_runs runs with seeds master+k.
@@ -460,16 +472,7 @@ def run_monte_carlo(cfg: ScenarioConfig, L: int, include=("ckf", "icf", "icfpie"
     """
     arglist = [(cfg, L, tuple(include), diagnostics, cfg.seed + k)
                for k in range(cfg.mc_runs)]
-    results = _execute(_mc_single_run, arglist, jobs)
-    good = [r for r in results if r["failed"] is None]
-    failed = [r for r in results if r["failed"] is not None]
-    if len(failed) > 0.05 * cfg.mc_runs:
-        raise FilterNumericsError(
-            f"{len(failed)}/{cfg.mc_runs} Monte-Carlo runs failed numerically "
-            f"(seeds {[r['seed'] for r in failed]})"
-        )
-    if not good:
-        raise FilterNumericsError("all Monte-Carlo runs failed")
+    good, failed = _split_failures(_execute(_mc_single_run, arglist, jobs), "Monte-Carlo")
 
     labels = list(good[0]["series"].keys())
     t_axis = good[0]["t"]
@@ -527,16 +530,7 @@ def sweep_consensus_steps(cfg: ScenarioConfig, L_values, jobs: int = 1) -> Sweep
     if not L_values:
         raise ConfigurationError("sweep needs at least one L value")
     arglist = [(cfg, tuple(L_values), cfg.seed + k) for k in range(cfg.mc_runs)]
-    results = _execute(_sweep_single_run, arglist, jobs)
-    good = [r for r in results if r["failed"] is None]
-    failed = [r for r in results if r["failed"] is not None]
-    if len(failed) > 0.05 * cfg.mc_runs:
-        raise FilterNumericsError(
-            f"{len(failed)}/{cfg.mc_runs} sweep runs failed numerically "
-            f"(seeds {[r['seed'] for r in failed]})"
-        )
-    if not good:
-        raise FilterNumericsError("all sweep runs failed")
+    good, failed = _split_failures(_execute(_sweep_single_run, arglist, jobs), "sweep")
 
     label_case = [("icfpie[1]", "icfpie", "1"), ("icfpie[2]", "icfpie", "2"),
                   ("icf[identity]", "icf", "identity"), ("ckf", "ckf", "-")]

@@ -77,10 +77,6 @@ class InformationState:
     omega: np.ndarray
     q: np.ndarray
 
-    @property
-    def n(self) -> int:
-        return self.q.shape[-1]
-
 
 def information_state(omega: np.ndarray, q: np.ndarray) -> InformationState:
     """Construct an InformationState, symmetrizing and checking shapes."""
@@ -91,21 +87,6 @@ def information_state(omega: np.ndarray, q: np.ndarray) -> InformationState:
             f"information matrix {omega.shape} does not match vector length {q.shape}"
         )
     return InformationState(omega=omega, q=q)
-
-
-@dataclass(frozen=True)
-class NoiseInformation:
-    """Inverted noise covariances: W = Q^-1 and the sensor's V = R^-1."""
-
-    w: np.ndarray
-    v: np.ndarray
-
-    @classmethod
-    def from_covariances(cls, q: np.ndarray, r: np.ndarray) -> "NoiseInformation":
-        return cls(
-            w=symmetrize(np.linalg.inv(np.asarray(q, dtype=float))),
-            v=symmetrize(np.linalg.inv(np.asarray(r, dtype=float))),
-        )
 
 
 def _slices(m: np.ndarray):

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DegenerateHeadingWarning, FilterNumericsError
+from .info_filter import symmetrize
 
 
 def constant_velocity_matrix(dt: float, n: int = 4) -> np.ndarray:
@@ -66,18 +67,16 @@ class SystemModel:
         """Transition Jacobian at x_hat: the constant A."""
         return self.a
 
-    @property
-    def n(self) -> int:
-        return self.process_cov.shape[0]
-
 
 @dataclass(frozen=True)
 class MeasurementModel:
     """A linear sensor shared by every node: y = C x + v, with the
-    measurement matrix C and the noise covariance R."""
+    measurement matrix C, the noise covariance R and its information
+    matrix V = R^-1, which the correction step reads."""
 
     c: np.ndarray
     meas_cov: np.ndarray
+    v: np.ndarray
 
     @classmethod
     def linear(cls, c: np.ndarray, r: np.ndarray) -> "MeasurementModel":
@@ -87,7 +86,7 @@ class MeasurementModel:
             raise ConfigurationError(
                 f"measurement matrix rows {c.shape[0]} and R size {r.shape[0]} differ"
             )
-        return cls(c=c, meas_cov=r)
+        return cls(c=c, meas_cov=r, v=symmetrize(np.linalg.inv(r)))
 
     def jacobian(self, x_hat: np.ndarray) -> np.ndarray:
         """Measurement Jacobian at x_hat: the constant C."""

@@ -2,10 +2,11 @@
 
 Nodes are placed uniformly in a rectangle and linked whenever their
 Euclidean distance is at most the communication range (inclusive).
-Placement is resampled until the graph is connected. Closed neighborhoods
-(node plus its direct neighbors) drive the consensus exchange; the ledger
-counts every scalar a node broadcasts, so partial-exchange savings can be
-verified exactly.
+Placement is resampled until the graph is connected. The adjacency
+matrix is the network's one description of who hears whom: consensus
+builds its averaging matrix I - eps * Lap from it. The ledger counts every
+scalar a node broadcasts, so partial-exchange savings can be verified
+exactly.
 """
 
 from dataclasses import dataclass, field
@@ -18,11 +19,10 @@ from .errors import ConfigurationError, PlacementError
 
 @dataclass(frozen=True)
 class SensorNetwork:
-    """Immutable network: positions, symmetric adjacency, closed neighborhoods."""
+    """Immutable network: node positions and the symmetric adjacency."""
 
     positions: np.ndarray
     adjacency: np.ndarray
-    neighborhoods: tuple
 
     @property
     def n_nodes(self) -> int:
@@ -56,28 +56,6 @@ def is_connected(adjacency: np.ndarray) -> bool:
     return bool(seen.all())
 
 
-def _closed_neighborhoods(adjacency: np.ndarray) -> tuple:
-    hoods = []
-    for i in range(adjacency.shape[0]):
-        hood = np.flatnonzero(adjacency[i]).tolist()
-        hood.append(i)
-        hoods.append(np.array(sorted(hood), dtype=np.intp))
-    return tuple(hoods)
-
-
-def network_from_positions(positions, comm_range: float) -> SensorNetwork:
-    """Build a SensorNetwork from fixed positions (must be connected)."""
-    positions = np.asarray(positions, dtype=float)
-    adj = adjacency_from_positions(positions, comm_range)
-    if not is_connected(adj):
-        raise PlacementError("given positions form a disconnected network")
-    return SensorNetwork(
-        positions=positions,
-        adjacency=adj,
-        neighborhoods=_closed_neighborhoods(adj),
-    )
-
-
 def random_geometric(n_nodes: int, region, comm_range: float, rng: np.random.Generator,
                      max_retries: int = 200) -> SensorNetwork:
     """Uniform placement in `region` = (xmin, xmax, ymin, ymax), resampled
@@ -98,11 +76,7 @@ def random_geometric(n_nodes: int, region, comm_range: float, rng: np.random.Gen
         ])
         adj = adjacency_from_positions(positions, comm_range)
         if is_connected(adj):
-            return SensorNetwork(
-                positions=positions,
-                adjacency=adj,
-                neighborhoods=_closed_neighborhoods(adj),
-            )
+            return SensorNetwork(positions=positions, adjacency=adj)
     raise PlacementError(
         f"no connected placement of {n_nodes} nodes in {region} with range "
         f"{comm_range} after {max_retries} tries"

@@ -4,10 +4,13 @@ A schedule partitions the state indices {1..n} into ordered subsets
 J_1..J_theta. At consensus step l every node broadcasts only the rows of
 its information matrix (and entries of its information vector) whose
 indices lie in the subset for that step; subsets cycle with period theta.
-The subsets must be nonempty, pairwise disjoint, and cover {1..n}, so the
-masks of one full cycle sum to the identity.
+The subsets must be nonempty, pairwise disjoint, and cover {1..n}, so one
+full cycle selects every row exactly once. The paper writes each subset
+as a diagonal 0/1 selection matrix; the package keeps only its 0-based
+row indices.
 """
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,7 +20,7 @@ from .errors import ConfigurationError
 
 @dataclass(frozen=True)
 class EntrySelectionSchedule:
-    """Cyclic family of diagonal 0/1 selection masks over an n-dim state.
+    """Cyclic family of selected row sets over an n-dim state.
 
     `subsets` keeps the user-facing 1-based index sets; `rows` holds the
     equivalent 0-based row-index arrays used everywhere internally.
@@ -29,39 +32,36 @@ class EntrySelectionSchedule:
 
     @property
     def theta_bar(self) -> int:
-        """Number of distinct masks in one cycle."""
+        """Number of distinct subsets in one cycle."""
         return len(self.subsets)
-
-    @property
-    def masks(self) -> list[np.ndarray]:
-        """The n x n diagonal 0/1 mask matrices, in cycle order."""
-        return [np.diag(self.mask_vector(z)) for z in range(self.theta_bar)]
-
-    def mask_vector(self, zeta: int) -> np.ndarray:
-        """Length-n 0/1 indicator of the zeta-th subset."""
-        v = np.zeros(self.n)
-        v[self.rows[zeta]] = 1.0
-        return v
 
     def rows_at(self, l: int) -> np.ndarray:
         """0-based selected row indices for consensus step l."""
         return self.rows[l % self.theta_bar]
 
-    def is_identity(self) -> bool:
-        return self.theta_bar == 1
-
 
 def build_schedule(n: int, subsets) -> EntrySelectionSchedule:
-    """Validate 1-based index subsets and build the mask schedule.
+    """Validate 1-based index subsets and build the schedule.
 
-    The subsets must partition {1..n}: every subset nonempty, pairwise
-    disjoint, union equal to {1..n}. Raises ConfigurationError otherwise.
+    The subsets must partition {1..n}: every subset a sequence of integer
+    indices, nonempty, pairwise disjoint, union equal to {1..n}. Raises
+    ConfigurationError otherwise.
     """
     if n < 1:
         raise ConfigurationError(f"state dimension must be >= 1, got {n}")
-    subsets = [tuple(sorted(int(i) for i in s)) for s in subsets]
+    try:
+        subsets = [tuple(s) for s in subsets]
+    except TypeError:
+        raise ConfigurationError(
+            f"subsets must be a list of index lists like [[1, 3], [2, 4]], got {subsets!r}"
+        ) from None
     if not subsets:
         raise ConfigurationError("schedule needs at least one subset")
+    for s in subsets:
+        bad = [i for i in s if not isinstance(i, numbers.Integral) or isinstance(i, bool)]
+        if bad:
+            raise ConfigurationError(f"subset {list(s)} holds non-integer indices {bad}")
+    subsets = [tuple(sorted(int(i) for i in s)) for s in subsets]
 
     full = set(range(1, n + 1))
     seen: set[int] = set()
@@ -86,29 +86,14 @@ def build_schedule(n: int, subsets) -> EntrySelectionSchedule:
     return EntrySelectionSchedule(n=n, subsets=tuple(subsets), rows=rows)
 
 
-def mask_at(schedule: EntrySelectionSchedule, l: int) -> np.ndarray:
-    """Diagonal mask matrix used at consensus step l (cyclic in l)."""
-    if l < 0:
-        raise ConfigurationError(f"consensus step index must be >= 0, got {l}")
-    return np.diag(schedule.mask_vector(l % schedule.theta_bar))
-
-
-def theta_bar_for(n: int, m: int) -> int:
-    """Number of masks needed when m entries are selected per step: ceil(n/m)."""
-    if not 1 <= m <= n:
-        raise ConfigurationError(f"entries per step must satisfy 1 <= m <= n, got m={m}, n={n}")
-    return -(-n // m)
-
-
 def default_schedule(n: int, kind: str) -> EntrySelectionSchedule:
     """Built-in schedules: 'case1' (2 entries/step, strided), 'case2'
     (1 entry/step), 'identity' (full exchange)."""
     if kind == "identity":
         return build_schedule(n, [tuple(range(1, n + 1))])
     if kind == "case1":
-        tb = theta_bar_for(n, 2)
-        subsets = [tuple(range(z + 1, n + 1, tb)) for z in range(tb)]
-        return build_schedule(n, subsets)
+        tb = -(-n // 2)  # ceil(n / 2) subsets of at most 2 entries
+        return build_schedule(n, [tuple(range(z + 1, n + 1, tb)) for z in range(tb)])
     if kind == "case2":
         return build_schedule(n, [(i,) for i in range(1, n + 1)])
     raise ConfigurationError(f"unknown schedule kind {kind!r}")

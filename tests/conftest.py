@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from icfpie.network import network_from_positions
+from consensus_reference import network_from_positions
 
 
 @pytest.fixture

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from conftest import random_spd
+from consensus_reference import closed_neighborhoods
 from icfpie.consensus import ConsensusState, averaging_powers, run_consensus
 from icfpie.dicf import ckf_step, dicf_step
 from icfpie.harness import (
@@ -24,11 +25,7 @@ from icfpie.harness import (
     run_once,
     sweep_consensus_steps,
 )
-from icfpie.info_filter import (
-    NoiseInformation,
-    information_state,
-    to_state_estimate,
-)
+from icfpie.info_filter import information_state, to_state_estimate
 from icfpie.models import (
     MeasurementModel,
     SystemModel,
@@ -88,16 +85,15 @@ def test_criterion_1_identity_schedule_reduction():
     est = np.zeros((n_steps, cfg.n_nodes, 4))
     omegas = np.zeros((n_steps, cfg.n_nodes, 4, 4))
     for t in range(n_steps):
-        prior, out = dicf_step(prior, powers, [(schedule, 12)],
-                               scenario.measurements[t], scenario.sensed[t],
-                               scenario.sensor, scenario.sys, scenario.noise, t=t)
-        est[t] = out.estimates
-        omegas[t] = out.posterior.omega
+        prior, posterior, est[t] = dicf_step(prior, powers, [(schedule, 12)],
+                                             scenario.measurements[t], scenario.sensed[t],
+                                             scenario.sensor, scenario.sys, t=t)
+        omegas[t] = posterior.omega
 
     ref_est, ref_omegas = run_original_icf(
-        constant_velocity_matrix(cfg.dt), scenario.noise.w,
-        position_measurement_matrix(), scenario.noise.v,
-        scenario.net.neighborhoods, scenario.eps, 12,
+        constant_velocity_matrix(cfg.dt), np.linalg.inv(scenario.sys.process_cov),
+        position_measurement_matrix(), scenario.sensor.v,
+        closed_neighborhoods(scenario.net.adjacency), scenario.eps, 12,
         scenario.measurements, scenario.sensed, np.zeros(4), np.zeros((4, 4)))
     diff = max(np.max(np.abs(est - ref_est)), np.max(np.abs(omegas - ref_omegas)))
     elapsed = time.time() - start
@@ -130,20 +126,19 @@ def test_criterion_3_single_step_convergence_to_benchmark():
     assert scenario.net.max_degree() == cfg.n_nodes - 1
     meas, sensed = scenario.measurements[0], scenario.sensed[0]
 
-    _, out = dicf_step(scenario.initial_nodes(),
-                       averaging_powers(scenario.net, scenario.eps, 400),
-                       [(default_schedule(4, "case1"), 400)], meas, sensed,
-                       scenario.sensor, scenario.sys, scenario.noise)
-    _, ckf = ckf_step(scenario.initial_state(), meas, sensed, scenario.sensor,
-                      scenario.sys, scenario.noise)
-    ckf_post = ckf.posterior
+    _, posterior, estimates = dicf_step(scenario.initial_nodes(),
+                                        averaging_powers(scenario.net, scenario.eps, 400),
+                                        [(default_schedule(4, "case1"), 400)], meas, sensed,
+                                        scenario.sensor, scenario.sys)
+    _, ckf_post, _ = ckf_step(scenario.initial_state(), meas, sensed, scenario.sensor,
+                              scenario.sys)
     x_ckf = to_state_estimate(ckf_post)
 
     worst_omega = max(
-        np.linalg.norm(out.posterior.omega[k] - ckf_post.omega)
+        np.linalg.norm(posterior.omega[k] - ckf_post.omega)
         / np.linalg.norm(ckf_post.omega) for k in range(cfg.n_nodes))
     worst_x = max(
-        np.linalg.norm(out.estimates[k] - x_ckf) / np.linalg.norm(x_ckf)
+        np.linalg.norm(estimates[k] - x_ckf) / np.linalg.norm(x_ckf)
         for k in range(cfg.n_nodes))
     elapsed = time.time() - start
     report(3, "single-step convergence to the centralized filter",
@@ -163,7 +158,7 @@ def test_criterion_4_bandwidth_ratios_exact():
         ledger = BandwidthLedger()
         dicf_step(scenario.initial_nodes(), averaging_powers(scenario.net, scenario.eps, L),
                   [(default_schedule(4, kind), L)], scenario.measurements[0], scenario.sensed[0],
-                  scenario.sensor, scenario.sys, scenario.noise, ledgers=[ledger])
+                  scenario.sensor, scenario.sys, ledgers=[ledger])
         totals[kind] = ledger.total_scalars()
         (entry,) = ledger.rows
         per_step[kind] = entry.n_nodes * entry.payloads[0]
@@ -251,16 +246,14 @@ def test_criterion_8_information_vs_covariance_oracle():
         x0 = rng.normal(size=n)
         sys = SystemModel.lti(a, q)
         model = MeasurementModel.linear(c, r)
-        noise = NoiseInformation.from_covariances(q, r)
 
         omega0 = np.linalg.inv(p0)
         state = information_state(omega0, omega0 @ x0)
         ys = [[rng.normal(size=m)] for _ in range(100)]
         xs_ref, ps_ref = run_kf(x0, p0, a, q, [(c, r)], ys)
         for t in range(100):
-            state, out = ckf_step(state, np.array(ys[t]), np.ones(1, dtype=bool),
-                                  model, sys, noise)
-            posterior = out.posterior
+            state, posterior, _ = ckf_step(state, np.array(ys[t]), np.ones(1, dtype=bool),
+                                           model, sys)
             x_hat = to_state_estimate(posterior)
             p_hat = np.linalg.inv(posterior.omega)
             worst = max(

@@ -104,6 +104,16 @@ class TestSimulateCommand:
         ("truth_noise = process\n", "config key truth_noise"),
         ("error_metric = position\n", "config key error_metric"),
         ("max_placement_retries = 5\n", "config key max_placement_retries"),
+        # every malformed selection fails at config time and names the key;
+        # float, bool and string indices are refused, not coerced by int()
+        ("selection = 5\n", "selection = 5: subsets must be a list of index lists"),
+        ("case = 3\n", "selection = 3: subsets must be a list of index lists"),
+        ("selection = [1, 2]\n", "selection = [1, 2]: subsets must be a list of index lists"),
+        ("selection = [[1, 'a'], [2, 3, 4]]\n", "non-integer indices ['a']"),
+        ("selection = [[1.5, 3], [2, 4]]\n", "selection = [[1.5, 3], [2, 4]]: subset"),
+        ("selection = [[True, 3], [2, 4]]\n", "non-integer indices [True]"),
+        ("selection = [['1', '3'], ['2', '4']]\n", "non-integer indices ['1', '3']"),
+        ("selection = case3\n", "selection = 'case3': unknown schedule kind 'case3'"),
     ])
     def test_bad_config_exits_with_one_line(self, tmp_path, capsys, text, message):
         path = tmp_path / "bad.cfg"
@@ -113,6 +123,19 @@ class TestSimulateCommand:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and message in err and "Traceback" not in err
         assert not (tmp_path / "out").exists()
+
+    def test_out_blocked_by_a_file_exits_before_any_run(self, tmp_path, capsys, monkeypatch):
+        def no_run(*args, **kwargs):
+            raise AssertionError("a run started although --out can never be written")
+        monkeypatch.setattr(harness, "run_once", no_run)
+        blocker = tmp_path / "out"
+        blocker.write_text("keep")
+        for out in (blocker, blocker / "sub"):
+            assert main(["simulate", "--config", write_cfg(tmp_path), "--out", str(out)]) \
+                == EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and f"{blocker} exists and is not a directory" in err
+        assert blocker.read_text() == "keep"
 
     def test_jobs_below_one_rejected(self, tmp_path, capsys):
         assert main(["simulate", "--config", write_cfg(tmp_path), "--jobs", "0",

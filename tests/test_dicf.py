@@ -7,12 +7,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import assert_rel_close, random_spd
+from consensus_reference import closed_neighborhoods
 from icfpie.consensus import averaging_powers
 from icfpie.dicf import ckf_step, dicf_step
 from icfpie.harness import ScenarioConfig, build_scenario, make_algorithms, run_once
 from icfpie.errors import ConfigurationError
 from icfpie.info_filter import (
-    NoiseInformation,
     NumericsLog,
     centralized_correct,
     information_state,
@@ -25,7 +25,7 @@ from icfpie.models import (
     constant_velocity_matrix,
     position_measurement_matrix,
 )
-from icfpie.network import BandwidthLedger
+from icfpie.network import BandwidthLedger, SensorNetwork
 from icfpie.selection import default_schedule
 from icf_reference import run_original_icf
 from kf_reference import run_kf
@@ -48,11 +48,11 @@ def run_package_icfpie(scenario, schedule, L):
     estimates = np.zeros((n_steps, cfg.n_nodes, 4))
     omegas = np.zeros((n_steps, cfg.n_nodes, 4, 4))
     for t in range(n_steps):
-        prior, out = dicf_step(prior, powers, [(schedule, L)],
-                               scenario.measurements[t], scenario.sensed[t],
-                               scenario.sensor, scenario.sys, scenario.noise, t=t)
-        estimates[t] = out.estimates
-        omegas[t] = out.posterior.omega
+        prior, posterior, estimates[t] = dicf_step(prior, powers, [(schedule, L)],
+                                                   scenario.measurements[t],
+                                                   scenario.sensed[t], scenario.sensor,
+                                                   scenario.sys, t=t)
+        omegas[t] = posterior.omega
     return estimates, omegas
 
 
@@ -64,8 +64,8 @@ class TestIdentityScheduleReduction:
 
         a, q, r, c = reference_models()
         ref_est, ref_omegas = run_original_icf(
-            a, scenario.noise.w, c, scenario.noise.v,
-            scenario.net.neighborhoods, scenario.eps, 4,
+            a, np.linalg.inv(q), c, scenario.sensor.v,
+            closed_neighborhoods(scenario.net.adjacency), scenario.eps, 4,
             scenario.measurements, scenario.sensed,
             np.zeros(4), np.zeros((4, 4)))
         assert_rel_close(est, ref_est)
@@ -86,10 +86,10 @@ def step_lanes(scenario, lanes, prior, t):
     ledgers = [BandwidthLedger() for _ in lanes]
     log = NumericsLog()
     powers = averaging_powers(scenario.net, scenario.eps, max((L for _, L in lanes), default=0))
-    next_prior, out = dicf_step(prior, powers, lanes,
-                                scenario.measurements[t], scenario.sensed[t], scenario.sensor,
-                                scenario.sys, scenario.noise, ledgers=ledgers, t=t, log=log)
-    return next_prior, out, ledgers, log
+    next_prior, posterior, estimates = dicf_step(
+        prior, powers, lanes, scenario.measurements[t], scenario.sensed[t],
+        scenario.sensor, scenario.sys, ledgers=ledgers, t=t, log=log)
+    return next_prior, posterior, estimates, ledgers, log
 
 
 def stack_slices(states, field):
@@ -118,18 +118,20 @@ class TestStackedLanes:
         t = max(w for _, _, w in drawn)
         stacked = information_state(stack_slices(priors, "omega"), stack_slices(priors, "q"))
 
-        next_prior, out, ledgers, log = step_lanes(scenario, lanes, stacked, t)
+        next_prior, posterior, estimates, ledgers, log = step_lanes(
+            scenario, lanes, stacked, t)
         events = Counter((e["node"] // n_nodes, e["node"] % n_nodes, e["kind"])
                          for e in log.events)
         expected_events = Counter()
         for k, (lane, prior) in enumerate(zip(lanes, priors)):
             block = slice(k * n_nodes, (k + 1) * n_nodes)
-            one_prior, one, one_ledgers, one_log = step_lanes(scenario, [lane], prior, t)
+            one_prior, one_posterior, one_estimates, one_ledgers, one_log = step_lanes(
+                scenario, [lane], prior, t)
             assert_rel_close(next_prior.omega[block], one_prior.omega)
             assert_rel_close(next_prior.q[block], one_prior.q)
-            assert_rel_close(out.posterior.omega[block], one.posterior.omega)
-            assert_rel_close(out.posterior.q[block], one.posterior.q)
-            assert_rel_close(out.estimates[block], one.estimates)
+            assert_rel_close(posterior.omega[block], one_posterior.omega)
+            assert_rel_close(posterior.q[block], one_posterior.q)
+            assert_rel_close(estimates[block], one_estimates)
             assert ledgers[k].rows == one_ledgers[0].rows
             expected_events.update((k, e["node"], e["kind"]) for e in one_log.events)
         assert events == expected_events
@@ -162,18 +164,17 @@ class TestConvergenceToCentral:
         powers = averaging_powers(scenario.net, scenario.eps, L)
         for t in range(cfg.n_steps):
             meas, sensed = scenario.measurements[t], scenario.sensed[t]
-            prior, out = dicf_step(prior, powers, [(schedule, L)],
-                                   meas, sensed, scenario.sensor, scenario.sys,
-                                   scenario.noise, t=t)
-            central, ckf = ckf_step(central, meas, sensed, scenario.sensor,
-                                    scenario.sys, scenario.noise)
-            ckf_post = ckf.posterior
+            prior, posterior, estimates = dicf_step(prior, powers, [(schedule, L)],
+                                                    meas, sensed, scenario.sensor,
+                                                    scenario.sys, t=t)
+            central, ckf_post, _ = ckf_step(central, meas, sensed, scenario.sensor,
+                                            scenario.sys)
             x_ckf = to_state_estimate(ckf_post)
             for k in range(cfg.n_nodes):
-                omega_rel = (np.linalg.norm(out.posterior.omega[k] - ckf_post.omega)
+                omega_rel = (np.linalg.norm(posterior.omega[k] - ckf_post.omega)
                              / np.linalg.norm(ckf_post.omega))
                 assert omega_rel < 1e-6
-                x_rel = (np.linalg.norm(out.estimates[k] - x_ckf)
+                x_rel = (np.linalg.norm(estimates[k] - x_ckf)
                          / max(np.linalg.norm(x_ckf), 1e-12))
                 assert x_rel < 1e-6
 
@@ -184,10 +185,9 @@ class TestConvergenceToCentral:
 
         central = scenario.initial_state()
         for t in range(cfg.n_steps):
-            central, ckf = ckf_step(central, scenario.measurements[t],
-                                    scenario.sensed[t], scenario.sensor,
-                                    scenario.sys, scenario.noise)
-        x_ckf_final = to_state_estimate(ckf.posterior)
+            central, ckf_post, _ = ckf_step(central, scenario.measurements[t],
+                                            scenario.sensed[t], scenario.sensor, scenario.sys)
+        x_ckf_final = to_state_estimate(ckf_post)
 
         distances = []
         for mult in (1, 2, 5, 10, 25, 50):
@@ -203,25 +203,21 @@ class TestDegenerateNetwork:
     def test_single_node_is_a_standalone_information_filter(self):
         a, q, r, c = reference_models()
         sys = SystemModel.lti(a, q)
-        noise = NoiseInformation.from_covariances(q, r)
+        sensor = MeasurementModel.linear(c, r)
         prior = information_state(random_spd(np.random.default_rng(0), 4),
                                   np.random.default_rng(1).normal(size=4))
         # single-node network: closed neighborhood is just the node itself
-        from icfpie.network import SensorNetwork
-        net1 = SensorNetwork(positions=np.zeros((1, 2)),
-                             adjacency=np.zeros((1, 1), dtype=bool),
-                             neighborhoods=(np.array([0]),))
+        net1 = SensorNetwork(positions=np.zeros((1, 2)), adjacency=np.zeros((1, 1), dtype=bool))
         y = np.array([12.0, -3.0])
         stacked = information_state(prior.omega[None], prior.q[None])
-        next_stacked, out = dicf_step(stacked, averaging_powers(net1, 0.5, 1),
-                                      [(default_schedule(4, "identity"), 1)],
-                                      y[None], np.array([True]),
-                                      MeasurementModel.linear(c, r), sys, noise)
+        next_stacked, posterior, estimates = dicf_step(
+            stacked, averaging_powers(net1, 0.5, 1), [(default_schedule(4, "identity"), 1)],
+            y[None], np.array([True]), sensor, sys)
 
-        post = centralized_correct(prior, c, noise.v, y[None])
+        post = centralized_correct(prior, c, sensor.v, y[None])
         next_prior = predict(post, a, q)
-        assert np.allclose(out.posterior.omega[0], post.omega, atol=1e-12)
-        assert np.allclose(out.estimates[0], to_state_estimate(post), atol=1e-12)
+        assert np.allclose(posterior.omega[0], post.omega, atol=1e-12)
+        assert np.allclose(estimates[0], to_state_estimate(post), atol=1e-12)
         assert np.allclose(next_stacked.omega[0], next_prior.omega, atol=1e-12)
         assert np.allclose(next_stacked.q[0], next_prior.q, atol=1e-12)
 
@@ -233,10 +229,8 @@ class TestCkfStep:
         rng = np.random.default_rng(2)
         prior = information_state(random_spd(rng, 4), rng.normal(size=4))
         sensor = MeasurementModel.linear(np.zeros((2, 4)), r)
-        noise = NoiseInformation.from_covariances(q, r)
-        next_prior, out = ckf_step(prior, np.zeros((3, 2)), np.ones(3, dtype=bool),
-                                   sensor, sys, noise)
-        posterior = out.posterior
+        next_prior, posterior, _ = ckf_step(prior, np.zeros((3, 2)), np.ones(3, dtype=bool),
+                                            sensor, sys)
         assert np.allclose(posterior.omega, prior.omega)
         expected = predict(prior, a, q)
         assert np.allclose(next_prior.omega, expected.omega, atol=1e-14)
@@ -246,20 +240,20 @@ class TestCkfStep:
         scenario = lane_scenario()
         central = scenario.initial_state()
         for t in range(3):
-            central, out = ckf_step(central, scenario.measurements[t], scenario.sensed[t],
-                                    scenario.sensor, scenario.sys, scenario.noise)
-            assert np.array_equal(out.estimates, to_state_estimate(out.posterior))
+            central, posterior, estimate = ckf_step(central, scenario.measurements[t],
+                                                    scenario.sensed[t], scenario.sensor,
+                                                    scenario.sys)
+            assert np.array_equal(estimate, to_state_estimate(posterior))
 
     def test_identical_sensors_scale_information_gain(self):
         a, q, r, c = reference_models()
         sys = SystemModel.lti(a, q)
         prior = information_state(np.zeros((4, 4)), np.zeros(4))
-        noise = NoiseInformation.from_covariances(q, r)
+        sensor = MeasurementModel.linear(c, r)
         y = np.array([400.0, 0.0])
-        _, out = ckf_step(prior, np.tile(y, (10, 1)), np.ones(10, dtype=bool),
-                          MeasurementModel.linear(c, r), sys, noise)
-        posterior = out.posterior
-        v = noise.v
+        _, posterior, _ = ckf_step(prior, np.tile(y, (10, 1)), np.ones(10, dtype=bool),
+                                   sensor, sys)
+        v = sensor.v
         assert np.allclose(posterior.omega, 10 * c.T @ v @ c, atol=1e-12)
 
     def test_hundred_step_covariance_form_equivalence(self, rng):
@@ -272,7 +266,6 @@ class TestCkfStep:
         x0 = rng.normal(size=n)
         sys = SystemModel.lti(a, q)
         model = MeasurementModel.linear(c, r)
-        noise = NoiseInformation.from_covariances(q, r)
 
         omega0 = np.linalg.inv(p0)
         state = information_state(omega0, omega0 @ x0)
@@ -280,9 +273,8 @@ class TestCkfStep:
         xs_ref, ps_ref = run_kf(x0, p0, a, q, [(c, r)], ys)
 
         for t in range(100):
-            state, out = ckf_step(state, np.array(ys[t]), np.ones(1, dtype=bool),
-                                  model, sys, noise)
-            posterior = out.posterior
+            state, posterior, _ = ckf_step(state, np.array(ys[t]), np.ones(1, dtype=bool),
+                                           model, sys)
             x_hat = to_state_estimate(posterior)
             p_hat = np.linalg.inv(posterior.omega)
             assert np.linalg.norm(x_hat - xs_ref[t]) / np.linalg.norm(xs_ref[t]) < 1e-9

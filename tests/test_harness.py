@@ -171,7 +171,8 @@ class TestSweep:
         with pytest.raises(ConfigurationError):
             sweep_consensus_steps(ScenarioConfig(**FAST), [])
 
-    def test_too_many_failures_name_the_seeds(self, monkeypatch):
+    @pytest.mark.parametrize("what", ["Monte-Carlo", "sweep"])
+    def test_too_many_failures_name_the_seeds(self, monkeypatch, what):
         cfg = ScenarioConfig(**FAST)
         run_once = harness.run_once
 
@@ -180,9 +181,12 @@ class TestSweep:
                 raise FilterNumericsError("injected failure")
             return run_once(scenario, *args, **kwargs)
         monkeypatch.setattr(harness, "run_once", failing)
-        failed = rf"1/2 sweep runs .*\(seeds \[{cfg.seed + 1}\]\)"
+        failed = rf"1/2 {what} runs failed numerically \(seeds \[{cfg.seed + 1}\]\)"
         with pytest.raises(FilterNumericsError, match=failed):
-            sweep_consensus_steps(cfg, [1, 2])
+            if what == "sweep":
+                sweep_consensus_steps(cfg, [1, 2])
+            else:
+                run_monte_carlo(cfg, 2)
 
 
 class TestOnePassLanes:

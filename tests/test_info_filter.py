@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from conftest import assert_rel_close, random_spd
 from icfpie.errors import ConfigurationError, FilterNumericsError
 from icfpie.info_filter import (
-    NoiseInformation,
     NumericsLog,
     centralized_correct,
     SINGULAR_EIG,
@@ -115,12 +114,6 @@ class TestPredict:
         assert np.allclose(pred.omega, 0.5 * np.eye(3))
         assert np.allclose(pred.q, np.zeros(3))
 
-    def test_noise_information_from_reference_q(self):
-        noise = NoiseInformation.from_covariances(
-            np.diag([10.0, 10.0, 1.0, 1.0]), np.diag([25.0, 25.0]))
-        assert np.allclose(noise.w, np.diag([0.1, 0.1, 1.0, 1.0]))
-        assert np.allclose(noise.v, np.diag([0.04, 0.04]))
-
     def test_against_covariance_recursion_oracle(self, rng):
         for _ in range(10):
             omega = random_spd(rng, 4)
@@ -184,13 +177,13 @@ class TestInformationFormMatchesCovarianceForm:
 
         omega = np.linalg.inv(p0)
         state = information_state(omega, omega @ x0)
-        noise = NoiseInformation.from_covariances(q_cov, r)
+        v = symmetrize(np.linalg.inv(r))
 
         ys = [[rng.normal(size=m)] for _ in range(50)]
         xs_ref, ps_ref = run_kf(x0, p0, a, q_cov, [(c, r)], ys)
 
         for t in range(50):
-            post = centralized_correct(state, c, noise.v, np.array(ys[t]))
+            post = centralized_correct(state, c, v, np.array(ys[t]))
             x_hat = to_state_estimate(post)
             p_hat = np.linalg.inv(post.omega)
             assert np.allclose(x_hat, xs_ref[t], rtol=1e-9, atol=1e-11)

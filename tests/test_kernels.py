@@ -2,8 +2,9 @@
 
 `run_consensus` moves row r of every node's (B, b) by M^{k_r}, with
 M = I - eps * Lap and k_r the number of the L steps that select row r.
-These tests hold it to the step-by-step reference `consensus_step`, to an
-independent matrix-power oracle, and to the invariants of averaging.
+These tests hold it to the step-by-step reference `consensus_step` of
+`consensus_reference.py`, to an independent matrix-power oracle, and to
+the invariants of averaging.
 """
 
 import numpy as np
@@ -12,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import assert_rel_close, random_spd
-from icfpie.consensus import ConsensusState, averaging_powers, consensus_step, run_consensus
+from consensus_reference import consensus_step, mask_vector
+from icfpie.consensus import ConsensusState, averaging_powers, run_consensus
 from icfpie.network import BandwidthLedger, consensus_gain, random_geometric
 from icfpie.selection import build_schedule, default_schedule
 
@@ -96,7 +98,7 @@ def test_closed_form_equals_step_loop(problem, L):
     out = run_consensus(state, schedule, L, averaging_powers(net, eps, L))
     stepped = state
     for l in range(L):
-        stepped = consensus_step(stepped, net, schedule.mask_vector(l % schedule.theta_bar), eps)
+        stepped = consensus_step(stepped, net, mask_vector(schedule, l), eps)
     assert_rel_close(out.B, stepped.B)
     assert_rel_close(out.b, stepped.b)
 

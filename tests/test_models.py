@@ -132,6 +132,14 @@ class TestModelValidation:
         with pytest.raises(ConfigurationError, match="positive definite"):
             SystemModel.lti(np.eye(4), np.diag([1.0, 1.0, 1.0, 0.0]))
 
+    def test_sensor_information_is_inverse_of_reference_r(self):
+        meas = MeasurementModel.linear(position_measurement_matrix(), np.diag([25.0, 25.0]))
+        assert np.allclose(meas.v, np.diag([0.04, 0.04]))
+        r = np.array([[25.0, 6.0], [6.0, 16.0]])
+        v = MeasurementModel.linear(position_measurement_matrix(), r).v
+        assert np.array_equal(v, v.T)
+        assert np.allclose(v @ r, np.eye(2), atol=1e-14)
+
     def test_non_spd_meas_cov_rejected(self):
         with pytest.raises(ConfigurationError):
             MeasurementModel.linear(position_measurement_matrix(),

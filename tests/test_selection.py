@@ -3,35 +3,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from consensus_reference import mask_vector
 from icfpie.errors import ConfigurationError
-from icfpie.selection import (
-    build_schedule,
-    default_schedule,
-    mask_at,
-    theta_bar_for,
-)
+from icfpie.selection import build_schedule, default_schedule
 
 
 class TestBuildSchedule:
     def test_two_entry_case(self):
         sched = build_schedule(4, [[1, 3], [2, 4]])
         assert sched.theta_bar == 2
-        assert np.array_equal(sched.masks[0], np.diag([1.0, 0.0, 1.0, 0.0]))
-        assert np.array_equal(sched.masks[1], np.diag([0.0, 1.0, 0.0, 1.0]))
+        assert np.array_equal(sched.rows_at(0), [0, 2])
+        assert np.array_equal(sched.rows_at(1), [1, 3])
 
     def test_single_entry_case(self):
         sched = build_schedule(4, [[1], [2], [3], [4]])
         assert sched.theta_bar == 4
         for z in range(4):
-            expected = np.zeros(4)
-            expected[z] = 1.0
-            assert np.array_equal(sched.masks[z], np.diag(expected))
+            assert np.array_equal(sched.rows_at(z), [z])
 
     def test_full_exchange(self):
         sched = build_schedule(4, [[1, 2, 3, 4]])
         assert sched.theta_bar == 1
-        assert np.array_equal(sched.masks[0], np.eye(4))
-        assert sched.is_identity()
+        assert np.array_equal(sched.rows_at(0), np.arange(4))
 
     def test_overlap_rejected(self):
         with pytest.raises(ConfigurationError, match="overlap"):
@@ -56,35 +49,24 @@ class TestBuildSchedule:
 
 
 class TestMaskAt:
+    """The diagonal of the selection matrix at step l, in the mask form that
+    the step-by-step consensus reference consumes."""
+
     def test_cyclic_alternation(self):
         sched = build_schedule(4, [[1, 3], [2, 4]])
-        assert np.array_equal(mask_at(sched, 0), np.diag([1.0, 0.0, 1.0, 0.0]))
-        assert np.array_equal(mask_at(sched, 1), np.diag([0.0, 1.0, 0.0, 1.0]))
-        assert np.array_equal(mask_at(sched, 2), np.diag([1.0, 0.0, 1.0, 0.0]))
+        assert np.array_equal(mask_vector(sched, 0), [1.0, 0.0, 1.0, 0.0])
+        assert np.array_equal(mask_vector(sched, 1), [0.0, 1.0, 0.0, 1.0])
+        assert np.array_equal(mask_vector(sched, 2), [1.0, 0.0, 1.0, 0.0])
 
     def test_identity_for_all_steps(self):
         sched = build_schedule(4, [[1, 2, 3, 4]])
         for l in range(6):
-            assert np.array_equal(mask_at(sched, l), np.eye(4))
+            assert np.array_equal(mask_vector(sched, l), np.ones(4))
 
     def test_single_entry_step_seven(self):
         # 7 mod 4 = 3, so the fourth subset {4} is selected
         sched = build_schedule(4, [[1], [2], [3], [4]])
-        assert np.array_equal(mask_at(sched, 7), np.diag([0.0, 0.0, 0.0, 1.0]))
-
-
-class TestThetaBarFor:
-    def test_values(self):
-        assert theta_bar_for(4, 2) == 2
-        assert theta_bar_for(4, 1) == 4
-        assert theta_bar_for(4, 4) == 1
-        assert theta_bar_for(5, 2) == 3
-
-    def test_bad_m(self):
-        with pytest.raises(ConfigurationError):
-            theta_bar_for(4, 5)
-        with pytest.raises(ConfigurationError):
-            theta_bar_for(4, 0)
+        assert np.array_equal(mask_vector(sched, 7), [0.0, 0.0, 0.0, 1.0])
 
 
 @st.composite
@@ -102,19 +84,22 @@ def random_partition(draw):
 @given(random_partition())
 @settings(max_examples=50, deadline=None)
 def test_masks_sum_to_identity(np_subsets):
+    """The selection matrices of one cycle sum to the identity: the row
+    sets of one cycle partition 0..n-1."""
     n, subsets = np_subsets
     sched = build_schedule(n, subsets)
-    total = sum(sched.masks)
-    assert np.array_equal(total, np.eye(n))
+    rows = np.concatenate([sched.rows_at(z) for z in range(sched.theta_bar)])
+    assert np.array_equal(np.sort(rows), np.arange(n))
 
 
 @given(random_partition(), st.integers(min_value=0, max_value=30))
 @settings(max_examples=50, deadline=None)
 def test_mask_periodicity_and_idempotence(np_subsets, l):
+    """The rows selected at step l repeat with period theta, are the
+    subset of phase l mod theta, and hold no row twice (a 0/1 selection)."""
     n, subsets = np_subsets
     sched = build_schedule(n, subsets)
-    m = mask_at(sched, l)
-    assert np.array_equal(m, mask_at(sched, l + sched.theta_bar))
-    assert np.array_equal(m @ m, m)
-    assert set(np.unique(m)) <= {0.0, 1.0}
-    assert np.array_equal(m, np.diag(np.diag(m)))
+    rows = sched.rows_at(l)
+    assert np.array_equal(rows, sched.rows_at(l + sched.theta_bar))
+    assert np.array_equal(rows, np.unique(rows))
+    assert set(rows + 1) == set(subsets[l % sched.theta_bar])
