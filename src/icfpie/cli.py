@@ -108,7 +108,7 @@ def simulate(args) -> int:
         if sweep_values is not None:
             result = sweep_consensus_steps(cfg, sweep_values, jobs=args.jobs)
             written = emit_outputs(result, args.out, cfg)
-            print(f"sweep over L={sweep_values} done "
+            print(f"sweep over L={result.L_values} done "
                   f"({result.n_runs} runs, {result.failures} failures)")
         else:
             result = run_monte_carlo(cfg, cfg.L, jobs=args.jobs)

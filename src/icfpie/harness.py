@@ -101,7 +101,7 @@ class ScenarioConfig:
         if self.seed < 0:
             raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
         if self.n_nodes < 2:
-            raise ConfigurationError("need at least 2 sensor nodes")
+            raise ConfigurationError(f"n_nodes must be >= 2, got {self.n_nodes}")
         if self.dt <= 0 or self.horizon <= 0:
             raise ConfigurationError("dt and horizon must be positive")
         if self.mc_runs < 1:
@@ -119,6 +119,10 @@ class ScenarioConfig:
             low, high = getattr(self, name)
             if low > high:
                 raise ConfigurationError(f"{name} must be ordered (low, high), got {[low, high]}")
+        x_min, x_max, y_min, y_max = self.region
+        if not (x_min < x_max and y_min < y_max):
+            raise ConfigurationError(f"region must be ordered (x_min, x_max, y_min, y_max) "
+                                     f"with min < max, got {list(self.region)}")
         if self.speed_variance < 0:
             raise ConfigurationError(f"speed_variance must be >= 0, got {self.speed_variance!r}")
         if self.n_steps < 1:
@@ -283,9 +287,8 @@ def build_scenario(cfg: ScenarioConfig, seed: int) -> Scenario:
 
 @dataclass
 class RunMetrics:
-    """Per-timestep metrics of one run (or a Monte-Carlo mean)."""
+    """Per-timestep metrics of one run."""
 
-    t: np.ndarray
     series: dict              # label -> (T,) node-averaged error norm
     final: dict               # label -> float
     bandwidth: dict           # label -> total scalars broadcast
@@ -313,71 +316,67 @@ def run_once(scenario: Scenario, L, algorithms: Optional[list] = None,
         raise ConfigurationError("run_once needs at least one consensus depth L")
     n_steps = cfg.n_steps
     n_nodes = scenario.net.n_nodes
-    t_axis = np.array([round((k + 1) * cfg.dt, 10) for k in range(n_steps)])
 
-    # lane k = d * len(consensus) + j runs consensus[j] at depths[d]
+    # row k = d * len(consensus) + j of the tables is the lane that runs
+    # consensus[j] at depths[d]; the centralized filters take the rows after
     consensus = [a for a in algorithms if a.uses_consensus]
+    central = [a for a in algorithms if not a.uses_consensus]
     lanes = [(a.schedule, lv) for lv in depths for a in consensus]
     n_lanes = len(lanes)
+    errors = np.zeros((n_lanes + len(central), n_steps))
+    reg = np.zeros(errors.shape, dtype=int)
     ledgers = [BandwidthLedger() for _ in lanes]
-    lane_log = NumericsLog()
-    lane_series = np.zeros((n_lanes, n_steps))
-    lane_reg = np.zeros((n_lanes, n_steps), dtype=int)
+    # one log per block of rows, keyed by the block's first row: the lanes
+    # share one, whose event `node` is the slice in the lane-major stack, and
+    # each centralized filter has its own, whose events carry no `node`
+    logs = {0: NumericsLog(), **{n_lanes + c: NumericsLog() for c in range(len(central))}}
     node_diag = {key: np.zeros((n_lanes, n_steps, n_nodes))
                  for key in ("node_errors", "eig_min", "eig_max")} if diagnostics else {}
     prior = scenario.initial_nodes(n_lanes)
-
-    central = [a for a in algorithms if not a.uses_consensus]
-    central_series = {a.label: np.zeros(n_steps) for a in central}
-    central_reg = {a.label: np.zeros(n_steps, dtype=int) for a in central}
-    central_logs = {a.label: NumericsLog() for a in central}
-    central_priors = {a.label: scenario.initial_state() for a in central}
+    central_priors = [scenario.initial_state() for _ in central]
     powers = averaging_powers(scenario.net, scenario.eps, max(depths))
 
     for t in range(n_steps):
         meas = scenario.measurements[t]
         sensed = scenario.sensed[t]
         truth_t = scenario.truth[t]
+        seen = {row: len(log.events) for row, log in logs.items()}
         if lanes:
-            seen = len(lane_log.events)
             prior, posterior, estimates = dicf_step(
                 prior, powers, lanes, meas, sensed, scenario.sensor, scenario.sys,
-                ledgers=ledgers, t=t, log=lane_log)
+                ledgers=ledgers, t=t, log=logs[0])
             errs = np.linalg.norm(truth_t - estimates, axis=-1).reshape(n_lanes, n_nodes)
-            lane_series[:, t] = errs.mean(axis=1)
-            # an event's node is its slice in the lane-major stack
-            for event in lane_log.events[seen:]:
-                if event["kind"] == "regularize":
-                    lane_reg[event["node"] // n_nodes, t] += 1
+            errors[:n_lanes, t] = errs.mean(axis=1)
             if diagnostics:
                 node_diag["node_errors"][:, t] = errs
                 ev = np.linalg.eigvalsh(posterior.omega).reshape(n_lanes, n_nodes, -1)
                 node_diag["eig_min"][:, t] = ev[..., 0]
                 node_diag["eig_max"][:, t] = ev[..., -1]
-        for a in central:
-            log = central_logs[a.label]
-            before = log.count("regularize")
-            central_priors[a.label], _, estimate = ckf_step(
-                central_priors[a.label], meas, sensed, scenario.sensor, scenario.sys, log=log)
-            central_series[a.label][t] = np.linalg.norm(truth_t - estimate, axis=-1)
-            central_reg[a.label][t] = log.count("regularize") - before
+        for c in range(len(central)):
+            central_priors[c], _, estimate = ckf_step(
+                central_priors[c], meas, sensed, scenario.sensor, scenario.sys,
+                log=logs[n_lanes + c])
+            errors[n_lanes + c, t] = np.linalg.norm(truth_t - estimate, axis=-1)
+        for row, log in logs.items():
+            for event in log.events[seen[row]:]:
+                if event["kind"] == "regularize":
+                    reg[row + event.get("node", 0) // n_nodes, t] += 1
+
+    scalars = [ledger.total_scalars() for ledger in ledgers] + [0] * len(central)
 
     def metrics_at(d: int) -> RunMetrics:
-        lane = {a.label: d * len(consensus) + j for j, a in enumerate(consensus)}
-
-        def by_label(lane_values, central_values):
-            return {a.label: lane_values[lane[a.label]] if a.label in lane
-                    else central_values[a.label] for a in algorithms}
-        series = by_label(lane_series, central_series)
-        final = {label: float(s[-1]) for label, s in series.items()}
-        bandwidth = by_label([ledger.total_scalars() for ledger in ledgers],
-                             dict.fromkeys(central_series, 0))
+        row = {a.label: d * len(consensus) + j for j, a in enumerate(consensus)}
+        row.update({a.label: n_lanes + c for c, a in enumerate(central)})
+        series = {a.label: errors[row[a.label]] for a in algorithms}
         diag = None
         if diagnostics:
-            diag = {key: {label: values[k] for label, k in lane.items()}
+            diag = {key: {a.label: values[row[a.label]] for a in consensus}
                     for key, values in node_diag.items()}
-            diag["reg_events"] = by_label(lane_reg, central_reg)
-        return RunMetrics(t=t_axis, series=series, final=final, bandwidth=bandwidth, diag=diag)
+            diag["reg_events"] = {a.label: reg[row[a.label]] for a in algorithms}
+        return RunMetrics(series=series,
+                          final={label: float(s[-1]) for label, s in series.items()},
+                          bandwidth={a.label: scalars[row[a.label]] for a in algorithms},
+                          diag=diag)
 
     if one_depth:
         return metrics_at(0)
@@ -428,14 +427,8 @@ def _mc_single_run(args) -> dict:
         metrics = run_once(scenario, L, algorithms, diagnostics=diagnostics)
     except (FilterNumericsError, np.linalg.LinAlgError) as exc:
         return {"seed": seed, "failed": str(exc)}
-    out = {
-        "seed": seed,
-        "failed": None,
-        "series": metrics.series,
-        "final": metrics.final,
-        "bandwidth": metrics.bandwidth,
-        "t": metrics.t,
-    }
+    out = {"seed": seed, "failed": None, "series": metrics.series,
+           "bandwidth": metrics.bandwidth}
     if diagnostics:
         out["summary"] = _run_summary(metrics, cfg)
     return out
@@ -474,16 +467,12 @@ def run_monte_carlo(cfg: ScenarioConfig, L: int, include=("ckf", "icf", "icfpie"
                for k in range(cfg.mc_runs)]
     good, failed = _split_failures(_execute(_mc_single_run, arglist, jobs), "Monte-Carlo")
 
-    labels = list(good[0]["series"].keys())
-    t_axis = good[0]["t"]
-    stacked = {lab: np.array([r["series"][lab] for r in good]) for lab in labels}
-    finals = {lab: np.array([r["final"][lab] for r in good]) for lab in labels}
-    mean_series = {lab: stacked[lab].mean(axis=0) for lab in labels}
+    stacked = {lab: np.array([r["series"][lab] for r in good]) for lab in good[0]["series"]}
     return MonteCarloResult(
-        t=t_axis,
+        t=np.array([round((k + 1) * cfg.dt, 10) for k in range(cfg.n_steps)]),
         L=L,
-        mean_series=mean_series,
-        final_mean={lab: float(finals[lab].mean()) for lab in labels},
+        mean_series={lab: s.mean(axis=0) for lab, s in stacked.items()},
+        final_mean={lab: float(s[:, -1].mean()) for lab, s in stacked.items()},
         bandwidth=good[0]["bandwidth"],
         n_runs=len(good),
         failures=len(failed),
@@ -496,7 +485,8 @@ def run_monte_carlo(cfg: ScenarioConfig, L: int, include=("ckf", "icf", "icfpie"
 class SweepResult:
     """Final error and bandwidth per (L, algorithm, case)."""
 
-    rows: list  # dicts with keys L, alg, case, final_error, total_scalars
+    rows: list      # dicts with keys L, alg, case, label, final_error, total_scalars
+    L_values: list  # the grid: ascending, without duplicates
     n_runs: int
     failures: int
 
@@ -507,14 +497,17 @@ class SweepResult:
         raise KeyError(f"no sweep row for L={L}, label={label}")
 
 
+def _sweep_algorithms(cfg: ScenarioConfig) -> list:
+    """The sweep's algorithms, in the row order of sweep.csv."""
+    return [make_algorithms(dataclasses.replace(cfg, selection=case), ["icfpie"])[0]
+            for case in ("case1", "case2")] + make_algorithms(cfg, ["icf", "ckf"])
+
+
 def _sweep_single_run(args) -> dict:
     cfg, L_values, seed = args
     scenario = build_scenario(cfg, seed)
-    algorithms = make_algorithms(cfg, ["ckf", "icf"]) + [
-        make_algorithms(dataclasses.replace(cfg, selection=case), ["icfpie"])[0]
-        for case in ("case1", "case2")]
     try:
-        by_depth = run_once(scenario, L_values, algorithms)
+        by_depth = run_once(scenario, L_values, _sweep_algorithms(cfg))
     except (FilterNumericsError, np.linalg.LinAlgError) as exc:
         return {"seed": seed, "failed": str(exc)}
     return {"seed": seed, "failed": None,
@@ -525,28 +518,18 @@ def _sweep_single_run(args) -> dict:
 def sweep_consensus_steps(cfg: ScenarioConfig, L_values, jobs: int = 1) -> SweepResult:
     """Monte-Carlo-averaged final error over a grid of consensus step
     counts, for both partial-exchange cases, full exchange, and the
-    centralized benchmark."""
-    L_values = [int(v) for v in L_values]
+    centralized benchmark. The grid is sorted and rid of duplicates."""
+    L_values = sorted({int(v) for v in L_values})
     if not L_values:
         raise ConfigurationError("sweep needs at least one L value")
     arglist = [(cfg, tuple(L_values), cfg.seed + k) for k in range(cfg.mc_runs)]
     good, failed = _split_failures(_execute(_sweep_single_run, arglist, jobs), "sweep")
-
-    label_case = [("icfpie[1]", "icfpie", "1"), ("icfpie[2]", "icfpie", "2"),
-                  ("icf[identity]", "icf", "identity"), ("ckf", "ckf", "-")]
-    rows = []
-    for lv in L_values:
-        for label, alg, case in label_case:
-            finals = np.array([r["finals"][lv][label] for r in good])
-            rows.append({
-                "L": lv,
-                "alg": alg,
-                "case": case,
-                "label": label,
-                "final_error": float(finals.mean()),
-                "total_scalars": int(good[0]["bandwidth"][lv][label]),
-            })
-    return SweepResult(rows=rows, n_runs=len(good), failures=len(failed))
+    algorithms = _sweep_algorithms(cfg)
+    rows = [{"L": lv, "alg": a.name, "case": a.case, "label": a.label,
+             "final_error": float(np.array([r["finals"][lv][a.label] for r in good]).mean()),
+             "total_scalars": int(good[0]["bandwidth"][lv][a.label])}
+            for lv in L_values for a in algorithms]
+    return SweepResult(rows=rows, L_values=L_values, n_runs=len(good), failures=len(failed))
 
 
 def _fmt(x) -> str:
@@ -559,49 +542,35 @@ def emit_outputs(result, out_dir, cfg: ScenarioConfig, extra_metadata: Optional[
     MonteCarloResult -> timeseries.csv; SweepResult -> sweep.csv. Returns
     the list of written paths.
     """
-    os.makedirs(out_dir, exist_ok=True)
-    written = []
-    metadata = {
-        "config": cfg.to_dict(),
-        "code_version": __version__,
-    }
-    if extra_metadata:
-        metadata.update(extra_metadata)
-
     if isinstance(result, MonteCarloResult):
-        path = os.path.join(out_dir, "timeseries.csv")
-        with open(path, "w") as fh:
-            fh.write("t,alg,case,L,avg_error_norm\n")
-            for label in result.mean_series:
-                alg, case = _split_label(label)
-                for ti, v in zip(result.t, result.mean_series[label]):
-                    fh.write(f"{_fmt(ti)},{alg},{case},{result.L},{_fmt(v)}\n")
-        written.append(path)
-        metadata["mode"] = "timeseries"
-        metadata["L"] = result.L
-        metadata["n_runs"] = result.n_runs
-        metadata["failures"] = result.failures
+        name, header = "timeseries.csv", "t,alg,case,L,avg_error_norm"
+        lines = (f"{_fmt(ti)},{alg},{case},{result.L},{_fmt(v)}"
+                 for label, series in result.mean_series.items()
+                 for alg, case in [_split_label(label)]
+                 for ti, v in zip(result.t, series))
+        mode = {"mode": "timeseries", "L": result.L}
     elif isinstance(result, SweepResult):
-        path = os.path.join(out_dir, "sweep.csv")
-        with open(path, "w") as fh:
-            fh.write("L,alg,case,final_error,total_scalars\n")
-            for row in result.rows:
-                fh.write(f"{row['L']},{row['alg']},{row['case']},"
-                         f"{_fmt(row['final_error'])},{row['total_scalars']}\n")
-        written.append(path)
-        metadata["mode"] = "sweep"
-        metadata["L_values"] = sorted({row["L"] for row in result.rows})
-        metadata["n_runs"] = result.n_runs
-        metadata["failures"] = result.failures
+        name, header = "sweep.csv", "L,alg,case,final_error,total_scalars"
+        lines = (f"{row['L']},{row['alg']},{row['case']},{_fmt(row['final_error'])},"
+                 f"{row['total_scalars']}" for row in result.rows)
+        mode = {"mode": "sweep", "L_values": result.L_values}
     else:
         raise ConfigurationError(f"cannot emit outputs for {type(result).__name__}")
+    metadata = {"config": cfg.to_dict(), "code_version": __version__,
+                **(extra_metadata or {}), **mode,
+                "n_runs": result.n_runs, "failures": result.failures}
 
+    os.makedirs(out_dir, exist_ok=True)
+    csv_path = os.path.join(out_dir, name)
+    with open(csv_path, "w") as fh:
+        fh.write(header + "\n")
+        for line in lines:
+            fh.write(line + "\n")
     meta_path = os.path.join(out_dir, "metadata.json")
     with open(meta_path, "w") as fh:
         json.dump(metadata, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    written.append(meta_path)
-    return written
+    return [csv_path, meta_path]
 
 
 def _split_label(label: str):

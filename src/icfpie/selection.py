@@ -28,7 +28,7 @@ class EntrySelectionSchedule:
 
     n: int
     subsets: tuple[tuple[int, ...], ...]
-    rows: tuple[np.ndarray, ...] = field(repr=False)
+    rows: tuple[np.ndarray, ...] = field(repr=False, compare=False)  # derived from subsets
 
     @property
     def theta_bar(self) -> int:

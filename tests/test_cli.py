@@ -91,6 +91,8 @@ class TestSimulateCommand:
         ("q_diag = [10.0, 10.0]\n", "q_diag must be 4 finite numbers"),
         ("r_diag = [25.0, 25.0, 1.0]\n", "r_diag must be 2 finite numbers"),
         ("region = [0.0, 600.0, 0.0]\n", "region must be 4 finite numbers"),
+        ("region = [600.0, 0.0, 0.0, 600.0]\n", "region must be ordered"),
+        ("n_nodes = 1\n", "n_nodes must be >= 2, got 1"),
         ("runs = 2.5\n", "mc_runs must be an integer"),
         ("sensing_range = -1.0\n", "sensing_range must be > 0"),
         ("comm_range = -5.0\n", "comm_range must be > 0"),
@@ -161,14 +163,19 @@ class TestSimulateCommand:
         assert (first / "timeseries.csv").read_bytes() == \
             (second / "timeseries.csv").read_bytes()
 
-    def test_rerun_sweep_from_metadata(self, tmp_path):
+    @pytest.mark.parametrize("spec", ["2,4", "4,2,4"])
+    def test_rerun_sweep_from_metadata(self, tmp_path, spec):
+        # a grid given out of order or with repeats is sorted and deduplicated
+        # once, so metadata.json records the grid that sweep.csv holds
         first = tmp_path / "a"
         second = tmp_path / "b"
         cfg = write_cfg(tmp_path)
-        assert main(["simulate", "--config", cfg, "--sweep", "2,4",
+        assert main(["simulate", "--config", cfg, "--sweep", spec,
                      "--out", str(first)]) == EXIT_OK
         assert main(["simulate", "--config", str(first / "metadata.json"),
                      "--out", str(second)]) == EXIT_OK
+        rows = (first / "sweep.csv").read_text().splitlines()[1:]
+        assert [int(r.split(",")[0]) for r in rows] == [2] * 4 + [4] * 4
         assert (first / "sweep.csv").read_bytes() == (second / "sweep.csv").read_bytes()
 
     def test_metadata_with_retired_keys_at_old_defaults_reruns(self, tmp_path):

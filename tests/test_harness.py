@@ -231,6 +231,31 @@ class TestOnePassLanes:
                         assert_rel_close(together.diag[key][a.label],
                                          alone.diag[key][a.label])
 
+    def test_rows_follow_the_given_algorithm_order(self):
+        # the lanes take the first rows of run_once's tables and the
+        # centralized filter the row after them; reversing the algorithms
+        # moves every row, and each label must still read its own
+        cfg = dataclasses.replace(ScenarioConfig(**FAST), selection="case2")
+        scenario = build_scenario(cfg, 4)
+        algorithms = make_algorithms(cfg)
+        given = run_once(scenario, (2, 3), algorithms, diagnostics=True)
+        flipped = run_once(scenario, (2, 3), algorithms[::-1], diagnostics=True)
+        for L in (2, 3):
+            for metrics, algs in ((given[L], algorithms), (flipped[L], algorithms[::-1])):
+                labels = [a.label for a in algs]
+                assert list(metrics.series) == list(metrics.final) == labels
+                assert list(metrics.bandwidth) == list(metrics.diag["reg_events"]) == labels
+                for key in ("node_errors", "eig_min", "eig_max"):
+                    assert list(metrics.diag[key]) == [a.label for a in algs
+                                                       if a.uses_consensus]
+            a, b = given[L], flipped[L]
+            for label in a.series:
+                assert np.array_equal(a.series[label], b.series[label])
+                assert a.bandwidth[label] == b.bandwidth[label]
+                for key, values in a.diag.items():
+                    if label in values:
+                        assert np.array_equal(values[label], b.diag[key][label])
+
     def test_one_run_once_and_one_dicf_step_per_timestep(self, monkeypatch):
         calls = {"run_once": 0, "dicf_step": 0}
 

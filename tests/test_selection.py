@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from consensus_reference import mask_vector
 from icfpie.errors import ConfigurationError
+from icfpie.harness import AlgorithmSpec, ScenarioConfig, make_algorithms
 from icfpie.selection import build_schedule, default_schedule
 
 
@@ -46,6 +47,19 @@ class TestBuildSchedule:
         assert default_schedule(4, "case1").subsets == ((1, 3), (2, 4))
         assert default_schedule(4, "case2").subsets == ((1,), (2,), (3,), (4,))
         assert default_schedule(4, "identity").subsets == ((1, 2, 3, 4),)
+
+
+class TestScheduleEquality:
+    def test_equal_subsets_compare_and_hash_equal(self):
+        # rows is derived from subsets, so n and subsets decide equality
+        named = default_schedule(4, "case1")
+        explicit = build_schedule(4, [[1, 3], [2, 4]])
+        assert named == explicit and hash(named) == hash(explicit)
+        assert named != default_schedule(4, "case2")
+        assert len({named, explicit, default_schedule(4, "identity")}) == 2
+        assert AlgorithmSpec("icfpie", "1", named) == AlgorithmSpec("icfpie", "1", explicit)
+        cfg = ScenarioConfig()
+        assert make_algorithms(cfg) == make_algorithms(cfg)
 
 
 class TestMaskAt:
