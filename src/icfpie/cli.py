@@ -24,6 +24,7 @@ from .harness import (
     emit_outputs,
     load_config,
     run_monte_carlo,
+    selection_for_case,
     sweep_consensus_steps,
 )
 
@@ -80,7 +81,7 @@ def _configure(args) -> tuple:
         cfg, extra = load_config(args.config)
     overrides = {}
     if args.case is not None:
-        overrides["selection"] = "identity" if args.case == "identity" else f"case{args.case}"
+        overrides["selection"] = selection_for_case(args.case)
     if args.consensus_steps is not None:
         overrides["L"] = args.consensus_steps
     if args.runs is not None:

@@ -52,7 +52,7 @@ class ConsensusState:
 
 def init_consensus(prior: InformationState, delta_omega: np.ndarray,
                    delta_q: np.ndarray, n_nodes: int):
-    """Consensus initialization of one node or of the whole stack:
+    """Consensus initialization of the whole stack:
     B(0) = Omega_prior / N + delta_Omega, b(0) = q_prior / N + delta_q."""
     if n_nodes < 1:
         raise ConfigurationError(f"node count must be >= 1, got {n_nodes}")

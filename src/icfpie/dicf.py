@@ -13,8 +13,8 @@ Cholesky factor of B(L) per slice. Every other stage acts on
 the whole stack at once, so one call advances every lane. With the
 identity selection schedule a lane is exactly the original full-exchange
 consensus filter; the centralized step fuses every node's contribution
-at once, with the same primitives on a single estimate, and serves as
-the benchmark.
+at once into a one-slice stack (K*N = 1), with the same primitives, and
+serves as the benchmark.
 """
 
 from typing import Optional, Sequence
@@ -91,9 +91,10 @@ def ckf_step(central: InformationState, measurements: np.ndarray, sensed: np.nda
              log: Optional[NumericsLog] = None):
     """One centralized information-filter cycle over all sensed nodes.
 
+    `central` is a one-slice stack, omega (1, n, n) and q (1, n).
     `measurements` is (N, m) and `sensed` (N,) bool, as for dicf_step.
     Returns (next prior, posterior, estimate); the posterior and its
-    (n,) estimate are the benchmark fused estimate for this timestep.
+    (1, n) estimate are the benchmark fused estimate for this timestep.
     """
     fused = centralized_correct(central, sensor.c, sensor.v, measurements[sensed])
     posterior, x_post, next_prior = recover_and_predict(

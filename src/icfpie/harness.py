@@ -177,6 +177,13 @@ class ScenarioConfig:
         return cls(**kwargs)
 
 
+def selection_for_case(case):
+    """The `selection` a case names, for `--case` and a config file's `case`:
+    1 or "1" is "case1", 2 or "2" is "case2", and any other value is a
+    selection as it stands."""
+    return {"1": "case1", "2": "case2"}.get(str(case), case)
+
+
 def schedule_from_selection(selection) -> EntrySelectionSchedule:
     """Map a config `selection` value to a schedule: a named case or
     explicit nested 1-based subsets like [[1, 3], [2, 4]]."""
@@ -230,17 +237,12 @@ class Scenario:
     measurements: np.ndarray  # (T, N, 2)
     sensed: np.ndarray        # (T, N) bool
 
-    def initial_state(self) -> InformationState:
-        """The centralized filter's prior."""
-        return information_state(np.zeros((STATE_DIM, STATE_DIM)), np.zeros(STATE_DIM))
-
-    def initial_nodes(self, n_lanes: int = 1) -> InformationState:
-        """Every node's prior, stacked n_lanes times: omega (n_lanes*N, n, n),
-        q (n_lanes*N, n)."""
-        s = self.initial_state()
-        n_slices = n_lanes * self.net.n_nodes
-        return information_state(np.repeat(s.omega[None], n_slices, axis=0),
-                                 np.repeat(s.q[None], n_slices, axis=0))
+    def zero_prior(self, n_slices: int) -> InformationState:
+        """A stack of n_slices zero-information priors: omega (n_slices, n, n),
+        q (n_slices, n). The nodes of K lanes take K*N slices, the
+        centralized filter one."""
+        return information_state(np.zeros((n_slices, STATE_DIM, STATE_DIM)),
+                                 np.zeros((n_slices, STATE_DIM)))
 
 
 def build_scenario(cfg: ScenarioConfig, seed: int) -> Scenario:
@@ -327,13 +329,13 @@ def run_once(scenario: Scenario, L, algorithms: Optional[list] = None,
     reg = np.zeros(errors.shape, dtype=int)
     ledgers = [BandwidthLedger() for _ in lanes]
     # one log per block of rows, keyed by the block's first row: the lanes
-    # share one, whose event `node` is the slice in the lane-major stack, and
-    # each centralized filter has its own, whose events carry no `node`
+    # share one, each centralized filter has its own; an event's `node` is
+    # its slice in the block's stack, so it lands in row first + node // N
     logs = {0: NumericsLog(), **{n_lanes + c: NumericsLog() for c in range(len(central))}}
     node_diag = {key: np.zeros((n_lanes, n_steps, n_nodes))
                  for key in ("node_errors", "eig_min", "eig_max")} if diagnostics else {}
-    prior = scenario.initial_nodes(n_lanes)
-    central_priors = [scenario.initial_state() for _ in central]
+    prior = scenario.zero_prior(n_lanes * n_nodes)
+    central_priors = [scenario.zero_prior(1) for _ in central]
     powers = averaging_powers(scenario.net, scenario.eps, max(depths))
 
     for t in range(n_steps):
@@ -356,11 +358,11 @@ def run_once(scenario: Scenario, L, algorithms: Optional[list] = None,
             central_priors[c], _, estimate = ckf_step(
                 central_priors[c], meas, sensed, scenario.sensor, scenario.sys,
                 log=logs[n_lanes + c])
-            errors[n_lanes + c, t] = np.linalg.norm(truth_t - estimate, axis=-1)
+            errors[n_lanes + c, t] = np.linalg.norm(truth_t - estimate, axis=-1)[0]
         for row, log in logs.items():
             for event in log.events[seen[row]:]:
                 if event["kind"] == "regularize":
-                    reg[row + event.get("node", 0) // n_nodes, t] += 1
+                    reg[row + event["node"] // n_nodes, t] += 1
 
     scalars = [ledger.total_scalars() for ledger in ledgers] + [0] * len(central)
 
@@ -385,10 +387,12 @@ def run_once(scenario: Scenario, L, algorithms: Optional[list] = None,
 
 @dataclass
 class MonteCarloResult:
-    """Across-run aggregation of RunMetrics."""
+    """Across-run aggregation of RunMetrics; the dicts are keyed by the
+    labels of `algorithms`, in their order."""
 
     t: np.ndarray
     L: int
+    algorithms: list
     mean_series: dict
     final_mean: dict
     bandwidth: dict
@@ -471,6 +475,7 @@ def run_monte_carlo(cfg: ScenarioConfig, L: int, include=("ckf", "icf", "icfpie"
     return MonteCarloResult(
         t=np.array([round((k + 1) * cfg.dt, 10) for k in range(cfg.n_steps)]),
         L=L,
+        algorithms=make_algorithms(cfg, include),
         mean_series={lab: s.mean(axis=0) for lab, s in stacked.items()},
         final_mean={lab: float(s[:, -1].mean()) for lab, s in stacked.items()},
         bandwidth=good[0]["bandwidth"],
@@ -544,10 +549,9 @@ def emit_outputs(result, out_dir, cfg: ScenarioConfig, extra_metadata: Optional[
     """
     if isinstance(result, MonteCarloResult):
         name, header = "timeseries.csv", "t,alg,case,L,avg_error_norm"
-        lines = (f"{_fmt(ti)},{alg},{case},{result.L},{_fmt(v)}"
-                 for label, series in result.mean_series.items()
-                 for alg, case in [_split_label(label)]
-                 for ti, v in zip(result.t, series))
+        lines = (f"{_fmt(ti)},{a.name},{a.case},{result.L},{_fmt(v)}"
+                 for a in result.algorithms
+                 for ti, v in zip(result.t, result.mean_series[a.label]))
         mode = {"mode": "timeseries", "L": result.L}
     elif isinstance(result, SweepResult):
         name, header = "sweep.csv", "L,alg,case,final_error,total_scalars"
@@ -573,13 +577,6 @@ def emit_outputs(result, out_dir, cfg: ScenarioConfig, extra_metadata: Optional[
     return [csv_path, meta_path]
 
 
-def _split_label(label: str):
-    if label == "ckf":
-        return "ckf", "-"
-    name, case = label.rstrip("]").split("[")
-    return name, case
-
-
 def load_config(path) -> tuple:
     """Read a config file: either flat key=value lines (values parsed as
     Python literals when possible) or a metadata JSON from emit_outputs.
@@ -596,7 +593,8 @@ def load_config(path) -> tuple:
         extra = {k: meta[k] for k in ("mode", "L", "L_values") if k in meta}
         return cfg, extra
 
-    values = {}
+    aliases = {"runs": "mc_runs", "consensus_steps": "L", "case": "selection"}
+    values, set_by = {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -605,13 +603,17 @@ def load_config(path) -> tuple:
             raise ConfigurationError(f"{path}:{lineno}: expected key = value, got {raw!r}")
         key, _, val = line.partition("=")
         key = key.strip()
+        name = aliases.get(key, key)
+        if name in set_by:
+            first_key, first_line = set_by[name]
+            raise ConfigurationError(f"{path}: {name} is set twice, by {first_key} on line "
+                                     f"{first_line} and by {key} on line {lineno}")
+        set_by[name] = (key, lineno)
         val = val.strip()
         try:
-            values[key] = ast.literal_eval(val)
+            values[name] = ast.literal_eval(val)
         except (ValueError, SyntaxError):
-            values[key] = val
-    aliases = {"runs": "mc_runs", "consensus_steps": "L", "case": "selection"}
-    values = {aliases.get(k, k): v for k, v in values.items()}
-    if "selection" in values and values["selection"] in (1, 2):
-        values["selection"] = f"case{values['selection']}"
+            values[name] = val
+    if "selection" in values:
+        values["selection"] = selection_for_case(values["selection"])
     return ScenarioConfig.from_dict(values), {}

@@ -4,11 +4,11 @@ Estimates live in natural parameters: information matrix Omega = P^-1 and
 information vector q = P^-1 x_hat. Correction is additive in (Omega, q);
 prediction maps through the covariance form once per step.
 
-Every primitive takes either one estimate (Omega of shape (n, n), q of
-shape (n,)) or a stack of them, one per node (Omega (N, n, n), q (N, n)),
-and acts on the last axes slice by slice. Stacks go through numpy's
+Every estimate is a stack of K slices: Omega of shape (K, n, n) and q of
+shape (K, n), one slice per node; the centralized filter is a stack with
+K = 1. Every primitive acts on the stack slice by slice through numpy's
 batched linear algebra; only flagged slices take a per-slice path, and
-their events carry the slice index as `node`.
+every event carries its slice index as `node`.
 
 Numerical policy (applied everywhere, per slice, logged via NumericsLog):
   * symmetrize Omega after every arithmetic update;
@@ -68,32 +68,21 @@ def _matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class InformationState:
-    """Gaussian estimate in information form: symmetric PSD Omega, vector q.
-
-    One estimate has omega (n, n) and q (n,); a network's stack has
-    omega (N, n, n) and q (N, n).
-    """
+    """A stack of K Gaussian estimates in information form: symmetric PSD
+    omega (K, n, n) and vectors q (K, n)."""
 
     omega: np.ndarray
     q: np.ndarray
 
 
 def information_state(omega: np.ndarray, q: np.ndarray) -> InformationState:
-    """Construct an InformationState, symmetrizing and checking shapes."""
-    omega = symmetrize(np.asarray(omega, dtype=float))
+    """Construct an InformationState stack, checking shapes and symmetrizing."""
+    omega = np.asarray(omega, dtype=float)
     q = np.asarray(q, dtype=float)
-    if q.ndim < 1 or omega.shape != q.shape + q.shape[-1:]:
-        raise ConfigurationError(
-            f"information matrix {omega.shape} does not match vector length {q.shape}"
-        )
-    return InformationState(omega=omega, q=q)
-
-
-def _slices(m: np.ndarray):
-    """(stack (K, n, n), per-slice event info) for one matrix or a stack."""
-    if m.ndim == 2:
-        return m[None], lambda k: {}
-    return m, lambda k: {"node": int(k)}
+    if q.ndim != 2 or omega.shape != q.shape + q.shape[-1:]:
+        raise ConfigurationError(f"information state must be a stack omega (K, n, n), "
+                                 f"q (K, n); got {omega.shape} and {q.shape}")
+    return InformationState(omega=symmetrize(omega), q=q)
 
 
 def _min_eigenvalues(m: np.ndarray, context: str) -> np.ndarray:
@@ -106,9 +95,10 @@ def _min_eigenvalues(m: np.ndarray, context: str) -> np.ndarray:
         raise FilterNumericsError(f"eigenvalue computation failed in {context}: {exc}")
 
 
-def _regularize(stack: np.ndarray, where, log: Optional[NumericsLog],
+def _regularize(stack: np.ndarray, nodes: np.ndarray, log: Optional[NumericsLog],
                 context: str) -> np.ndarray:
-    """The diagonal-shift policy on a stack; events are tagged by where(k)."""
+    """The diagonal-shift policy on a stack; the event of slice k carries
+    node nodes[k]."""
     eig_min = _min_eigenvalues(stack, context)
     flagged = np.flatnonzero(eig_min < SINGULAR_EIG)
     n = stack.shape[-1]
@@ -117,7 +107,7 @@ def _regularize(stack: np.ndarray, where, log: Optional[NumericsLog],
         e = float(eig_min[k])
         lam = REG_SCALE * (1.0 + abs(float(np.trace(stack[k]))) / n) + max(0.0, -e)
         if log is not None:
-            log.record("regularize", context, eig_min=e, lam=lam, **where(k))
+            log.record("regularize", context, eig_min=e, lam=lam, node=int(nodes[k]))
         out[k] += lam * np.eye(n)
     return out
 
@@ -131,8 +121,7 @@ def ensure_invertible(omega: np.ndarray, log: Optional[NumericsLog] = None,
     small negative eigenvalue) are additionally shifted past zero. Slices
     above the threshold are returned unchanged.
     """
-    stack, where = _slices(omega)
-    return _regularize(stack, where, log, context or "ensure_invertible").reshape(omega.shape)
+    return _regularize(omega, np.arange(len(omega)), log, context or "ensure_invertible")
 
 
 def _condition_estimates(c: np.ndarray) -> np.ndarray:
@@ -141,7 +130,8 @@ def _condition_estimates(c: np.ndarray) -> np.ndarray:
     return (d.max(axis=-1) / d.min(axis=-1)) ** 2
 
 
-def _inv_spd(stack: np.ndarray, where, log: Optional[NumericsLog], context: str) -> np.ndarray:
+def _inv_spd(stack: np.ndarray, nodes: np.ndarray, log: Optional[NumericsLog],
+             context: str) -> np.ndarray:
     try:
         c = np.linalg.cholesky(stack)
     except np.linalg.LinAlgError as exc:
@@ -149,34 +139,34 @@ def _inv_spd(stack: np.ndarray, where, log: Optional[NumericsLog], context: str)
     if log is not None:
         cond_est = _condition_estimates(c)
         for k in np.flatnonzero(cond_est > ILL_CONDITIONED):
-            log.record("ill_conditioned", context, cond_estimate=float(cond_est[k]), **where(k))
+            log.record("ill_conditioned", context, cond_estimate=float(cond_est[k]),
+                       node=int(nodes[k]))
     c_inv = np.linalg.inv(c)
     return symmetrize(c_inv.swapaxes(-1, -2) @ c_inv)
 
 
 def inv_spd(m: np.ndarray, log: Optional[NumericsLog] = None, context: str = "") -> np.ndarray:
-    """Inverse of a symmetric positive-definite matrix (or stack) via Cholesky.
+    """Inverse of every slice of a symmetric positive-definite stack via Cholesky.
 
     Reports the (cheap, factor-based) condition estimate of each slice
     through `log` when it is large; raises FilterNumericsError if any
     factorization fails.
     """
-    stack, where = _slices(m)
-    return _inv_spd(stack, where, log, context).reshape(m.shape)
+    return _inv_spd(m, np.arange(len(m)), log, context)
 
 
 def local_correction_terms(c: np.ndarray, v: np.ndarray, y: np.ndarray):
-    """Additive information contribution of a measurement y, or of a stack
-    of measurements (N, m) taken by the same sensor.
+    """Additive information contribution of a stack of measurements y
+    (k, m) taken by the same sensor.
 
     Returns (delta_omega, delta_q) = (C^T V C, C^T V y); delta_omega is
-    (n, n) and shared by the stack, delta_q has y's leading axes.
+    (n, n) and shared by the stack, delta_q is (k, n).
     """
     c = np.asarray(c, dtype=float)
     v = np.asarray(v, dtype=float)
     y = np.asarray(y, dtype=float)
     m = c.shape[0]
-    if v.shape != (m, m) or y.ndim < 1 or y.shape[-1] != m:
+    if v.shape != (m, m) or y.ndim != 2 or y.shape[-1] != m:
         raise ConfigurationError(
             f"inconsistent correction dimensions: C {c.shape}, V {v.shape}, y {y.shape}"
         )
@@ -187,13 +177,10 @@ def local_correction_terms(c: np.ndarray, v: np.ndarray, y: np.ndarray):
 def centralized_correct(prior: InformationState, c: np.ndarray, v: np.ndarray,
                         y: np.ndarray) -> InformationState:
     """Fuse a stack of k measurements y (k, m), all taken by the sensor
-    (C, V), at a single center: Omega + k C^T V C and q + sum_i C^T V y_i.
-    With k = 0 the prior comes back unchanged."""
-    y = np.asarray(y, dtype=float)
-    if y.ndim != 2:
-        raise ConfigurationError(f"measurements must be a (k, m) stack, got shape {y.shape}")
+    (C, V), at a single center: Omega + k C^T V C and q + sum_i C^T V y_i
+    for every slice of the prior. With k = 0 the prior comes back unchanged."""
     d_omega, d_q = local_correction_terms(c, v, y)
-    return information_state(prior.omega + y.shape[0] * d_omega, prior.q + d_q.sum(axis=0))
+    return information_state(prior.omega + len(d_q) * d_omega, prior.q + d_q.sum(axis=0))
 
 
 @dataclass(frozen=True)
@@ -212,7 +199,6 @@ class SliceFactors:
     """
 
     stack: np.ndarray
-    where: object
     c_inv: np.ndarray
     ok: np.ndarray
     bound: np.ndarray
@@ -224,11 +210,11 @@ class SliceFactors:
 
 
 def factor_slices(omega: np.ndarray, context: str) -> SliceFactors:
-    """Cholesky-factor every slice of sym(omega) (one matrix or a stack) and
+    """Cholesky-factor every slice of the stack sym(omega) and
     certify the slices that need no eigenvalue check. A slice whose
     factorization fails never affects the others: a failing batched
     factorization is redone slice by slice."""
-    stack, where = _slices(symmetrize(omega))
+    stack = symmetrize(omega)
     if not np.all(np.isfinite(stack)):
         raise FilterNumericsError(f"non-finite information matrix in {context}")
     ok = np.ones(stack.shape[0], dtype=bool)
@@ -246,8 +232,7 @@ def factor_slices(omega: np.ndarray, context: str) -> SliceFactors:
         bound = (1.0 / np.einsum("kij,kij->k", c_inv, c_inv)
                  - CERT_MARGIN * np.sqrt(np.einsum("kij,kij->k", stack, stack)))
         certified = ok & (bound >= SINGULAR_EIG) & (_condition_estimates(c) <= ILL_CONDITIONED)
-    return SliceFactors(stack=stack, where=where, c_inv=c_inv, ok=ok, bound=bound,
-                        certified=certified)
+    return SliceFactors(stack=stack, c_inv=c_inv, ok=ok, bound=bound, certified=certified)
 
 
 def _estimates(f: SliceFactors, q: np.ndarray, log: Optional[NumericsLog]) -> np.ndarray:
@@ -263,7 +248,7 @@ def _estimates(f: SliceFactors, q: np.ndarray, log: Optional[NumericsLog]) -> np
                 continue
             if log is not None:
                 log.record("singular_solve", "to_state_estimate", eig_min=float(e),
-                           **f.where(k))
+                           node=int(k))
             x[k], *_ = np.linalg.lstsq(f.stack[k], q[k], rcond=None)
     return x
 
@@ -278,31 +263,24 @@ def _predicted(f: SliceFactors, scale: float, x: np.ndarray, post: InformationSt
     slice regularizes and inverts its posterior as `predict` always did.
     Then Omega+ = (A P A^T + Q)^-1 and q+ = Omega+ A x_hat.
     """
-    post_omega, _ = _slices(post.omega)
-    post_q = post.q.reshape(post_omega.shape[:-1])
     # A P A^T = G^T G / scale with G = L^-1 A^T
     g = f.c_inv @ a.T
     apa = g.swapaxes(-1, -2) @ g / scale
     x_hat = x.copy()
     if not f.certified.all():
         check = np.flatnonzero(~f.certified)
-
-        def where(k):
-            return f.where(check[k])
-        omega = _regularize(symmetrize(post_omega[check]), where, log, "predict")
-        p = _inv_spd(omega, where, log, "predict: invert posterior")
+        omega = _regularize(symmetrize(post.omega[check]), check, log, "predict")
+        p = _inv_spd(omega, check, log, "predict: invert posterior")
         apa[check] = a @ p @ a.T
-        x_hat[check] = _matvec(p, post_q[check])
+        x_hat[check] = _matvec(p, post.q[check])
     p_next = symmetrize(apa) + q_cov
-    omega_next = inv_spd(p_next.reshape(post.omega.shape), log,
-                         "predict: invert predicted covariance")
-    x_next = _matvec(a, x_hat).reshape(post.q.shape)
-    return information_state(omega_next, _matvec(omega_next, x_next))
+    omega_next = inv_spd(p_next, log, "predict: invert predicted covariance")
+    return information_state(omega_next, _matvec(omega_next, _matvec(a, x_hat)))
 
 
 def predict(post: InformationState, a: np.ndarray, q_cov: np.ndarray,
             log: Optional[NumericsLog] = None) -> InformationState:
-    """Time update in information form, for one estimate or a stack.
+    """Time update in information form, slice by slice.
 
     Omega+ = (A Omega^-1 A^T + Q)^-1 and q+ = Omega+ A x_hat, where
     x_hat = Omega^-1 q and Q is the process-noise covariance.
@@ -310,15 +288,14 @@ def predict(post: InformationState, a: np.ndarray, q_cov: np.ndarray,
     a = np.asarray(a, dtype=float)
     q_cov = np.asarray(q_cov, dtype=float)
     f = factor_slices(post.omega, "predict")
-    x = f.solve(post.q.reshape(f.stack.shape[:-1]))
+    x = f.solve(post.q)
     return _predicted(f, 1.0, x, post, a, q_cov, log)
 
 
 def to_state_estimate(s: InformationState, log: Optional[NumericsLog] = None) -> np.ndarray:
-    """State estimate Omega^-1 q of one estimate (n,) or a stack (N, n);
-    minimum-norm solution for every slice whose Omega is singular."""
-    f = factor_slices(s.omega, "to_state_estimate")
-    return _estimates(f, s.q.reshape(f.stack.shape[:-1]), log).reshape(s.q.shape)
+    """State estimates Omega^-1 q, (K, n); minimum-norm solution for every
+    slice whose Omega is singular."""
+    return _estimates(factor_slices(s.omega, "to_state_estimate"), s.q, log)
 
 
 def recover_and_predict(b_mat: np.ndarray, b_vec: np.ndarray, scale: float,
@@ -326,7 +303,7 @@ def recover_and_predict(b_mat: np.ndarray, b_vec: np.ndarray, scale: float,
                         log: Optional[NumericsLog] = None):
     """Posterior recovery and prediction with one factorization per slice.
 
-    From consensus pairs (B, b), one or a stack, returns (posterior,
+    From a stack of consensus pairs (B, b), returns (posterior,
     estimates, next prior): the posterior (scale * B, scale * b), the
     estimates B^-1 b (what `to_state_estimate` gives for the pairs), and
     the posterior predicted through (A, Q) (what `predict` gives for it).
@@ -338,8 +315,8 @@ def recover_and_predict(b_mat: np.ndarray, b_vec: np.ndarray, scale: float,
     pair = information_state(b_mat, b_vec)
     posterior = information_state(scale * b_mat, scale * b_vec)
     f = factor_slices(pair.omega, "to_state_estimate")
-    x = _estimates(f, pair.q.reshape(f.stack.shape[:-1]), log)
+    x = _estimates(f, pair.q, log)
     if not np.all(np.isfinite(x)):
         raise FilterNumericsError("non-finite state estimate")
     next_prior = _predicted(f, scale, x, posterior, a, q_cov, log)
-    return posterior, x.reshape(pair.q.shape), next_prior
+    return posterior, x, next_prior

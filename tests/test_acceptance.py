@@ -79,7 +79,7 @@ def test_criterion_1_identity_schedule_reduction():
     scenario = build_scenario(cfg, cfg.seed)
     schedule = default_schedule(4, "identity")
 
-    prior = scenario.initial_nodes()
+    prior = scenario.zero_prior(cfg.n_nodes)
     powers = averaging_powers(scenario.net, scenario.eps, 12)
     n_steps = cfg.n_steps
     est = np.zeros((n_steps, cfg.n_nodes, 4))
@@ -126,17 +126,17 @@ def test_criterion_3_single_step_convergence_to_benchmark():
     assert scenario.net.max_degree() == cfg.n_nodes - 1
     meas, sensed = scenario.measurements[0], scenario.sensed[0]
 
-    _, posterior, estimates = dicf_step(scenario.initial_nodes(),
+    _, posterior, estimates = dicf_step(scenario.zero_prior(cfg.n_nodes),
                                         averaging_powers(scenario.net, scenario.eps, 400),
                                         [(default_schedule(4, "case1"), 400)], meas, sensed,
                                         scenario.sensor, scenario.sys)
-    _, ckf_post, _ = ckf_step(scenario.initial_state(), meas, sensed, scenario.sensor,
+    _, ckf_post, _ = ckf_step(scenario.zero_prior(1), meas, sensed, scenario.sensor,
                               scenario.sys)
-    x_ckf = to_state_estimate(ckf_post)
+    x_ckf = to_state_estimate(ckf_post)[0]
 
     worst_omega = max(
-        np.linalg.norm(posterior.omega[k] - ckf_post.omega)
-        / np.linalg.norm(ckf_post.omega) for k in range(cfg.n_nodes))
+        np.linalg.norm(posterior.omega[k] - ckf_post.omega[0])
+        / np.linalg.norm(ckf_post.omega[0]) for k in range(cfg.n_nodes))
     worst_x = max(
         np.linalg.norm(estimates[k] - x_ckf) / np.linalg.norm(x_ckf)
         for k in range(cfg.n_nodes))
@@ -156,7 +156,7 @@ def test_criterion_4_bandwidth_ratios_exact():
     per_step = {}
     for kind in ("identity", "case1", "case2"):
         ledger = BandwidthLedger()
-        dicf_step(scenario.initial_nodes(), averaging_powers(scenario.net, scenario.eps, L),
+        dicf_step(scenario.zero_prior(cfg.n_nodes), averaging_powers(scenario.net, scenario.eps, L),
                   [(default_schedule(4, kind), L)], scenario.measurements[0], scenario.sensed[0],
                   scenario.sensor, scenario.sys, ledgers=[ledger])
         totals[kind] = ledger.total_scalars()
@@ -248,14 +248,14 @@ def test_criterion_8_information_vs_covariance_oracle():
         model = MeasurementModel.linear(c, r)
 
         omega0 = np.linalg.inv(p0)
-        state = information_state(omega0, omega0 @ x0)
+        state = information_state(omega0[None], (omega0 @ x0)[None])
         ys = [[rng.normal(size=m)] for _ in range(100)]
         xs_ref, ps_ref = run_kf(x0, p0, a, q, [(c, r)], ys)
         for t in range(100):
             state, posterior, _ = ckf_step(state, np.array(ys[t]), np.ones(1, dtype=bool),
                                            model, sys)
-            x_hat = to_state_estimate(posterior)
-            p_hat = np.linalg.inv(posterior.omega)
+            x_hat = to_state_estimate(posterior)[0]
+            p_hat = np.linalg.inv(posterior.omega[0])
             worst = max(
                 worst,
                 np.linalg.norm(x_hat - xs_ref[t]) / np.linalg.norm(xs_ref[t]),

@@ -63,6 +63,16 @@ class TestSimulateCommand:
         meta = json.loads((out_dir / "metadata.json").read_text())
         assert meta["config"]["selection"] == "case2"
 
+    @pytest.mark.parametrize("line, selection", [
+        ("case = 2", "case2"), ('case = "2"', "case2"), ("case = identity", "identity")])
+    def test_case_in_a_file_takes_the_flag_values(self, tmp_path, line, selection):
+        out_dir = tmp_path / "out"
+        code = main(["simulate", "--config", write_cfg(tmp_path, FAST_CFG + line + "\n"),
+                     "--consensus-steps", "4", "--out", str(out_dir)])
+        assert code == EXIT_OK
+        meta = json.loads((out_dir / "metadata.json").read_text())
+        assert meta["config"]["selection"] == selection
+
     def test_missing_config_file(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "nope.cfg")]) == EXIT_CONFIG
 
@@ -116,6 +126,11 @@ class TestSimulateCommand:
         ("selection = [[True, 3], [2, 4]]\n", "non-integer indices [True]"),
         ("selection = [['1', '3'], ['2', '4']]\n", "non-integer indices ['1', '3']"),
         ("selection = case3\n", "selection = 'case3': unknown schedule kind 'case3'"),
+        # a key set twice, under its own name or an alias, is refused
+        ("L = 4\nconsensus_steps = 8\n",
+         "L is set twice, by L on line 1 and by consensus_steps on line 2"),
+        ("mc_runs = 1\nruns = 3\n",
+         "mc_runs is set twice, by mc_runs on line 1 and by runs on line 2"),
     ])
     def test_bad_config_exits_with_one_line(self, tmp_path, capsys, text, message):
         path = tmp_path / "bad.cfg"

@@ -37,28 +37,28 @@ def pair_net2():
 
 class TestInitConsensus:
     def test_scaling_identity(self):
-        prior = information_state(10 * np.eye(4), 10 * np.ones(4))
-        b0, v0 = init_consensus(prior, np.zeros((4, 4)), np.zeros(4), 10)
-        assert np.allclose(b0, np.eye(4))
-        assert np.allclose(v0, np.ones(4))
+        prior = information_state(10 * np.eye(4)[None], 10 * np.ones((1, 4)))
+        b0, v0 = init_consensus(prior, np.zeros((1, 4, 4)), np.zeros((1, 4)), 10)
+        assert np.allclose(b0[0], np.eye(4))
+        assert np.allclose(v0[0], np.ones(4))
 
     def test_zero_prior_keeps_only_correction(self):
-        prior = information_state(np.zeros((4, 4)), np.zeros(4))
-        d_omega = np.diag([0.04, 0.04, 0.0, 0.0])
-        d_q = np.array([16.0, 0.0, 0.0, 0.0])
+        prior = information_state(np.zeros((1, 4, 4)), np.zeros((1, 4)))
+        d_omega = np.diag([0.04, 0.04, 0.0, 0.0])[None]
+        d_q = np.array([[16.0, 0.0, 0.0, 0.0]])
         b0, v0 = init_consensus(prior, d_omega, d_q, 10)
         assert np.array_equal(b0, d_omega)
         assert np.array_equal(v0, d_q)
 
     def test_scalar_division(self):
-        prior = information_state(np.diag([10.0] * 4), np.zeros(4))
-        b0, _ = init_consensus(prior, np.zeros((4, 4)), np.zeros(4), 10)
-        assert np.allclose(b0, np.eye(4))
+        prior = information_state(np.diag([10.0] * 4)[None], np.zeros((1, 4)))
+        b0, _ = init_consensus(prior, np.zeros((1, 4, 4)), np.zeros((1, 4)), 10)
+        assert np.allclose(b0[0], np.eye(4))
 
     def test_zero_nodes_rejected(self):
-        prior = information_state(np.eye(4), np.zeros(4))
+        prior = information_state(np.eye(4)[None], np.zeros((1, 4)))
         with pytest.raises(ConfigurationError):
-            init_consensus(prior, np.zeros((4, 4)), np.zeros(4), 0)
+            init_consensus(prior, np.zeros((1, 4, 4)), np.zeros((1, 4)), 0)
 
 
 class TestConsensusStep:

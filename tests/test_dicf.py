@@ -42,7 +42,7 @@ def reference_models():
 def run_package_icfpie(scenario, schedule, L):
     """Drive dicf_step over a prebuilt scenario; returns (estimates, omegas)."""
     cfg = scenario.cfg
-    prior = scenario.initial_nodes()
+    prior = scenario.zero_prior(cfg.n_nodes)
     powers = averaging_powers(scenario.net, scenario.eps, L)
     n_steps = cfg.n_steps
     estimates = np.zeros((n_steps, cfg.n_nodes, 4))
@@ -111,7 +111,7 @@ class TestStackedLanes:
         lanes = [(SCHEDULES[kind], L) for kind, L, _ in drawn]
         priors = []
         for lane, (_, _, warm_up) in zip(lanes, drawn):
-            prior = scenario.initial_nodes()
+            prior = scenario.zero_prior(n_nodes)
             for t in range(warm_up):
                 prior, *_ = step_lanes(scenario, [lane], prior, t)
             priors.append(prior)
@@ -144,9 +144,9 @@ class TestStackedLanes:
         scenario = lane_scenario()
         lanes = [(SCHEDULES["case1"], 2)] * 2
         with pytest.raises(ConfigurationError):
-            step_lanes(scenario, lanes, scenario.initial_nodes(), 0)
+            step_lanes(scenario, lanes, scenario.zero_prior(scenario.net.n_nodes), 0)
         with pytest.raises(ConfigurationError):
-            step_lanes(scenario, [], scenario.initial_nodes(), 0)
+            step_lanes(scenario, [], scenario.zero_prior(scenario.net.n_nodes), 0)
 
 
 class TestConvergenceToCentral:
@@ -159,8 +159,8 @@ class TestConvergenceToCentral:
         schedule = default_schedule(4, "case1")
         L = 200 * schedule.theta_bar
 
-        prior = scenario.initial_nodes()
-        central = scenario.initial_state()
+        prior = scenario.zero_prior(cfg.n_nodes)
+        central = scenario.zero_prior(1)
         powers = averaging_powers(scenario.net, scenario.eps, L)
         for t in range(cfg.n_steps):
             meas, sensed = scenario.measurements[t], scenario.sensed[t]
@@ -169,10 +169,10 @@ class TestConvergenceToCentral:
                                                     scenario.sys, t=t)
             central, ckf_post, _ = ckf_step(central, meas, sensed, scenario.sensor,
                                             scenario.sys)
-            x_ckf = to_state_estimate(ckf_post)
+            x_ckf = to_state_estimate(ckf_post)[0]
             for k in range(cfg.n_nodes):
-                omega_rel = (np.linalg.norm(posterior.omega[k] - ckf_post.omega)
-                             / np.linalg.norm(ckf_post.omega))
+                omega_rel = (np.linalg.norm(posterior.omega[k] - ckf_post.omega[0])
+                             / np.linalg.norm(ckf_post.omega[0]))
                 assert omega_rel < 1e-6
                 x_rel = (np.linalg.norm(estimates[k] - x_ckf)
                          / max(np.linalg.norm(x_ckf), 1e-12))
@@ -183,11 +183,11 @@ class TestConvergenceToCentral:
         scenario = build_scenario(cfg, cfg.seed)
         schedule = default_schedule(4, "case1")
 
-        central = scenario.initial_state()
+        central = scenario.zero_prior(1)
         for t in range(cfg.n_steps):
             central, ckf_post, _ = ckf_step(central, scenario.measurements[t],
                                             scenario.sensed[t], scenario.sensor, scenario.sys)
-        x_ckf_final = to_state_estimate(ckf_post)
+        x_ckf_final = to_state_estimate(ckf_post)[0]
 
         distances = []
         for mult in (1, 2, 5, 10, 25, 50):
@@ -204,22 +204,21 @@ class TestDegenerateNetwork:
         a, q, r, c = reference_models()
         sys = SystemModel.lti(a, q)
         sensor = MeasurementModel.linear(c, r)
-        prior = information_state(random_spd(np.random.default_rng(0), 4),
-                                  np.random.default_rng(1).normal(size=4))
+        prior = information_state(random_spd(np.random.default_rng(0), 4)[None],
+                                  np.random.default_rng(1).normal(size=(1, 4)))
         # single-node network: closed neighborhood is just the node itself
         net1 = SensorNetwork(positions=np.zeros((1, 2)), adjacency=np.zeros((1, 1), dtype=bool))
         y = np.array([12.0, -3.0])
-        stacked = information_state(prior.omega[None], prior.q[None])
         next_stacked, posterior, estimates = dicf_step(
-            stacked, averaging_powers(net1, 0.5, 1), [(default_schedule(4, "identity"), 1)],
+            prior, averaging_powers(net1, 0.5, 1), [(default_schedule(4, "identity"), 1)],
             y[None], np.array([True]), sensor, sys)
 
         post = centralized_correct(prior, c, sensor.v, y[None])
         next_prior = predict(post, a, q)
-        assert np.allclose(posterior.omega[0], post.omega, atol=1e-12)
-        assert np.allclose(estimates[0], to_state_estimate(post), atol=1e-12)
-        assert np.allclose(next_stacked.omega[0], next_prior.omega, atol=1e-12)
-        assert np.allclose(next_stacked.q[0], next_prior.q, atol=1e-12)
+        assert np.allclose(posterior.omega[0], post.omega[0], atol=1e-12)
+        assert np.allclose(estimates[0], to_state_estimate(post)[0], atol=1e-12)
+        assert np.allclose(next_stacked.omega[0], next_prior.omega[0], atol=1e-12)
+        assert np.allclose(next_stacked.q[0], next_prior.q[0], atol=1e-12)
 
 
 class TestCkfStep:
@@ -227,7 +226,7 @@ class TestCkfStep:
         a, q, r, c = reference_models()
         sys = SystemModel.lti(a, q)
         rng = np.random.default_rng(2)
-        prior = information_state(random_spd(rng, 4), rng.normal(size=4))
+        prior = information_state(random_spd(rng, 4)[None], rng.normal(size=(1, 4)))
         sensor = MeasurementModel.linear(np.zeros((2, 4)), r)
         next_prior, posterior, _ = ckf_step(prior, np.zeros((3, 2)), np.ones(3, dtype=bool),
                                             sensor, sys)
@@ -238,7 +237,7 @@ class TestCkfStep:
 
     def test_estimate_is_the_posterior_solution(self):
         scenario = lane_scenario()
-        central = scenario.initial_state()
+        central = scenario.zero_prior(1)
         for t in range(3):
             central, posterior, estimate = ckf_step(central, scenario.measurements[t],
                                                     scenario.sensed[t], scenario.sensor,
@@ -248,13 +247,13 @@ class TestCkfStep:
     def test_identical_sensors_scale_information_gain(self):
         a, q, r, c = reference_models()
         sys = SystemModel.lti(a, q)
-        prior = information_state(np.zeros((4, 4)), np.zeros(4))
+        prior = information_state(np.zeros((1, 4, 4)), np.zeros((1, 4)))
         sensor = MeasurementModel.linear(c, r)
         y = np.array([400.0, 0.0])
         _, posterior, _ = ckf_step(prior, np.tile(y, (10, 1)), np.ones(10, dtype=bool),
                                    sensor, sys)
         v = sensor.v
-        assert np.allclose(posterior.omega, 10 * c.T @ v @ c, atol=1e-12)
+        assert np.allclose(posterior.omega[0], 10 * c.T @ v @ c, atol=1e-12)
 
     def test_hundred_step_covariance_form_equivalence(self, rng):
         n, m = 4, 2
@@ -268,14 +267,14 @@ class TestCkfStep:
         model = MeasurementModel.linear(c, r)
 
         omega0 = np.linalg.inv(p0)
-        state = information_state(omega0, omega0 @ x0)
+        state = information_state(omega0[None], (omega0 @ x0)[None])
         ys = [[rng.normal(size=m)] for _ in range(100)]
         xs_ref, ps_ref = run_kf(x0, p0, a, q, [(c, r)], ys)
 
         for t in range(100):
             state, posterior, _ = ckf_step(state, np.array(ys[t]), np.ones(1, dtype=bool),
                                            model, sys)
-            x_hat = to_state_estimate(posterior)
-            p_hat = np.linalg.inv(posterior.omega)
+            x_hat = to_state_estimate(posterior)[0]
+            p_hat = np.linalg.inv(posterior.omega[0])
             assert np.linalg.norm(x_hat - xs_ref[t]) / np.linalg.norm(xs_ref[t]) < 1e-9
             assert np.linalg.norm(p_hat - ps_ref[t]) / np.linalg.norm(ps_ref[t]) < 1e-9

@@ -46,60 +46,71 @@ class TestLocalCorrectionTerms:
         # R = diag([25, 25]) inverted, position read at 400 m
         c = np.array([[1.0, 0, 0, 0], [0, 1.0, 0, 0]])
         v = np.diag([0.04, 0.04])
-        d_omega, d_q = local_correction_terms(c, v, np.array([400.0, 0.0]))
+        d_omega, d_q = local_correction_terms(c, v, np.array([[400.0, 0.0]]))
         assert np.allclose(d_omega, np.diag([0.04, 0.04, 0.0, 0.0]))
-        assert np.allclose(d_q, [16.0, 0.0, 0.0, 0.0])
+        assert np.allclose(d_q[0], [16.0, 0.0, 0.0, 0.0])
 
     def test_zero_observation_matrix(self):
-        d_omega, d_q = local_correction_terms(np.zeros((2, 4)), np.eye(2), np.ones(2))
+        d_omega, d_q = local_correction_terms(np.zeros((2, 4)), np.eye(2), np.ones((1, 2)))
         assert np.array_equal(d_omega, np.zeros((4, 4)))
-        assert np.array_equal(d_q, np.zeros(4))
+        assert np.array_equal(d_q, np.zeros((1, 4)))
 
     def test_against_triple_loop_oracle(self, rng):
         c = rng.normal(size=(2, 4))
         v = random_spd(rng, 2)
         y = rng.normal(size=2)
-        d_omega, d_q = local_correction_terms(c, v, y)
+        d_omega, d_q = local_correction_terms(c, v, y[None])
         exp_omega, exp_q = triple_loop_product(c, v, y)
         assert np.allclose(d_omega, exp_omega, atol=1e-12)
-        assert np.allclose(d_q, exp_q, atol=1e-12)
+        assert np.allclose(d_q[0], exp_q, atol=1e-12)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ConfigurationError):
             local_correction_terms(np.zeros((2, 4)), np.eye(3), np.ones(2))
+        # a single measurement is not a (k, m) stack
+        with pytest.raises(ConfigurationError):
+            local_correction_terms(np.zeros((2, 4)), np.eye(2), np.ones(2))
+
+
+class TestInformationState:
+    def test_single_estimate_is_rejected(self):
+        with pytest.raises(ConfigurationError):
+            information_state(np.eye(4), np.zeros(4))
+        with pytest.raises(ConfigurationError):
+            information_state(np.eye(4), np.zeros((1, 4)))
 
 
 class TestCentralizedCorrect:
     def test_identity_contribution(self):
-        prior = information_state(np.eye(2), np.zeros(2))
+        prior = information_state(np.eye(2)[None], np.zeros((1, 2)))
         post = centralized_correct(prior, np.eye(2), np.eye(2), np.array([[1.0, 1.0]]))
-        assert np.allclose(post.omega, 2 * np.eye(2))
-        assert np.allclose(post.q, [1.0, 1.0])
+        assert np.allclose(post.omega[0], 2 * np.eye(2))
+        assert np.allclose(post.q[0], [1.0, 1.0])
 
     def test_identical_contributions_scale_linearly(self):
         c = np.array([[1.0, 0, 0, 0], [0, 1.0, 0, 0]])
         v = np.diag([0.04, 0.04])
         y = np.array([10.0, -4.0])
-        prior = information_state(np.zeros((4, 4)), np.zeros(4))
+        prior = information_state(np.zeros((1, 4, 4)), np.zeros((1, 4)))
         post = centralized_correct(prior, c, v, np.tile(y, (10, 1)))
-        single_omega, single_q = local_correction_terms(c, v, y)
-        assert np.allclose(post.omega, 10 * single_omega, atol=1e-12)
-        assert np.allclose(post.omega, np.diag([0.4, 0.4, 0.0, 0.0]))
-        assert np.allclose(post.q, 10 * single_q, atol=1e-12)
+        single_omega, single_q = local_correction_terms(c, v, y[None])
+        assert np.allclose(post.omega[0], 10 * single_omega, atol=1e-12)
+        assert np.allclose(post.omega[0], np.diag([0.4, 0.4, 0.0, 0.0]))
+        assert np.allclose(post.q[0], 10 * single_q[0], atol=1e-12)
 
     def test_empty_contributions_keep_prior(self):
-        prior = information_state(np.diag([1.0, 2.0]), np.array([3.0, 4.0]))
+        prior = information_state(np.diag([1.0, 2.0])[None], np.array([[3.0, 4.0]]))
         post = centralized_correct(prior, np.eye(2), np.eye(2), np.zeros((0, 2)))
         assert np.array_equal(post.omega, prior.omega)
         assert np.array_equal(post.q, prior.q)
 
     def test_order_independence(self, rng):
-        prior = information_state(random_spd(rng, 4), rng.normal(size=4))
+        prior = information_state(random_spd(rng, 4)[None], rng.normal(size=(1, 4)))
         c, v, ys = rng.normal(size=(2, 4)), random_spd(rng, 2), rng.normal(size=(4, 2))
         # reference: add the measurements' terms one at a time
         omega, q = prior.omega, prior.q
         for y in ys:
-            d_omega, d_q = local_correction_terms(c, v, y)
+            d_omega, d_q = local_correction_terms(c, v, y[None])
             omega, q = omega + d_omega, q + d_q
         for perm in itertools.permutations(range(4)):
             post = centralized_correct(prior, c, v, ys[list(perm)])
@@ -109,10 +120,10 @@ class TestCentralizedCorrect:
 
 class TestPredict:
     def test_symmetric_halving(self):
-        post = information_state(np.eye(3), np.zeros(3))
+        post = information_state(np.eye(3)[None], np.zeros((1, 3)))
         pred = predict(post, np.eye(3), np.eye(3))
-        assert np.allclose(pred.omega, 0.5 * np.eye(3))
-        assert np.allclose(pred.q, np.zeros(3))
+        assert np.allclose(pred.omega[0], 0.5 * np.eye(3))
+        assert np.allclose(pred.q[0], np.zeros(3))
 
     def test_against_covariance_recursion_oracle(self, rng):
         for _ in range(10):
@@ -120,17 +131,18 @@ class TestPredict:
             q_vec = rng.normal(size=4)
             a = random_spd(rng, 4) / 4 + np.eye(4)
             q_cov = random_spd(rng, 4)
-            pred = predict(information_state(omega, q_vec), a, q_cov)
+            pred = predict(information_state(omega[None], q_vec[None]), a, q_cov)
             p_next = a @ np.linalg.inv(omega) @ a.T + q_cov
             exp_omega = np.linalg.inv(p_next)
             exp_x = a @ np.linalg.solve(omega, q_vec)
-            rel = np.linalg.norm(pred.omega - exp_omega) / np.linalg.norm(exp_omega)
+            rel = np.linalg.norm(pred.omega[0] - exp_omega) / np.linalg.norm(exp_omega)
             assert rel < 1e-10
-            assert np.allclose(np.linalg.solve(pred.omega, pred.q), exp_x, rtol=1e-8)
+            assert np.allclose(np.linalg.solve(pred.omega[0], pred.q[0]), exp_x, rtol=1e-8)
 
     def test_singular_posterior_is_regularized_and_logged(self):
         log = NumericsLog()
-        post = information_state(np.diag([0.4, 0.4, 0.0, 0.0]), np.array([4.0, 0, 0, 0]))
+        post = information_state(np.diag([0.4, 0.4, 0.0, 0.0])[None],
+                                 np.array([[4.0, 0, 0, 0]]))
         pred = predict(post, np.eye(4), np.eye(4), log=log)
         assert log.count("regularize") == 1
         assert np.all(np.isfinite(pred.omega))
@@ -139,28 +151,29 @@ class TestPredict:
     @settings(max_examples=25, deadline=None)
     def test_preserves_symmetry_and_positive_definiteness(self, seed):
         rng = np.random.default_rng(seed)
-        post = information_state(random_spd(rng, 4), rng.normal(size=4))
+        post = information_state(random_spd(rng, 4)[None], rng.normal(size=(1, 4)))
         a = np.eye(4) + 0.1 * rng.normal(size=(4, 4))
         pred = predict(post, a, random_spd(rng, 4))
-        assert np.array_equal(pred.omega, pred.omega.T)
-        assert np.linalg.eigvalsh(pred.omega).min() > 0
+        assert np.array_equal(pred.omega[0], pred.omega[0].T)
+        assert np.linalg.eigvalsh(pred.omega[0]).min() > 0
 
 
 class TestToStateEstimate:
     def test_diagonal_solve(self):
-        s = information_state(2 * np.eye(2), np.array([4.0, 6.0]))
-        assert np.allclose(to_state_estimate(s), [2.0, 3.0])
+        s = information_state(2 * np.eye(2)[None], np.array([[4.0, 6.0]]))
+        assert np.allclose(to_state_estimate(s)[0], [2.0, 3.0])
 
     def test_zero_information_gives_zero_with_flag(self):
         log = NumericsLog()
-        s = information_state(np.zeros((4, 4)), np.zeros(4))
-        assert np.array_equal(to_state_estimate(s, log), np.zeros(4))
+        s = information_state(np.zeros((1, 4, 4)), np.zeros((1, 4)))
+        assert np.array_equal(to_state_estimate(s, log)[0], np.zeros(4))
         assert log.count("singular_solve") == 1
 
     def test_rank_deficient_minimum_norm(self):
-        s = information_state(np.diag([1.0, 1.0, 0.0, 0.0]), np.array([3.0, 4.0, 0.0, 0.0]))
-        x = to_state_estimate(s)
-        expected = np.linalg.pinv(s.omega) @ s.q
+        s = information_state(np.diag([1.0, 1.0, 0.0, 0.0])[None],
+                              np.array([[3.0, 4.0, 0.0, 0.0]]))
+        x = to_state_estimate(s)[0]
+        expected = np.linalg.pinv(s.omega[0]) @ s.q[0]
         assert np.allclose(x, [3.0, 4.0, 0.0, 0.0])
         assert np.allclose(x, expected, atol=1e-12)
 
@@ -176,7 +189,7 @@ class TestInformationFormMatchesCovarianceForm:
         x0 = rng.normal(size=n)
 
         omega = np.linalg.inv(p0)
-        state = information_state(omega, omega @ x0)
+        state = information_state(omega[None], (omega @ x0)[None])
         v = symmetrize(np.linalg.inv(r))
 
         ys = [[rng.normal(size=m)] for _ in range(50)]
@@ -184,8 +197,8 @@ class TestInformationFormMatchesCovarianceForm:
 
         for t in range(50):
             post = centralized_correct(state, c, v, np.array(ys[t]))
-            x_hat = to_state_estimate(post)
-            p_hat = np.linalg.inv(post.omega)
+            x_hat = to_state_estimate(post)[0]
+            p_hat = np.linalg.inv(post.omega[0])
             assert np.allclose(x_hat, xs_ref[t], rtol=1e-9, atol=1e-11)
             assert np.linalg.norm(p_hat - ps_ref[t]) / np.linalg.norm(ps_ref[t]) < 1e-9
             state = predict(post, a, q_cov)
@@ -225,8 +238,8 @@ SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 
 
 class TestStackedPrimitives:
-    """A stack of N slices gives, slice by slice, what N single calls give,
-    and logs the same events, each tagged with its slice index."""
+    """A stack of N slices gives, slice by slice, what N one-slice calls
+    give, and logs the same events, each tagged with its slice index."""
 
     @given(MIXED_KINDS, SEEDS)
     @settings(max_examples=60, deadline=None)
@@ -234,7 +247,8 @@ class TestStackedPrimitives:
         rng = np.random.default_rng(seed)
         stack = information_state(np.array([mixed_slice(rng, kind) for kind in kinds]),
                                   rng.normal(size=(len(kinds), 4)))
-        singles = [information_state(o, q) for o, q in zip(stack.omega, stack.q)]
+        singles = [information_state(o[None], q[None]) for o, q in zip(stack.omega, stack.q)]
+        single_omegas = [s.omega for s in singles]
         a = np.eye(4) + 0.1 * rng.normal(size=(4, 4))
         q_cov = random_spd(rng, 4)
 
@@ -245,9 +259,9 @@ class TestStackedPrimitives:
         for fn, stacked, single in [
             (to_state_estimate, stack, singles),
             (predicted, stack, singles),
-            (lambda m, log: ensure_invertible(m, log, "test"), stack.omega, stack.omega),
+            (lambda m, log: ensure_invertible(m, log, "test"), stack.omega, single_omegas),
             (lambda m, log: inv_spd(ensure_invertible(m), log, "test"), stack.omega,
-             stack.omega),
+             single_omegas),
         ]:
             got, log = outcome(fn, stacked)
             expected = [outcome(fn, x) for x in single]
@@ -256,7 +270,7 @@ class TestStackedPrimitives:
                 continue
             assert got is not None
             for k, (e, single_log) in enumerate(expected):
-                assert_rel_close(got[k], e)
+                assert_rel_close(got[k], e[0])
                 for kind in ("regularize", "singular_solve", "ill_conditioned"):
                     tagged = [ev for ev in log.events if ev["kind"] == kind and ev["node"] == k]
                     assert len(tagged) == single_log.count(kind)
@@ -264,7 +278,7 @@ class TestStackedPrimitives:
 
 
 def event_tags(log):
-    return Counter((e["kind"], e.get("node")) for e in log.events)
+    return Counter((e["kind"], e["node"]) for e in log.events)
 
 
 class TestCertificate:
@@ -324,8 +338,8 @@ class TestRecoverAndPredict:
             posterior = information_state(scale * pair[0], scale * pair[1])
             return posterior, x, predict(posterior, a, q_cov, log)
 
-        cases = [((b_mat, b_vec), False)] + [(pair, True) for pair in zip(b_mat, b_vec)]
-        for pair, single in cases:
+        cases = [(b_mat, b_vec)] + [(m[None], v[None]) for m, v in zip(b_mat, b_vec)]
+        for pair in cases:
             got, got_log = outcome(fused, pair)
             expected, expected_log = outcome(unfused, pair)
             if expected is None:
@@ -336,7 +350,7 @@ class TestRecoverAndPredict:
             for g, e in [(got_post.omega, post.omega), (got_post.q, post.q), (got_x, x),
                          (got_next.omega, nxt.omega), (got_next.q, nxt.q)]:
                 assert g.shape == e.shape
-                for g_k, e_k in zip(g[None] if single else g, e[None] if single else e):
+                for g_k, e_k in zip(g, e):
                     assert_rel_close(g_k, e_k)
             assert event_tags(got_log) == event_tags(expected_log)
-            assert all(("node" in ev) != single for ev in got_log.events)
+            assert all("node" in ev for ev in got_log.events)
