@@ -36,11 +36,12 @@ EXIT_NUMERICS = 3
 def parse_sweep(spec: str) -> list:
     """Parse an L grid: 'A..B' (inclusive range) or comma-separated values."""
     spec = spec.strip()
-    if ".." in spec:
-        lo, _, hi = spec.partition("..")
-        values = list(range(int(lo), int(hi) + 1))
-    else:
-        values = [int(v) for v in spec.split(",") if v.strip()]
+    lo, dots, hi = spec.partition("..")
+    try:
+        values = (list(range(int(lo), int(hi) + 1)) if dots
+                  else [int(v) for v in spec.split(",") if v.strip()])
+    except ValueError:  # a part that is not an integer
+        values = []
     if not values or any(v < 1 for v in values):
         raise ConfigurationError(f"invalid sweep spec {spec!r}")
     return values

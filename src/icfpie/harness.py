@@ -26,7 +26,8 @@ import numpy as np
 
 from . import __version__
 from .consensus import averaging_powers
-from .dicf import ckf_step, dicf_step
+from .dicf import ckf_step  # noqa: F401  unused here; perfbench/tracer.py wraps it by this name
+from .dicf import dicf_step
 from .errors import ConfigurationError, FilterNumericsError
 from .info_filter import (
     InformationState,
@@ -239,8 +240,8 @@ class Scenario:
 
     def zero_prior(self, n_slices: int) -> InformationState:
         """A stack of n_slices zero-information priors: omega (n_slices, n, n),
-        q (n_slices, n). The nodes of K lanes take K*N slices, the
-        centralized filter one."""
+        q (n_slices, n). A run's stack holds K*N slices for the nodes of
+        K lanes, then one for the centralized filter."""
         return information_state(np.zeros((n_slices, STATE_DIM, STATE_DIM)),
                                  np.zeros((n_slices, STATE_DIM)))
 
@@ -304,10 +305,11 @@ def run_once(scenario: Scenario, L, algorithms: Optional[list] = None,
 
     `L` is one consensus depth or a sequence of them. Every consensus
     algorithm runs at every depth, and each such (algorithm, L) lane is a
-    block of one stacked state that a single dicf_step per timestep
-    advances. One depth returns RunMetrics keyed by algorithm label; a
-    sequence returns {L: RunMetrics}, each of which also holds the
-    centralized filter, which has no depth.
+    block of one stacked state; the centralized filter, if asked for, is
+    the stack's last slice. A single dicf_step per timestep advances them
+    all, with one NumericsLog. One depth returns RunMetrics keyed by
+    algorithm label; a sequence returns {L: RunMetrics}, each of which
+    also holds the centralized filter, which has no depth.
     """
     cfg = scenario.cfg
     if algorithms is None:
@@ -320,55 +322,48 @@ def run_once(scenario: Scenario, L, algorithms: Optional[list] = None,
     n_nodes = scenario.net.n_nodes
 
     # row k = d * len(consensus) + j of the tables is the lane that runs
-    # consensus[j] at depths[d]; the centralized filters take the rows after
+    # consensus[j] at depths[d]; the centralized filter takes the row after
+    # them, and every centralized algorithm reads that one filter
     consensus = [a for a in algorithms if a.uses_consensus]
     central = [a for a in algorithms if not a.uses_consensus]
     lanes = [(a.schedule, lv) for lv in depths for a in consensus]
     n_lanes = len(lanes)
-    errors = np.zeros((n_lanes + len(central), n_steps))
+    n_lane_slices, n_central = n_lanes * n_nodes, 1 if central else 0
+    errors = np.zeros((n_lanes + n_central, n_steps))
     reg = np.zeros(errors.shape, dtype=int)
     ledgers = [BandwidthLedger() for _ in lanes]
-    # one log per block of rows, keyed by the block's first row: the lanes
-    # share one, each centralized filter has its own; an event's `node` is
-    # its slice in the block's stack, so it lands in row first + node // N
-    logs = {0: NumericsLog(), **{n_lanes + c: NumericsLog() for c in range(len(central))}}
+    # an event's `node` is its slice in the stack, so it lands in row
+    # node // N, which is row n_lanes for the centralized slice
+    log = NumericsLog()
     node_diag = {key: np.zeros((n_lanes, n_steps, n_nodes))
                  for key in ("node_errors", "eig_min", "eig_max")} if diagnostics else {}
-    prior = scenario.zero_prior(n_lanes * n_nodes)
-    central_priors = [scenario.zero_prior(1) for _ in central]
+    prior = scenario.zero_prior(n_lane_slices + n_central)
     powers = averaging_powers(scenario.net, scenario.eps, max(depths))
 
     for t in range(n_steps):
-        meas = scenario.measurements[t]
-        sensed = scenario.sensed[t]
-        truth_t = scenario.truth[t]
-        seen = {row: len(log.events) for row, log in logs.items()}
-        if lanes:
-            prior, posterior, estimates = dicf_step(
-                prior, powers, lanes, meas, sensed, scenario.sensor, scenario.sys,
-                ledgers=ledgers, t=t, log=logs[0])
-            errs = np.linalg.norm(truth_t - estimates, axis=-1).reshape(n_lanes, n_nodes)
-            errors[:n_lanes, t] = errs.mean(axis=1)
-            if diagnostics:
-                node_diag["node_errors"][:, t] = errs
-                ev = np.linalg.eigvalsh(posterior.omega).reshape(n_lanes, n_nodes, -1)
-                node_diag["eig_min"][:, t] = ev[..., 0]
-                node_diag["eig_max"][:, t] = ev[..., -1]
-        for c in range(len(central)):
-            central_priors[c], _, estimate = ckf_step(
-                central_priors[c], meas, sensed, scenario.sensor, scenario.sys,
-                log=logs[n_lanes + c])
-            errors[n_lanes + c, t] = np.linalg.norm(truth_t - estimate, axis=-1)[0]
-        for row, log in logs.items():
-            for event in log.events[seen[row]:]:
-                if event["kind"] == "regularize":
-                    reg[row + event["node"] // n_nodes, t] += 1
+        seen = len(log.events)
+        prior, posterior, estimates = dicf_step(
+            prior, powers, lanes, scenario.measurements[t], scenario.sensed[t],
+            scenario.sensor, scenario.sys, ledgers=ledgers, t=t, log=log)
+        errs = np.linalg.norm(scenario.truth[t] - estimates, axis=-1)
+        lane_errs = errs[:n_lane_slices].reshape(n_lanes, n_nodes)
+        errors[:n_lanes, t] = lane_errs.mean(axis=1)
+        errors[n_lanes:, t] = errs[n_lane_slices:]
+        if diagnostics and lanes:
+            node_diag["node_errors"][:, t] = lane_errs
+            ev = np.linalg.eigvalsh(posterior.omega[:n_lane_slices]).reshape(
+                n_lanes, n_nodes, -1)
+            node_diag["eig_min"][:, t] = ev[..., 0]
+            node_diag["eig_max"][:, t] = ev[..., -1]
+        for event in log.events[seen:]:
+            if event["kind"] == "regularize":
+                reg[event["node"] // n_nodes, t] += 1
 
-    scalars = [ledger.total_scalars() for ledger in ledgers] + [0] * len(central)
+    scalars = [ledger.total_scalars() for ledger in ledgers] + [0] * n_central
 
     def metrics_at(d: int) -> RunMetrics:
         row = {a.label: d * len(consensus) + j for j, a in enumerate(consensus)}
-        row.update({a.label: n_lanes + c for c, a in enumerate(central)})
+        row.update({a.label: n_lanes for a in central})
         series = {a.label: errors[row[a.label]] for a in algorithms}
         diag = None
         if diagnostics:
@@ -443,7 +438,8 @@ def _execute(fn, arglist, jobs: int):
         return [fn(a) for a in arglist]
     # imported here so that serial runs do not load the process-pool machinery
     from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # a fork pool starts all its workers at the first submit
+    with ProcessPoolExecutor(max_workers=min(jobs, len(arglist))) as pool:
         return list(pool.map(fn, arglist))
 
 

@@ -5,8 +5,8 @@ information vector q = P^-1 x_hat. Correction is additive in (Omega, q);
 prediction maps through the covariance form once per step.
 
 Every estimate is a stack of K slices: Omega of shape (K, n, n) and q of
-shape (K, n), one slice per node; the centralized filter is a stack with
-K = 1. Every primitive acts on the stack slice by slice through numpy's
+shape (K, n), one slice per node, and the centralized filter's one more.
+Every primitive acts on the stack slice by slice through numpy's
 batched linear algebra; only flagged slices take a per-slice path, and
 every event carries its slice index as `node`.
 
@@ -253,11 +253,11 @@ def _estimates(f: SliceFactors, q: np.ndarray, log: Optional[NumericsLog]) -> np
     return x
 
 
-def _predicted(f: SliceFactors, scale: float, x: np.ndarray, post: InformationState,
+def _predicted(f: SliceFactors, scale: np.ndarray, x: np.ndarray, post: InformationState,
                a: np.ndarray, q_cov: np.ndarray,
                log: Optional[NumericsLog]) -> InformationState:
-    """Time update of post = (scale * Omega, scale * q), where f factors
-    Omega and x = Omega^-1 q on certified slices.
+    """Time update of post = (scale * Omega, scale * q), slice k scaled by
+    scale[k], where f factors Omega and x = Omega^-1 q on certified slices.
 
     A certified slice uses P = L^-T L^-1 / scale and x_hat = x. Every other
     slice regularizes and inverts its posterior as `predict` always did.
@@ -265,7 +265,7 @@ def _predicted(f: SliceFactors, scale: float, x: np.ndarray, post: InformationSt
     """
     # A P A^T = G^T G / scale with G = L^-1 A^T
     g = f.c_inv @ a.T
-    apa = g.swapaxes(-1, -2) @ g / scale
+    apa = g.swapaxes(-1, -2) @ g / scale[:, None, None]
     x_hat = x.copy()
     if not f.certified.all():
         check = np.flatnonzero(~f.certified)
@@ -274,8 +274,9 @@ def _predicted(f: SliceFactors, scale: float, x: np.ndarray, post: InformationSt
         apa[check] = a @ p @ a.T
         x_hat[check] = _matvec(p, post.q[check])
     p_next = symmetrize(apa) + q_cov
+    # inv_spd returns a symmetric stack, so information_state would not change it
     omega_next = inv_spd(p_next, log, "predict: invert predicted covariance")
-    return information_state(omega_next, _matvec(omega_next, _matvec(a, x_hat)))
+    return InformationState(omega_next, _matvec(omega_next, _matvec(a, x_hat)))
 
 
 def predict(post: InformationState, a: np.ndarray, q_cov: np.ndarray,
@@ -289,7 +290,7 @@ def predict(post: InformationState, a: np.ndarray, q_cov: np.ndarray,
     q_cov = np.asarray(q_cov, dtype=float)
     f = factor_slices(post.omega, "predict")
     x = f.solve(post.q)
-    return _predicted(f, 1.0, x, post, a, q_cov, log)
+    return _predicted(f, np.ones(len(x)), x, post, a, q_cov, log)
 
 
 def to_state_estimate(s: InformationState, log: Optional[NumericsLog] = None) -> np.ndarray:
@@ -298,24 +299,25 @@ def to_state_estimate(s: InformationState, log: Optional[NumericsLog] = None) ->
     return _estimates(factor_slices(s.omega, "to_state_estimate"), s.q, log)
 
 
-def recover_and_predict(b_mat: np.ndarray, b_vec: np.ndarray, scale: float,
+def recover_and_predict(b_mat: np.ndarray, b_vec: np.ndarray, scale,
                         a: np.ndarray, q_cov: np.ndarray,
                         log: Optional[NumericsLog] = None):
     """Posterior recovery and prediction with one factorization per slice.
 
     From a stack of consensus pairs (B, b), returns (posterior,
-    estimates, next prior): the posterior (scale * B, scale * b), the
-    estimates B^-1 b (what `to_state_estimate` gives for the pairs), and
-    the posterior predicted through (A, Q) (what `predict` gives for it).
-    One Cholesky factor of sym(B) per slice serves both: it gives the
-    estimate, and P = B^-1 / scale for the prediction. The smallest
-    eigenvalue scales with B, so one certificate covers the checks of
-    both.
+    estimates, next prior): the posterior (scale * B, scale * b), with
+    `scale` (K,) per slice or one for all (N for a lane's pairs, 1 for a
+    fused centralized pair), the estimates B^-1 b (what
+    `to_state_estimate` gives for the pairs), and the posterior predicted
+    through (A, Q) (what `predict` gives for it). One Cholesky factor of
+    sym(B) per slice serves both: it gives the estimate, and
+    P = B^-1 / scale for the prediction. The smallest eigenvalue scales
+    with B, so one certificate covers the checks of both.
     """
-    pair = information_state(b_mat, b_vec)
-    posterior = information_state(scale * b_mat, scale * b_vec)
-    f = factor_slices(pair.omega, "to_state_estimate")
-    x = _estimates(f, pair.q, log)
+    scale = np.full(len(b_vec), scale, dtype=float)
+    posterior = information_state(scale[:, None, None] * b_mat, scale[:, None] * b_vec)
+    f = factor_slices(b_mat, "to_state_estimate")
+    x = _estimates(f, b_vec, log)
     if not np.all(np.isfinite(x)):
         raise FilterNumericsError("non-finite state estimate")
     next_prior = _predicted(f, scale, x, posterior, a, q_cov, log)

@@ -28,10 +28,9 @@ class TestParseSweep:
         assert parse_sweep("2,4,8") == [2, 4, 8]
 
     def test_invalid(self):
-        with pytest.raises(ConfigurationError):
-            parse_sweep("0..3")
-        with pytest.raises((ConfigurationError, ValueError)):
-            parse_sweep("abc")
+        for spec in ("0..3", "abc", "a..3", "1..3..5", "2.5"):
+            with pytest.raises(ConfigurationError, match="invalid sweep spec"):
+                parse_sweep(spec)
 
 
 class TestSimulateCommand:

@@ -149,6 +149,82 @@ class TestStackedLanes:
             step_lanes(scenario, [], scenario.zero_prior(scenario.net.n_nodes), 0)
 
 
+@lru_cache(maxsize=None)
+def ckf_loop(seed):
+    """The centralized filter of the default scenario of `seed`, stepped
+    alone by ckf_step over the horizon: per timestep (next prior,
+    posterior, estimate, events)."""
+    scenario = build_scenario(ScenarioConfig(), seed)
+    central = scenario.zero_prior(1)
+    steps = []
+    for t in range(scenario.cfg.n_steps):
+        log = NumericsLog()
+        central, posterior, estimate = ckf_step(central, scenario.measurements[t],
+                                                scenario.sensed[t], scenario.sensor,
+                                                scenario.sys, log=log)
+        steps.append((central, posterior, estimate, log.events))
+    return scenario, steps
+
+
+class TestCentralSlice:
+    """The centralized filter as the last slice of a dicf_step stack steps,
+    bit for bit, as ckf_step steps it alone."""
+
+    # no node senses the target of seed 195 before step 52, nor of 196
+    # before step 46, so the centralized filter runs on predictions alone
+    # from a zero-information prior that takes the singular path at t = 0
+    @pytest.mark.parametrize("seed, first_sensed, kinds", [
+        (7, 0, ("case1", "identity")),
+        (195, 52, ()),
+        (195, 52, ("case2",)),
+        (196, 46, ("case1", "case2", "identity")),
+    ])
+    def test_trailing_slice_equals_ckf_step(self, seed, first_sensed, kinds):
+        scenario, steps = ckf_loop(seed)
+        assert scenario.sensed.any(axis=1).argmax() == first_sensed
+        lanes = [(SCHEDULES[kind], 3) for kind in kinds]
+        last = len(lanes) * scenario.net.n_nodes
+        powers = averaging_powers(scenario.net, scenario.eps, 3)
+        prior = scenario.zero_prior(last + 1)
+        for t, (next_ckf, post_ckf, estimate_ckf, events_ckf) in enumerate(steps):
+            log = NumericsLog()
+            prior, posterior, estimates = dicf_step(
+                prior, powers, lanes, scenario.measurements[t], scenario.sensed[t],
+                scenario.sensor, scenario.sys, t=t, log=log)
+            for got, expected in [(prior.omega[last:], next_ckf.omega),
+                                  (prior.q[last:], next_ckf.q),
+                                  (posterior.omega[last:], post_ckf.omega),
+                                  (posterior.q[last:], post_ckf.q),
+                                  (estimates[last:], estimate_ckf)]:
+                assert np.array_equal(got, expected)
+            assert [{**e, "node": 0} for e in log.events if e["node"] == last] == events_ckf
+            assert all(e["node"] < last for e in log.events if e["node"] != last)
+        assert any(e["kind"] == "singular_solve" for e in steps[0][-1])
+
+    def test_run_once_with_only_the_centralized_filter(self):
+        scenario, steps = ckf_loop(196)
+        metrics = run_once(scenario, 4, make_algorithms(scenario.cfg, ["ckf"]),
+                           diagnostics=True)
+        errors = [np.linalg.norm(scenario.truth[t] - estimate, axis=-1)[0]
+                  for t, (_, _, estimate, _) in enumerate(steps)]
+        regularized = [sum(e["kind"] == "regularize" for e in events)
+                       for *_, events in steps]
+        assert np.array_equal(metrics.series["ckf"], errors)
+        assert np.array_equal(metrics.diag["reg_events"]["ckf"], regularized)
+        assert metrics.bandwidth["ckf"] == 0
+
+    def test_prior_holds_at_most_one_centralized_slice(self):
+        scenario = lane_scenario()
+        n_nodes = scenario.net.n_nodes
+        lanes = [(SCHEDULES["case1"], 2)]
+        step_lanes(scenario, lanes, scenario.zero_prior(n_nodes + 1), 0)
+        step_lanes(scenario, [], scenario.zero_prior(1), 0)
+        with pytest.raises(ConfigurationError):
+            step_lanes(scenario, lanes, scenario.zero_prior(n_nodes + 2), 0)
+        with pytest.raises(ConfigurationError):
+            step_lanes(scenario, [], scenario.zero_prior(0), 0)
+
+
 class TestConvergenceToCentral:
     def test_complete_graph_matches_ckf(self):
         # complete topology with eps = 1/N averages exactly within one cycle

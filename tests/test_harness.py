@@ -146,6 +146,33 @@ class TestMonteCarlo:
             assert np.array_equal(serial.mean_series[label], parallel.mean_series[label])
 
 
+    def test_pool_starts_no_more_workers_than_seeds(self, monkeypatch):
+        # a fork pool starts all of max_workers at its first submit; this
+        # stand-in records the count and runs the seeds inline
+        import concurrent.futures
+        workers = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, arglist):
+                return map(fn, arglist)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        cfg = dataclasses.replace(ScenarioConfig(**FAST), mc_runs=2)
+        pooled = run_monte_carlo(cfg, 4, jobs=8)
+        assert workers == [2]
+        serial = run_monte_carlo(cfg, 4)
+        for label in serial.mean_series:
+            assert np.array_equal(serial.mean_series[label], pooled.mean_series[label])
+
+
 class TestSweep:
     def test_single_value_layout(self):
         cfg = dataclasses.replace(ScenarioConfig(**FAST), mc_runs=1)
@@ -269,6 +296,36 @@ class TestOnePassLanes:
         cfg = dataclasses.replace(ScenarioConfig(**FAST), mc_runs=1)
         sweep_consensus_steps(cfg, [1, 2, 3])
         assert calls == {"run_once": 1, "dicf_step": cfg.n_steps}
+
+    def test_one_posterior_step_per_timestep(self, monkeypatch):
+        # the centralized filter is the last slice of the lanes' stack, so a
+        # timestep makes one recover_and_predict call and no ckf_step call
+        from icfpie import dicf
+        slices = []
+        recover_and_predict = dicf.recover_and_predict
+
+        def counting(b_mat, *args, **kwargs):
+            slices.append(len(b_mat))
+            return recover_and_predict(b_mat, *args, **kwargs)
+        monkeypatch.setattr(dicf, "recover_and_predict", counting)
+        monkeypatch.setattr(harness, "ckf_step", None)
+        cfg = dataclasses.replace(ScenarioConfig(**FAST), mc_runs=1)
+        sweep_consensus_steps(cfg, [1, 2, 3])
+        # 3 depths x 3 consensus algorithms x N nodes, then the centralized slice
+        assert slices == [9 * cfg.n_nodes + 1] * cfg.n_steps
+
+    def test_centralized_events_land_in_its_own_row(self):
+        # the centralized filter is slice K*N of the stack, so node // N
+        # puts its events in row K, after every lane's row
+        cfg = dataclasses.replace(ScenarioConfig(**FAST), selection="case2")
+        scenario = build_scenario(cfg, 4)
+        together = run_once(scenario, (2, 3, 5), make_algorithms(cfg), diagnostics=True)
+        alone = run_once(scenario, 3, make_algorithms(cfg, ["ckf"]), diagnostics=True)
+        assert alone.diag["reg_events"]["ckf"].sum() > 0
+        for metrics in together.values():
+            assert np.array_equal(metrics.diag["reg_events"]["ckf"],
+                                  alone.diag["reg_events"]["ckf"])
+            assert np.array_equal(metrics.series["ckf"], alone.series["ckf"])
 
     def test_one_power_table_per_run_once(self, monkeypatch):
         # every lane and timestep of a seed reads one table of M^0..M^max(L)
