@@ -18,13 +18,16 @@ ends at
 where z_r is the cycle phase that selects row r (k_r = 0 when z_r >= L).
 `run_consensus` evaluates this closed form (Xiao & Boyd 2004, "Fast
 linear iterations for distributed averaging") from a table of the powers
-M^0 .. M^L that `averaging_powers` builds once per network. The paper's
+M^0 .. M^L that `averaging_powers` builds once per network; the step
+counts k_r and the per-step payloads depend on (schedule, L) alone and
+are planned once per pair for the whole process. The paper's
 step-by-step form, one neighbor sum per node and step, is the test
 suite's reference (`tests/consensus_reference.py`).
 """
 
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -83,10 +86,33 @@ def run_masked_consensus(B: np.ndarray, b: np.ndarray, powers: np.ndarray,
     """
     moved = np.flatnonzero(steps)
     per_row = powers[steps[moved]]
+    # b is always gathered: the gathered b[:, moved] is Fortran-ordered, and
+    # einsum sums the full C-ordered b in another order
+    b_moved = np.einsum("rij,jr->ir", per_row, b[:, moved])
+    if moved.size == len(steps):
+        return np.einsum("rij,jrc->irc", per_row, B), b_moved
     B_out, b_out = B.copy(), b.copy()
     B_out[:, moved, :] = np.einsum("rij,jrc->irc", per_row, B[:, moved, :])
-    b_out[:, moved] = np.einsum("rij,jr->ir", per_row, b[:, moved])
+    b_out[:, moved] = b_moved
     return B_out, b_out
+
+
+@lru_cache(maxsize=None)
+def _plan(schedule: EntrySelectionSchedule, L: int):
+    """What L steps under `schedule` do on any network: the (read-only)
+    number of steps that move each row, and the scalars one node sends at
+    each step. Schedules compare and hash by their subsets, so equal
+    schedules share one plan. The cache is unbounded: a plan is a few
+    hundred bytes, one per distinct pair a process runs, and a bounded
+    one would evict on every step of a grid wider than its size."""
+    theta = schedule.theta_bar
+    # row r is selected at the steps l < L with l mod theta == its phase z
+    steps = np.zeros(schedule.n, dtype=int)
+    for z, rows in enumerate(schedule.rows):
+        steps[rows] = len(range(z, L, theta))
+    steps.setflags(write=False)
+    sizes = [rows.size * (schedule.n + 1) for rows in schedule.rows]
+    return steps, tuple(sizes[l % theta] for l in range(L))
 
 
 def run_consensus(state: ConsensusState, schedule: EntrySelectionSchedule, L: int,
@@ -96,15 +122,20 @@ def run_consensus(state: ConsensusState, schedule: EntrySelectionSchedule, L: in
 
     Step l moves the rows `schedule.rows_at(l)` at every node;
     `powers` is the network's `averaging_powers` table, up to at least M^L.
-    Warns (and proceeds) when L is not a whole number of selection cycles.
-    When a ledger is given, every node's broadcast sizes are recorded as
-    one compact entry for the whole run.
+    Which rows move how often, and what each step sends, depend only on
+    (schedule, L) and are computed once per pair. Warns (and proceeds)
+    when L is not a whole number of selection cycles. When a ledger is
+    given, every node's broadcast sizes are recorded as one compact entry
+    for the whole run.
     """
     if L < 1:
         raise ConfigurationError(f"consensus step count must be >= 1, got {L}")
     if L >= len(powers):
         raise ConfigurationError(f"{L} consensus steps need powers up to M^{L}; "
                                  f"the table ends at M^{len(powers) - 1}")
+    if state.n != schedule.n:
+        raise ConfigurationError(f"schedule over {schedule.n} rows for a state of "
+                                 f"dimension {state.n}")
     theta = schedule.theta_bar
     if L % theta != 0:
         warnings.warn(
@@ -113,14 +144,10 @@ def run_consensus(state: ConsensusState, schedule: EntrySelectionSchedule, L: in
             "mixed across cycle phases",
             ConsensusCycleWarning, stacklevel=2,
         )
-    # row r is selected at the steps l < L with l mod theta == its phase z
-    steps = np.zeros(state.n, dtype=int)
-    for z, rows in enumerate(schedule.rows):
-        steps[rows] = len(range(z, L, theta))
+    steps, payloads = _plan(schedule, L)
     B, b = run_masked_consensus(state.B, state.b, powers, steps)
     if ledger is not None:
-        sizes = [rows.size * (state.n + 1) for rows in schedule.rows]
-        ledger.record_consensus(t, state.n_nodes, [sizes[l % theta] for l in range(L)])
+        ledger.record_consensus(t, state.n_nodes, payloads)
     return ConsensusState(B=B, b=b)
 
 

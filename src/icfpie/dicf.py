@@ -10,10 +10,12 @@ with the whole network, run per lane on its N-slice block, then
 posterior recovery (Omega = N * B(L), estimate from the B(L) b(L) pair
 with the singular policy) and an information-form prediction, both from
 one Cholesky factor of B(L) per slice. The centralized slice fuses every
-sensed node's contribution at once, the pair consensus converges to, and
-joins that one recovery call with scale 1 in place of N. With the
-identity selection schedule a lane is exactly the original full-exchange
-consensus filter; `ckf_step` steps the centralized filter alone.
+sensed node's contribution at once, the pair consensus converges to,
+from the same local correction terms the lanes start from, and joins
+that one recovery call with scale 1 in place of N. With the identity
+selection schedule a lane is exactly the original full-exchange
+consensus filter; `ckf_step` steps the centralized filter alone through
+`centralized_correct`, with the same bits.
 """
 
 from typing import Optional, Sequence
@@ -28,6 +30,7 @@ from .info_filter import (
     centralized_correct,
     local_correction_terms,
     recover_and_predict,
+    symmetrize,
 )
 from .info_filter import (  # noqa: F401  unused here; perfbench/tracer.py wraps them by name
     information_state,
@@ -55,7 +58,11 @@ def dicf_step(prior: InformationState, powers: np.ndarray,
     their lane-major stack of K*N node states, then at most one slice that
     steps as `ckf_step` steps it alone: S = K*N + C >= 1 with C in {0, 1}.
     `measurements` is (N, m) and `sensed` (N,) bool: node i of every lane
-    corrects with measurements[i] only where sensed[i]. `ledgers`, if
+    corrects with measurements[i] only where sensed[i]. One
+    `local_correction_terms` call per step serves both: the lanes start
+    consensus from its masked terms, and the centralized slice adds
+    k C^T V C and the sum of the k sensed C^T V y_i to its prior, as
+    `centralized_correct` would, without computing them again. `ledgers`, if
     given, holds one ledger per lane. Events in `log` carry the slice
     index as `node`: k*N + i, and K*N for the centralized slice.
     """
@@ -70,27 +77,31 @@ def dicf_step(prior: InformationState, powers: np.ndarray,
     elif len(ledgers) != n_lanes:
         raise ConfigurationError(f"{len(ledgers)} ledgers for {n_lanes} lanes")
     n = prior.q.shape[-1]
-    d_omega, d_q = local_correction_terms(sensor.c, sensor.v, measurements)
-    d_omega = np.where(sensed[:, None, None], d_omega, 0.0)
-    d_q = np.where(sensed[:, None], d_q, 0.0)
+    omega_gain, q_gains = local_correction_terms(sensor.c, sensor.v, measurements)
+    d_omega = np.where(sensed[:, None, None], omega_gain, 0.0)
+    d_q = np.where(sensed[:, None], q_gains, 0.0)
     # lane k of the (K, N, ...) view takes the N node corrections by broadcasting
     lane_prior = InformationState(
         prior.omega[:n_lane_slices].reshape(n_lanes, n_nodes, n, n),
         prior.q[:n_lane_slices].reshape(n_lanes, n_nodes, n))
-    B, b = init_consensus(lane_prior, d_omega, d_q, n_nodes)
+    B0, b0 = init_consensus(lane_prior, d_omega, d_q, n_nodes)
+    # the (B, b) pair of every slice, lanes' node blocks first
+    B, b = np.empty_like(prior.omega), np.empty_like(prior.q)
     for k, ((schedule, L), ledger) in enumerate(zip(lanes, ledgers)):
-        state = run_consensus(ConsensusState(B[k], b[k]), schedule, L, powers,
+        state = run_consensus(ConsensusState(B0[k], b0[k]), schedule, L, powers,
                               ledger=ledger, t=t)
-        B[k], b[k] = state.B, state.b
-    central = InformationState(prior.omega[n_lane_slices:], prior.q[n_lane_slices:])
-    fused = centralized_correct(central, sensor.c, sensor.v, measurements[sensed])
+        block = slice(k * n_nodes, (k + 1) * n_nodes)
+        B[block], b[block] = state.B, state.b
+    # centralized_correct's arithmetic on the terms computed above
+    q_gains = q_gains[sensed]
+    B[n_lane_slices:] = symmetrize(prior.omega[n_lane_slices:] + len(q_gains) * omega_gain)
+    b[n_lane_slices:] = prior.q[n_lane_slices:] + q_gains.sum(axis=0)
+    scale = np.full(len(b), float(n_nodes))
+    scale[n_lane_slices:] = 1.0
 
     # the estimates come from the consensus pairs themselves; the N factor cancels
     posterior, estimates, next_prior = recover_and_predict(
-        np.concatenate([B.reshape(n_lane_slices, n, n), fused.omega]),
-        np.concatenate([b.reshape(n_lane_slices, n), fused.q]),
-        np.repeat([float(n_nodes), 1.0], [n_lane_slices, n_central]),
-        sys.a, sys.process_cov, log)
+        B, b, scale, sys.a, sys.process_cov, log)
     return next_prior, posterior, estimates
 
 

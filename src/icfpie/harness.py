@@ -307,9 +307,13 @@ def run_once(scenario: Scenario, L, algorithms: Optional[list] = None,
     algorithm runs at every depth, and each such (algorithm, L) lane is a
     block of one stacked state; the centralized filter, if asked for, is
     the stack's last slice. A single dicf_step per timestep advances them
-    all, with one NumericsLog. One depth returns RunMetrics keyed by
-    algorithm label; a sequence returns {L: RunMetrics}, each of which
-    also holds the centralized filter, which has no depth.
+    all, with one NumericsLog. Per timestep the loop keeps only each
+    slice's error norm and the log's length (and, with `diagnostics`,
+    the lanes' posterior eigenvalue range); lane means, node errors and
+    regularize counts per step are formed from those after the loop. One
+    depth returns RunMetrics keyed by algorithm label; a sequence returns
+    {L: RunMetrics}, each of which also holds the centralized filter,
+    which has no depth.
     """
     cfg = scenario.cfg
     if algorithms is None:
@@ -329,35 +333,41 @@ def run_once(scenario: Scenario, L, algorithms: Optional[list] = None,
     lanes = [(a.schedule, lv) for lv in depths for a in consensus]
     n_lanes = len(lanes)
     n_lane_slices, n_central = n_lanes * n_nodes, 1 if central else 0
-    errors = np.zeros((n_lanes + n_central, n_steps))
-    reg = np.zeros(errors.shape, dtype=int)
+    slice_errors = np.zeros((n_steps, n_lane_slices + n_central))
+    events_after = np.zeros(n_steps, dtype=int)  # len(log.events) after step t
     ledgers = [BandwidthLedger() for _ in lanes]
-    # an event's `node` is its slice in the stack, so it lands in row
-    # node // N, which is row n_lanes for the centralized slice
     log = NumericsLog()
-    node_diag = {key: np.zeros((n_lanes, n_steps, n_nodes))
-                 for key in ("node_errors", "eig_min", "eig_max")} if diagnostics else {}
+    eig_range = {key: np.zeros((n_lanes, n_steps, n_nodes))
+                 for key in ("eig_min", "eig_max")} if diagnostics else {}
     prior = scenario.zero_prior(n_lane_slices + n_central)
     powers = averaging_powers(scenario.net, scenario.eps, max(depths))
 
     for t in range(n_steps):
-        seen = len(log.events)
         prior, posterior, estimates = dicf_step(
             prior, powers, lanes, scenario.measurements[t], scenario.sensed[t],
             scenario.sensor, scenario.sys, ledgers=ledgers, t=t, log=log)
-        errs = np.linalg.norm(scenario.truth[t] - estimates, axis=-1)
-        lane_errs = errs[:n_lane_slices].reshape(n_lanes, n_nodes)
-        errors[:n_lanes, t] = lane_errs.mean(axis=1)
-        errors[n_lanes:, t] = errs[n_lane_slices:]
+        slice_errors[t] = np.linalg.norm(scenario.truth[t] - estimates, axis=-1)
+        events_after[t] = len(log.events)
         if diagnostics and lanes:
-            node_diag["node_errors"][:, t] = lane_errs
             ev = np.linalg.eigvalsh(posterior.omega[:n_lane_slices]).reshape(
                 n_lanes, n_nodes, -1)
-            node_diag["eig_min"][:, t] = ev[..., 0]
-            node_diag["eig_max"][:, t] = ev[..., -1]
-        for event in log.events[seen:]:
-            if event["kind"] == "regularize":
-                reg[event["node"] // n_nodes, t] += 1
+            eig_range["eig_min"][:, t] = ev[..., 0]
+            eig_range["eig_max"][:, t] = ev[..., -1]
+
+    node_errors = slice_errors[:, :n_lane_slices].reshape(n_steps, n_lanes, n_nodes)
+    errors = np.concatenate([node_errors.mean(axis=-1), slice_errors[:, n_lane_slices:]],
+                            axis=1).T
+    if diagnostics:
+        node_diag = {"node_errors": node_errors.transpose(1, 0, 2), **eig_range}
+        # an event's `node` is its slice in the stack, so it lands in row
+        # node // N, which is row n_lanes for the centralized slice; event
+        # i happened at the step t with events_after[t - 1] <= i < events_after[t]
+        reg = np.zeros(errors.shape, dtype=int)
+        regularized = [(i, e["node"] // n_nodes) for i, e in enumerate(log.events)
+                       if e["kind"] == "regularize"]
+        if regularized:
+            index, row = np.array(regularized).T
+            np.add.at(reg, (row, np.searchsorted(events_after, index, side="right")), 1)
 
     scalars = [ledger.total_scalars() for ledger in ledgers] + [0] * n_central
 

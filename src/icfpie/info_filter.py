@@ -215,7 +215,7 @@ def factor_slices(omega: np.ndarray, context: str) -> SliceFactors:
     factorization fails never affects the others: a failing batched
     factorization is redone slice by slice."""
     stack = symmetrize(omega)
-    if not np.all(np.isfinite(stack)):
+    if not np.isfinite(stack).all():
         raise FilterNumericsError(f"non-finite information matrix in {context}")
     ok = np.ones(stack.shape[0], dtype=bool)
     try:
@@ -266,8 +266,9 @@ def _predicted(f: SliceFactors, scale: np.ndarray, x: np.ndarray, post: Informat
     # A P A^T = G^T G / scale with G = L^-1 A^T
     g = f.c_inv @ a.T
     apa = g.swapaxes(-1, -2) @ g / scale[:, None, None]
-    x_hat = x.copy()
+    x_hat = x
     if not f.certified.all():
+        x_hat = x.copy()
         check = np.flatnonzero(~f.certified)
         omega = _regularize(symmetrize(post.omega[check]), check, log, "predict")
         p = _inv_spd(omega, check, log, "predict: invert posterior")

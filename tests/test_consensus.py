@@ -111,6 +111,30 @@ class TestRunConsensus:
         with pytest.raises(ConfigurationError):
             averaging_powers(pair_net2, 0.0, 2)
 
+    def test_schedule_must_match_state_dimension(self, pair_net2):
+        with pytest.raises(ConfigurationError):
+            run_consensus(two_node_state(), default_schedule(3, "identity"), 1,
+                          averaging_powers(pair_net2, 0.5, 1))
+
+    def test_equal_schedules_built_apart_give_equal_runs(self):
+        # what a (schedule, L) pair does is computed once per equal pair, so
+        # a schedule built again from the same subsets must read the same
+        rng = np.random.default_rng(4)
+        net = random_geometric(6, (0, 500, 0, 500), 300.0, rng)
+        state = ConsensusState(B=np.array([random_spd(rng, 4) for _ in range(6)]),
+                               b=rng.normal(size=(6, 4)))
+        powers = averaging_powers(net, consensus_gain(net), 5)
+        first, again = build_schedule(4, [[1, 3], [2, 4]]), build_schedule(4, [[3, 1], [4, 2]])
+        assert first == again and first is not again
+        runs = []
+        for schedule in (first, again):
+            ledger = BandwidthLedger()
+            runs.append((run_consensus(state, schedule, 5, powers, ledger=ledger, t=2), ledger))
+        (out_first, ledger_first), (out_again, ledger_again) = runs
+        assert np.array_equal(out_first.B, out_again.B)
+        assert np.array_equal(out_first.b, out_again.b)
+        assert ledger_first.rows == ledger_again.rows == [(2, 6, (10,) * 5)]
+
     def test_single_identity_step_equals_consensus_step(self, pair_net2):
         sched = default_schedule(2, "identity")
         state = two_node_state()

@@ -11,6 +11,8 @@ import pytest
 import icfpie
 from conftest import assert_rel_close
 from icfpie import harness
+from icfpie.consensus import averaging_powers
+from icfpie.dicf import dicf_step
 from icfpie.errors import ConfigurationError, FilterNumericsError
 from icfpie.harness import (
     ScenarioConfig,
@@ -23,7 +25,8 @@ from icfpie.harness import (
     sweep_consensus_steps,
 )
 from icfpie.models import TruthModel, propagate_truth
-from icfpie.network import random_geometric
+from icfpie.info_filter import NumericsLog
+from icfpie.network import BandwidthLedger, random_geometric
 from measurement_reference import sample_measurement
 
 FAST = dict(n_nodes=6, horizon=2.0, mc_runs=2, seed=3)
@@ -343,6 +346,69 @@ class TestOnePassLanes:
         assert built == [5]
         run_once(scenario, 4)
         assert built == [5, 4]
+
+    def test_bookkeeping_equals_a_hand_stepped_loop(self):
+        # run_once keeps per-step error norms and the log's length, and forms
+        # lane means, node errors and regularize counts after the loop; this
+        # loop forms them at every step from dicf_step's own outputs
+        cfg = dataclasses.replace(ScenarioConfig(**FAST), selection="case2")
+        scenario = build_scenario(cfg, 4)
+        algorithms = make_algorithms(cfg)
+        consensus = [a for a in algorithms if a.uses_consensus]
+        depths = (2, 3, 5)
+        lanes = [(a.schedule, L) for L in depths for a in consensus]
+        N, T, rows = cfg.n_nodes, cfg.n_steps, len(lanes) + 1
+        powers = averaging_powers(scenario.net, scenario.eps, max(depths))
+        prior = scenario.zero_prior(len(lanes) * N + 1)
+        ledgers = [BandwidthLedger() for _ in lanes]
+        errors = np.zeros((rows, T))
+        node_errors = np.zeros((len(lanes), T, N))
+        reg = np.zeros((rows, T), dtype=int)
+        for t in range(T):
+            log = NumericsLog()
+            prior, _, estimates = dicf_step(
+                prior, powers, lanes, scenario.measurements[t], scenario.sensed[t],
+                scenario.sensor, scenario.sys, ledgers=ledgers, t=t, log=log)
+            errs = np.linalg.norm(scenario.truth[t] - estimates, axis=-1)
+            for k in range(len(lanes)):
+                node_errors[k, t] = errs[k * N:(k + 1) * N]
+                errors[k, t] = errs[k * N:(k + 1) * N].mean()
+            errors[-1, t] = errs[-1]
+            for event in log.events:
+                if event["kind"] == "regularize":
+                    reg[event["node"] // N, t] += 1
+        # events at several steps and in several rows, the centralized one too
+        assert (reg.sum(axis=1) > 0).sum() > 2 and reg[-1].sum() > 0
+        assert (reg.sum(axis=0) > 0).sum() > 2
+
+        by_depth = run_once(scenario, depths, algorithms, diagnostics=True)
+        for d, L in enumerate(depths):
+            metrics = by_depth[L]
+            for j, a in enumerate(consensus):
+                k = d * len(consensus) + j
+                assert np.array_equal(metrics.series[a.label], errors[k])
+                assert np.array_equal(metrics.diag["node_errors"][a.label], node_errors[k])
+                assert np.array_equal(metrics.diag["reg_events"][a.label], reg[k])
+                assert metrics.bandwidth[a.label] == ledgers[k].total_scalars()
+            assert np.array_equal(metrics.series["ckf"], errors[-1])
+            assert np.array_equal(metrics.diag["reg_events"]["ckf"], reg[-1])
+
+    def test_a_run_on_another_network_leaves_a_run_unchanged(self):
+        # consensus plans are kept per (schedule, L) for the whole process;
+        # nothing of one network may reach a run on another
+        cfg = dataclasses.replace(ScenarioConfig(**FAST), selection="case2")
+        first, other = build_scenario(cfg, 4), build_scenario(
+            dataclasses.replace(cfg, n_nodes=8), 5)
+        algorithms = make_algorithms(cfg)
+        before = run_once(first, (2, 3, 5), algorithms, diagnostics=True)
+        run_once(other, (2, 3, 5), algorithms, diagnostics=True)
+        after = run_once(first, (2, 3, 5), algorithms, diagnostics=True)
+        for L, metrics in before.items():
+            for a in algorithms:
+                assert np.array_equal(metrics.series[a.label], after[L].series[a.label])
+                assert metrics.bandwidth[a.label] == after[L].bandwidth[a.label]
+                assert np.array_equal(metrics.diag["reg_events"][a.label],
+                                      after[L].diag["reg_events"][a.label])
 
     def test_empty_depth_sequence_rejected(self):
         scenario = build_scenario(ScenarioConfig(**FAST), 2)

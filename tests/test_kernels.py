@@ -14,7 +14,12 @@ from hypothesis import strategies as st
 
 from conftest import assert_rel_close, random_spd
 from consensus_reference import consensus_step, mask_vector
-from icfpie.consensus import ConsensusState, averaging_powers, run_consensus
+from icfpie.consensus import (
+    ConsensusState,
+    averaging_powers,
+    run_consensus,
+    run_masked_consensus,
+)
 from icfpie.network import BandwidthLedger, consensus_gain, random_geometric
 from icfpie.selection import build_schedule, default_schedule
 
@@ -60,6 +65,45 @@ def test_full_cycles_match_consensus_matrix_power_oracle(cycles):
     out = run_consensus(state, CASE1, 2 * cycles, averaging_powers(net, eps, 2 * cycles))
     assert np.allclose(out.B, np.einsum("ij,jrc->irc", pi_c, state.B), atol=1e-10)
     assert np.allclose(out.b, pi_c @ state.b, atol=1e-10)
+
+
+def gather_and_scatter(B, b, powers, steps):
+    """The kernel's arithmetic spelled out: gather the moved rows, average
+    each by its power of M, and scatter them into copies of the inputs."""
+    moved = np.flatnonzero(steps)
+    per_row = powers[steps[moved]]
+    B_out, b_out = B.copy(), b.copy()
+    B_out[:, moved, :] = np.einsum("rij,jrc->irc", per_row, B[:, moved, :])
+    b_out[:, moved] = np.einsum("rij,jr->ir", per_row, b[:, moved])
+    return B_out, b_out
+
+
+class TestKernelRows:
+    """`run_masked_consensus` skips the copy and the scatter when every row
+    moves; its results stay those of the gathered evaluation, bit for bit."""
+
+    @pytest.mark.parametrize("steps", [[3, 3, 3, 3], [2, 1, 2, 1], [1, 4, 2, 3]])
+    def test_all_rows_moving_returns_new_arrays_equal_to_gather_and_scatter(self, steps):
+        net, state = make_problem(seed=11)
+        B0, b0 = state.B.copy(), state.b.copy()
+        steps = np.array(steps)
+        powers = averaging_powers(net, consensus_gain(net), steps.max())
+        B, b = run_masked_consensus(state.B, state.b, powers, steps)
+        assert not np.shares_memory(B, state.B) and not np.shares_memory(b, state.b)
+        assert np.array_equal(state.B, B0) and np.array_equal(state.b, b0)
+        expected_B, expected_b = gather_and_scatter(B0, b0, powers, steps)
+        assert np.array_equal(B, expected_B) and np.array_equal(b, expected_b)
+
+    def test_rows_with_zero_steps_stay_bit_identical(self):
+        # a partial cycle of case 2 at L = 2: rows 2 and 3 were never selected
+        net, state = make_problem(seed=12)
+        steps = np.array([1, 1, 0, 0])
+        powers = averaging_powers(net, consensus_gain(net), 1)
+        B, b = run_masked_consensus(state.B, state.b, powers, steps)
+        assert np.array_equal(B[:, 2:, :], state.B[:, 2:, :])
+        assert np.array_equal(b[:, 2:], state.b[:, 2:])
+        expected_B, expected_b = gather_and_scatter(state.B, state.b, powers, steps)
+        assert np.array_equal(B, expected_B) and np.array_equal(b, expected_b)
 
 
 @st.composite
