@@ -20,7 +20,12 @@ where z_r is the cycle phase that selects row r (k_r = 0 when z_r >= L).
 linear iterations for distributed averaging") from a table of the powers
 M^0 .. M^L that `averaging_powers` builds once per network; the step
 counts k_r and the per-step payloads depend on (schedule, L) alone and
-are planned once per pair for the whole process. The paper's
+are planned once per pair for the whole process. Rows with the same
+k_r form one group, and a group moves as two 2-D products: M^k times
+the (N, |rows| * n) matrix of its B rows flattened per node, and M^k
+times its (N, |rows|) entries of b. After a whole number of selection
+cycles every row is one group, and the product runs on (B, b) as they
+are, with no gather or scatter. The paper's
 step-by-step form, one neighbor sum per node and step, is the test
 suite's reference (`tests/consensus_reference.py`).
 """
@@ -78,41 +83,49 @@ def averaging_powers(net: SensorNetwork, eps: float, k_max: int) -> np.ndarray:
 
 
 def run_masked_consensus(B: np.ndarray, b: np.ndarray, powers: np.ndarray,
-                         steps: np.ndarray):
-    """Average row r of every node's (B, b) steps[r] times in closed form.
+                         groups: tuple):
+    """Average the rows of every node's (B, b) in closed form, group by group.
 
-    Row r becomes powers[steps[r]] applied across nodes; rows with zero
-    steps are copied untouched. Returns new (B, b); inputs are not modified.
+    `groups` holds (k, rows) pairs: the rows `rows` of every node become
+    powers[k] applied across nodes, one 2-D product of the (N, N) power
+    with those rows flattened per node; rows in no group are copied
+    untouched. Returns new (B, b); inputs are not modified.
     """
-    moved = np.flatnonzero(steps)
-    per_row = powers[steps[moved]]
-    # b is always gathered: the gathered b[:, moved] is Fortran-ordered, and
-    # einsum sums the full C-ordered b in another order
-    b_moved = np.einsum("rij,jr->ir", per_row, b[:, moved])
-    if moved.size == len(steps):
-        return np.einsum("rij,jrc->irc", per_row, B), b_moved
+    n_nodes, n = b.shape
+    if len(groups) == 1 and groups[0][1].size == n:
+        # every row moves the same k times: no gather, copy or scatter
+        m = powers[groups[0][0]]
+        return (m @ B.reshape(n_nodes, -1)).reshape(B.shape), m @ b
     B_out, b_out = B.copy(), b.copy()
-    B_out[:, moved, :] = np.einsum("rij,jrc->irc", per_row, B[:, moved, :])
-    b_out[:, moved] = b_moved
+    for k, rows in groups:
+        B_out[:, rows] = (powers[k] @ B[:, rows].reshape(n_nodes, -1)).reshape(
+            n_nodes, rows.size, n)
+        b_out[:, rows] = powers[k] @ b[:, rows]
     return B_out, b_out
 
 
 @lru_cache(maxsize=None)
 def _plan(schedule: EntrySelectionSchedule, L: int):
-    """What L steps under `schedule` do on any network: the (read-only)
-    number of steps that move each row, and the scalars one node sends at
-    each step. Schedules compare and hash by their subsets, so equal
-    schedules share one plan. The cache is unbounded: a plan is a few
-    hundred bytes, one per distinct pair a process runs, and a bounded
-    one would evict on every step of a grid wider than its size."""
+    """What L steps under `schedule` do on any network: the rows that
+    move, grouped by their step count k as (k, rows) pairs with read-only
+    rows, and the scalars one node sends at each step. Schedules compare
+    and hash by their subsets, so equal schedules share one plan. The
+    cache is unbounded: a plan is a few hundred bytes, one per distinct
+    pair a process runs, and a bounded one would evict on every step of a
+    grid wider than its size."""
     theta = schedule.theta_bar
     # row r is selected at the steps l < L with l mod theta == its phase z
     steps = np.zeros(schedule.n, dtype=int)
     for z, rows in enumerate(schedule.rows):
         steps[rows] = len(range(z, L, theta))
-    steps.setflags(write=False)
+    groups = []
+    # a set, not np.unique, which imports numpy.ma into every fresh pool worker
+    for k in sorted(set(steps[steps > 0].tolist())):
+        rows = np.flatnonzero(steps == k)
+        rows.setflags(write=False)
+        groups.append((k, rows))
     sizes = [rows.size * (schedule.n + 1) for rows in schedule.rows]
-    return steps, tuple(sizes[l % theta] for l in range(L))
+    return tuple(groups), tuple(sizes[l % theta] for l in range(L))
 
 
 def run_consensus(state: ConsensusState, schedule: EntrySelectionSchedule, L: int,
@@ -144,8 +157,8 @@ def run_consensus(state: ConsensusState, schedule: EntrySelectionSchedule, L: in
             "mixed across cycle phases",
             ConsensusCycleWarning, stacklevel=2,
         )
-    steps, payloads = _plan(schedule, L)
-    B, b = run_masked_consensus(state.B, state.b, powers, steps)
+    groups, payloads = _plan(schedule, L)
+    B, b = run_masked_consensus(state.B, state.b, powers, groups)
     if ledger is not None:
         ledger.record_consensus(t, state.n_nodes, payloads)
     return ConsensusState(B=B, b=b)

@@ -43,6 +43,9 @@ def test_traced_run_counts_consensus_and_events(tracer):
     finally:
         assert tracer.restore() == []
     assert tracer.counts["network.ledger_rows"][0] == 2 * cfg.n_steps
+    # one kernel call per lane and step, timed
+    assert tracer.acc["consensus.kernel"][2] == 2 * cfg.n_steps
+    assert tracer.acc["consensus.kernel"][0] > 0
     assert tracer.counts["consensus.row_updates"][0] > 0
     assert tracer.counts["info_filter.events.singular_solve"][0] > 0
     # one stacked dicf_step per timestep advances both consensus algorithms

@@ -201,6 +201,29 @@ class TestCentralSlice:
             assert all(e["node"] < last for e in log.events if e["node"] != last)
         assert any(e["kind"] == "singular_solve" for e in steps[0][-1])
 
+    # the benchmark's sweep over L in {1, 3, 20} (9 lanes, 91 slices) and the
+    # default 1..20 grid (60 lanes, 601 slices): no arithmetic of the
+    # centralized slice may depend on how many slices share its stack
+    @pytest.mark.parametrize("seed", [7, 195])
+    @pytest.mark.parametrize("depths", [(1, 3, 20), tuple(range(1, 21))],
+                             ids=["sweep_depth", "full_grid"])
+    def test_trailing_slice_of_wide_stacks_equals_ckf_step(self, seed, depths):
+        scenario, steps = ckf_loop(seed)
+        lanes = [(SCHEDULES[kind], L) for L in depths for kind in ("identity", "case1", "case2")]
+        last = len(lanes) * scenario.net.n_nodes
+        powers = averaging_powers(scenario.net, scenario.eps, max(depths))
+        prior = scenario.zero_prior(last + 1)
+        for t, (next_ckf, post_ckf, estimate_ckf, _) in enumerate(steps[:20]):
+            prior, posterior, estimates = dicf_step(
+                prior, powers, lanes, scenario.measurements[t], scenario.sensed[t],
+                scenario.sensor, scenario.sys, t=t)
+            for got, expected in [(prior.omega[last:], next_ckf.omega),
+                                  (prior.q[last:], next_ckf.q),
+                                  (posterior.omega[last:], post_ckf.omega),
+                                  (posterior.q[last:], post_ckf.q),
+                                  (estimates[last:], estimate_ckf)]:
+                assert np.array_equal(got, expected)
+
     def test_run_once_with_only_the_centralized_filter(self):
         scenario, steps = ckf_loop(196)
         metrics = run_once(scenario, 4, make_algorithms(scenario.cfg, ["ckf"]),

@@ -3,13 +3,14 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import assert_rel_close, random_spd
 from icfpie.errors import ConfigurationError, FilterNumericsError
 from icfpie.info_filter import (
     NumericsLog,
+    _inv_lower,
     centralized_correct,
     SINGULAR_EIG,
     ensure_invertible,
@@ -232,8 +233,8 @@ def outcome(fn, arg):
         return None, log
 
 
-MIXED_KINDS = st.lists(st.sampled_from(["spd", "tiny", "zero", "rank_deficient", "indefinite",
-                                        "near_threshold"]), min_size=1, max_size=12)
+KIND_NAMES = ["spd", "tiny", "zero", "rank_deficient", "indefinite", "near_threshold"]
+MIXED_KINDS = st.lists(st.sampled_from(KIND_NAMES), min_size=1, max_size=12)
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 
 
@@ -314,6 +315,36 @@ class TestCertificate:
         recover_and_predict(b_mat, b_vec, 10, np.eye(4), np.eye(4))
         # the zero slice alone, once for its estimate and once for its prediction
         assert checked == [1, 1]
+
+
+class TestTriangularInverse:
+    """The substitution inverse of the Cholesky factors, which every
+    recovery step takes, against numpy's general LU inverse."""
+
+    @given(SEEDS, st.integers(min_value=2, max_value=6), st.integers(min_value=1, max_value=700),
+           st.lists(st.sampled_from(KIND_NAMES), min_size=1, max_size=6))
+    @settings(max_examples=30, deadline=None)
+    @example(0, 4, 700, KIND_NAMES)
+    @example(1, 6, 601, KIND_NAMES)
+    def test_agrees_with_lu_inverse_within_residual_bound(self, seed, n, count, kinds):
+        rng = np.random.default_rng(seed)
+        stack = symmetrize(np.array([mixed_slice(rng, kinds[k % len(kinds)], n)
+                                     for k in range(count)]))
+        # the identity where the factorization fails, as factor_slices leaves it
+        c = np.broadcast_to(np.eye(n), stack.shape).copy()
+        failed = []
+        for k in range(count):
+            try:
+                c[k] = np.linalg.cholesky(stack[k])
+            except np.linalg.LinAlgError:
+                failed.append(k)
+        x = _inv_lower(c)
+        expected = np.linalg.inv(c)
+        for k in range(count):
+            assert_rel_close(x[k], expected[k], 1e-12)
+        eps = np.finfo(float).eps
+        assert np.all(np.abs(x @ c - np.eye(n)) <= n * eps * (np.abs(x) @ np.abs(c)))
+        assert np.array_equal(x[failed], c[failed])
 
 
 class TestRecoverAndPredict:

@@ -67,42 +67,51 @@ def test_full_cycles_match_consensus_matrix_power_oracle(cycles):
     assert np.allclose(out.b, pi_c @ state.b, atol=1e-10)
 
 
-def gather_and_scatter(B, b, powers, steps):
-    """The kernel's arithmetic spelled out: gather the moved rows, average
-    each by its power of M, and scatter them into copies of the inputs."""
-    moved = np.flatnonzero(steps)
-    per_row = powers[steps[moved]]
+def row_groups(steps):
+    """The (k, rows) groups of a per-row step-count vector, as a plan holds them."""
+    steps = np.asarray(steps)
+    return tuple((int(k), np.flatnonzero(steps == k)) for k in np.unique(steps[steps > 0]))
+
+
+def gather_and_scatter(B, b, powers, groups):
+    """The kernel's arithmetic spelled out: gather each group's rows,
+    average them by the group's power of M as one 2-D product, and scatter
+    them into copies of the inputs."""
+    n_nodes, n = b.shape
     B_out, b_out = B.copy(), b.copy()
-    B_out[:, moved, :] = np.einsum("rij,jrc->irc", per_row, B[:, moved, :])
-    b_out[:, moved] = np.einsum("rij,jr->ir", per_row, b[:, moved])
+    for k, rows in groups:
+        B_out[:, rows, :] = (powers[k] @ B[:, rows, :].reshape(n_nodes, -1)).reshape(
+            n_nodes, rows.size, n)
+        b_out[:, rows] = powers[k] @ b[:, rows]
     return B_out, b_out
 
 
 class TestKernelRows:
-    """`run_masked_consensus` skips the copy and the scatter when every row
-    moves; its results stay those of the gathered evaluation, bit for bit."""
+    """`run_masked_consensus` skips the gather, the copy and the scatter
+    when one group holds every row; its results stay those of the gathered
+    evaluation, bit for bit."""
 
     @pytest.mark.parametrize("steps", [[3, 3, 3, 3], [2, 1, 2, 1], [1, 4, 2, 3]])
     def test_all_rows_moving_returns_new_arrays_equal_to_gather_and_scatter(self, steps):
         net, state = make_problem(seed=11)
         B0, b0 = state.B.copy(), state.b.copy()
-        steps = np.array(steps)
-        powers = averaging_powers(net, consensus_gain(net), steps.max())
-        B, b = run_masked_consensus(state.B, state.b, powers, steps)
+        groups = row_groups(steps)
+        powers = averaging_powers(net, consensus_gain(net), max(steps))
+        B, b = run_masked_consensus(state.B, state.b, powers, groups)
         assert not np.shares_memory(B, state.B) and not np.shares_memory(b, state.b)
         assert np.array_equal(state.B, B0) and np.array_equal(state.b, b0)
-        expected_B, expected_b = gather_and_scatter(B0, b0, powers, steps)
+        expected_B, expected_b = gather_and_scatter(B0, b0, powers, groups)
         assert np.array_equal(B, expected_B) and np.array_equal(b, expected_b)
 
     def test_rows_with_zero_steps_stay_bit_identical(self):
         # a partial cycle of case 2 at L = 2: rows 2 and 3 were never selected
         net, state = make_problem(seed=12)
-        steps = np.array([1, 1, 0, 0])
+        groups = row_groups([1, 1, 0, 0])
         powers = averaging_powers(net, consensus_gain(net), 1)
-        B, b = run_masked_consensus(state.B, state.b, powers, steps)
+        B, b = run_masked_consensus(state.B, state.b, powers, groups)
         assert np.array_equal(B[:, 2:, :], state.B[:, 2:, :])
         assert np.array_equal(b[:, 2:], state.b[:, 2:])
-        expected_B, expected_b = gather_and_scatter(state.B, state.b, powers, steps)
+        expected_B, expected_b = gather_and_scatter(state.B, state.b, powers, groups)
         assert np.array_equal(B, expected_B) and np.array_equal(b, expected_b)
 
 
