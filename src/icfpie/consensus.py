@@ -16,23 +16,22 @@ ends at
     rows_r(L) = M^{k_r} @ rows_r(0),   k_r = ceil((L - z_r) / theta)
 
 where z_r is the cycle phase that selects row r (k_r = 0 when z_r >= L).
-`run_consensus` evaluates this closed form (Xiao & Boyd 2004, "Fast
-linear iterations for distributed averaging") from a table of the powers
-M^0 .. M^L that `averaging_powers` builds once per network; the step
-counts k_r and the per-step payloads depend on (schedule, L) alone and
-are planned once per pair for the whole process. Rows with the same
-k_r form one group, and a group moves as two 2-D products: M^k times
-the (N, |rows| * n) matrix of its B rows flattened per node, and M^k
-times its (N, |rows|) entries of b. After a whole number of selection
-cycles every row is one group, and the product runs on (B, b) as they
-are, with no gather or scatter. The paper's
-step-by-step form, one neighbor sum per node and step, is the test
-suite's reference (`tests/consensus_reference.py`).
+This is the closed form of Xiao & Boyd 2004 ("Fast linear iterations for
+distributed averaging"), read from a table of the powers M^0 .. M^L that
+`averaging_powers` builds once per network. A run's lanes, its (schedule,
+L) pairs, are fixed, so `plan_lanes` plans them once per run: the step
+counts k_r of every lane and row, the matching powers gathered into one
+(K, n, N, N) array, and each lane's per-step payloads. Every timestep
+then moves every row of every lane in one batched product
+(`run_masked_consensus`); rows with k_r = 0 read M^0 = I. `run_consensus`
+is the same for one lane. The paper's step-by-step form, one neighbor
+sum per node and step, is the test suite's reference
+(`tests/consensus_reference.py`).
 """
 
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -82,91 +81,96 @@ def averaging_powers(net: SensorNetwork, eps: float, k_max: int) -> np.ndarray:
     return np.array([np.linalg.matrix_power(m, k) for k in range(k_max + 1)])
 
 
-def run_masked_consensus(B: np.ndarray, b: np.ndarray, powers: np.ndarray,
-                         groups: tuple):
-    """Average the rows of every node's (B, b) in closed form, group by group.
+class LanePlan(NamedTuple):
+    """What a run's K consensus lanes do at every timestep on its network.
 
-    `groups` holds (k, rows) pairs: the rows `rows` of every node become
-    powers[k] applied across nodes, one 2-D product of the (N, N) power
-    with those rows flattened per node; rows in no group are copied
-    untouched. Returns new (B, b); inputs are not modified.
+    `steps` (K, n) counts how often lane k averages row r, `powers` (K, n,
+    N, N) gathers the matching powers of the network's table,
+    powers[steps], and `payloads` holds each lane's scalars sent by one
+    node at each of its L steps. Built once per run by `plan_lanes`; it
+    holds that network's powers, so it is never shared between runs.
     """
-    n_nodes, n = b.shape
-    if len(groups) == 1 and groups[0][1].size == n:
-        # every row moves the same k times: no gather, copy or scatter
-        m = powers[groups[0][0]]
-        return (m @ B.reshape(n_nodes, -1)).reshape(B.shape), m @ b
-    B_out, b_out = B.copy(), b.copy()
-    for k, rows in groups:
-        B_out[:, rows] = (powers[k] @ B[:, rows].reshape(n_nodes, -1)).reshape(
-            n_nodes, rows.size, n)
-        b_out[:, rows] = powers[k] @ b[:, rows]
+
+    steps: np.ndarray
+    powers: np.ndarray
+    payloads: tuple
+
+
+def plan_lanes(lanes: Sequence[tuple[EntrySelectionSchedule, int]], powers: np.ndarray,
+               n: int) -> LanePlan:
+    """The plan of the (schedule, L) `lanes` over states of dimension n.
+
+    `powers` is the network's `averaging_powers` table, up to at least the
+    deepest lane's M^L. Row r of a lane under `schedule` is selected at the
+    steps l < L with l mod theta equal to the phase of its subset. Warns
+    (and proceeds) once per lane whose L is not a whole number of
+    selection cycles.
+    """
+    steps = np.zeros((len(lanes), n), dtype=int)
+    payloads = []
+    for k, (schedule, L) in enumerate(lanes):
+        if L < 1:
+            raise ConfigurationError(f"consensus step count must be >= 1, got {L}")
+        if L >= len(powers):
+            raise ConfigurationError(f"{L} consensus steps need powers up to M^{L}; "
+                                     f"the table ends at M^{len(powers) - 1}")
+        if schedule.n != n:
+            raise ConfigurationError(f"schedule over {schedule.n} rows for a state of "
+                                     f"dimension {n}")
+        theta = schedule.theta_bar
+        if L % theta != 0:
+            warnings.warn(
+                f"consensus with L = {L} steps is not a multiple of the {theta}-step "
+                f"selection cycle of subsets {schedule.subsets}; posterior rows are "
+                "mixed across cycle phases",
+                ConsensusCycleWarning, stacklevel=2,
+            )
+        for z, rows in enumerate(schedule.rows):
+            steps[k, rows] = len(range(z, L, theta))
+        sizes = [rows.size * (n + 1) for rows in schedule.rows]
+        payloads.append(tuple(sizes[l % theta] for l in range(L)))
+    return LanePlan(steps, powers[steps], tuple(payloads))
+
+
+def run_masked_consensus(B: np.ndarray, b: np.ndarray, powers: np.ndarray):
+    """Average the rows of every lane's (B, b) in closed form.
+
+    `B` (K, N, n, n) and `b` (K, N, n) hold K lanes of N nodes, and
+    `powers` (K, n, N, N) is a plan's gathered powers: row r of lane k
+    becomes powers[k, r] applied across its nodes, one (N, N) @ (N, n)
+    product per lane and row, all in one batched matmul. Rows that no step
+    selects read M^0 = I and come back unchanged. Returns new (B, b);
+    the inputs are not modified.
+    """
+    B_out = (powers @ B.transpose(0, 2, 1, 3)).transpose(0, 2, 1, 3)
+    b_out = (powers @ b.transpose(0, 2, 1)[..., None])[..., 0].transpose(0, 2, 1)
     return B_out, b_out
-
-
-@lru_cache(maxsize=None)
-def _plan(schedule: EntrySelectionSchedule, L: int):
-    """What L steps under `schedule` do on any network: the rows that
-    move, grouped by their step count k as (k, rows) pairs with read-only
-    rows, and the scalars one node sends at each step. Schedules compare
-    and hash by their subsets, so equal schedules share one plan. The
-    cache is unbounded: a plan is a few hundred bytes, one per distinct
-    pair a process runs, and a bounded one would evict on every step of a
-    grid wider than its size."""
-    theta = schedule.theta_bar
-    # row r is selected at the steps l < L with l mod theta == its phase z
-    steps = np.zeros(schedule.n, dtype=int)
-    for z, rows in enumerate(schedule.rows):
-        steps[rows] = len(range(z, L, theta))
-    groups = []
-    # a set, not np.unique, which imports numpy.ma into every fresh pool worker
-    for k in sorted(set(steps[steps > 0].tolist())):
-        rows = np.flatnonzero(steps == k)
-        rows.setflags(write=False)
-        groups.append((k, rows))
-    sizes = [rows.size * (schedule.n + 1) for rows in schedule.rows]
-    return tuple(groups), tuple(sizes[l % theta] for l in range(L))
 
 
 def run_consensus(state: ConsensusState, schedule: EntrySelectionSchedule, L: int,
                   powers: np.ndarray, ledger: BandwidthLedger = None,
                   t: int = 0) -> ConsensusState:
-    """Run L masked consensus steps under a synchronized schedule.
+    """Run L masked consensus steps under a synchronized schedule: one lane.
 
     Step l moves the rows `schedule.rows_at(l)` at every node;
     `powers` is the network's `averaging_powers` table, up to at least M^L.
-    Which rows move how often, and what each step sends, depend only on
-    (schedule, L) and are computed once per pair. Warns (and proceeds)
-    when L is not a whole number of selection cycles. When a ledger is
-    given, every node's broadcast sizes are recorded as one compact entry
-    for the whole run.
+    Plans the lane as `plan_lanes` does, so it warns (and proceeds) when L
+    is not a whole number of selection cycles. When a ledger is given,
+    every node's broadcast sizes are recorded as one compact entry for the
+    whole run.
     """
-    if L < 1:
-        raise ConfigurationError(f"consensus step count must be >= 1, got {L}")
-    if L >= len(powers):
-        raise ConfigurationError(f"{L} consensus steps need powers up to M^{L}; "
-                                 f"the table ends at M^{len(powers) - 1}")
-    if state.n != schedule.n:
-        raise ConfigurationError(f"schedule over {schedule.n} rows for a state of "
-                                 f"dimension {state.n}")
-    theta = schedule.theta_bar
-    if L % theta != 0:
-        warnings.warn(
-            f"consensus ran {L} steps, not a multiple of the {theta}-step "
-            f"selection cycle of subsets {schedule.subsets}; posterior rows are "
-            "mixed across cycle phases",
-            ConsensusCycleWarning, stacklevel=2,
-        )
-    groups, payloads = _plan(schedule, L)
-    B, b = run_masked_consensus(state.B, state.b, powers, groups)
+    plan = plan_lanes([(schedule, L)], powers, state.n)
+    B, b = run_masked_consensus(state.B[None], state.b[None], plan.powers)
     if ledger is not None:
-        ledger.record_consensus(t, state.n_nodes, payloads)
-    return ConsensusState(B=B, b=b)
+        ledger.record_consensus(t, state.n_nodes, plan.payloads[0])
+    return ConsensusState(B=B[0], b=b[0])
 
 
 __all__ = [
     "ConsensusState",
+    "LanePlan",
     "init_consensus",
     "averaging_powers",
+    "plan_lanes",
     "run_consensus",
 ]

@@ -6,7 +6,8 @@ centralized slice. A lane is one (schedule, L) pair; the stack is
 lane-major, so slice k*N + i is node i of lane k. A distributed step:
 local correction terms from each node's own measurement (zero where the
 target is unsensed), consensus initialization, L masked consensus steps
-with the whole network, run per lane on its N-slice block, then
+with the whole network in closed form, one batched product for every
+lane's N-slice block (the run's `plan_lanes` plan), then
 posterior recovery (Omega = N * B(L), estimate from the B(L) b(L) pair
 with the singular policy) and an information-form prediction, both from
 one Cholesky factor of B(L) per slice. The centralized slice fuses every
@@ -18,66 +19,61 @@ consensus filter; `ckf_step` steps the centralized filter alone through
 `centralized_correct`, with the same bits.
 """
 
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from .consensus import ConsensusState, init_consensus, run_consensus
+from . import consensus
+from .consensus import LanePlan, init_consensus
+from .consensus import run_consensus  # noqa: F401  unused here; perfbench/tracer.py wraps it by name
 from .errors import ConfigurationError
 from .info_filter import (
     InformationState,
     NumericsLog,
     centralized_correct,
-    local_correction_terms,
+    measurement_gains,
     recover_and_predict,
     symmetrize,
 )
 from .info_filter import (  # noqa: F401  unused here; perfbench/tracer.py wraps them by name
     information_state,
+    local_correction_terms,
     predict,
     to_state_estimate,
 )
 from .models import MeasurementModel, SystemModel
 from .models import linearize  # noqa: F401  unused here; perfbench/tracer.py wraps it by name
-from .network import BandwidthLedger
-from .selection import EntrySelectionSchedule
 
 
-def dicf_step(prior: InformationState, powers: np.ndarray,
-              lanes: Sequence[tuple[EntrySelectionSchedule, int]],
-              measurements: np.ndarray, sensed: np.ndarray,
-              sensor: MeasurementModel, sys: SystemModel,
-              ledgers: Optional[Sequence[BandwidthLedger]] = None, t: int = 0,
+def dicf_step(prior: InformationState, plan: LanePlan, measurements: np.ndarray,
+              sensed: np.ndarray, sensor: MeasurementModel, sys: SystemModel,
               log: Optional[NumericsLog] = None):
     """Advance every slice of the stack one timestep; returns (next prior,
     posterior, estimates): the stacked posterior (S, n, n) / (S, n) and
     the (S, n) posterior state estimates.
 
-    `powers` is the network's `averaging_powers` table, up to at least the
-    deepest lane's M^L. `lanes` holds K (schedule, L) pairs and `prior`
-    their lane-major stack of K*N node states, then at most one slice that
-    steps as `ckf_step` steps it alone: S = K*N + C >= 1 with C in {0, 1}.
+    `plan` is the run's `plan_lanes` plan of K lanes on an N-node network,
+    and `prior` their lane-major stack of K*N node states, then at most one
+    slice that steps as `ckf_step` steps it alone: S = K*N + C >= 1 with C
+    in {0, 1}. One batched consensus product per step advances every lane.
     `measurements` is (N, m) and `sensed` (N,) bool: node i of every lane
-    corrects with measurements[i] only where sensed[i]. One
-    `local_correction_terms` call per step serves both: the lanes start
-    consensus from its masked terms, and the centralized slice adds
-    k C^T V C and the sum of the k sensed C^T V y_i to its prior, as
-    `centralized_correct` would, without computing them again. `ledgers`, if
-    given, holds one ledger per lane. Events in `log` carry the slice
-    index as `node`: k*N + i, and K*N for the centralized slice.
+    corrects with measurements[i] only where sensed[i]. The sensor's gains
+    are computed once per run; per step only C^T V y is, for every node.
+    The lanes start consensus from those terms masked by `sensed`, and the
+    centralized slice adds k C^T V C and the sum of the k sensed C^T V y_i
+    to its prior, as `centralized_correct` would, without computing them
+    again. Events in `log` carry the slice index as `node`: k*N + i, and
+    K*N for the centralized slice.
     """
-    n_nodes, n_lanes = powers.shape[-1], len(lanes)
+    n_lanes, n_nodes = plan.powers.shape[0], plan.powers.shape[-1]
     n_lane_slices = n_lanes * n_nodes
     n_central = prior.q.shape[0] - n_lane_slices
     if n_central not in (0, 1) or prior.q.shape[0] == 0:
         raise ConfigurationError(f"prior stack has {prior.q.shape[0]} slices; expected {n_lanes} "
                                  f"lanes x {n_nodes} nodes plus 0 or 1 centralized, 1 or more in all")
-    if ledgers is None:
-        ledgers = [None] * n_lanes
-    elif len(ledgers) != n_lanes:
-        raise ConfigurationError(f"{len(ledgers)} ledgers for {n_lanes} lanes")
     n = prior.q.shape[-1]
-    omega_gain, q_gains = local_correction_terms(sensor.c, sensor.v, measurements)
+    ctv, omega_gain = sensor.gains
+    q_gains = measurement_gains(ctv, measurements)
     d_omega = np.where(sensed[:, None, None], omega_gain, 0.0)
     d_q = np.where(sensed[:, None], q_gains, 0.0)
     # lane k of the (K, N, ...) view takes the N node corrections by broadcasting
@@ -87,11 +83,9 @@ def dicf_step(prior: InformationState, powers: np.ndarray,
     B0, b0 = init_consensus(lane_prior, d_omega, d_q, n_nodes)
     # the (B, b) pair of every slice, lanes' node blocks first
     B, b = np.empty_like(prior.omega), np.empty_like(prior.q)
-    for k, ((schedule, L), ledger) in enumerate(zip(lanes, ledgers)):
-        state = run_consensus(ConsensusState(B0[k], b0[k]), schedule, L, powers,
-                              ledger=ledger, t=t)
-        block = slice(k * n_nodes, (k + 1) * n_nodes)
-        B[block], b[block] = state.B, state.b
+    lanes_B, lanes_b = consensus.run_masked_consensus(B0, b0, plan.powers)
+    B[:n_lane_slices].reshape(lanes_B.shape)[...] = lanes_B
+    b[:n_lane_slices].reshape(lanes_b.shape)[...] = lanes_b
     # centralized_correct's arithmetic on the terms computed above
     q_gains = q_gains[sensed]
     B[n_lane_slices:] = symmetrize(prior.omega[n_lane_slices:] + len(q_gains) * omega_gain)

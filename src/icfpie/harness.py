@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .consensus import averaging_powers
+from .consensus import averaging_powers, plan_lanes
 from .dicf import ckf_step  # noqa: F401  unused here; perfbench/tracer.py wraps it by this name
 from .dicf import dicf_step
 from .errors import ConfigurationError, FilterNumericsError
@@ -306,11 +306,12 @@ def run_once(scenario: Scenario, L, algorithms: Optional[list] = None,
     `L` is one consensus depth or a sequence of them. Every consensus
     algorithm runs at every depth, and each such (algorithm, L) lane is a
     block of one stacked state; the centralized filter, if asked for, is
-    the stack's last slice. A single dicf_step per timestep advances them
-    all, with one NumericsLog. Per timestep the loop keeps only each
-    slice's error norm and the log's length (and, with `diagnostics`,
-    the lanes' posterior eigenvalue range); lane means, node errors and
-    regularize counts per step are formed from those after the loop. One
+    the stack's last slice. The lanes' consensus plan is built once per
+    run, and a single dicf_step per timestep advances them all, with one
+    NumericsLog. Per timestep the loop keeps only each slice's error norm
+    and the log's length (and, with `diagnostics`, the lanes' posterior
+    eigenvalue range); lane means, node errors, regularize counts per step
+    and one bandwidth ledger entry per lane are formed after the loop. One
     depth returns RunMetrics keyed by algorithm label; a sequence returns
     {L: RunMetrics}, each of which also holds the centralized filter,
     which has no depth.
@@ -335,17 +336,17 @@ def run_once(scenario: Scenario, L, algorithms: Optional[list] = None,
     n_lane_slices, n_central = n_lanes * n_nodes, 1 if central else 0
     slice_errors = np.zeros((n_steps, n_lane_slices + n_central))
     events_after = np.zeros(n_steps, dtype=int)  # len(log.events) after step t
-    ledgers = [BandwidthLedger() for _ in lanes]
     log = NumericsLog()
     eig_range = {key: np.zeros((n_lanes, n_steps, n_nodes))
                  for key in ("eig_min", "eig_max")} if diagnostics else {}
     prior = scenario.zero_prior(n_lane_slices + n_central)
-    powers = averaging_powers(scenario.net, scenario.eps, max(depths))
+    plan = plan_lanes(lanes, averaging_powers(scenario.net, scenario.eps, max(depths)),
+                      STATE_DIM)
 
     for t in range(n_steps):
         prior, posterior, estimates = dicf_step(
-            prior, powers, lanes, scenario.measurements[t], scenario.sensed[t],
-            scenario.sensor, scenario.sys, ledgers=ledgers, t=t, log=log)
+            prior, plan, scenario.measurements[t], scenario.sensed[t],
+            scenario.sensor, scenario.sys, log=log)
         slice_errors[t] = np.linalg.norm(scenario.truth[t] - estimates, axis=-1)
         events_after[t] = len(log.events)
         if diagnostics and lanes:
@@ -369,6 +370,10 @@ def run_once(scenario: Scenario, L, algorithms: Optional[list] = None,
             index, row = np.array(regularized).T
             np.add.at(reg, (row, np.searchsorted(events_after, index, side="right")), 1)
 
+    # every step of a lane sends the same payloads: one ledger entry per lane
+    ledgers = [BandwidthLedger() for _ in lanes]
+    for ledger, payloads in zip(ledgers, plan.payloads):
+        ledger.record_consensus(0, n_nodes, payloads, n_steps)
     scalars = [ledger.total_scalars() for ledger in ledgers] + [0] * n_central
 
     def metrics_at(d: int) -> RunMetrics:

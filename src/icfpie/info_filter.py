@@ -180,6 +180,32 @@ def inv_spd(m: np.ndarray, log: Optional[NumericsLog] = None, context: str = "")
     return _inv_spd(m, np.arange(len(m)), log, context)
 
 
+def sensor_gains(c: np.ndarray, v: np.ndarray):
+    """(C^T V, symmetrize(C^T V C)) of the sensor (C, V).
+
+    Every correction by the sensor adds symmetrize(C^T V C) to Omega per
+    measurement, and C^T V y to q; both factors depend on the sensor alone,
+    so a run computes them once (`MeasurementModel.gains`).
+    """
+    c = np.asarray(c, dtype=float)
+    v = np.asarray(v, dtype=float)
+    m = c.shape[0]
+    if v.shape != (m, m):
+        raise ConfigurationError(f"inconsistent correction dimensions: C {c.shape}, V {v.shape}")
+    ctv = c.T @ v
+    return ctv, symmetrize(ctv @ c)
+
+
+def measurement_gains(ctv: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """C^T V y_i for a stack of measurements y (k, m), from the sensor's
+    C^T V (n, m); returns (k, n)."""
+    y = np.asarray(y, dtype=float)
+    if y.ndim != 2 or y.shape[-1] != ctv.shape[-1]:
+        raise ConfigurationError(
+            f"inconsistent correction dimensions: C^T V {ctv.shape}, y {y.shape}")
+    return _matvec(ctv, y)
+
+
 def local_correction_terms(c: np.ndarray, v: np.ndarray, y: np.ndarray):
     """Additive information contribution of a stack of measurements y
     (k, m) taken by the same sensor.
@@ -187,16 +213,8 @@ def local_correction_terms(c: np.ndarray, v: np.ndarray, y: np.ndarray):
     Returns (delta_omega, delta_q) = (C^T V C, C^T V y); delta_omega is
     (n, n) and shared by the stack, delta_q is (k, n).
     """
-    c = np.asarray(c, dtype=float)
-    v = np.asarray(v, dtype=float)
-    y = np.asarray(y, dtype=float)
-    m = c.shape[0]
-    if v.shape != (m, m) or y.ndim != 2 or y.shape[-1] != m:
-        raise ConfigurationError(
-            f"inconsistent correction dimensions: C {c.shape}, V {v.shape}, y {y.shape}"
-        )
-    ctv = c.T @ v
-    return symmetrize(ctv @ c), _matvec(ctv, y)
+    ctv, d_omega = sensor_gains(c, v)
+    return d_omega, measurement_gains(ctv, y)
 
 
 def centralized_correct(prior: InformationState, c: np.ndarray, v: np.ndarray,

@@ -9,11 +9,12 @@ separate objects.
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import ConfigurationError, DegenerateHeadingWarning, FilterNumericsError
-from .info_filter import symmetrize
+from .info_filter import sensor_gains, symmetrize
 
 
 def constant_velocity_matrix(dt: float, n: int = 4) -> np.ndarray:
@@ -91,6 +92,15 @@ class MeasurementModel:
     def jacobian(self, x_hat: np.ndarray) -> np.ndarray:
         """Measurement Jacobian at x_hat: the constant C."""
         return self.c
+
+    @cached_property
+    def gains(self):
+        """(C^T V, symmetrize(C^T V C)), computed on first use and read-only:
+        every correction by this sensor reuses them (`info_filter.sensor_gains`)."""
+        gains = sensor_gains(self.c, self.v)
+        for g in gains:
+            g.setflags(write=False)
+        return gains
 
     @property
     def m(self) -> int:

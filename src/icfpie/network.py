@@ -93,29 +93,34 @@ def consensus_gain(net: SensorNetwork) -> float:
 
 
 class ConsensusBroadcasts(NamedTuple):
-    """All broadcasts of one consensus run at time t: at step l each of
-    the n_nodes nodes sends payloads[l] scalars."""
+    """All broadcasts of n_steps consecutive consensus runs, one per
+    timestep from time t on: at step l of each, every one of the n_nodes
+    nodes sends payloads[l] scalars."""
 
     t: int
     n_nodes: int
     payloads: tuple
+    n_steps: int = 1
 
 
 @dataclass
 class BandwidthLedger:
-    """Scalars broadcast during consensus: one compact `ConsensusBroadcasts`
-    entry per consensus run in `rows`, and their total."""
+    """Scalars broadcast during consensus: compact `ConsensusBroadcasts`
+    entries in `rows` (a run records one per lane), and their total."""
 
     rows: list = field(default_factory=list)
     _total: int = 0
 
-    def record_consensus(self, t: int, n_nodes: int, payloads):
-        """Record every node broadcasting payloads[l] scalars at step l."""
+    def record_consensus(self, t: int, n_nodes: int, payloads, n_steps: int = 1):
+        """Record every node broadcasting payloads[l] scalars at step l of
+        each of n_steps consensus runs, the first at time t."""
         payloads = tuple(payloads)
         if any(s < 0 for s in payloads):
             raise ConfigurationError("scalar count must be >= 0")
-        self.rows.append(ConsensusBroadcasts(t, n_nodes, payloads))
-        self._total += n_nodes * sum(payloads)
+        if n_steps < 1:
+            raise ConfigurationError(f"an entry covers at least one timestep, got {n_steps}")
+        self.rows.append(ConsensusBroadcasts(t, n_nodes, payloads, n_steps))
+        self._total += n_steps * n_nodes * sum(payloads)
 
     def total_scalars(self) -> int:
         return self._total

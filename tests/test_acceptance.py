@@ -15,7 +15,7 @@ import pytest
 
 from conftest import random_spd
 from consensus_reference import closed_neighborhoods
-from icfpie.consensus import ConsensusState, averaging_powers, run_consensus
+from icfpie.consensus import ConsensusState, averaging_powers, plan_lanes, run_consensus
 from icfpie.dicf import ckf_step, dicf_step
 from icfpie.harness import (
     ScenarioConfig,
@@ -32,7 +32,7 @@ from icfpie.models import (
     constant_velocity_matrix,
     position_measurement_matrix,
 )
-from icfpie.network import BandwidthLedger, consensus_gain, random_geometric
+from icfpie.network import consensus_gain, random_geometric
 from icfpie.selection import default_schedule
 from icf_reference import run_original_icf
 from kf_reference import run_kf
@@ -80,14 +80,13 @@ def test_criterion_1_identity_schedule_reduction():
     schedule = default_schedule(4, "identity")
 
     prior = scenario.zero_prior(cfg.n_nodes)
-    powers = averaging_powers(scenario.net, scenario.eps, 12)
+    plan = plan_lanes([(schedule, 12)], averaging_powers(scenario.net, scenario.eps, 12), 4)
     n_steps = cfg.n_steps
     est = np.zeros((n_steps, cfg.n_nodes, 4))
     omegas = np.zeros((n_steps, cfg.n_nodes, 4, 4))
     for t in range(n_steps):
-        prior, posterior, est[t] = dicf_step(prior, powers, [(schedule, 12)],
-                                             scenario.measurements[t], scenario.sensed[t],
-                                             scenario.sensor, scenario.sys, t=t)
+        prior, posterior, est[t] = dicf_step(prior, plan, scenario.measurements[t],
+                                             scenario.sensed[t], scenario.sensor, scenario.sys)
         omegas[t] = posterior.omega
 
     ref_est, ref_omegas = run_original_icf(
@@ -126,9 +125,9 @@ def test_criterion_3_single_step_convergence_to_benchmark():
     assert scenario.net.max_degree() == cfg.n_nodes - 1
     meas, sensed = scenario.measurements[0], scenario.sensed[0]
 
-    _, posterior, estimates = dicf_step(scenario.zero_prior(cfg.n_nodes),
-                                        averaging_powers(scenario.net, scenario.eps, 400),
-                                        [(default_schedule(4, "case1"), 400)], meas, sensed,
+    plan = plan_lanes([(default_schedule(4, "case1"), 400)],
+                      averaging_powers(scenario.net, scenario.eps, 400), 4)
+    _, posterior, estimates = dicf_step(scenario.zero_prior(cfg.n_nodes), plan, meas, sensed,
                                         scenario.sensor, scenario.sys)
     _, ckf_post, _ = ckf_step(scenario.zero_prior(1), meas, sensed, scenario.sensor,
                               scenario.sys)
@@ -155,13 +154,13 @@ def test_criterion_4_bandwidth_ratios_exact():
     totals = {}
     per_step = {}
     for kind in ("identity", "case1", "case2"):
-        ledger = BandwidthLedger()
-        dicf_step(scenario.zero_prior(cfg.n_nodes), averaging_powers(scenario.net, scenario.eps, L),
-                  [(default_schedule(4, kind), L)], scenario.measurements[0], scenario.sensed[0],
-                  scenario.sensor, scenario.sys, ledgers=[ledger])
-        totals[kind] = ledger.total_scalars()
-        (entry,) = ledger.rows
-        per_step[kind] = entry.n_nodes * entry.payloads[0]
+        plan = plan_lanes([(default_schedule(4, kind), L)],
+                          averaging_powers(scenario.net, scenario.eps, L), 4)
+        dicf_step(scenario.zero_prior(cfg.n_nodes), plan, scenario.measurements[0],
+                  scenario.sensed[0], scenario.sensor, scenario.sys)
+        (payloads,) = plan.payloads
+        totals[kind] = cfg.n_nodes * sum(payloads)
+        per_step[kind] = cfg.n_nodes * payloads[0]
     ok = (2 * totals["case1"] == totals["identity"]
           and 4 * totals["case2"] == totals["identity"]
           and 2 * per_step["case1"] == per_step["identity"]

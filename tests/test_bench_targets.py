@@ -37,16 +37,21 @@ def test_traced_run_counts_consensus_and_events(tracer):
     scenario = harness.build_scenario(cfg, 0)
     params = inspect.signature(consensus.run_consensus).parameters
     assert {"state", "schedule", "L", "ledger"} <= set(params)
+    L, n = 2, 4
     try:
         tracer.install()
-        harness.run_once(scenario, 2)
+        metrics = harness.run_once(scenario, L)
     finally:
         assert tracer.restore() == []
-    assert tracer.counts["network.ledger_rows"][0] == 2 * cfg.n_steps
-    # one kernel call per lane and step, timed
-    assert tracer.acc["consensus.kernel"][2] == 2 * cfg.n_steps
+    # one kernel call per timestep advances both consensus lanes, timed
+    assert tracer.acc["consensus.kernel"][2] == cfg.n_steps
     assert tracer.acc["consensus.kernel"][0] > 0
-    assert tracer.counts["consensus.row_updates"][0] > 0
+    # the per-lane run_consensus hook sees no call; the bandwidth is counted
+    # here from the schedules instead
+    for a in harness.make_algorithms(cfg):
+        expected = 0 if a.schedule is None else cfg.n_steps * cfg.n_nodes * sum(
+            len(a.schedule.rows_at(l)) * (n + 1) for l in range(L))
+        assert metrics.bandwidth[a.label] == expected
     assert tracer.counts["info_filter.events.singular_solve"][0] > 0
     # one stacked dicf_step per timestep advances both consensus algorithms
     assert tracer.acc["dicf.dicf_step"][2] == cfg.n_steps

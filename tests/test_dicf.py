@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import assert_rel_close, random_spd
 from consensus_reference import closed_neighborhoods
-from icfpie.consensus import averaging_powers
+from icfpie.consensus import averaging_powers, plan_lanes
 from icfpie.dicf import ckf_step, dicf_step
 from icfpie.harness import ScenarioConfig, build_scenario, make_algorithms, run_once
 from icfpie.errors import ConfigurationError
@@ -25,7 +25,7 @@ from icfpie.models import (
     constant_velocity_matrix,
     position_measurement_matrix,
 )
-from icfpie.network import BandwidthLedger, SensorNetwork
+from icfpie.network import SensorNetwork
 from icfpie.selection import default_schedule
 from icf_reference import run_original_icf
 from kf_reference import run_kf
@@ -43,15 +43,14 @@ def run_package_icfpie(scenario, schedule, L):
     """Drive dicf_step over a prebuilt scenario; returns (estimates, omegas)."""
     cfg = scenario.cfg
     prior = scenario.zero_prior(cfg.n_nodes)
-    powers = averaging_powers(scenario.net, scenario.eps, L)
+    plan = plan_lanes([(schedule, L)], averaging_powers(scenario.net, scenario.eps, L), 4)
     n_steps = cfg.n_steps
     estimates = np.zeros((n_steps, cfg.n_nodes, 4))
     omegas = np.zeros((n_steps, cfg.n_nodes, 4, 4))
     for t in range(n_steps):
-        prior, posterior, estimates[t] = dicf_step(prior, powers, [(schedule, L)],
-                                                   scenario.measurements[t],
+        prior, posterior, estimates[t] = dicf_step(prior, plan, scenario.measurements[t],
                                                    scenario.sensed[t], scenario.sensor,
-                                                   scenario.sys, t=t)
+                                                   scenario.sys)
         omegas[t] = posterior.omega
     return estimates, omegas
 
@@ -82,14 +81,15 @@ def lane_scenario():
 
 
 def step_lanes(scenario, lanes, prior, t):
-    """One dicf_step over `lanes` with a ledger per lane and one log."""
-    ledgers = [BandwidthLedger() for _ in lanes]
+    """One dicf_step over the plan of `lanes` with one log; returns its
+    outputs, the plan and the log."""
     log = NumericsLog()
     powers = averaging_powers(scenario.net, scenario.eps, max((L for _, L in lanes), default=0))
+    plan = plan_lanes(lanes, powers, 4)
     next_prior, posterior, estimates = dicf_step(
-        prior, powers, lanes, scenario.measurements[t], scenario.sensed[t],
-        scenario.sensor, scenario.sys, ledgers=ledgers, t=t, log=log)
-    return next_prior, posterior, estimates, ledgers, log
+        prior, plan, scenario.measurements[t], scenario.sensed[t],
+        scenario.sensor, scenario.sys, log=log)
+    return next_prior, posterior, estimates, plan, log
 
 
 def stack_slices(states, field):
@@ -118,21 +118,21 @@ class TestStackedLanes:
         t = max(w for _, _, w in drawn)
         stacked = information_state(stack_slices(priors, "omega"), stack_slices(priors, "q"))
 
-        next_prior, posterior, estimates, ledgers, log = step_lanes(
+        next_prior, posterior, estimates, plan, log = step_lanes(
             scenario, lanes, stacked, t)
         events = Counter((e["node"] // n_nodes, e["node"] % n_nodes, e["kind"])
                          for e in log.events)
         expected_events = Counter()
         for k, (lane, prior) in enumerate(zip(lanes, priors)):
             block = slice(k * n_nodes, (k + 1) * n_nodes)
-            one_prior, one_posterior, one_estimates, one_ledgers, one_log = step_lanes(
+            one_prior, one_posterior, one_estimates, one_plan, one_log = step_lanes(
                 scenario, [lane], prior, t)
             assert_rel_close(next_prior.omega[block], one_prior.omega)
             assert_rel_close(next_prior.q[block], one_prior.q)
             assert_rel_close(posterior.omega[block], one_posterior.omega)
             assert_rel_close(posterior.q[block], one_posterior.q)
             assert_rel_close(estimates[block], one_estimates)
-            assert ledgers[k].rows == one_ledgers[0].rows
+            assert plan.payloads[k] == one_plan.payloads[0]
             expected_events.update((k, e["node"], e["kind"]) for e in one_log.events)
         assert events == expected_events
         if t == 0:
@@ -184,13 +184,13 @@ class TestCentralSlice:
         assert scenario.sensed.any(axis=1).argmax() == first_sensed
         lanes = [(SCHEDULES[kind], 3) for kind in kinds]
         last = len(lanes) * scenario.net.n_nodes
-        powers = averaging_powers(scenario.net, scenario.eps, 3)
+        plan = plan_lanes(lanes, averaging_powers(scenario.net, scenario.eps, 3), 4)
         prior = scenario.zero_prior(last + 1)
         for t, (next_ckf, post_ckf, estimate_ckf, events_ckf) in enumerate(steps):
             log = NumericsLog()
             prior, posterior, estimates = dicf_step(
-                prior, powers, lanes, scenario.measurements[t], scenario.sensed[t],
-                scenario.sensor, scenario.sys, t=t, log=log)
+                prior, plan, scenario.measurements[t], scenario.sensed[t],
+                scenario.sensor, scenario.sys, log=log)
             for got, expected in [(prior.omega[last:], next_ckf.omega),
                                   (prior.q[last:], next_ckf.q),
                                   (posterior.omega[last:], post_ckf.omega),
@@ -211,12 +211,12 @@ class TestCentralSlice:
         scenario, steps = ckf_loop(seed)
         lanes = [(SCHEDULES[kind], L) for L in depths for kind in ("identity", "case1", "case2")]
         last = len(lanes) * scenario.net.n_nodes
-        powers = averaging_powers(scenario.net, scenario.eps, max(depths))
+        plan = plan_lanes(lanes, averaging_powers(scenario.net, scenario.eps, max(depths)), 4)
         prior = scenario.zero_prior(last + 1)
         for t, (next_ckf, post_ckf, estimate_ckf, _) in enumerate(steps[:20]):
             prior, posterior, estimates = dicf_step(
-                prior, powers, lanes, scenario.measurements[t], scenario.sensed[t],
-                scenario.sensor, scenario.sys, t=t)
+                prior, plan, scenario.measurements[t], scenario.sensed[t],
+                scenario.sensor, scenario.sys)
             for got, expected in [(prior.omega[last:], next_ckf.omega),
                                   (prior.q[last:], next_ckf.q),
                                   (posterior.omega[last:], post_ckf.omega),
@@ -260,12 +260,11 @@ class TestConvergenceToCentral:
 
         prior = scenario.zero_prior(cfg.n_nodes)
         central = scenario.zero_prior(1)
-        powers = averaging_powers(scenario.net, scenario.eps, L)
+        plan = plan_lanes([(schedule, L)], averaging_powers(scenario.net, scenario.eps, L), 4)
         for t in range(cfg.n_steps):
             meas, sensed = scenario.measurements[t], scenario.sensed[t]
-            prior, posterior, estimates = dicf_step(prior, powers, [(schedule, L)],
-                                                    meas, sensed, scenario.sensor,
-                                                    scenario.sys, t=t)
+            prior, posterior, estimates = dicf_step(prior, plan, meas, sensed,
+                                                    scenario.sensor, scenario.sys)
             central, ckf_post, _ = ckf_step(central, meas, sensed, scenario.sensor,
                                             scenario.sys)
             x_ckf = to_state_estimate(ckf_post)[0]
@@ -308,9 +307,10 @@ class TestDegenerateNetwork:
         # single-node network: closed neighborhood is just the node itself
         net1 = SensorNetwork(positions=np.zeros((1, 2)), adjacency=np.zeros((1, 1), dtype=bool))
         y = np.array([12.0, -3.0])
-        next_stacked, posterior, estimates = dicf_step(
-            prior, averaging_powers(net1, 0.5, 1), [(default_schedule(4, "identity"), 1)],
-            y[None], np.array([True]), sensor, sys)
+        plan = plan_lanes([(default_schedule(4, "identity"), 1)],
+                          averaging_powers(net1, 0.5, 1), 4)
+        next_stacked, posterior, estimates = dicf_step(prior, plan, y[None], np.array([True]),
+                                                       sensor, sys)
 
         post = centralized_correct(prior, c, sensor.v, y[None])
         next_prior = predict(post, a, q)

@@ -11,9 +11,9 @@ import pytest
 import icfpie
 from conftest import assert_rel_close
 from icfpie import harness
-from icfpie.consensus import averaging_powers
+from icfpie.consensus import averaging_powers, plan_lanes
 from icfpie.dicf import dicf_step
-from icfpie.errors import ConfigurationError, FilterNumericsError
+from icfpie.errors import ConfigurationError, ConsensusCycleWarning, FilterNumericsError
 from icfpie.harness import (
     ScenarioConfig,
     build_scenario,
@@ -26,7 +26,7 @@ from icfpie.harness import (
 )
 from icfpie.models import TruthModel, propagate_truth
 from icfpie.info_filter import NumericsLog
-from icfpie.network import BandwidthLedger, random_geometric
+from icfpie.network import random_geometric
 from measurement_reference import sample_measurement
 
 FAST = dict(n_nodes=6, horizon=2.0, mc_runs=2, seed=3)
@@ -347,6 +347,39 @@ class TestOnePassLanes:
         run_once(scenario, 4)
         assert built == [5, 4]
 
+    def test_one_lane_plan_per_run_once(self, monkeypatch):
+        # every lane's step counts, gathered powers and payloads are planned
+        # once per run; a per-step run_consensus would plan again at every step
+        from icfpie import consensus
+        planned = []
+
+        def counting(lanes, powers, n):
+            planned.append([L for _, L in lanes])
+            return plan_lanes(lanes, powers, n)
+        monkeypatch.setattr(harness, "plan_lanes", counting)
+        monkeypatch.setattr(consensus, "plan_lanes", counting)
+        scenario = build_scenario(ScenarioConfig(**FAST), 2)
+        run_once(scenario, (2, 5, 3))
+        # icf and icfpie at each depth, in the order of the stack's lanes
+        assert planned == [[2, 2, 5, 5, 3, 3]]
+        run_once(scenario, 4)
+        assert planned == [[2, 2, 5, 5, 3, 3], [4, 4]]
+
+    def test_one_cycle_warning_per_partial_lane_and_run(self):
+        # the benchmark's sweep grid: case 1 (2-step cycle) and case 2
+        # (4-step cycle) are partial at L = 1 and L = 3, full exchange never
+        cfg = ScenarioConfig(**FAST)
+        scenario = build_scenario(cfg, 2)
+        with pytest.warns(ConsensusCycleWarning) as record:
+            run_once(scenario, (1, 3, 20), harness._sweep_algorithms(cfg))
+        messages = [str(w.message) for w in record
+                    if issubclass(w.category, ConsensusCycleWarning)]
+        assert len(messages) == 4
+        for L in (1, 3):
+            for subsets in ("((1, 3), (2, 4))", "((1,), (2,), (3,), (4,))"):
+                assert sum(f"L = {L} " in m and f"subsets {subsets}" in m
+                           for m in messages) == 1
+
     def test_bookkeeping_equals_a_hand_stepped_loop(self):
         # run_once keeps per-step error norms and the log's length, and forms
         # lane means, node errors and regularize counts after the loop; this
@@ -358,17 +391,16 @@ class TestOnePassLanes:
         depths = (2, 3, 5)
         lanes = [(a.schedule, L) for L in depths for a in consensus]
         N, T, rows = cfg.n_nodes, cfg.n_steps, len(lanes) + 1
-        powers = averaging_powers(scenario.net, scenario.eps, max(depths))
+        plan = plan_lanes(lanes, averaging_powers(scenario.net, scenario.eps, max(depths)), 4)
         prior = scenario.zero_prior(len(lanes) * N + 1)
-        ledgers = [BandwidthLedger() for _ in lanes]
         errors = np.zeros((rows, T))
         node_errors = np.zeros((len(lanes), T, N))
         reg = np.zeros((rows, T), dtype=int)
         for t in range(T):
             log = NumericsLog()
             prior, _, estimates = dicf_step(
-                prior, powers, lanes, scenario.measurements[t], scenario.sensed[t],
-                scenario.sensor, scenario.sys, ledgers=ledgers, t=t, log=log)
+                prior, plan, scenario.measurements[t], scenario.sensed[t],
+                scenario.sensor, scenario.sys, log=log)
             errs = np.linalg.norm(scenario.truth[t] - estimates, axis=-1)
             for k in range(len(lanes)):
                 node_errors[k, t] = errs[k * N:(k + 1) * N]
@@ -389,7 +421,7 @@ class TestOnePassLanes:
                 assert np.array_equal(metrics.series[a.label], errors[k])
                 assert np.array_equal(metrics.diag["node_errors"][a.label], node_errors[k])
                 assert np.array_equal(metrics.diag["reg_events"][a.label], reg[k])
-                assert metrics.bandwidth[a.label] == ledgers[k].total_scalars()
+                assert metrics.bandwidth[a.label] == T * N * sum(plan.payloads[k])
             assert np.array_equal(metrics.series["ckf"], errors[-1])
             assert np.array_equal(metrics.diag["reg_events"]["ckf"], reg[-1])
 

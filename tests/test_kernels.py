@@ -9,7 +9,7 @@ the invariants of averaging.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import assert_rel_close, random_spd
@@ -17,6 +17,7 @@ from consensus_reference import consensus_step, mask_vector
 from icfpie.consensus import (
     ConsensusState,
     averaging_powers,
+    plan_lanes,
     run_consensus,
     run_masked_consensus,
 )
@@ -67,52 +68,77 @@ def test_full_cycles_match_consensus_matrix_power_oracle(cycles):
     assert np.allclose(out.b, pi_c @ state.b, atol=1e-10)
 
 
-def row_groups(steps):
-    """The (k, rows) groups of a per-row step-count vector, as a plan holds them."""
-    steps = np.asarray(steps)
-    return tuple((int(k), np.flatnonzero(steps == k)) for k in np.unique(steps[steps > 0]))
+def make_lanes(seed, n_lanes, n_nodes=10, n=4):
+    """A network and n_lanes lanes' stacks B (K, N, n, n), b (K, N, n)."""
+    rng = np.random.default_rng(seed)
+    net = random_geometric(n_nodes, (0, 600, 0, 600), 300.0, rng)
+    B = np.array([[random_spd(rng, n) for _ in range(n_nodes)] for _ in range(n_lanes)])
+    return net, B, rng.normal(size=(n_lanes, n_nodes, n))
 
 
-def gather_and_scatter(B, b, powers, groups):
-    """The kernel's arithmetic spelled out: gather each group's rows,
-    average them by the group's power of M as one 2-D product, and scatter
-    them into copies of the inputs."""
-    n_nodes, n = b.shape
-    B_out, b_out = B.copy(), b.copy()
-    for k, rows in groups:
-        B_out[:, rows, :] = (powers[k] @ B[:, rows, :].reshape(n_nodes, -1)).reshape(
-            n_nodes, rows.size, n)
-        b_out[:, rows] = powers[k] @ b[:, rows]
+def gather_and_scatter(B, b, powers):
+    """The kernel's arithmetic spelled out: gather row r of lane k across
+    its nodes, average it by powers[k, r] as one (N, N) @ (N, n) product
+    (and one (N, N) @ (N, 1) product for b), and scatter it into new
+    arrays."""
+    B_out, b_out = np.empty_like(B), np.empty_like(b)
+    for k in range(B.shape[0]):
+        for r in range(B.shape[2]):
+            B_out[k, :, r] = powers[k, r] @ B[k, :, r]
+            b_out[k, :, r] = (powers[k, r] @ b[k, :, r, None])[:, 0]
     return B_out, b_out
 
 
 class TestKernelRows:
-    """`run_masked_consensus` skips the gather, the copy and the scatter
-    when one group holds every row; its results stay those of the gathered
-    evaluation, bit for bit."""
+    """`run_masked_consensus` moves every row of every lane in one batched
+    product; its results are those of one product per lane and row, bit
+    for bit."""
 
-    @pytest.mark.parametrize("steps", [[3, 3, 3, 3], [2, 1, 2, 1], [1, 4, 2, 3]])
+    @pytest.mark.parametrize("steps", [[[3, 3, 3, 3]], [[2, 1, 2, 1], [1, 4, 2, 3]],
+                                       [[1, 4, 2, 3], [3, 3, 3, 3], [2, 1, 2, 1]]])
     def test_all_rows_moving_returns_new_arrays_equal_to_gather_and_scatter(self, steps):
-        net, state = make_problem(seed=11)
-        B0, b0 = state.B.copy(), state.b.copy()
-        groups = row_groups(steps)
-        powers = averaging_powers(net, consensus_gain(net), max(steps))
-        B, b = run_masked_consensus(state.B, state.b, powers, groups)
-        assert not np.shares_memory(B, state.B) and not np.shares_memory(b, state.b)
-        assert np.array_equal(state.B, B0) and np.array_equal(state.b, b0)
-        expected_B, expected_b = gather_and_scatter(B0, b0, powers, groups)
+        net, B0, b0 = make_lanes(11, len(steps))
+        B_in, b_in = B0.copy(), b0.copy()
+        steps = np.array(steps)
+        powers = averaging_powers(net, consensus_gain(net), steps.max())[steps]
+        B, b = run_masked_consensus(B_in, b_in, powers)
+        assert not np.shares_memory(B, B_in) and not np.shares_memory(b, b_in)
+        assert np.array_equal(B_in, B0) and np.array_equal(b_in, b0)
+        expected_B, expected_b = gather_and_scatter(B0, b0, powers)
         assert np.array_equal(B, expected_B) and np.array_equal(b, expected_b)
 
     def test_rows_with_zero_steps_stay_bit_identical(self):
-        # a partial cycle of case 2 at L = 2: rows 2 and 3 were never selected
-        net, state = make_problem(seed=12)
-        groups = row_groups([1, 1, 0, 0])
-        powers = averaging_powers(net, consensus_gain(net), 1)
-        B, b = run_masked_consensus(state.B, state.b, powers, groups)
-        assert np.array_equal(B[:, 2:, :], state.B[:, 2:, :])
-        assert np.array_equal(b[:, 2:], state.b[:, 2:])
-        expected_B, expected_b = gather_and_scatter(state.B, state.b, powers, groups)
+        # partial cycles of case 2 at L = 2 and case 1 at L = 1: the rows
+        # that were never selected read M^0 = I
+        net, B0, b0 = make_lanes(12, 2)
+        plan = plan_lanes([(default_schedule(4, "case2"), 2), (CASE1, 1)],
+                          averaging_powers(net, consensus_gain(net), 2), 4)
+        frozen = plan.steps == 0
+        assert frozen.tolist() == [[False, False, True, True], [False, True, False, True]]
+        powers = plan.powers
+        B, b = run_masked_consensus(B0, b0, powers)
+        assert np.array_equal(B.transpose(0, 2, 1, 3)[frozen], B0.transpose(0, 2, 1, 3)[frozen])
+        assert np.array_equal(b.transpose(0, 2, 1)[frozen], b0.transpose(0, 2, 1)[frozen])
+        expected_B, expected_b = gather_and_scatter(B0, b0, powers)
         assert np.array_equal(B, expected_B) and np.array_equal(b, expected_b)
+
+
+SCHEDULES = {kind: default_schedule(4, kind) for kind in ("identity", "case1", "case2")}
+
+
+@given(st.lists(st.tuples(st.sampled_from(sorted(SCHEDULES)), st.integers(1, 25)),
+                min_size=1, max_size=9),
+       st.integers(min_value=0, max_value=2**32 - 1))
+@example([("case2", 1), ("case1", 3), ("identity", 25), ("case2", 6)], 0)  # zero-step rows
+@settings(max_examples=40, deadline=None)
+def test_each_lane_of_the_all_lane_kernel_equals_run_consensus(drawn, seed):
+    lanes = [(SCHEDULES[kind], L) for kind, L in drawn]
+    net, B, b = make_lanes(seed, len(lanes))
+    powers = averaging_powers(net, consensus_gain(net), 25)
+    B_all, b_all = run_masked_consensus(B, b, plan_lanes(lanes, powers, 4).powers)
+    for k, (schedule, L) in enumerate(lanes):
+        one = run_consensus(ConsensusState(B[k], b[k]), schedule, L, powers)
+        assert np.array_equal(B_all[k], one.B) and np.array_equal(b_all[k], one.b)
 
 
 @st.composite

@@ -115,3 +115,16 @@ class TestBandwidthLedger:
         with pytest.raises(ConfigurationError):
             ledger.record_consensus(0, 4, [5, -1])
         assert ledger.total_scalars() == running and len(ledger.rows) == 5
+
+    def test_one_entry_covers_a_run_of_timesteps(self):
+        # a run's lane sends the same payloads at every timestep, so one
+        # entry carries the number of timesteps it covers
+        per_step, whole = BandwidthLedger(), BandwidthLedger()
+        for t in range(300):
+            per_step.record_consensus(t, 10, [10, 10, 10])
+        whole.record_consensus(0, 10, [10, 10, 10], n_steps=300)
+        assert whole.rows == [(0, 10, (10, 10, 10), 300)]
+        assert whole.total_scalars() == per_step.total_scalars() == 300 * 10 * 30
+        with pytest.raises(ConfigurationError):
+            whole.record_consensus(0, 10, [10], n_steps=0)
+        assert whole.total_scalars() == 300 * 10 * 30 and len(whole.rows) == 1
