@@ -5,7 +5,8 @@ q (K*N + C, n) for K consensus lanes of N nodes each, then C = 0 or 1
 centralized slice. A lane is one (schedule, L) pair; the stack is
 lane-major, so slice k*N + i is node i of lane k. A distributed step:
 local correction terms from each node's own measurement (zero where the
-target is unsensed), consensus initialization, L masked consensus steps
+target is unsensed; `correction_terms` computes them for a whole run in
+one pass), consensus initialization, L masked consensus steps
 with the whole network in closed form, one batched product for every
 lane's N-slice block (the run's `plan_lanes` plan), then
 posterior recovery (Omega = N * B(L), estimate from the B(L) b(L) pair
@@ -19,7 +20,7 @@ consensus filter; `ckf_step` steps the centralized filter alone through
 `centralized_correct`, with the same bits.
 """
 
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -45,9 +46,57 @@ from .models import MeasurementModel, SystemModel
 from .models import linearize  # noqa: F401  unused here; perfbench/tracer.py wraps it by name
 
 
-def dicf_step(prior: InformationState, plan: LanePlan, measurements: np.ndarray,
-              sensed: np.ndarray, sensor: MeasurementModel, sys: SystemModel,
-              log: Optional[NumericsLog] = None):
+class CorrectionTerms(NamedTuple):
+    """The measurement terms of one timestep, or of every timestep of a run
+    along a leading time axis, for N nodes that share one sensor:
+
+    * `sensed` (N,): whether node i senses the target;
+    * `omega_gain` (n, n): the sensor's symmetrize(C^T V C), which node i
+      adds where it senses (a read-only broadcast along the time axis);
+    * `d_q` (N, n): C^T V y_i where node i senses the target, else 0;
+    * `central_omega` (n, n): k C^T V C for the k sensing nodes;
+    * `central_q` (n,): the sum of those k C^T V y_i.
+    """
+
+    sensed: np.ndarray
+    omega_gain: np.ndarray
+    d_q: np.ndarray
+    central_omega: np.ndarray
+    central_q: np.ndarray
+
+    def at(self, t: int) -> "CorrectionTerms":
+        """Timestep t of a run's terms."""
+        return CorrectionTerms(*(term[t] for term in self))
+
+
+def correction_terms(sensor: MeasurementModel, measurements: np.ndarray,
+                     sensed: np.ndarray) -> CorrectionTerms:
+    """The CorrectionTerms of measurements (..., N, m) taken by `sensor`
+    where sensed (..., N) is True: one timestep's (N, m), or a run's
+    (T, N, m) in one pass. The sensor's gains are computed once per run;
+    only C^T V y is computed here, for every measurement. The centralized
+    sums are the arithmetic of `centralized_correct`: k C^T V C, and the
+    sensed C^T V y_i added in node order (the zeros in between add
+    nothing)."""
+    ctv, omega_gain = sensor.gains
+    y = np.asarray(measurements, dtype=float)
+    sensed = np.asarray(sensed, dtype=bool)
+    if y.ndim < 2 or sensed.shape != y.shape[:-1]:
+        raise ConfigurationError(f"measurements {y.shape} and sensed {sensed.shape} "
+                                 "do not match: expected (..., N, m) and (..., N)")
+    q_gains = measurement_gains(ctv, y.reshape(-1, y.shape[-1])).reshape(
+        y.shape[:-1] + ctv.shape[:1])
+    d_q = np.where(sensed[..., None], q_gains, 0.0)
+    return CorrectionTerms(sensed=sensed,
+                           omega_gain=np.broadcast_to(omega_gain,
+                                                      sensed.shape[:-1] + omega_gain.shape),
+                           d_q=d_q,
+                           central_omega=sensed.sum(axis=-1)[..., None, None] * omega_gain,
+                           central_q=d_q.sum(axis=-2))
+
+
+def dicf_step(prior: InformationState, plan: LanePlan, terms: CorrectionTerms,
+              sys: SystemModel, log: Optional[NumericsLog] = None):
     """Advance every slice of the stack one timestep; returns (next prior,
     posterior, estimates): the stacked posterior (S, n, n) / (S, n) and
     the (S, n) posterior state estimates.
@@ -56,14 +105,11 @@ def dicf_step(prior: InformationState, plan: LanePlan, measurements: np.ndarray,
     and `prior` their lane-major stack of K*N node states, then at most one
     slice that steps as `ckf_step` steps it alone: S = K*N + C >= 1 with C
     in {0, 1}. One batched consensus product per step advances every lane.
-    `measurements` is (N, m) and `sensed` (N,) bool: node i of every lane
-    corrects with measurements[i] only where sensed[i]. The sensor's gains
-    are computed once per run; per step only C^T V y is, for every node.
-    The lanes start consensus from those terms masked by `sensed`, and the
-    centralized slice adds k C^T V C and the sum of the k sensed C^T V y_i
-    to its prior, as `centralized_correct` would, without computing them
-    again. Events in `log` carry the slice index as `node`: k*N + i, and
-    K*N for the centralized slice.
+    `terms` are the timestep's `correction_terms`: the lanes start
+    consensus from the node terms, and the centralized slice adds the
+    centralized sums to its prior, as `centralized_correct` would. Events
+    in `log` carry the slice index as `node`: k*N + i, and K*N for the
+    centralized slice.
     """
     n_lanes, n_nodes = plan.powers.shape[0], plan.powers.shape[-1]
     n_lane_slices = n_lanes * n_nodes
@@ -72,24 +118,19 @@ def dicf_step(prior: InformationState, plan: LanePlan, measurements: np.ndarray,
         raise ConfigurationError(f"prior stack has {prior.q.shape[0]} slices; expected {n_lanes} "
                                  f"lanes x {n_nodes} nodes plus 0 or 1 centralized, 1 or more in all")
     n = prior.q.shape[-1]
-    ctv, omega_gain = sensor.gains
-    q_gains = measurement_gains(ctv, measurements)
-    d_omega = np.where(sensed[:, None, None], omega_gain, 0.0)
-    d_q = np.where(sensed[:, None], q_gains, 0.0)
     # lane k of the (K, N, ...) view takes the N node corrections by broadcasting
     lane_prior = InformationState(
         prior.omega[:n_lane_slices].reshape(n_lanes, n_nodes, n, n),
         prior.q[:n_lane_slices].reshape(n_lanes, n_nodes, n))
-    B0, b0 = init_consensus(lane_prior, d_omega, d_q, n_nodes)
+    d_omega = np.where(terms.sensed[:, None, None], terms.omega_gain, 0.0)
+    B0, b0 = init_consensus(lane_prior, d_omega, terms.d_q, n_nodes)
     # the (B, b) pair of every slice, lanes' node blocks first
     B, b = np.empty_like(prior.omega), np.empty_like(prior.q)
     lanes_B, lanes_b = consensus.run_masked_consensus(B0, b0, plan.powers)
     B[:n_lane_slices].reshape(lanes_B.shape)[...] = lanes_B
     b[:n_lane_slices].reshape(lanes_b.shape)[...] = lanes_b
-    # centralized_correct's arithmetic on the terms computed above
-    q_gains = q_gains[sensed]
-    B[n_lane_slices:] = symmetrize(prior.omega[n_lane_slices:] + len(q_gains) * omega_gain)
-    b[n_lane_slices:] = prior.q[n_lane_slices:] + q_gains.sum(axis=0)
+    B[n_lane_slices:] = symmetrize(prior.omega[n_lane_slices:] + terms.central_omega)
+    b[n_lane_slices:] = prior.q[n_lane_slices:] + terms.central_q
     scale = np.full(len(b), float(n_nodes))
     scale[n_lane_slices:] = 1.0
 
@@ -105,7 +146,8 @@ def ckf_step(central: InformationState, measurements: np.ndarray, sensed: np.nda
     """One centralized information-filter cycle over all sensed nodes.
 
     `central` is a one-slice stack, omega (1, n, n) and q (1, n).
-    `measurements` is (N, m) and `sensed` (N,) bool, as for dicf_step.
+    `measurements` is (N, m) and `sensed` (N,) bool, as for one timestep
+    of `correction_terms`.
     Returns (next prior, posterior, estimate); the posterior and its
     (1, n) estimate are the benchmark fused estimate for this timestep.
     A run steps this filter as the last slice of its `dicf_step` stack,

@@ -27,7 +27,7 @@ import numpy as np
 from . import __version__
 from .consensus import averaging_powers, plan_lanes
 from .dicf import ckf_step  # noqa: F401  unused here; perfbench/tracer.py wraps it by this name
-from .dicf import dicf_step
+from .dicf import correction_terms, dicf_step
 from .errors import ConfigurationError, FilterNumericsError
 from .info_filter import (
     InformationState,
@@ -41,7 +41,7 @@ from .models import (
     TruthModel,
     constant_velocity_matrix,
     position_measurement_matrix,
-    propagate_truth,
+    truth_trajectory,
 )
 from .network import BandwidthLedger, SensorNetwork, consensus_gain, random_geometric
 from .selection import EntrySelectionSchedule, build_schedule, default_schedule
@@ -272,10 +272,7 @@ def build_scenario(cfg: ScenarioConfig, seed: int) -> Scenario:
                                      np.diag(cfg.r_diag))
 
     n_steps = cfg.n_steps
-    truth = np.zeros((n_steps, STATE_DIM))
-    truth[0] = truth_model.initial_state(rng)
-    for t in range(1, n_steps):
-        truth[t] = propagate_truth(truth[t - 1], truth_model, rng)
+    truth = truth_trajectory(truth_model, n_steps, rng)
 
     # one draw in the (t, node) order of a per-measurement loop
     noise_draw = rng.standard_normal((n_steps, cfg.n_nodes, MEAS_DIM))
@@ -306,12 +303,14 @@ def run_once(scenario: Scenario, L, algorithms: Optional[list] = None,
     `L` is one consensus depth or a sequence of them. Every consensus
     algorithm runs at every depth, and each such (algorithm, L) lane is a
     block of one stacked state; the centralized filter, if asked for, is
-    the stack's last slice. The lanes' consensus plan is built once per
-    run, and a single dicf_step per timestep advances them all, with one
-    NumericsLog. Per timestep the loop keeps only each slice's error norm
-    and the log's length (and, with `diagnostics`, the lanes' posterior
-    eigenvalue range); lane means, node errors, regularize counts per step
-    and one bandwidth ledger entry per lane are formed after the loop. One
+    the stack's last slice. The lanes' consensus plan and the measurement
+    terms of every timestep are computed once per run, and a single
+    dicf_step per timestep advances every slice, with one NumericsLog. Per
+    timestep the loop keeps only each slice's squared error norm and the
+    log's length (and, with `diagnostics`, the lanes' posterior eigenvalue
+    range); the norms' roots, lane means, node errors, regularize counts
+    per step and one bandwidth ledger entry per lane are formed after the
+    loop. One
     depth returns RunMetrics keyed by algorithm label; a sequence returns
     {L: RunMetrics}, each of which also holds the centralized filter,
     which has no depth.
@@ -334,6 +333,8 @@ def run_once(scenario: Scenario, L, algorithms: Optional[list] = None,
     lanes = [(a.schedule, lv) for lv in depths for a in consensus]
     n_lanes = len(lanes)
     n_lane_slices, n_central = n_lanes * n_nodes, 1 if central else 0
+    # squared error norms, summed as np.linalg.norm sums them; the root is
+    # taken after the loop
     slice_errors = np.zeros((n_steps, n_lane_slices + n_central))
     events_after = np.zeros(n_steps, dtype=int)  # len(log.events) after step t
     log = NumericsLog()
@@ -343,11 +344,14 @@ def run_once(scenario: Scenario, L, algorithms: Optional[list] = None,
     plan = plan_lanes(lanes, averaging_powers(scenario.net, scenario.eps, max(depths)),
                       STATE_DIM)
 
+    terms = correction_terms(scenario.sensor, scenario.measurements, scenario.sensed)
+
     for t in range(n_steps):
-        prior, posterior, estimates = dicf_step(
-            prior, plan, scenario.measurements[t], scenario.sensed[t],
-            scenario.sensor, scenario.sys, log=log)
-        slice_errors[t] = np.linalg.norm(scenario.truth[t] - estimates, axis=-1)
+        prior, posterior, estimates = dicf_step(prior, plan, terms.at(t), scenario.sys,
+                                                log=log)
+        estimates -= scenario.truth[t]
+        estimates *= estimates
+        np.add.reduce(estimates, axis=-1, out=slice_errors[t])
         events_after[t] = len(log.events)
         if diagnostics and lanes:
             ev = np.linalg.eigvalsh(posterior.omega[:n_lane_slices]).reshape(
@@ -355,6 +359,7 @@ def run_once(scenario: Scenario, L, algorithms: Optional[list] = None,
             eig_range["eig_min"][:, t] = ev[..., 0]
             eig_range["eig_max"][:, t] = ev[..., -1]
 
+    np.sqrt(slice_errors, out=slice_errors)
     node_errors = slice_errors[:, :n_lane_slices].reshape(n_steps, n_lanes, n_nodes)
     errors = np.concatenate([node_errors.mean(axis=-1), slice_errors[:, n_lane_slices:]],
                             axis=1).T

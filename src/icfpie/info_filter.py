@@ -7,8 +7,8 @@ prediction maps through the covariance form once per step.
 Every estimate is a stack of K slices: Omega of shape (K, n, n) and q of
 shape (K, n), one slice per node, and the centralized filter's one more.
 Every primitive acts on the stack slice by slice through numpy's
-batched linear algebra; only flagged slices take a per-slice path, and
-every event carries its slice index as `node`.
+batched linear algebra, and every event carries its slice index as
+`node`.
 
 Numerical policy (applied everywhere, per slice, logged via NumericsLog):
   * symmetrize Omega after every arithmetic update;
@@ -22,14 +22,21 @@ certifies it: lambda_min(L L^T) >= 1 / ||L^-1||_F^2, so a slice whose
 bound (less a rounding margin) clears SINGULAR_EIG, and whose condition
 estimate is at most ILL_CONDITIONED, would be flagged by neither check.
 `recover_and_predict` runs posterior recovery and prediction from one
-such factor per slice.
+such factor per slice. The uncertified slices of a step, non-finite ones
+among them, take one batched pass: one eigenvalue call for both checks,
+one SVD for every minimum-norm solve, one vectorized shift and one
+inversion of the shifted posteriors. Only the event records, and the
+refactoring of the slices a failed batched factorization names, loop
+over slices.
 """
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
+from numpy.linalg import _umath_linalg  # the batched routines behind np.linalg
 
 from .errors import ConfigurationError, FilterNumericsError
 
@@ -95,20 +102,21 @@ def _min_eigenvalues(m: np.ndarray, context: str) -> np.ndarray:
         raise FilterNumericsError(f"eigenvalue computation failed in {context}: {exc}")
 
 
-def _regularize(stack: np.ndarray, nodes: np.ndarray, log: Optional[NumericsLog],
-                context: str) -> np.ndarray:
-    """The diagonal-shift policy on a stack; the event of slice k carries
-    node nodes[k]."""
-    eig_min = _min_eigenvalues(stack, context)
-    flagged = np.flatnonzero(eig_min < SINGULAR_EIG)
-    n = stack.shape[-1]
+def _shift(stack: np.ndarray, eig_min: np.ndarray, nodes: np.ndarray,
+           log: Optional[NumericsLog], context: str) -> np.ndarray:
+    """The diagonal-shift policy on a stack whose slices have the smallest
+    eigenvalues eig_min; the event of slice k carries node nodes[k]."""
+    flagged = eig_min < SINGULAR_EIG
     out = stack.copy()
-    for k in flagged:
-        e = float(eig_min[k])
-        lam = REG_SCALE * (1.0 + abs(float(np.trace(stack[k]))) / n) + max(0.0, -e)
+    if flagged.any():
+        n = stack.shape[-1]
+        e = eig_min[flagged]
+        lam = (REG_SCALE * (1.0 + np.abs(np.trace(stack[flagged], axis1=-2, axis2=-1)) / n)
+               + np.maximum(0.0, -e))
         if log is not None:
-            log.record("regularize", context, eig_min=e, lam=lam, node=int(nodes[k]))
-        out[k] += lam * np.eye(n)
+            for k, e_k, lam_k in zip(nodes[flagged].tolist(), e.tolist(), lam.tolist()):
+                log.record("regularize", context, eig_min=e_k, lam=lam_k, node=k)
+        out[flagged] += lam[:, None, None] * np.eye(n)
     return out
 
 
@@ -121,14 +129,25 @@ def ensure_invertible(omega: np.ndarray, log: Optional[NumericsLog] = None,
     small negative eigenvalue) are additionally shifted past zero. Slices
     above the threshold are returned unchanged.
     """
-    return _regularize(omega, np.arange(len(omega)), log, context or "ensure_invertible")
+    context = context or "ensure_invertible"
+    return _shift(omega, _min_eigenvalues(omega, context), np.arange(len(omega)), log, context)
 
 
 def _condition_estimates(c: np.ndarray) -> np.ndarray:
     """Cheap condition estimate of L L^T from its Cholesky factors' diagonals:
-    max(d^2) / min(d^2)."""
-    d2 = np.square(c.diagonal(axis1=-2, axis2=-1))
-    return d2.max(axis=-1) / d2.min(axis=-1)
+    max(d^2) / min(d^2), from the largest and smallest d. The diagonals are
+    laid out (n, K) first, so that each reduction runs along the stack."""
+    d = np.ascontiguousarray(c.diagonal(axis1=-2, axis2=-1).T)
+    hi, lo = d.max(axis=0), d.min(axis=0)
+    return (hi * hi) / (lo * lo)
+
+
+def _transposed(m: np.ndarray) -> np.ndarray:
+    """M^T of every slice, C-contiguous. A batched matrix product with a
+    transposed view, or of a buffer with its own transpose, leaves numpy's
+    fast path for small matrices; this copy keeps it there, with the same
+    result. (A matrix-vector product is as fast with the view.)"""
+    return np.ascontiguousarray(m.swapaxes(-1, -2))
 
 
 def _inv_lower(c: np.ndarray) -> np.ndarray:
@@ -143,7 +162,8 @@ def _inv_lower(c: np.ndarray) -> np.ndarray:
     would run an LU factorization per slice instead.
     """
     n = c.shape[-1]
-    ct = c.transpose(1, 2, 0)  # (n, n, K): entry (i, j) of every slice is one vector
+    # (n, n, K): entry (i, j) of every slice is one contiguous vector
+    ct = np.ascontiguousarray(c.transpose(1, 2, 0))
     x = np.zeros(ct.shape)
     x.reshape(n * n, -1)[::n + 1] = 1.0  # the identity in every slice
     for i in range(n - 1, -1, -1):
@@ -163,11 +183,12 @@ def _inv_spd(stack: np.ndarray, nodes: np.ndarray, log: Optional[NumericsLog],
         raise FilterNumericsError(f"matrix not positive definite in {context or 'inv_spd'}: {exc}")
     if log is not None:
         cond_est = _condition_estimates(c)
-        for k in np.flatnonzero(cond_est > ILL_CONDITIONED):
-            log.record("ill_conditioned", context, cond_estimate=float(cond_est[k]),
-                       node=int(nodes[k]))
+        ill = cond_est > ILL_CONDITIONED
+        if ill.any():
+            for k, cond_k in zip(nodes[ill].tolist(), cond_est[ill].tolist()):
+                log.record("ill_conditioned", context, cond_estimate=cond_k, node=k)
     c_inv = _inv_lower(c)
-    return symmetrize(c_inv.swapaxes(-1, -2) @ c_inv)
+    return symmetrize(_transposed(c_inv) @ c_inv)
 
 
 def inv_spd(m: np.ndarray, log: Optional[NumericsLog] = None, context: str = "") -> np.ndarray:
@@ -226,6 +247,32 @@ def centralized_correct(prior: InformationState, c: np.ndarray, v: np.ndarray,
     return information_state(prior.omega + len(d_q) * d_omega, prior.q + d_q.sum(axis=0))
 
 
+def _cholesky(stack: np.ndarray):
+    """Lower Cholesky factor of every slice, and a mask of the slices that
+    factored; the identity stands in for a factor that failed.
+
+    When the batched call fails, it is retried batched with failures
+    marked: numpy's routine fills a failing slice with NaN when invalid
+    operations are ignored. Only the slices whose factor came back not
+    finite are factored again, one at a time, by the routine that raises:
+    a slice with an infinite entry can factor without failing, and it
+    keeps the factor that a call on it alone gives.
+    """
+    ok = np.ones(len(stack), dtype=bool)
+    try:
+        return np.linalg.cholesky(stack), ok
+    except np.linalg.LinAlgError:
+        with np.errstate(invalid="ignore"):
+            c = _umath_linalg.cholesky_lo(stack, signature="d->d")
+    for k in np.flatnonzero(~np.isfinite(c).all(axis=(-2, -1))):
+        try:
+            c[k] = np.linalg.cholesky(stack[k])
+        except np.linalg.LinAlgError:
+            c[k] = np.eye(stack.shape[-1])
+            ok[k] = False
+    return c, ok
+
+
 @dataclass(frozen=True)
 class SliceFactors:
     """One Cholesky factorization per slice of a symmetrized stack.
@@ -238,7 +285,8 @@ class SliceFactors:
     slice is `certified` when its bound clears SINGULAR_EIG and its
     condition estimate is at most ILL_CONDITIONED: eigvalsh would flag it
     in no check, so it skips eigvalsh. Every other slice takes the
-    eigenvalue policy.
+    eigenvalue policy, and so does every slice with a non-finite entry,
+    whose bound is not a number or minus infinity.
     """
 
     stack: np.ndarray
@@ -252,75 +300,109 @@ class SliceFactors:
         return _matvec(self.c_inv.swapaxes(-1, -2), _matvec(self.c_inv, q))
 
 
-def factor_slices(omega: np.ndarray, context: str) -> SliceFactors:
-    """Cholesky-factor every slice of the stack sym(omega) and
-    certify the slices that need no eigenvalue check. A slice whose
-    factorization fails never affects the others: a failing batched
-    factorization is redone slice by slice."""
+def factor_slices(omega: np.ndarray) -> SliceFactors:
+    """Cholesky-factor every slice of the stack sym(omega) and certify the
+    slices that need no eigenvalue check. A slice whose factorization
+    fails never affects the others. Nothing here checks finiteness: a
+    non-finite slice is uncertified, and the eigenvalue policy rejects it."""
     stack = symmetrize(omega)
-    if not np.isfinite(stack).all():
-        raise FilterNumericsError(f"non-finite information matrix in {context}")
-    ok = np.ones(stack.shape[0], dtype=bool)
-    try:
-        c = np.linalg.cholesky(stack)
-    except np.linalg.LinAlgError:
-        c = np.broadcast_to(np.eye(stack.shape[-1]), stack.shape).copy()
-        for k in range(stack.shape[0]):
-            try:
-                c[k] = np.linalg.cholesky(stack[k])
-            except np.linalg.LinAlgError:
-                ok[k] = False
-    c_inv = _inv_lower(c)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):
+        c, ok = _cholesky(stack)
+        c_inv = _inv_lower(c)
         bound = (1.0 / np.einsum("kij,kij->k", c_inv, c_inv)
                  - CERT_MARGIN * np.sqrt(np.einsum("kij,kij->k", stack, stack)))
         certified = ok & (bound >= SINGULAR_EIG) & (_condition_estimates(c) <= ILL_CONDITIONED)
     return SliceFactors(stack=stack, c_inv=c_inv, ok=ok, bound=bound, certified=certified)
 
 
-def _estimates(f: SliceFactors, q: np.ndarray, log: Optional[NumericsLog]) -> np.ndarray:
-    """Omega^-1 q per slice; uncertified slices whose smallest eigenvalue is
-    below SINGULAR_EIG, or whose factorization failed, get the
-    minimum-norm least-squares solution and a `singular_solve` event."""
-    x = f.solve(q)
-    if not f.certified.all():
-        check = np.flatnonzero(~f.certified)
-        eig_min = _min_eigenvalues(f.stack[check], "to_state_estimate")
-        for k, e in zip(check, eig_min):
-            if e >= SINGULAR_EIG and f.ok[k]:
-                continue
-            if log is not None:
-                log.record("singular_solve", "to_state_estimate", eig_min=float(e),
-                           node=int(k))
-            x[k], *_ = np.linalg.lstsq(f.stack[k], q[k], rcond=None)
-    return x
+def _min_norm_solve(m: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Minimum-norm least-squares solution of every slice of m x = q, from
+    one batched SVD. Singular values at or below n * eps * s_max count as
+    zero, the cut that `np.linalg.lstsq(rcond=None)` makes."""
+    u, s, vt = np.linalg.svd(m)
+    keep = s > m.shape[-1] * np.finfo(float).eps * s[:, :1]
+    y = np.divide(_matvec(u.swapaxes(-1, -2), q), s, out=np.zeros_like(s), where=keep)
+    return _matvec(vt.swapaxes(-1, -2), y)
 
 
-def _predicted(f: SliceFactors, scale: np.ndarray, x: np.ndarray, post: InformationState,
-               a: np.ndarray, q_cov: np.ndarray,
-               log: Optional[NumericsLog]) -> InformationState:
-    """Time update of post = (scale * Omega, scale * q), slice k scaled by
-    scale[k], where f factors Omega and x = Omega^-1 q on certified slices.
+@dataclass(frozen=True)
+class ScaledPosterior:
+    """The posterior stack (scale * B, scale * b) of consensus pairs (B, b),
+    slice k scaled by scale[k]. It reads as an InformationState, and each
+    of `omega` and `q` is formed when it is first read, from the pairs it
+    holds: they must not change while it is in use."""
 
-    A certified slice uses P = L^-T L^-1 / scale and x_hat = x. Every other
-    slice regularizes and inverts its posterior as `predict` always did.
-    Then Omega+ = (A P A^T + Q)^-1 and q+ = Omega+ A x_hat.
+    b_mat: np.ndarray
+    b_vec: np.ndarray
+    scale: np.ndarray
+
+    @cached_property
+    def omega(self) -> np.ndarray:
+        return symmetrize(self.scale[:, None, None] * self.b_mat)
+
+    @cached_property
+    def q(self) -> np.ndarray:
+        return self.scale[:, None] * self.b_vec
+
+
+def _recover(b_mat: np.ndarray, b_vec: np.ndarray, scale: np.ndarray,
+             log: Optional[NumericsLog], estimate: bool, model=None):
+    """The estimates B^-1 b and, with model = (A, Q), the prediction of the
+    posterior (scale * B, scale * b), slice k scaled by scale[k], from one
+    Cholesky factor of sym(B) per slice; returns (estimates, next prior or None).
+
+    A certified slice needs nothing else: its estimate is x = L^-T L^-1 b,
+    its posterior covariance P = L^-T L^-1 / scale, and x_hat = x. The
+    uncertified slices take one batched eigenvalue call for both checks:
+    with `estimate`, those of sym(B) give the estimate's singular test, and
+    with a model, those of the posterior slices give the shift. A slice
+    whose smallest eigenvalue is below SINGULAR_EIG, or whose factorization
+    failed, gets the minimum-norm solution and a `singular_solve` event;
+    every uncertified posterior slice is shifted by the regularization
+    policy where it is near-singular, and inverted, and its estimate for
+    the prediction is x_hat = P scale b. Then Omega+ = (A P A^T + Q)^-1 and
+    q+ = Omega+ A x_hat.
     """
-    # A P A^T = G^T G / scale with G = L^-1 A^T
-    g = f.c_inv @ a.T
-    apa = g.swapaxes(-1, -2) @ g / scale[:, None, None]
-    x_hat = x
-    if not f.certified.all():
-        x_hat = x.copy()
+    context = "to_state_estimate" if estimate else "predict"
+    f = factor_slices(b_mat)
+    x = f.solve(b_vec)
+    flagged = not f.certified.all()
+    if flagged:
         check = np.flatnonzero(~f.certified)
-        omega = _regularize(symmetrize(post.omega[check]), check, log, "predict")
-        p = _inv_spd(omega, check, log, "predict: invert posterior")
-        apa[check] = a @ p @ a.T
-        x_hat[check] = _matvec(p, post.q[check])
+        sub = f.stack[check]
+        parts = [sub] if estimate else []
+        if model is not None:
+            posterior = symmetrize(scale[check, None, None] * b_mat[check])
+            parts.append(posterior)
+        eig_min = _min_eigenvalues(np.concatenate(parts), context)
+        if estimate:
+            e = eig_min[:check.size]
+            singular = (e < SINGULAR_EIG) | ~f.ok[check]
+            if singular.any():
+                nodes = check[singular]
+                if log is not None:
+                    for k, e_k in zip(nodes.tolist(), e[singular].tolist()):
+                        log.record("singular_solve", "to_state_estimate", eig_min=e_k, node=k)
+                x[nodes] = _min_norm_solve(sub[singular], b_vec[nodes])
+    if model is None:
+        return x, None
+
+    a, q_cov = model
+    a_t = np.ascontiguousarray(a.T)
+    # A P A^T = G^T G / scale with G = L^-1 A^T
+    g = f.c_inv @ a_t
+    apa = (_transposed(g) @ g) / scale[:, None, None]
+    x_hat = x
+    if flagged:
+        shifted = _shift(posterior, eig_min[-check.size:], check, log, "predict")
+        p = _inv_spd(shifted, check, log, "predict: invert posterior")
+        apa[check] = a @ p @ a_t
+        x_hat = x.copy()
+        x_hat[check] = _matvec(p, scale[check, None] * b_vec[check])
     p_next = symmetrize(apa) + q_cov
     # inv_spd returns a symmetric stack, so information_state would not change it
     omega_next = inv_spd(p_next, log, "predict: invert predicted covariance")
-    return InformationState(omega_next, _matvec(omega_next, _matvec(a, x_hat)))
+    return x, InformationState(omega_next, _matvec(omega_next, _matvec(a, x_hat)))
 
 
 def predict(post: InformationState, a: np.ndarray, q_cov: np.ndarray,
@@ -330,17 +412,14 @@ def predict(post: InformationState, a: np.ndarray, q_cov: np.ndarray,
     Omega+ = (A Omega^-1 A^T + Q)^-1 and q+ = Omega+ A x_hat, where
     x_hat = Omega^-1 q and Q is the process-noise covariance.
     """
-    a = np.asarray(a, dtype=float)
-    q_cov = np.asarray(q_cov, dtype=float)
-    f = factor_slices(post.omega, "predict")
-    x = f.solve(post.q)
-    return _predicted(f, np.ones(len(x)), x, post, a, q_cov, log)
+    model = (np.asarray(a, dtype=float), np.asarray(q_cov, dtype=float))
+    return _recover(post.omega, post.q, np.ones(len(post.q)), log, False, model)[1]
 
 
 def to_state_estimate(s: InformationState, log: Optional[NumericsLog] = None) -> np.ndarray:
     """State estimates Omega^-1 q, (K, n); minimum-norm solution for every
     slice whose Omega is singular."""
-    return _estimates(factor_slices(s.omega, "to_state_estimate"), s.q, log)
+    return _recover(s.omega, s.q, np.ones(len(s.q)), log, True)[0]
 
 
 def recover_and_predict(b_mat: np.ndarray, b_vec: np.ndarray, scale,
@@ -356,13 +435,11 @@ def recover_and_predict(b_mat: np.ndarray, b_vec: np.ndarray, scale,
     through (A, Q) (what `predict` gives for it). One Cholesky factor of
     sym(B) per slice serves both: it gives the estimate, and
     P = B^-1 / scale for the prediction. The smallest eigenvalue scales
-    with B, so one certificate covers the checks of both.
+    with B, so one certificate covers the checks of both. The posterior
+    is a ScaledPosterior, formed only where it is read.
     """
     scale = np.full(len(b_vec), scale, dtype=float)
-    posterior = information_state(scale[:, None, None] * b_mat, scale[:, None] * b_vec)
-    f = factor_slices(b_mat, "to_state_estimate")
-    x = _estimates(f, b_vec, log)
-    if not np.all(np.isfinite(x)):
+    x, next_prior = _recover(b_mat, b_vec, scale, log, True, (a, q_cov))
+    if not np.isfinite(x).all():
         raise FilterNumericsError("non-finite state estimate")
-    next_prior = _predicted(f, scale, x, posterior, a, q_cov, log)
-    return posterior, x, next_prior
+    return ScaledPosterior(b_mat, b_vec, scale), x, next_prior

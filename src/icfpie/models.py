@@ -7,6 +7,7 @@ so the truth model and the filter's process noise are deliberately
 separate objects.
 """
 
+import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -135,32 +136,37 @@ class TruthModel:
         return np.array([x0, y0, v0 * np.cos(psi0), v0 * np.sin(psi0)])
 
 
-def propagate_truth(state: np.ndarray, model: TruthModel, rng: np.random.Generator) -> np.ndarray:
-    """Advance the target one step: move with the current velocity, then
-    perturb the speed and keep the heading.
+def truth_trajectory(model: TruthModel, n_steps: int, rng: np.random.Generator) -> np.ndarray:
+    """The target's states at n_steps timesteps, (n_steps, 4): the initial
+    state drawn by `initial_state`, then one step at a time: move with the
+    current velocity, then perturb the speed by one normal draw and keep
+    the heading.
 
-    With zero speed the heading is undefined; the velocity is kept and a
-    DegenerateHeadingWarning is issued.
+    With zero speed the heading is undefined; the velocity is kept, no
+    speed is drawn, and a DegenerateHeadingWarning is issued. The
+    arithmetic runs on Python floats, one step after the other; the speed
+    and the heading come from np.hypot and np.arctan2, whose last bit the
+    math module's versions do not always share.
     """
-    state = np.asarray(state, dtype=float)
-    if state.shape != (4,):
-        raise ConfigurationError(f"truth state must have length 4, got shape {state.shape}")
-    pos = state[:2] + model.dt * state[2:]
-    vel = state[2:]
-    speed = float(np.hypot(vel[0], vel[1]))
-    if speed == 0.0:
-        warnings.warn("zero-speed target state: heading undefined, velocity kept",
-                      DegenerateHeadingWarning, stacklevel=2)
-        new_vel = vel
-    else:
-        heading = np.arctan2(vel[1], vel[0])
-        if model.speed_variance > 0:
-            speed = speed + rng.normal(0.0, np.sqrt(model.speed_variance))
-        new_vel = speed * np.array([np.cos(heading), np.sin(heading)])
-    out = np.concatenate([pos, new_vel])
-    if not np.all(np.isfinite(out)):
+    x, y, vx, vy = model.initial_state(rng).tolist()
+    dt, sigma = model.dt, math.sqrt(model.speed_variance)
+    states = [(x, y, vx, vy)]
+    for _ in range(1, n_steps):
+        x, y = x + dt * vx, y + dt * vy
+        speed = float(np.hypot(vx, vy))
+        if speed == 0.0:
+            warnings.warn("zero-speed target state: heading undefined, velocity kept",
+                          DegenerateHeadingWarning, stacklevel=2)
+        else:
+            heading = float(np.arctan2(vy, vx))
+            if model.speed_variance > 0:
+                speed = speed + rng.normal(0.0, sigma)
+            vx, vy = speed * math.cos(heading), speed * math.sin(heading)
+        states.append((x, y, vx, vy))
+    truth = np.array(states)
+    if not np.isfinite(truth).all():
         raise FilterNumericsError("non-finite truth state after propagation")
-    return out
+    return truth
 
 
 def linearize(model, x_hat: np.ndarray) -> np.ndarray:

@@ -16,7 +16,7 @@ import pytest
 from conftest import random_spd
 from consensus_reference import closed_neighborhoods
 from icfpie.consensus import ConsensusState, averaging_powers, plan_lanes, run_consensus
-from icfpie.dicf import ckf_step, dicf_step
+from icfpie.dicf import ckf_step, correction_terms, dicf_step
 from icfpie.harness import (
     ScenarioConfig,
     build_scenario,
@@ -85,8 +85,8 @@ def test_criterion_1_identity_schedule_reduction():
     est = np.zeros((n_steps, cfg.n_nodes, 4))
     omegas = np.zeros((n_steps, cfg.n_nodes, 4, 4))
     for t in range(n_steps):
-        prior, posterior, est[t] = dicf_step(prior, plan, scenario.measurements[t],
-                                             scenario.sensed[t], scenario.sensor, scenario.sys)
+        terms = correction_terms(scenario.sensor, scenario.measurements[t], scenario.sensed[t])
+        prior, posterior, est[t] = dicf_step(prior, plan, terms, scenario.sys)
         omegas[t] = posterior.omega
 
     ref_est, ref_omegas = run_original_icf(
@@ -127,8 +127,9 @@ def test_criterion_3_single_step_convergence_to_benchmark():
 
     plan = plan_lanes([(default_schedule(4, "case1"), 400)],
                       averaging_powers(scenario.net, scenario.eps, 400), 4)
-    _, posterior, estimates = dicf_step(scenario.zero_prior(cfg.n_nodes), plan, meas, sensed,
-                                        scenario.sensor, scenario.sys)
+    _, posterior, estimates = dicf_step(scenario.zero_prior(cfg.n_nodes), plan,
+                                        correction_terms(scenario.sensor, meas, sensed),
+                                        scenario.sys)
     _, ckf_post, _ = ckf_step(scenario.zero_prior(1), meas, sensed, scenario.sensor,
                               scenario.sys)
     x_ckf = to_state_estimate(ckf_post)[0]
@@ -156,8 +157,9 @@ def test_criterion_4_bandwidth_ratios_exact():
     for kind in ("identity", "case1", "case2"):
         plan = plan_lanes([(default_schedule(4, kind), L)],
                           averaging_powers(scenario.net, scenario.eps, L), 4)
-        dicf_step(scenario.zero_prior(cfg.n_nodes), plan, scenario.measurements[0],
-                  scenario.sensed[0], scenario.sensor, scenario.sys)
+        dicf_step(scenario.zero_prior(cfg.n_nodes), plan,
+                  correction_terms(scenario.sensor, scenario.measurements[0],
+                                   scenario.sensed[0]), scenario.sys)
         (payloads,) = plan.payloads
         totals[kind] = cfg.n_nodes * sum(payloads)
         per_step[kind] = cfg.n_nodes * payloads[0]

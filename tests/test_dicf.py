@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from conftest import assert_rel_close, random_spd
 from consensus_reference import closed_neighborhoods
 from icfpie.consensus import averaging_powers, plan_lanes
-from icfpie.dicf import ckf_step, dicf_step
+from icfpie.dicf import ckf_step, correction_terms, dicf_step
 from icfpie.harness import ScenarioConfig, build_scenario, make_algorithms, run_once
 from icfpie.errors import ConfigurationError
 from icfpie.info_filter import (
@@ -48,9 +48,8 @@ def run_package_icfpie(scenario, schedule, L):
     estimates = np.zeros((n_steps, cfg.n_nodes, 4))
     omegas = np.zeros((n_steps, cfg.n_nodes, 4, 4))
     for t in range(n_steps):
-        prior, posterior, estimates[t] = dicf_step(prior, plan, scenario.measurements[t],
-                                                   scenario.sensed[t], scenario.sensor,
-                                                   scenario.sys)
+        terms = correction_terms(scenario.sensor, scenario.measurements[t], scenario.sensed[t])
+        prior, posterior, estimates[t] = dicf_step(prior, plan, terms, scenario.sys)
         omegas[t] = posterior.omega
     return estimates, omegas
 
@@ -87,8 +86,8 @@ def step_lanes(scenario, lanes, prior, t):
     powers = averaging_powers(scenario.net, scenario.eps, max((L for _, L in lanes), default=0))
     plan = plan_lanes(lanes, powers, 4)
     next_prior, posterior, estimates = dicf_step(
-        prior, plan, scenario.measurements[t], scenario.sensed[t],
-        scenario.sensor, scenario.sys, log=log)
+        prior, plan, correction_terms(scenario.sensor, scenario.measurements[t],
+                                      scenario.sensed[t]), scenario.sys, log=log)
     return next_prior, posterior, estimates, plan, log
 
 
@@ -189,8 +188,8 @@ class TestCentralSlice:
         for t, (next_ckf, post_ckf, estimate_ckf, events_ckf) in enumerate(steps):
             log = NumericsLog()
             prior, posterior, estimates = dicf_step(
-                prior, plan, scenario.measurements[t], scenario.sensed[t],
-                scenario.sensor, scenario.sys, log=log)
+                prior, plan, correction_terms(scenario.sensor, scenario.measurements[t],
+                                              scenario.sensed[t]), scenario.sys, log=log)
             for got, expected in [(prior.omega[last:], next_ckf.omega),
                                   (prior.q[last:], next_ckf.q),
                                   (posterior.omega[last:], post_ckf.omega),
@@ -215,8 +214,8 @@ class TestCentralSlice:
         prior = scenario.zero_prior(last + 1)
         for t, (next_ckf, post_ckf, estimate_ckf, _) in enumerate(steps[:20]):
             prior, posterior, estimates = dicf_step(
-                prior, plan, scenario.measurements[t], scenario.sensed[t],
-                scenario.sensor, scenario.sys)
+                prior, plan, correction_terms(scenario.sensor, scenario.measurements[t],
+                                              scenario.sensed[t]), scenario.sys)
             for got, expected in [(prior.omega[last:], next_ckf.omega),
                                   (prior.q[last:], next_ckf.q),
                                   (posterior.omega[last:], post_ckf.omega),
@@ -263,8 +262,8 @@ class TestConvergenceToCentral:
         plan = plan_lanes([(schedule, L)], averaging_powers(scenario.net, scenario.eps, L), 4)
         for t in range(cfg.n_steps):
             meas, sensed = scenario.measurements[t], scenario.sensed[t]
-            prior, posterior, estimates = dicf_step(prior, plan, meas, sensed,
-                                                    scenario.sensor, scenario.sys)
+            prior, posterior, estimates = dicf_step(
+                prior, plan, correction_terms(scenario.sensor, meas, sensed), scenario.sys)
             central, ckf_post, _ = ckf_step(central, meas, sensed, scenario.sensor,
                                             scenario.sys)
             x_ckf = to_state_estimate(ckf_post)[0]
@@ -309,8 +308,8 @@ class TestDegenerateNetwork:
         y = np.array([12.0, -3.0])
         plan = plan_lanes([(default_schedule(4, "identity"), 1)],
                           averaging_powers(net1, 0.5, 1), 4)
-        next_stacked, posterior, estimates = dicf_step(prior, plan, y[None], np.array([True]),
-                                                       sensor, sys)
+        next_stacked, posterior, estimates = dicf_step(
+            prior, plan, correction_terms(sensor, y[None], np.array([True])), sys)
 
         post = centralized_correct(prior, c, sensor.v, y[None])
         next_prior = predict(post, a, q)
@@ -318,6 +317,26 @@ class TestDegenerateNetwork:
         assert np.allclose(estimates[0], to_state_estimate(post)[0], atol=1e-12)
         assert np.allclose(next_stacked.omega[0], next_prior.omega[0], atol=1e-12)
         assert np.allclose(next_stacked.q[0], next_prior.q[0], atol=1e-12)
+
+
+class TestCorrectionTerms:
+    def test_run_pass_equals_step_by_step(self):
+        # run_once computes a run's terms in one pass; a step reads its row
+        scenario = build_scenario(ScenarioConfig(), 7)
+        run = correction_terms(scenario.sensor, scenario.measurements, scenario.sensed)
+        for t in range(scenario.cfg.n_steps):
+            step = correction_terms(scenario.sensor, scenario.measurements[t],
+                                    scenario.sensed[t])
+            for got, expected in zip(run.at(t), step):
+                assert np.array_equal(got, expected)
+        assert scenario.sensed.any(axis=1).all() and not scenario.sensed.all()
+
+    def test_mismatched_shapes_rejected(self):
+        sensor = lane_scenario().sensor
+        with pytest.raises(ConfigurationError):
+            correction_terms(sensor, np.zeros((3, 2)), np.ones(4, dtype=bool))
+        with pytest.raises(ConfigurationError):
+            correction_terms(sensor, np.zeros(2), np.ones((), dtype=bool))
 
 
 class TestCkfStep:

@@ -12,7 +12,7 @@ import icfpie
 from conftest import assert_rel_close
 from icfpie import harness
 from icfpie.consensus import averaging_powers, plan_lanes
-from icfpie.dicf import dicf_step
+from icfpie.dicf import correction_terms, dicf_step
 from icfpie.errors import ConfigurationError, ConsensusCycleWarning, FilterNumericsError
 from icfpie.harness import (
     ScenarioConfig,
@@ -24,10 +24,11 @@ from icfpie.harness import (
     run_once,
     sweep_consensus_steps,
 )
-from icfpie.models import TruthModel, propagate_truth
+from icfpie.models import TruthModel
 from icfpie.info_filter import NumericsLog
 from icfpie.network import random_geometric
 from measurement_reference import sample_measurement
+from truth_reference import truth_loop
 
 FAST = dict(n_nodes=6, horizon=2.0, mc_runs=2, seed=3)
 
@@ -76,9 +77,7 @@ class TestBuildScenario:
             random_geometric(cfg.n_nodes, cfg.region, cfg.comm_range, rng)
             truth_model = TruthModel(cfg.target_initial_position, cfg.speed_range,
                                      cfg.heading_range, cfg.speed_variance, cfg.dt)
-            truth = [truth_model.initial_state(rng)]
-            for _ in range(1, cfg.n_steps):
-                truth.append(propagate_truth(truth[-1], truth_model, rng))
+            truth = truth_loop(truth_model, cfg.n_steps, rng)
             assert np.array_equal(scenario.truth, truth)
             expected = [[sample_measurement(x, scenario.sensor, rng) for _ in range(cfg.n_nodes)]
                         for x in truth]
@@ -399,8 +398,8 @@ class TestOnePassLanes:
         for t in range(T):
             log = NumericsLog()
             prior, _, estimates = dicf_step(
-                prior, plan, scenario.measurements[t], scenario.sensed[t],
-                scenario.sensor, scenario.sys, log=log)
+                prior, plan, correction_terms(scenario.sensor, scenario.measurements[t],
+                                              scenario.sensed[t]), scenario.sys, log=log)
             errs = np.linalg.norm(scenario.truth[t] - estimates, axis=-1)
             for k in range(len(lanes)):
                 node_errors[k, t] = errs[k * N:(k + 1) * N]

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from conftest import assert_rel_close, random_spd
 from icfpie.errors import ConfigurationError, FilterNumericsError
 from icfpie.info_filter import (
+    InformationState,
     NumericsLog,
     _inv_lower,
     centralized_correct,
@@ -24,6 +25,7 @@ from icfpie.info_filter import (
     to_state_estimate,
 )
 from kf_reference import run_kf
+from recovery_reference import estimates_loop, regularize_loop
 
 
 def triple_loop_product(c, v, y):
@@ -291,7 +293,7 @@ class TestCertificate:
     def test_bound_never_exceeds_smallest_eigenvalue(self, kinds, seed):
         rng = np.random.default_rng(seed)
         stack = np.array([mixed_slice(rng, kind) for kind in kinds])
-        f = factor_slices(stack, "test")
+        f = factor_slices(stack)
         eig_min = np.linalg.eigvalsh(symmetrize(stack))[:, 0]
         assert np.all(f.bound[f.certified] <= eig_min[f.certified])
         assert np.all(eig_min[f.certified] >= SINGULAR_EIG)
@@ -313,8 +315,57 @@ class TestCertificate:
         assert checked == []
         b_mat[3] = 0.0
         recover_and_predict(b_mat, b_vec, 10, np.eye(4), np.eye(4))
-        # the zero slice alone, once for its estimate and once for its prediction
-        assert checked == [1, 1]
+        # one call for the zero slice alone: its B for the estimate and its
+        # posterior 10 B for the prediction
+        assert checked == [2]
+
+
+class TestFlaggedPass:
+    """The uncertified slices of a stack go through one batched pass; it
+    gives what the per-slice loops it replaced give (tests/recovery_reference.py)."""
+
+    @given(MIXED_KINDS, SEEDS)
+    @settings(max_examples=60, deadline=None)
+    def test_estimates_equal_lstsq_loop(self, kinds, seed):
+        # the batched SVD and lstsq's own SVD round differently; over 4,000
+        # drawn stacks the largest difference was 3.2e-13 of the slice's
+        # largest entry, so 1e-12 is the tightest round tolerance they meet.
+        # The eigenvalues, and so every event, are the same to the bit.
+        rng = np.random.default_rng(seed)
+        stack = information_state(np.array([mixed_slice(rng, kind) for kind in kinds]),
+                                  rng.normal(size=(len(kinds), 4)))
+        got_log, expected_log = NumericsLog(), NumericsLog()
+        got = to_state_estimate(stack, got_log)
+        expected = estimates_loop(stack.omega, stack.q, expected_log)
+        for g, e in zip(got, expected):
+            assert_rel_close(g, e, 1e-12)
+        assert got_log.events == expected_log.events
+
+    @given(MIXED_KINDS, SEEDS)
+    @settings(max_examples=60, deadline=None)
+    def test_shift_equals_per_slice_loop(self, kinds, seed):
+        rng = np.random.default_rng(seed)
+        stack = symmetrize(np.array([mixed_slice(rng, kind) for kind in kinds]))
+        got_log, expected_log = NumericsLog(), NumericsLog()
+        got = ensure_invertible(stack, got_log, "test")
+        assert np.array_equal(got, regularize_loop(stack, expected_log, "test"))
+        assert got_log.events == expected_log.events
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("entry", [(0, 0), (3, 3), (2, 1)])
+    def test_non_finite_slice_still_raises(self, rng, bad, entry):
+        # finiteness is checked on the uncertified slices only: a non-finite
+        # slice must never be certified, in a stack as wide as the sweep's
+        b_mat = np.array([random_spd(rng, 4) for _ in range(91)])
+        b_vec = rng.normal(size=(91, 4))
+        b_mat[57][entry] = bad
+        b_mat[57][entry[::-1]] = bad
+        state = InformationState(b_mat, b_vec)
+        for call in (lambda: recover_and_predict(b_mat, b_vec, 10, np.eye(4), np.eye(4)),
+                     lambda: predict(state, np.eye(4), np.eye(4)),
+                     lambda: to_state_estimate(state)):
+            with pytest.raises(FilterNumericsError, match="non-finite information matrix"):
+                call()
 
 
 class TestTriangularInverse:

@@ -11,9 +11,10 @@ from icfpie.models import (
     constant_velocity_matrix,
     linearize,
     position_measurement_matrix,
-    propagate_truth,
+    truth_trajectory,
 )
 from measurement_reference import sample_measurement
+from truth_reference import propagate_truth, truth_loop
 
 
 def truth_model(speed_variance=0.0, dt=0.1):
@@ -61,6 +62,38 @@ class TestPropagateTruth:
         out = propagate_truth(state, truth_model(), np.random.default_rng(0))
         expected = constant_velocity_matrix(0.1) @ state
         assert np.allclose(out, expected, rtol=1e-12, atol=1e-12)
+
+
+class TestTruthTrajectory:
+    """The run's truth in Python floats equals, bit for bit, the one-step
+    numpy oracle called once per timestep, draw for draw."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_equals_one_step_oracle(self, seed):
+        model = truth_model(speed_variance=0.25)
+        got = truth_trajectory(model, 300, np.random.default_rng(seed))
+        assert np.array_equal(got, truth_loop(model, 300, np.random.default_rng(seed)))
+
+    def test_zero_speed_keeps_velocity_and_draws_nothing(self):
+        # zero speed skips the draw: the generator is left where the
+        # oracle leaves it, and every step warns
+        model = TruthModel(initial_position=(5.0, 6.0), speed_range=(0.0, 0.0),
+                           heading_range=(0.0, 1.0), speed_variance=0.25, dt=0.1)
+        rng, oracle_rng = np.random.default_rng(3), np.random.default_rng(3)
+        with pytest.warns(DegenerateHeadingWarning) as got_warnings:
+            got = truth_trajectory(model, 6, rng)
+        with pytest.warns(DegenerateHeadingWarning) as oracle_warnings:
+            expected = truth_loop(model, 6, oracle_rng)
+        assert np.array_equal(got, expected)
+        assert np.array_equal(got[:, :2], np.tile([5.0, 6.0], (6, 1)))
+        assert len(got_warnings) == len(oracle_warnings) == 5
+        assert rng.random() == oracle_rng.random()
+
+    def test_noise_free_and_single_step(self):
+        model = truth_model()
+        assert np.array_equal(truth_trajectory(model, 50, np.random.default_rng(1)),
+                              truth_loop(model, 50, np.random.default_rng(1)))
+        assert truth_trajectory(model, 1, np.random.default_rng(1)).shape == (1, 4)
 
 
 class TestSampleMeasurement:
