@@ -22,18 +22,42 @@ certifies it: lambda_min(L L^T) >= 1 / ||L^-1||_F^2, so a slice whose
 bound (less a rounding margin) clears SINGULAR_EIG, and whose condition
 estimate is at most ILL_CONDITIONED, would be flagged by neither check.
 `recover_and_predict` runs posterior recovery and prediction from one
-such factor per slice. The uncertified slices of a step, non-finite ones
-among them, take one batched pass: one eigenvalue call for both checks,
-one SVD for every minimum-norm solve, one vectorized shift and one
-inversion of the shifted posteriors. Only the event records, and the
-refactoring of the slices a failed batched factorization names, loop
-over slices.
+such factor per slice.
+
+Every recovery (`recover_and_predict`, `predict`, `to_state_estimate`)
+routes each slice by its own input. The block invariant: with position
+sensors and diagonal Q and R, the constant-velocity model of `models`
+never couples its two axes, so every consensus pair, posterior, prior
+and predicted covariance of a run is block-diagonal in two 2 x 2 blocks,
+one (position, velocity) pair per axis, and so are A and Q. The split of
+the four state indices into two pairs is read from the zeros of A and Q
+(without a model, each split is tried in turn), so this module assumes
+no state layout. A slice whose sym(B) is block-diagonal in the split is
+recovered and predicted in closed form, on the three distinct entries
+of each block: Cholesky pivots, the certificate, the estimate, the
+predicted covariance's factor and its inverse, elementwise over the
+stack, with no LAPACK call. It stays there if the certificate holds and
+the condition estimates of its posterior and predicted covariance are
+at most half of ILL_CONDITIONED, so a slice on the closed form is one
+for which the LAPACK path would record no event: the closed form rounds
+the predicted covariance otherwise, which can move a condition estimate
+c by up to about eps * c relative (2e-4 at ILL_CONDITIONED), and every
+slice nearer the threshold is left to the LAPACK path. Every other
+slice (not block-diagonal, uncertified, or near or above the condition
+threshold) is gathered into one sub-stack for the LAPACK path, which
+makes every event. There, the uncertified slices of a step, non-finite
+ones among them, take one batched pass: one eigenvalue call for both
+checks, one SVD for every minimum-norm solve, one vectorized shift and
+one inversion of the shifted posteriors. Only the event records, and
+the refactoring of slices with a non-finite entry, loop over slices. A
+slice's result depends on that slice alone, on either path, so a slice
+of a stack gets the bits it gets alone.
 """
 
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Optional
+from functools import cached_property, lru_cache
+from typing import NamedTuple, Optional
 
 import numpy as np
 from numpy.linalg import _umath_linalg  # the batched routines behind np.linalg
@@ -96,10 +120,14 @@ def _min_eigenvalues(m: np.ndarray, context: str) -> np.ndarray:
     """Smallest eigenvalue of every slice, shape (K,)."""
     if not np.all(np.isfinite(m)):
         raise FilterNumericsError(f"non-finite information matrix in {context}")
-    try:
-        return np.linalg.eigvalsh(m)[:, 0]
-    except np.linalg.LinAlgError as exc:
-        raise FilterNumericsError(f"eigenvalue computation failed in {context}: {exc}")
+    # numpy's batched routine, without np.linalg's wrapper: a slice whose
+    # eigenvalues do not converge comes back NaN
+    with np.errstate(all="ignore"):
+        w = _umath_linalg.eigvalsh_lo(m, signature="d->d")[:, 0]
+    if np.isnan(w).any():
+        raise FilterNumericsError(
+            f"eigenvalue computation failed in {context}: Eigenvalues did not converge")
+    return w
 
 
 def _shift(stack: np.ndarray, eig_min: np.ndarray, nodes: np.ndarray,
@@ -177,10 +205,12 @@ def _inv_lower(c: np.ndarray) -> np.ndarray:
 
 def _inv_spd(stack: np.ndarray, nodes: np.ndarray, log: Optional[NumericsLog],
              context: str) -> np.ndarray:
-    try:
-        c = np.linalg.cholesky(stack)
-    except np.linalg.LinAlgError as exc:
-        raise FilterNumericsError(f"matrix not positive definite in {context or 'inv_spd'}: {exc}")
+    # numpy's routine fills the factor of a slice that fails with NaN
+    with np.errstate(all="ignore"):
+        c = _umath_linalg.cholesky_lo(stack, signature="d->d")
+    if np.isnan(c).any():
+        raise FilterNumericsError(f"matrix not positive definite in {context or 'inv_spd'}: "
+                                  "Matrix is not positive definite")
     if log is not None:
         cond_est = _condition_estimates(c)
         ill = cond_est > ILL_CONDITIONED
@@ -251,25 +281,26 @@ def _cholesky(stack: np.ndarray):
     """Lower Cholesky factor of every slice, and a mask of the slices that
     factored; the identity stands in for a factor that failed.
 
-    When the batched call fails, it is retried batched with failures
-    marked: numpy's routine fills a failing slice with NaN when invalid
-    operations are ignored. Only the slices whose factor came back not
-    finite are factored again, one at a time, by the routine that raises:
-    a slice with an infinite entry can factor without failing, and it
-    keeps the factor that a call on it alone gives.
+    One batched call of numpy's routine, which fills the factor of a
+    failing slice with NaN. A slice with finite entries whose factor is
+    all NaN has failed. Any other slice whose factor is not finite is
+    factored again alone, by the routine that raises: a slice with an
+    infinite entry can factor without failing, and it keeps the factor
+    that a call on it alone gives.
     """
+    with np.errstate(all="ignore"):
+        c = _umath_linalg.cholesky_lo(stack, signature="d->d")
     ok = np.ones(len(stack), dtype=bool)
-    try:
-        return np.linalg.cholesky(stack), ok
-    except np.linalg.LinAlgError:
-        with np.errstate(invalid="ignore"):
-            c = _umath_linalg.cholesky_lo(stack, signature="d->d")
-    for k in np.flatnonzero(~np.isfinite(c).all(axis=(-2, -1))):
-        try:
-            c[k] = np.linalg.cholesky(stack[k])
-        except np.linalg.LinAlgError:
-            c[k] = np.eye(stack.shape[-1])
-            ok[k] = False
+    bad = ~np.isfinite(c).all(axis=(-2, -1))
+    if bad.any():
+        failed = bad & np.isnan(c).all(axis=(-2, -1)) & np.isfinite(stack).all(axis=(-2, -1))
+        ok[failed] = False
+        for k in np.flatnonzero(bad & ~failed):
+            try:
+                c[k] = np.linalg.cholesky(stack[k])
+            except np.linalg.LinAlgError:
+                ok[k] = False
+        c[~ok] = np.eye(stack.shape[-1])
     return c, ok
 
 
@@ -319,7 +350,12 @@ def _min_norm_solve(m: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Minimum-norm least-squares solution of every slice of m x = q, from
     one batched SVD. Singular values at or below n * eps * s_max count as
     zero, the cut that `np.linalg.lstsq(rcond=None)` makes."""
-    u, s, vt = np.linalg.svd(m)
+    # numpy's routine behind np.linalg.svd: a slice that does not converge is NaN
+    with np.errstate(all="ignore"):
+        u, s, vt = _umath_linalg.svd_f(m, signature="d->ddd")
+    if np.isnan(s).any():
+        raise FilterNumericsError("minimum-norm solve failed in to_state_estimate: "
+                                  "SVD did not converge")
     keep = s > m.shape[-1] * np.finfo(float).eps * s[:, :1]
     y = np.divide(_matvec(u.swapaxes(-1, -2), q), s, out=np.zeros_like(s), where=keep)
     return _matvec(vt.swapaxes(-1, -2), y)
@@ -345,11 +381,187 @@ class ScaledPosterior:
         return self.scale[:, None] * self.b_vec
 
 
+class _Layout(NamedTuple):
+    """A split of the state indices 0..3 into two pairs p and r, as the
+    closed form reads a 4 x 4 matrix in it. `order` holds the flat indices
+    (4 * row + column) of the entries [00], [10], [01] and [11] of both
+    blocks, then of every entry outside them; `vec` holds the vector
+    indices p[0], r[0], p[1], r[1]."""
+
+    order: np.ndarray
+    vec: np.ndarray
+
+
+def _layout(p, r) -> _Layout:
+    inside = [4 * s[i] + s[j] for i, j in ((0, 0), (1, 0), (0, 1), (1, 1)) for s in (p, r)]
+    return _Layout(np.array(inside + sorted(set(range(16)) - set(inside))),
+                   np.array([p[0], r[0], p[1], r[1]]))
+
+
+# every split of the state indices into two pairs, in the order tried
+_LAYOUTS = tuple(_layout(p, r) for p, r in (((0, 1), (2, 3)), ((0, 2), (1, 3)),
+                                            ((0, 3), (1, 2))))
+
+# The closed form keeps a slice only while both of its condition estimates
+# are at most half of ILL_CONDITIONED. It rounds the predicted covariance
+# otherwise than the LAPACK path, and a condition estimate c can move with
+# that rounding by up to about eps * c relative (2e-4 at ILL_CONDITIONED);
+# the LAPACK path decides every slice nearer the threshold.
+_BLOCK_COND = ILL_CONDITIONED / 2
+
+
+def _block_layouts(n: int, model) -> tuple:
+    """The splits the closed form tries on a stack of n x n slices, in
+    order, each as (layout, blocks): with model = (A, Q), the splits in
+    which both are block-diagonal, with the entries [00], [10], [01] and
+    [11] of A's blocks, then of Q's, as one read-only (8, 2, 1) array;
+    without a model, every split, with no blocks; none unless n = 4. The
+    split comes from the model's zeros, so no state layout is assumed
+    here."""
+    if n != 4:
+        return ()
+    if model is None:
+        return tuple((layout, None) for layout in _LAYOUTS)
+    return _model_layouts(b"".join(np.asarray(m, dtype=float).tobytes() for m in model))
+
+
+@lru_cache(maxsize=16)
+def _model_layouts(key: bytes) -> tuple:
+    """`_block_layouts` of the model whose A and Q are the bytes `key`. A
+    run predicts through one model at every step, and reading its splits
+    anew at every step cost about 7 us of a 21-slice step's 90."""
+    model = np.frombuffer(key).reshape(2, 16)  # A's entries, then Q's
+    nonzero = (model != 0).any(axis=0)  # NaN counts as nonzero
+    out = []
+    for layout in _LAYOUTS:
+        if not nonzero[layout.order[8:]].any():
+            blocks = model[:, layout.order[:8]].reshape(8, 2, 1)
+            blocks.setflags(write=False)
+            out.append((layout, blocks))
+    return tuple(out)
+
+
+def _cholesky_2x2(a: np.ndarray, b: np.ndarray, c: np.ndarray):
+    """Cholesky factors [[l0, 0], [l1, l2]] of the 2 x 2 blocks [[a, b],
+    [b, c]], elementwise over (2, K) arrays of both blocks of K slices;
+    returns their substitution inverses [[m0, 0], [m1, m2]] (the arithmetic
+    of `_inv_lower`) and each slice's condition estimate (K,), as
+    `_condition_estimates` forms it from all four pivots. A block that
+    fails gives NaN, or a zero pivot, so its estimate is NaN or infinite."""
+    l0 = np.sqrt(a)
+    m0 = 1.0 / l0
+    l1 = b * m0  # as LAPACK scales a column, by the pivot's reciprocal
+    l2 = np.sqrt(c - l1 * l1)
+    m2 = 1.0 / l2
+    m1 = -(m2 * l1) / l0
+    hi, lo = np.maximum(l0, l2), np.minimum(l0, l2)
+    hi, lo = np.maximum(hi[0], hi[1]), np.minimum(lo[0], lo[1])
+    return (m0, m1, m2), (hi * hi) / (lo * lo)
+
+
+def _recover_blocks(b_mat: np.ndarray, b_vec: np.ndarray, scale: np.ndarray,
+                    layout: _Layout, blocks):
+    """`_recover_lapack` in closed form, for the slices it can take in
+    `layout`, with the model's `blocks` in it (or none); returns (taken,
+    estimates, next prior or None), whose slices outside `taken` (K,)
+    hold no result.
+
+    A slice is taken when sym(B) is block-diagonal in the layout, its
+    2 x 2 Cholesky factors certify it as `factor_slices` certifies a
+    factor (bound, and condition estimate over all four pivots), and,
+    with blocks, its predicted covariance factors too; both condition
+    estimates must be at most _BLOCK_COND. These are slices for which the
+    LAPACK path would record no event. Every result is elementwise in the
+    slice's own entries, so a slice's bits do not depend on the stack
+    around it. Each quantity is a (2, K) array, one entry of both blocks
+    of every slice, laid out along the stack.
+    """
+    k = len(b_vec)
+    e = b_mat.reshape(k, 16).T[layout.order]  # (16, K): each entry of every slice
+    a, b10, b01, c = e[:8].reshape(4, 2, k)
+    v0, v1 = b_vec.T[layout.vec].reshape(2, 2, k)  # first and second index of both pairs
+    with np.errstate(all="ignore"):
+        b = (b10 + b01) * 0.5  # as symmetrize forms it
+        (m0, m1, m2), cond = _cholesky_2x2(a, b, c)
+        # lambda_min >= 1 / ||L^-1||_F^2, less the margin on ||sym(B)||_F
+        inv_fro = m0 * m0 + m1 * m1 + m2 * m2
+        fro = a * a + c * c + 2.0 * (b * b)
+        bound = (1.0 / (inv_fro[0] + inv_fro[1])
+                 - CERT_MARGIN * np.sqrt(fro[0] + fro[1]))
+        taken = (bound >= SINGULAR_EIG) & (cond <= _BLOCK_COND) & ~e[8:].any(axis=0)
+
+        # x = L^-T L^-1 b per block
+        y0 = m0 * v0
+        y1 = m1 * v0 + m2 * v1
+        x0, x1 = m0 * y0 + m1 * y1, m2 * y1
+        x = np.empty((k, 4))
+        x.T[layout.vec] = np.concatenate([x0, x1])
+        if blocks is None:
+            return taken, x, None
+
+        # the model's entries repeated along the stack: a product of two
+        # (2, K) arrays costs less than one broadcast from (2, 1)
+        a00, a10, a01, a11, q00, q10, _, q11 = np.repeat(blocks, k, axis=2)
+        # A P A^T = G^T G / scale with G = L^-1 A^T
+        g00, g01 = m0 * a00, m0 * a10
+        g10 = m1 * a00 + m2 * a01
+        g11 = m1 * a10 + m2 * a11
+        (n0, n1, n2), cond_next = _cholesky_2x2(
+            (g00 * g00 + g10 * g10) / scale + q00,
+            (g00 * g01 + g10 * g11) / scale + q10,
+            (g01 * g01 + g11 * g11) / scale + q11)
+        taken &= cond_next <= _BLOCK_COND
+
+        # Omega+ = N^T N with N the inverse factor of the predicted
+        # covariance, and q+ = Omega+ A x
+        o00, o10, o11 = n0 * n0 + n1 * n1, n1 * n2, n2 * n2
+        ax0, ax1 = a00 * x0 + a01 * x1, a10 * x0 + a11 * x1
+        q_next = np.empty((k, 4))
+        q_next.T[layout.vec] = np.concatenate([o00 * ax0 + o10 * ax1, o10 * ax0 + o11 * ax1])
+        omega_next = np.zeros((k, 16))
+        omega_next[:, layout.order[:8]] = np.concatenate([o00, o10, o10, o11]).T
+    return taken, x, InformationState(omega_next.reshape(k, 4, 4), q_next)
+
+
 def _recover(b_mat: np.ndarray, b_vec: np.ndarray, scale: np.ndarray,
              log: Optional[NumericsLog], estimate: bool, model=None):
     """The estimates B^-1 b and, with model = (A, Q), the prediction of the
-    posterior (scale * B, scale * b), slice k scaled by scale[k], from one
-    Cholesky factor of sym(B) per slice; returns (estimates, next prior or None).
+    posterior (scale * B, scale * b), slice k scaled by scale[k]; returns
+    (estimates, next prior or None).
+
+    Each slice is done in closed form in the first split of
+    `_block_layouts` whose `_recover_blocks` takes it; the others are
+    gathered into one sub-stack for `_recover_lapack`, whose events carry
+    each slice's index in the whole stack. With no split (n other than 4,
+    or an A or Q that is block-diagonal in none) every slice takes the
+    LAPACK path.
+    """
+    return _route(b_mat, b_vec, scale, np.arange(len(b_vec)), log, estimate, model,
+                  _block_layouts(b_mat.shape[-1], model))
+
+
+def _route(b_mat: np.ndarray, b_vec: np.ndarray, scale: np.ndarray, nodes: np.ndarray,
+           log: Optional[NumericsLog], estimate: bool, model, layouts: tuple):
+    """`_recover` of the slices `nodes` of a stack, trying `layouts` in turn."""
+    if not layouts:
+        return _recover_lapack(b_mat, b_vec, scale, nodes, log, estimate, model)
+    taken, x, next_prior = _recover_blocks(b_mat, b_vec, scale, *layouts[0])
+    if taken.all():
+        return x, next_prior
+    rest = np.flatnonzero(~taken)
+    x_rest, next_rest = _route(b_mat[rest], b_vec[rest], scale[rest], nodes[rest], log,
+                               estimate, model, layouts[1:])
+    x[rest] = x_rest
+    if next_prior is not None:
+        next_prior.omega[rest] = next_rest.omega
+        next_prior.q[rest] = next_rest.q
+    return x, next_prior
+
+
+def _recover_lapack(b_mat: np.ndarray, b_vec: np.ndarray, scale: np.ndarray,
+                    nodes: np.ndarray, log: Optional[NumericsLog], estimate: bool, model=None):
+    """`_recover` from one Cholesky factor of sym(B) per slice, by numpy's
+    batched LAPACK routines; the event of slice k carries node nodes[k].
 
     A certified slice needs nothing else: its estimate is x = L^-T L^-1 b,
     its posterior covariance P = L^-T L^-1 / scale, and x_hat = x. The
@@ -379,11 +591,11 @@ def _recover(b_mat: np.ndarray, b_vec: np.ndarray, scale: np.ndarray,
             e = eig_min[:check.size]
             singular = (e < SINGULAR_EIG) | ~f.ok[check]
             if singular.any():
-                nodes = check[singular]
+                solve = check[singular]
                 if log is not None:
-                    for k, e_k in zip(nodes.tolist(), e[singular].tolist()):
+                    for k, e_k in zip(nodes[solve].tolist(), e[singular].tolist()):
                         log.record("singular_solve", "to_state_estimate", eig_min=e_k, node=k)
-                x[nodes] = _min_norm_solve(sub[singular], b_vec[nodes])
+                x[solve] = _min_norm_solve(sub[singular], b_vec[solve])
     if model is None:
         return x, None
 
@@ -394,14 +606,14 @@ def _recover(b_mat: np.ndarray, b_vec: np.ndarray, scale: np.ndarray,
     apa = (_transposed(g) @ g) / scale[:, None, None]
     x_hat = x
     if flagged:
-        shifted = _shift(posterior, eig_min[-check.size:], check, log, "predict")
-        p = _inv_spd(shifted, check, log, "predict: invert posterior")
+        shifted = _shift(posterior, eig_min[-check.size:], nodes[check], log, "predict")
+        p = _inv_spd(shifted, nodes[check], log, "predict: invert posterior")
         apa[check] = a @ p @ a_t
         x_hat = x.copy()
         x_hat[check] = _matvec(p, scale[check, None] * b_vec[check])
     p_next = symmetrize(apa) + q_cov
-    # inv_spd returns a symmetric stack, so information_state would not change it
-    omega_next = inv_spd(p_next, log, "predict: invert predicted covariance")
+    # _inv_spd returns a symmetric stack, so information_state would not change it
+    omega_next = _inv_spd(p_next, nodes, log, "predict: invert predicted covariance")
     return x, InformationState(omega_next, _matvec(omega_next, _matvec(a, x_hat)))
 
 

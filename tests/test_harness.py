@@ -7,10 +7,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import icfpie
 from conftest import assert_rel_close
-from icfpie import harness
+from icfpie import dicf, harness, info_filter
 from icfpie.consensus import averaging_powers, plan_lanes
 from icfpie.dicf import correction_terms, dicf_step
 from icfpie.errors import ConfigurationError, ConsensusCycleWarning, FilterNumericsError
@@ -25,7 +27,7 @@ from icfpie.harness import (
     sweep_consensus_steps,
 )
 from icfpie.models import TruthModel
-from icfpie.info_filter import NumericsLog
+from icfpie.info_filter import NumericsLog, factor_slices
 from icfpie.network import random_geometric
 from measurement_reference import sample_measurement
 from truth_reference import truth_loop
@@ -121,6 +123,96 @@ class TestRunOnce:
         assert metrics.bandwidth["ckf"] == 0
         n_steps, L, n_nodes = cfg.n_steps, 4, cfg.n_nodes
         assert ident == n_steps * L * n_nodes * (4 * 4 + 4)
+
+
+def cross_axis(m):
+    """The entries of a (..., 4, 4) stack that couple the axes x and y of
+    the state [x, y, vx, vy]: row and column indices of different parity."""
+    i = np.arange(4)
+    return m[..., (i[:, None] - i) % 2 == 1]
+
+
+@st.composite
+def selections(draw):
+    """A built-in schedule, or a random partition of {1, 2, 3, 4} into
+    ordered subsets."""
+    if draw(st.booleans()):
+        return draw(st.sampled_from(["case1", "case2", "identity"]))
+    order = draw(st.permutations([1, 2, 3, 4]))
+    cuts = [k for k in range(1, 4) if draw(st.booleans())]
+    return [order[lo:hi] for lo, hi in zip([0] + cuts, cuts + [4])]
+
+
+class TestAxisBlocks:
+    """info_filter recovers a slice in closed form only while its matrices
+    never couple the x and y axes; these tests hold the runs to that."""
+
+    @given(selections(), st.integers(min_value=1, max_value=25),
+           st.tuples(*[st.floats(min_value=0.01, max_value=100.0)] * 4),
+           st.tuples(*[st.floats(min_value=0.01, max_value=100.0)] * 2),
+           st.integers(min_value=0, max_value=2**16))
+    @settings(max_examples=25, deadline=None)
+    def test_axes_never_couple(self, selection, L, q_diag, r_diag, seed):
+        # every slice on the LAPACK path, whose full 4 x 4 arithmetic the
+        # closed form must reproduce: its consensus pairs, priors and
+        # predicted covariances keep every cross-axis entry exactly zero
+        cfg = ScenarioConfig(horizon=4.0, q_diag=q_diag, r_diag=r_diag, selection=selection,
+                             L=L, seed=seed)
+        scenario = build_scenario(cfg, seed)
+        seen = []
+        recover_and_predict, inv_spd = dicf.recover_and_predict, info_filter._inv_spd
+
+        def pairs_and_priors(b_mat, *args):
+            posterior, x, next_prior = recover_and_predict(b_mat, *args)
+            seen.extend([b_mat, next_prior.omega])
+            return posterior, x, next_prior
+
+        def predicted(stack, nodes, log, context):
+            if context == "predict: invert predicted covariance":
+                seen.append(stack)
+            return inv_spd(stack, nodes, log, context)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(info_filter, "_block_layouts", lambda n, model: ())
+            mp.setattr(dicf, "recover_and_predict", pairs_and_priors)
+            mp.setattr(info_filter, "_inv_spd", predicted)
+            run_once(scenario, L)
+        assert len(seen) == 3 * cfg.n_steps
+        for m in seen:
+            assert not cross_axis(m).any()
+
+    def test_fast_path_guard(self, monkeypatch):
+        # a slice leaves the closed form only when the LAPACK path has a
+        # reason to look at it: in the default L = 12 run every slice sent
+        # there is uncertified, or its posterior or predicted covariance has
+        # a condition estimate above the closed form's bound (here: only
+        # the zero-information priors of t = 0)
+        scenario = build_scenario(ScenarioConfig(), 0)
+        steps = []
+        recover, lapack = info_filter._recover, info_filter._recover_lapack
+        estimates = info_filter._condition_estimates
+
+        def each_step(*args):
+            steps.append([])
+            return recover(*args)
+
+        def sent(*args):
+            conds = []
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(info_filter, "_condition_estimates",
+                           lambda c: conds.append(estimates(c)) or conds[-1])
+                out = lapack(*args)
+            # the first estimates are the posteriors', the last the predicted covariances'
+            near = (conds[0] > info_filter._BLOCK_COND) | (conds[-1] > info_filter._BLOCK_COND)
+            steps[-1].extend((~factor_slices(args[0]).certified | near).tolist())
+            return out
+        monkeypatch.setattr(info_filter, "_recover", each_step)
+        monkeypatch.setattr(info_filter, "_recover_lapack", sent)
+        run_once(scenario, 12)
+        assert len(steps) == scenario.cfg.n_steps
+        assert all(all(reasons) for reasons in steps)
+        assert [t for t, reasons in enumerate(steps) if reasons] == [0]
+        assert len(steps[0]) == 2 * scenario.net.n_nodes + 1
 
 
 class TestMonteCarlo:

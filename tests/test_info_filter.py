@@ -5,9 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from numpy.linalg import _umath_linalg
 
 from conftest import assert_rel_close, random_spd
+from icfpie import info_filter
 from icfpie.errors import ConfigurationError, FilterNumericsError
+from icfpie.models import constant_velocity_matrix
 from icfpie.info_filter import (
     InformationState,
     NumericsLog,
@@ -303,12 +306,12 @@ class TestCertificate:
 
     def test_certified_slices_skip_eigvalsh(self, rng, monkeypatch):
         checked = []
-        eigvalsh = np.linalg.eigvalsh
+        eigvalsh = _umath_linalg.eigvalsh_lo
 
-        def counting(m):
+        def counting(m, **kwargs):
             checked.append(len(m))
-            return eigvalsh(m)
-        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+            return eigvalsh(m, **kwargs)
+        monkeypatch.setattr(_umath_linalg, "eigvalsh_lo", counting)
         b_mat = np.array([random_spd(rng, 4) for _ in range(5)])
         b_vec = rng.normal(size=(5, 4))
         recover_and_predict(b_mat, b_vec, 10, np.eye(4), np.eye(4))
@@ -436,3 +439,214 @@ class TestRecoverAndPredict:
                     assert_rel_close(g_k, e_k)
             assert event_tags(got_log) == event_tags(expected_log)
             assert all("node" in ev for ev in got_log.events)
+
+
+def block_slice(rng, kinds):
+    """A 4 x 4 information matrix, block-diagonal in the axis blocks (x, vx)
+    and (y, vy) of the state [x, y, vx, vy], whose two 2 x 2 blocks are
+    mixed_slice matrices of the given kinds."""
+    out = np.zeros((4, 4))
+    for axis, kind in enumerate(kinds):
+        out[np.ix_([axis, axis + 2], [axis, axis + 2])] = mixed_slice(rng, kind, 2)
+    return out
+
+
+def lapack_sends(monkeypatch):
+    """The `nodes` of every call to the LAPACK path, while monkeypatch holds."""
+    sent = []
+    lapack = info_filter._recover_lapack
+
+    def spy(b_mat, b_vec, scale, nodes, *rest):
+        sent.append(nodes.tolist())
+        return lapack(b_mat, b_vec, scale, nodes, *rest)
+    monkeypatch.setattr(info_filter, "_recover_lapack", spy)
+    return sent
+
+
+def block_model(rng):
+    """A constant-velocity A, whose two axes step by the same dt or not,
+    and a Q, both block-diagonal in the axis blocks."""
+    a = constant_velocity_matrix(rng.uniform(0.01, 1.0))
+    a[1, 3] = rng.choice([a[0, 2], rng.uniform(0.01, 1.0)])
+    return a, block_slice(rng, ("spd", "spd"))
+
+
+BLOCK_KINDS = st.lists(st.tuples(st.sampled_from(KIND_NAMES), st.sampled_from(KIND_NAMES)),
+                       min_size=1, max_size=12)
+
+
+class TestAxisBlockRouting:
+    """A slice whose sym(B) is block-diagonal in the axis blocks, and whose
+    certificate holds, is recovered and predicted in closed form; every
+    other slice takes the LAPACK path, which makes every event."""
+
+    @given(BLOCK_KINDS, SEEDS, st.integers(min_value=1, max_value=12))
+    @settings(max_examples=80, deadline=None)
+    def test_block_path_equals_lapack_path(self, kinds, seed, scale):
+        rng = np.random.default_rng(seed)
+        b_mat = np.array([block_slice(rng, pair) for pair in kinds])
+        b_vec = rng.normal(size=(len(kinds), 4))
+        model = block_model(rng)
+        scales = np.full(len(kinds), float(scale))
+
+        def routed(pair, log):
+            _, x, nxt = recover_and_predict(*pair, scale, *model, log)
+            return x, nxt.omega, nxt.q
+
+        def lapack(pair, log):
+            x, nxt = info_filter._recover_lapack(*pair, scales, np.arange(len(kinds)), log,
+                                                 True, model)
+            return x, nxt.omega, nxt.q
+
+        with pytest.MonkeyPatch.context() as mp:
+            sent = lapack_sends(mp)
+            got, got_log = outcome(routed, (b_mat, b_vec))
+        expected, expected_log = outcome(lapack, (b_mat, b_vec))
+        if expected is None:
+            assert got is None
+            return
+        # well-conditioned blocks of both axes take the closed form; a block
+        # of any other kind is near or below the singular threshold
+        assert sum(sent, []) == [k for k, pair in enumerate(kinds) if pair != ("spd", "spd")]
+        for g, e in zip(got, expected):
+            for g_k, e_k in zip(g, e):
+                assert_rel_close(g_k, e_k, 1e-13)
+        assert got_log.events == expected_log.events
+
+    @given(st.lists(st.sampled_from(["block", "flagged", "ill_conditioned", "dense"]),
+                    min_size=1, max_size=12), SEEDS)
+    @settings(max_examples=60, deadline=None)
+    def test_each_slice_gets_what_it_gets_alone(self, kinds, seed):
+        rng = np.random.default_rng(seed)
+        # Q is large on positions and tiny on velocities, so a certified
+        # slice of a well-conditioned 1e6 I predicts to a covariance with a
+        # condition estimate near 1e13
+        a, q_cov = constant_velocity_matrix(0.1), np.diag([1e7, 1e7, 1e-8, 1e-8])
+        make = {"block": lambda: block_slice(rng, ("spd", "spd")),
+                "flagged": lambda: block_slice(rng, (rng.choice(["zero", "rank_deficient"]),
+                                                     "spd")),
+                "ill_conditioned": lambda: 1e6 * np.eye(4),
+                "dense": lambda: random_spd(rng, 4)}
+        b_mat = np.array([make[kind]() for kind in kinds])
+        b_vec = rng.normal(size=(len(kinds), 4))
+
+        def run(pair):
+            log = NumericsLog()
+            _, x, nxt = recover_and_predict(*pair, 10, a, q_cov, log)
+            return (x, nxt.omega, nxt.q), log.events
+
+        stacked, events = run((b_mat, b_vec))
+        for k, kind in enumerate(kinds):
+            alone, alone_events = run((b_mat[k:k + 1], b_vec[k:k + 1]))
+            for got, expected in zip(stacked, alone):
+                assert np.array_equal(got[k], expected[0])
+            mine = [{**e, "node": 0} for e in events if e["node"] == k]
+            assert mine == alone_events
+            kinds_logged = {e["kind"] for e in mine}
+            assert kinds_logged == {"block": set(), "dense": set(),
+                                    "ill_conditioned": {"ill_conditioned"},
+                                    "flagged": {"singular_solve", "regularize"}}[kind]
+
+    def test_block_path_makes_no_event_and_no_lapack_call(self, rng, monkeypatch):
+        b_mat = np.array([block_slice(rng, ("spd", "spd")) for _ in range(91)])
+        b_vec = rng.normal(size=(91, 4))
+        sent = lapack_sends(monkeypatch)
+        log = NumericsLog()
+        for call in (lambda: recover_and_predict(b_mat, b_vec, 10, *block_model(rng), log),
+                     lambda: predict(InformationState(b_mat, b_vec), *block_model(rng), log),
+                     lambda: to_state_estimate(InformationState(b_mat, b_vec), log)):
+            call()
+        assert sent == []
+        assert log.events == []
+
+    def test_zero_information_stack_factors_in_one_call(self, monkeypatch):
+        # at t = 0 every slice of a run is zero-information: each one fails
+        # the batched factorization, and none is factored again alone
+        single = []
+        cholesky = np.linalg.cholesky
+
+        def counting(m, *args, **kwargs):
+            single.append(m.shape)
+            return cholesky(m, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, "cholesky", counting)
+        log = NumericsLog()
+        _, x, _ = recover_and_predict(np.zeros((91, 4, 4)), np.zeros((91, 4)), 10,
+                                      constant_velocity_matrix(0.1), np.eye(4), log)
+        assert single == []
+        assert np.array_equal(x, np.zeros((91, 4)))
+        assert log.count("singular_solve") == 91 and log.count("regularize") == 91
+
+    @pytest.mark.parametrize("perm, exact", [([0, 1, 2, 3], True), ([0, 2, 1, 3], True),
+                                             ([3, 1, 0, 2], False)])
+    def test_any_state_order_takes_the_closed_form(self, rng, monkeypatch, perm, exact):
+        # the split into blocks comes from A's and Q's zeros: a state whose
+        # entries are reordered is recovered in closed form all the same,
+        # reordered; with the same bits while each block keeps its order
+        # (the last order factors each block from its velocity)
+        b_mat = np.array([block_slice(rng, ("spd", "spd")) for _ in range(7)])
+        b_vec = rng.normal(size=(7, 4))
+        a, q_cov = block_model(rng)
+        def reorder(m):
+            return m[..., perm, :][..., perm]
+        sent = lapack_sends(monkeypatch)
+        _, x, nxt = recover_and_predict(b_mat, b_vec, 10, a, q_cov)
+        b_vec_p = b_vec[:, perm]
+        _, x_p, nxt_p = recover_and_predict(reorder(b_mat), b_vec_p, 10, reorder(a),
+                                            reorder(q_cov))
+        alone = to_state_estimate(InformationState(reorder(b_mat), b_vec_p))
+        assert sent == []
+        assert np.array_equal(alone, x_p)
+        for got, expected in ((x_p, x[:, perm]), (nxt_p.omega, reorder(nxt.omega)),
+                              (nxt_p.q, nxt.q[:, perm])):
+            if exact:
+                assert np.array_equal(got, expected)
+            for g_k, e_k in zip(got, expected):
+                assert_rel_close(g_k, e_k, 1e-13)
+
+    def test_condition_threshold_events_match_lapack_path(self, monkeypatch):
+        # slices whose posterior, or predicted covariance, has a condition
+        # estimate within a few ulps of ILL_CONDITIONED or of the closed
+        # form's own bound of half of it: the closed form keeps none that
+        # the LAPACK path would log as ill-conditioned
+        eps, ill = np.finfo(float).eps, info_filter.ILL_CONDITIONED
+        ulps = [j * eps for j in range(-4, 5)]
+        cases = []
+        for t in (ill / 2, ill):
+            # sym(B) = diag(c, 1, 1, 1)
+            cases.append((t, 1, np.array([np.diag([t * (1 + d), 1, 1, 1])
+                                          for d in ulps + [-1e-3, 1e-3]]),
+                          constant_velocity_matrix(0.1), np.diag([10.0, 10.0, 1.0, 1.0])))
+            # P = diag(1 + t d, 1, 1, 1) predicts through A = I and
+            # Q = diag(t - 1, 0, 0, 0) to diag(t (1 + d), 1, 1, 1)
+            cases.append((t, 1, np.array([np.diag([1 / (1 + t * d), 1, 1, 1]) for d in ulps]),
+                          np.eye(4), np.diag([t - 1, 0.0, 0.0, 0.0])))
+        # found by search: the (x, vx) block scaled by 1 + j eps, j in
+        # -100..100, so that the LAPACK path's predicted condition estimate
+        # runs through ILL_CONDITIONED; in slice 102 it reads one ulp above,
+        # where the closed form's reads two below
+        rng = np.random.default_rng(4)
+        blocks = [m @ m.T + 0.5 * np.eye(2) for m in rng.normal(size=(2, 2, 2))]
+        b_mat = np.zeros((201, 4, 4))
+        b_mat[:, 0::2, 0::2] = blocks[0] * (1 + np.arange(-100, 101) * eps)[:, None, None]
+        b_mat[:, 1::2, 1::2] = blocks[1]
+        cases.append((ill, 3, b_mat, constant_velocity_matrix(0.1),
+                      np.diag([1e-3, float.fromhex("0x1.3e57ae53b57e7p+36"), 1e-3, 1e-3])))
+        lapack_path, sent = info_filter._recover_lapack, lapack_sends(monkeypatch)
+        for t, scale, b_mat, a, q_cov in cases:
+            k = len(b_mat)
+            b_vec = np.ones((k, 4))
+            sent.clear()
+            routed, lapack = NumericsLog(), NumericsLog()
+            _, x, nxt = recover_and_predict(b_mat, b_vec, scale, a, q_cov, routed)
+            x_l, nxt_l = lapack_path(b_mat, b_vec, np.full(k, float(scale)), np.arange(k), lapack,
+                                     True, (a, q_cov))
+            assert routed.events == lapack.events
+            for got, expected in ((x, x_l), (nxt.omega, nxt_l.omega), (nxt.q, nxt_l.q)):
+                for g_k, e_k in zip(got, expected):
+                    assert_rel_close(g_k, e_k, 1e-13)
+            nodes = sum(sent, [])
+            if t == ill:  # at the threshold: every slice
+                assert nodes == list(range(k))
+            elif k > len(ulps):  # 1e-3 below half of it, and above
+                assert len(ulps) not in nodes and len(ulps) + 1 in nodes
+        assert [e["node"] for e in lapack.events if e["kind"] == "ill_conditioned"][0] == 102
