@@ -17,8 +17,15 @@ import argparse
 import dataclasses
 import os
 import sys
+import warnings
 
-from .errors import ConfigurationError, FilterNumericsError, PlacementError
+from .errors import (
+    ConfigurationError,
+    ConsensusCycleWarning,
+    DegenerateHeadingWarning,
+    FilterNumericsError,
+    PlacementError,
+)
 from .harness import (
     ScenarioConfig,
     emit_outputs,
@@ -129,6 +136,19 @@ def simulate(args) -> int:
     return EXIT_OK
 
 
+def _one_line(show):
+    """A `warnings.showwarning` that prints each of the package's warnings
+    as one line, its category and message, and passes any other to `show`.
+    The default format names the package's source line that warned and
+    echoes it, which tells a user of the command nothing."""
+    def showwarning(message, category, filename, lineno, file=None, line=None):
+        if not issubclass(category, (ConsensusCycleWarning, DegenerateHeadingWarning)):
+            return show(message, category, filename, lineno, file, line)
+        # one write per line, so that lines from pool workers never interleave
+        (sys.stderr if file is None else file).write(f"{category.__name__}: {message}\n")
+    return showwarning
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -137,7 +157,9 @@ def main(argv=None) -> int:
         # argparse exits 2 on bad usage, which matches the config-error code
         return int(exc.code) if exc.code else EXIT_OK
     if args.command == "simulate":
-        return simulate(args)
+        with warnings.catch_warnings():
+            warnings.showwarning = _one_line(warnings.showwarning)
+            return simulate(args)
     return EXIT_CONFIG
 
 

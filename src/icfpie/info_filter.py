@@ -17,41 +17,40 @@ Numerical policy (applied everywhere, per slice, logged via NumericsLog):
     plus whatever clears a negative eigenvalue;
   * state extraction from a singular Omega returns the minimum-norm
     least-squares solution and flags the event.
-Both eigenvalue checks are skipped for a slice whose Cholesky factor
-certifies it: lambda_min(L L^T) >= 1 / ||L^-1||_F^2, so a slice whose
-bound (less a rounding margin) clears SINGULAR_EIG, and whose condition
-estimate is at most ILL_CONDITIONED, would be flagged by neither check.
-`recover_and_predict` runs posterior recovery and prediction from one
-such factor per slice.
-
 Every recovery (`recover_and_predict`, `predict`, `to_state_estimate`)
-routes each slice by its own input. The block invariant: with position
-sensors and diagonal Q and R, the constant-velocity model of `models`
-never couples its two axes, so every consensus pair, posterior, prior
-and predicted covariance of a run is block-diagonal in two 2 x 2 blocks,
-one (position, velocity) pair per axis, and so are A and Q. The split of
-the four state indices into two pairs is read from the zeros of A and Q
-(without a model, each split is tried in turn), so this module assumes
-no state layout. A slice whose sym(B) is block-diagonal in the split is
-recovered and predicted in closed form, on the three distinct entries
-of each block: Cholesky pivots, the certificate, the estimate, the
-predicted covariance's factor and its inverse, elementwise over the
-stack, with no LAPACK call. It stays there if the certificate holds and
-the condition estimates of its posterior and predicted covariance are
-at most half of ILL_CONDITIONED, so a slice on the closed form is one
-for which the LAPACK path would record no event: the closed form rounds
-the predicted covariance otherwise, which can move a condition estimate
-c by up to about eps * c relative (2e-4 at ILL_CONDITIONED), and every
-slice nearer the threshold is left to the LAPACK path. Every other
-slice (not block-diagonal, uncertified, or near or above the condition
-threshold) is gathered into one sub-stack for the LAPACK path, which
-makes every event. There, the uncertified slices of a step, non-finite
-ones among them, take one batched pass: one eigenvalue call for both
-checks, one SVD for every minimum-norm solve, one vectorized shift and
-one inversion of the shifted posteriors. Only the event records, and
-the refactoring of slices with a non-finite entry, loop over slices. A
-slice's result depends on that slice alone, on either path, so a slice
-of a stack gets the bits it gets alone.
+routes each slice by its own input, along one of two paths: a closed
+form, which skips both eigenvalue checks for a slice that it certifies,
+and the LAPACK path, which runs the policy on every other slice.
+
+The block invariant: with position sensors and diagonal Q and R, the
+constant-velocity model of `models` never couples its two axes, so every
+consensus pair, posterior, prior and predicted covariance of a run is
+block-diagonal in two 2 x 2 blocks, one (position, velocity) pair per
+axis, and so are A and Q. The split of the four state indices into two
+pairs is read from the zeros of A and Q (without a model, each split is
+tried in turn), so this module assumes no state layout. A slice whose
+sym(B) is block-diagonal in the split is recovered and predicted in
+closed form, on the three distinct entries of each block: Cholesky
+pivots, the certificate, the estimate, the predicted covariance's factor
+and its inverse, elementwise over the stack, with no LAPACK call. The
+certificate is the only one in this module: lambda_min(L L^T) >=
+1 / ||L^-1||_F^2, so a slice whose bound (less a rounding margin) clears
+SINGULAR_EIG would be flagged by neither eigenvalue check. A slice stays
+on the closed form if the certificate holds and the condition estimates
+of its posterior and predicted covariance are at most half of
+ILL_CONDITIONED, so a slice on the closed form is one for which the
+LAPACK path would record no event: the closed form rounds the predicted
+covariance otherwise, which can move a condition estimate c by up to
+about eps * c relative (2e-4 at ILL_CONDITIONED), and every slice nearer
+the threshold is left to the LAPACK path.
+
+Every other slice (not block-diagonal, uncertified, or near or above the
+condition threshold) is gathered into one sub-stack for the LAPACK path,
+which makes every event. It takes one batched pass: one eigenvalue call
+for both checks, one SVD for every minimum-norm solve, one vectorized
+shift and one inversion of the shifted posteriors. Only the event
+records loop over slices. A slice's result depends on that slice alone,
+on either path, so a slice of a stack gets the bits it gets alone.
 """
 
 from collections import Counter
@@ -278,29 +277,18 @@ def centralized_correct(prior: InformationState, c: np.ndarray, v: np.ndarray,
 
 
 def _cholesky(stack: np.ndarray):
-    """Lower Cholesky factor of every slice, and a mask of the slices that
-    factored; the identity stands in for a factor that failed.
+    """Lower Cholesky factor of every slice, and a mask `ok` of the slices
+    whose factor is finite; the identity stands in for every other factor.
 
-    One batched call of numpy's routine, which fills the factor of a
-    failing slice with NaN. A slice with finite entries whose factor is
-    all NaN has failed. Any other slice whose factor is not finite is
-    factored again alone, by the routine that raises: a slice with an
-    infinite entry can factor without failing, and it keeps the factor
-    that a call on it alone gives.
+    One batched call of numpy's routine, which fills the factor of a slice
+    that fails with NaN. A non-finite entry makes its own factor entry
+    non-finite, so such a slice is never `ok`; the eigenvalue policy
+    rejects it.
     """
     with np.errstate(all="ignore"):
         c = _umath_linalg.cholesky_lo(stack, signature="d->d")
-    ok = np.ones(len(stack), dtype=bool)
-    bad = ~np.isfinite(c).all(axis=(-2, -1))
-    if bad.any():
-        failed = bad & np.isnan(c).all(axis=(-2, -1)) & np.isfinite(stack).all(axis=(-2, -1))
-        ok[failed] = False
-        for k in np.flatnonzero(bad & ~failed):
-            try:
-                c[k] = np.linalg.cholesky(stack[k])
-            except np.linalg.LinAlgError:
-                ok[k] = False
-        c[~ok] = np.eye(stack.shape[-1])
+    ok = np.isfinite(c).all(axis=(-2, -1))
+    c[~ok] = np.eye(stack.shape[-1])
     return c, ok
 
 
@@ -308,23 +296,13 @@ def _cholesky(stack: np.ndarray):
 class SliceFactors:
     """One Cholesky factorization per slice of a symmetrized stack.
 
-    `c_inv` holds the inverse factors L^-1 (the identity where the
-    factorization failed, `ok` False). Since lambda_min(L L^T) >=
-    1 / ||L^-1||_F^2, `bound` is a lower bound on each slice's smallest
-    eigenvalue, less a rounding margin of CERT_MARGIN * ||Omega||_F that
-    covers both the factorization's and eigvalsh's backward error. A
-    slice is `certified` when its bound clears SINGULAR_EIG and its
-    condition estimate is at most ILL_CONDITIONED: eigvalsh would flag it
-    in no check, so it skips eigvalsh. Every other slice takes the
-    eigenvalue policy, and so does every slice with a non-finite entry,
-    whose bound is not a number or minus infinity.
+    `c_inv` holds the inverse factors L^-1, the identity where the factor
+    is not finite (`ok` False).
     """
 
     stack: np.ndarray
     c_inv: np.ndarray
     ok: np.ndarray
-    bound: np.ndarray
-    certified: np.ndarray
 
     def solve(self, q: np.ndarray) -> np.ndarray:
         """Omega^-1 q = L^-T L^-1 q for every slice (meaningful where ok)."""
@@ -332,18 +310,14 @@ class SliceFactors:
 
 
 def factor_slices(omega: np.ndarray) -> SliceFactors:
-    """Cholesky-factor every slice of the stack sym(omega) and certify the
-    slices that need no eigenvalue check. A slice whose factorization
-    fails never affects the others. Nothing here checks finiteness: a
-    non-finite slice is uncertified, and the eigenvalue policy rejects it."""
+    """Cholesky-factor every slice of the stack sym(omega). A slice whose
+    factorization fails never affects the others. Nothing here checks
+    finiteness: the eigenvalue policy rejects a non-finite slice."""
     stack = symmetrize(omega)
+    c, ok = _cholesky(stack)
     with np.errstate(all="ignore"):
-        c, ok = _cholesky(stack)
         c_inv = _inv_lower(c)
-        bound = (1.0 / np.einsum("kij,kij->k", c_inv, c_inv)
-                 - CERT_MARGIN * np.sqrt(np.einsum("kij,kij->k", stack, stack)))
-        certified = ok & (bound >= SINGULAR_EIG) & (_condition_estimates(c) <= ILL_CONDITIONED)
-    return SliceFactors(stack=stack, c_inv=c_inv, ok=ok, bound=bound, certified=certified)
+    return SliceFactors(stack=stack, c_inv=c_inv, ok=ok)
 
 
 def _min_norm_solve(m: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -467,10 +441,11 @@ def _recover_blocks(b_mat: np.ndarray, b_vec: np.ndarray, scale: np.ndarray,
     hold no result.
 
     A slice is taken when sym(B) is block-diagonal in the layout, its
-    2 x 2 Cholesky factors certify it as `factor_slices` certifies a
-    factor (bound, and condition estimate over all four pivots), and,
-    with blocks, its predicted covariance factors too; both condition
-    estimates must be at most _BLOCK_COND. These are slices for which the
+    2 x 2 Cholesky factors certify it (the bound 1 / ||L^-1||_F^2 less
+    CERT_MARGIN * ||sym(B)||_F clears SINGULAR_EIG, and its condition
+    estimate over all four pivots is at most _BLOCK_COND), and, with
+    blocks, its predicted covariance factors too, with a condition
+    estimate at most _BLOCK_COND. These are slices for which the
     LAPACK path would record no event. Every result is elementwise in the
     slice's own entries, so a slice's bits do not depend on the stack
     around it. Each quantity is a (2, K) array, one entry of both blocks
@@ -551,7 +526,8 @@ def _route(b_mat: np.ndarray, b_vec: np.ndarray, scale: np.ndarray, nodes: np.nd
     rest = np.flatnonzero(~taken)
     x_rest, next_rest = _route(b_mat[rest], b_vec[rest], scale[rest], nodes[rest], log,
                                estimate, model, layouts[1:])
-    x[rest] = x_rest
+    if estimate:
+        x[rest] = x_rest
     if next_prior is not None:
         next_prior.omega[rest] = next_rest.omega
         next_prior.q[rest] = next_rest.q
@@ -560,58 +536,47 @@ def _route(b_mat: np.ndarray, b_vec: np.ndarray, scale: np.ndarray, nodes: np.nd
 
 def _recover_lapack(b_mat: np.ndarray, b_vec: np.ndarray, scale: np.ndarray,
                     nodes: np.ndarray, log: Optional[NumericsLog], estimate: bool, model=None):
-    """`_recover` from one Cholesky factor of sym(B) per slice, by numpy's
-    batched LAPACK routines; the event of slice k carries node nodes[k].
+    """`_recover` by numpy's batched LAPACK routines, with the eigenvalue
+    policy on every slice; the event of slice k carries node nodes[k].
 
-    A certified slice needs nothing else: its estimate is x = L^-T L^-1 b,
-    its posterior covariance P = L^-T L^-1 / scale, and x_hat = x. The
-    uncertified slices take one batched eigenvalue call for both checks:
-    with `estimate`, those of sym(B) give the estimate's singular test, and
-    with a model, those of the posterior slices give the shift. A slice
-    whose smallest eigenvalue is below SINGULAR_EIG, or whose factorization
-    failed, gets the minimum-norm solution and a `singular_solve` event;
-    every uncertified posterior slice is shifted by the regularization
-    policy where it is near-singular, and inverted, and its estimate for
-    the prediction is x_hat = P scale b. Then Omega+ = (A P A^T + Q)^-1 and
-    q+ = Omega+ A x_hat.
+    One batched eigenvalue call holds both checks: with `estimate`, those
+    of sym(B) give the estimate's singular test, and with a model, those of
+    the posterior slices give the shift. The estimate is x = L^-T L^-1 b,
+    from a Cholesky factor L of sym(B); a slice whose smallest eigenvalue
+    is below SINGULAR_EIG, or whose factor is not finite, gets the
+    minimum-norm solution and a `singular_solve` event. With a model,
+    every posterior slice is shifted by the regularization policy where it
+    is near-singular, and inverted to P; then Omega+ = (A P A^T + Q)^-1 and
+    q+ = Omega+ A x_hat with x_hat = P scale b. Without `estimate`, the
+    estimates come back as None.
     """
     context = "to_state_estimate" if estimate else "predict"
-    f = factor_slices(b_mat)
-    x = f.solve(b_vec)
-    flagged = not f.certified.all()
-    if flagged:
-        check = np.flatnonzero(~f.certified)
-        sub = f.stack[check]
-        parts = [sub] if estimate else []
-        if model is not None:
-            posterior = symmetrize(scale[check, None, None] * b_mat[check])
-            parts.append(posterior)
-        eig_min = _min_eigenvalues(np.concatenate(parts), context)
-        if estimate:
-            e = eig_min[:check.size]
-            singular = (e < SINGULAR_EIG) | ~f.ok[check]
-            if singular.any():
-                solve = check[singular]
-                if log is not None:
-                    for k, e_k in zip(nodes[solve].tolist(), e[singular].tolist()):
-                        log.record("singular_solve", "to_state_estimate", eig_min=e_k, node=k)
-                x[solve] = _min_norm_solve(sub[singular], b_vec[solve])
+    parts = []
+    if estimate:
+        f = factor_slices(b_mat)
+        parts.append(f.stack)
+    if model is not None:
+        posterior = symmetrize(scale[:, None, None] * b_mat)
+        parts.append(posterior)
+    eig_min = _min_eigenvalues(np.concatenate(parts), context)
+    x = None
+    if estimate:
+        x = f.solve(b_vec)
+        e = eig_min[:len(b_vec)]
+        singular = (e < SINGULAR_EIG) | ~f.ok
+        if singular.any():
+            if log is not None:
+                for k, e_k in zip(nodes[singular].tolist(), e[singular].tolist()):
+                    log.record("singular_solve", "to_state_estimate", eig_min=e_k, node=k)
+            x[singular] = _min_norm_solve(f.stack[singular], b_vec[singular])
     if model is None:
         return x, None
 
     a, q_cov = model
-    a_t = np.ascontiguousarray(a.T)
-    # A P A^T = G^T G / scale with G = L^-1 A^T
-    g = f.c_inv @ a_t
-    apa = (_transposed(g) @ g) / scale[:, None, None]
-    x_hat = x
-    if flagged:
-        shifted = _shift(posterior, eig_min[-check.size:], nodes[check], log, "predict")
-        p = _inv_spd(shifted, nodes[check], log, "predict: invert posterior")
-        apa[check] = a @ p @ a_t
-        x_hat = x.copy()
-        x_hat[check] = _matvec(p, scale[check, None] * b_vec[check])
-    p_next = symmetrize(apa) + q_cov
+    shifted = _shift(posterior, eig_min[-len(b_vec):], nodes, log, "predict")
+    p = _inv_spd(shifted, nodes, log, "predict: invert posterior")
+    x_hat = _matvec(p, scale[:, None] * b_vec)
+    p_next = symmetrize(a @ p @ np.ascontiguousarray(a.T)) + q_cov
     # _inv_spd returns a symmetric stack, so information_state would not change it
     omega_next = _inv_spd(p_next, nodes, log, "predict: invert predicted covariance")
     return x, InformationState(omega_next, _matvec(omega_next, _matvec(a, x_hat)))
@@ -645,10 +610,10 @@ def recover_and_predict(b_mat: np.ndarray, b_vec: np.ndarray, scale,
     fused centralized pair), the estimates B^-1 b (what
     `to_state_estimate` gives for the pairs), and the posterior predicted
     through (A, Q) (what `predict` gives for it). One Cholesky factor of
-    sym(B) per slice serves both: it gives the estimate, and
-    P = B^-1 / scale for the prediction. The smallest eigenvalue scales
-    with B, so one certificate covers the checks of both. The posterior
-    is a ScaledPosterior, formed only where it is read.
+    sym(B) per slice serves both on the closed form: it gives the
+    estimate, and P = B^-1 / scale for the prediction. The smallest
+    eigenvalue scales with B, so one certificate covers the checks of
+    both. The posterior is a ScaledPosterior, formed only where it is read.
     """
     scale = np.full(len(b_vec), scale, dtype=float)
     x, next_prior = _recover(b_mat, b_vec, scale, log, True, (a, q_cov))

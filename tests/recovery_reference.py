@@ -1,10 +1,10 @@
 """Slice-by-slice oracles of the numerical policy's flagged pass.
 
-`info_filter` handles every uncertified slice of a stack in one batched
-pass: one eigenvalue call, one SVD for the minimum-norm solves and one
-vectorized shift. These are the per-slice loops it replaces: `eigvalsh`
-and one `np.linalg.lstsq` per singular slice for the estimates, and one
-shift per near-singular slice for the regularization.
+`info_filter`'s LAPACK path handles every slice it receives in one
+batched pass: one eigenvalue call, one SVD for the minimum-norm solves
+and one vectorized shift. These are the per-slice loops it replaces:
+`eigvalsh` and one `np.linalg.lstsq` per singular slice for the
+estimates, and one shift per near-singular slice for the regularization.
 """
 
 import numpy as np
@@ -13,21 +13,18 @@ from icfpie.info_filter import REG_SCALE, SINGULAR_EIG, factor_slices
 
 
 def estimates_loop(omega: np.ndarray, q: np.ndarray, log=None) -> np.ndarray:
-    """Omega^-1 q per slice; uncertified slices whose smallest eigenvalue is
-    below SINGULAR_EIG, or whose factorization failed, get lstsq's
-    minimum-norm least-squares solution and a `singular_solve` event."""
+    """Omega^-1 q per slice; slices whose smallest eigenvalue is below
+    SINGULAR_EIG, or whose factorization failed, get lstsq's minimum-norm
+    least-squares solution and a `singular_solve` event."""
     f = factor_slices(omega)
     x = f.solve(q)
-    check = np.flatnonzero(~f.certified)
-    if check.size:
-        eig_min = np.linalg.eigvalsh(f.stack[check])[:, 0]
-        for k, e in zip(check, eig_min):
-            if e >= SINGULAR_EIG and f.ok[k]:
-                continue
-            if log is not None:
-                log.record("singular_solve", "to_state_estimate", eig_min=float(e),
-                           node=int(k))
-            x[k], *_ = np.linalg.lstsq(f.stack[k], q[k], rcond=None)
+    eig_min = np.linalg.eigvalsh(f.stack)[:, 0]
+    for k, e in enumerate(eig_min):
+        if e >= SINGULAR_EIG and f.ok[k]:
+            continue
+        if log is not None:
+            log.record("singular_solve", "to_state_estimate", eig_min=float(e), node=k)
+        x[k], *_ = np.linalg.lstsq(f.stack[k], q[k], rcond=None)
     return x
 
 

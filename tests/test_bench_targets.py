@@ -2,12 +2,14 @@
 (perfbench/tracer.py). A refactor that drops or renames one of them makes
 `--trace 1` fail; this catches it in milliseconds."""
 
+import ast
 import inspect
 import sys
 from pathlib import Path
 
 import pytest
 
+import icfpie
 from icfpie import consensus, harness
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -29,6 +31,26 @@ def test_every_wrap_target_exists_and_is_restored(tracer):
         not_restored = tracer.restore()
     assert tracer.wrapped > 0
     assert not_restored == []
+
+
+def test_every_pinned_import_is_a_wrap_target(tracer):
+    # an import kept only for the tracer (`# noqa: F401`) must name one of
+    # its wrap targets, so that it goes when the tracer stops wrapping it
+    try:
+        tracer.install()
+        targets = {(owner.__name__, attr) for owner, attr, _ in tracer.installed}
+    finally:
+        tracer.restore()
+    pinned = []
+    for path in Path(icfpie.__file__).parent.glob("*.py"):
+        lines = path.read_text().splitlines()
+        for node in ast.walk(ast.parse("\n".join(lines))):
+            if isinstance(node, ast.ImportFrom):
+                pinned += [(f"icfpie.{path.stem}", alias.asname or alias.name)
+                           for alias in node.names
+                           if "noqa: F401" in lines[node.lineno - 1] + lines[alias.lineno - 1]]
+    assert pinned
+    assert sorted(set(pinned) - targets) == []
 
 
 def test_traced_run_counts_consensus_and_events(tracer):

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import icfpie
 from icfpie import harness
 from icfpie.cli import EXIT_CONFIG, EXIT_NUMERICS, EXIT_OK, main, parse_sweep, simulate_entry
 from icfpie.errors import ConfigurationError, FilterNumericsError
@@ -165,6 +170,24 @@ class TestSimulateCommand:
                                "--out", str(out_dir)])
         assert code == EXIT_OK
         assert (out_dir / "timeseries.csv").exists()
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_package_warning_prints_one_line(self, tmp_path, jobs):
+        # L = 3 is not a whole number of case 1's 2-step cycle; the suite's
+        # config ignores that warning in-process, so the command runs alone
+        src = str(Path(icfpie.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        env.pop("PYTHONWARNINGS", None)
+        out = subprocess.run([sys.executable, "-m", "icfpie", "simulate",
+                              "--config", write_cfg(tmp_path), "--consensus-steps", "3",
+                              "--runs", "2", "--jobs", jobs, "--out", str(tmp_path / "out")],
+                             env=env, capture_output=True, text=True, timeout=120)
+        assert out.returncode == EXIT_OK, out.stderr
+        lines = out.stderr.splitlines()
+        assert lines
+        for line in lines:
+            assert line.startswith("ConsensusCycleWarning: consensus with L = 3 steps"), out.stderr
 
     def test_rerun_from_metadata_reproduces_csv(self, tmp_path):
         first = tmp_path / "a"

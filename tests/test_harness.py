@@ -27,7 +27,7 @@ from icfpie.harness import (
     sweep_consensus_steps,
 )
 from icfpie.models import TruthModel
-from icfpie.info_filter import NumericsLog, factor_slices
+from icfpie.info_filter import SINGULAR_EIG, NumericsLog, symmetrize
 from icfpie.network import random_geometric
 from measurement_reference import sample_measurement
 from truth_reference import truth_loop
@@ -184,9 +184,10 @@ class TestAxisBlocks:
     def test_fast_path_guard(self, monkeypatch):
         # a slice leaves the closed form only when the LAPACK path has a
         # reason to look at it: in the default L = 12 run every slice sent
-        # there is uncertified, or its posterior or predicted covariance has
-        # a condition estimate above the closed form's bound (here: only
-        # the zero-information priors of t = 0)
+        # there has a sym(B) with an eigvalsh minimum below SINGULAR_EIG, or
+        # a posterior or predicted covariance whose condition estimate is
+        # above the closed form's bound (here: only the zero-information
+        # priors of t = 0)
         scenario = build_scenario(ScenarioConfig(), 0)
         steps = []
         recover, lapack = info_filter._recover, info_filter._recover_lapack
@@ -204,7 +205,8 @@ class TestAxisBlocks:
                 out = lapack(*args)
             # the first estimates are the posteriors', the last the predicted covariances'
             near = (conds[0] > info_filter._BLOCK_COND) | (conds[-1] > info_filter._BLOCK_COND)
-            steps[-1].extend((~factor_slices(args[0]).certified | near).tolist())
+            singular = np.linalg.eigvalsh(symmetrize(args[0]))[:, 0] < SINGULAR_EIG
+            steps[-1].extend((singular | near).tolist())
             return out
         monkeypatch.setattr(info_filter, "_recover", each_step)
         monkeypatch.setattr(info_filter, "_recover_lapack", sent)

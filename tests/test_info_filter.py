@@ -18,7 +18,6 @@ from icfpie.info_filter import (
     centralized_correct,
     SINGULAR_EIG,
     ensure_invertible,
-    factor_slices,
     information_state,
     inv_spd,
     local_correction_terms,
@@ -287,45 +286,9 @@ def event_tags(log):
     return Counter((e["kind"], e["node"]) for e in log.events)
 
 
-class TestCertificate:
-    """A slice whose Cholesky factor certifies it skips the eigenvalue checks;
-    the certificate must never claim more than eigvalsh finds."""
-
-    @given(MIXED_KINDS, SEEDS)
-    @settings(max_examples=60, deadline=None)
-    def test_bound_never_exceeds_smallest_eigenvalue(self, kinds, seed):
-        rng = np.random.default_rng(seed)
-        stack = np.array([mixed_slice(rng, kind) for kind in kinds])
-        f = factor_slices(stack)
-        eig_min = np.linalg.eigvalsh(symmetrize(stack))[:, 0]
-        assert np.all(f.bound[f.certified] <= eig_min[f.certified])
-        assert np.all(eig_min[f.certified] >= SINGULAR_EIG)
-        # well-conditioned slices are certified; every kind near or below
-        # the singular threshold takes the eigenvalue policy
-        assert list(f.certified) == [kind == "spd" for kind in kinds]
-
-    def test_certified_slices_skip_eigvalsh(self, rng, monkeypatch):
-        checked = []
-        eigvalsh = _umath_linalg.eigvalsh_lo
-
-        def counting(m, **kwargs):
-            checked.append(len(m))
-            return eigvalsh(m, **kwargs)
-        monkeypatch.setattr(_umath_linalg, "eigvalsh_lo", counting)
-        b_mat = np.array([random_spd(rng, 4) for _ in range(5)])
-        b_vec = rng.normal(size=(5, 4))
-        recover_and_predict(b_mat, b_vec, 10, np.eye(4), np.eye(4))
-        assert checked == []
-        b_mat[3] = 0.0
-        recover_and_predict(b_mat, b_vec, 10, np.eye(4), np.eye(4))
-        # one call for the zero slice alone: its B for the estimate and its
-        # posterior 10 B for the prediction
-        assert checked == [2]
-
-
 class TestFlaggedPass:
-    """The uncertified slices of a stack go through one batched pass; it
-    gives what the per-slice loops it replaced give (tests/recovery_reference.py)."""
+    """The slices on the LAPACK path go through one batched pass; it gives
+    what the per-slice loops it replaced give (tests/recovery_reference.py)."""
 
     @given(MIXED_KINDS, SEEDS)
     @settings(max_examples=60, deadline=None)
@@ -357,9 +320,10 @@ class TestFlaggedPass:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("entry", [(0, 0), (3, 3), (2, 1)])
     def test_non_finite_slice_still_raises(self, rng, bad, entry):
-        # finiteness is checked on the uncertified slices only: a non-finite
-        # slice must never be certified, in a stack as wide as the sweep's
-        b_mat = np.array([random_spd(rng, 4) for _ in range(91)])
+        # finiteness is checked only by the eigenvalue call of the LAPACK
+        # path: the closed form must never take a non-finite slice, in a
+        # stack as wide as the sweep's whose other slices it takes
+        b_mat = np.array([block_slice(rng, ("spd", "spd")) for _ in range(91)])
         b_vec = rng.normal(size=(91, 4))
         b_mat[57][entry] = bad
         b_mat[57][entry[::-1]] = bad
@@ -473,6 +437,47 @@ def block_model(rng):
 
 BLOCK_KINDS = st.lists(st.tuples(st.sampled_from(KIND_NAMES), st.sampled_from(KIND_NAMES)),
                        min_size=1, max_size=12)
+
+
+class TestCertificate:
+    """The closed form's certificate is the only one: a slice that
+    `_recover_blocks` takes skips every eigenvalue check, so the
+    certificate must never claim more than eigvalsh finds."""
+
+    @given(BLOCK_KINDS, SEEDS)
+    @settings(max_examples=60, deadline=None)
+    def test_bound_never_exceeds_smallest_eigenvalue(self, kinds, seed):
+        rng = np.random.default_rng(seed)
+        b_mat = np.array([block_slice(rng, pair) for pair in kinds])
+        b_vec = rng.normal(size=(len(kinds), 4))
+        [(layout, blocks)] = info_filter._block_layouts(4, block_model(rng))
+        eig_min = np.linalg.eigvalsh(symmetrize(b_mat))[:, 0]
+        for model_blocks in (None, blocks):
+            taken, _, _ = info_filter._recover_blocks(b_mat, b_vec, np.ones(len(kinds)),
+                                                      layout, model_blocks)
+            assert np.all(eig_min[taken] >= SINGULAR_EIG)
+            # well-conditioned blocks are taken; every kind near or below
+            # the singular threshold takes the eigenvalue policy
+            assert list(taken) == [pair == ("spd", "spd") for pair in kinds]
+
+    def test_certified_slices_skip_eigvalsh(self, rng, monkeypatch):
+        checked = []
+        eigvalsh = _umath_linalg.eigvalsh_lo
+
+        def counting(m, **kwargs):
+            checked.append(len(m))
+            return eigvalsh(m, **kwargs)
+        monkeypatch.setattr(_umath_linalg, "eigvalsh_lo", counting)
+        b_mat = np.array([block_slice(rng, ("spd", "spd")) for _ in range(5)])
+        b_vec = rng.normal(size=(5, 4))
+        model = block_model(rng)
+        recover_and_predict(b_mat, b_vec, 10, *model)
+        assert checked == []
+        b_mat[3] = 0.0
+        recover_and_predict(b_mat, b_vec, 10, *model)
+        # one call for the zero slice alone: its B for the estimate and its
+        # posterior 10 B for the prediction
+        assert checked == [2]
 
 
 class TestAxisBlockRouting:
@@ -621,16 +626,17 @@ class TestAxisBlockRouting:
             cases.append((t, 1, np.array([np.diag([1 / (1 + t * d), 1, 1, 1]) for d in ulps]),
                           np.eye(4), np.diag([t - 1, 0.0, 0.0, 0.0])))
         # found by search: the (x, vx) block scaled by 1 + j eps, j in
-        # -100..100, so that the LAPACK path's predicted condition estimate
-        # runs through ILL_CONDITIONED; in slice 102 it reads one ulp above,
-        # where the closed form's reads two below
+        # -100..100, and Q's vx entry, so that the LAPACK path's predicted
+        # condition estimate runs through ILL_CONDITIONED along the stack,
+        # where the closed form's own estimate reads a few ulps lower
         rng = np.random.default_rng(4)
         blocks = [m @ m.T + 0.5 * np.eye(2) for m in rng.normal(size=(2, 2, 2))]
         b_mat = np.zeros((201, 4, 4))
         b_mat[:, 0::2, 0::2] = blocks[0] * (1 + np.arange(-100, 101) * eps)[:, None, None]
         b_mat[:, 1::2, 1::2] = blocks[1]
-        cases.append((ill, 3, b_mat, constant_velocity_matrix(0.1),
-                      np.diag([1e-3, float.fromhex("0x1.3e57ae53b57e7p+36"), 1e-3, 1e-3])))
+        searched = (ill, 3, b_mat, constant_velocity_matrix(0.1),
+                    np.diag([1e-3, float.fromhex("0x1.3e57ae53b57d8p+36"), 1e-3, 1e-3]))
+        cases.append(searched)
         lapack_path, sent = info_filter._recover_lapack, lapack_sends(monkeypatch)
         for t, scale, b_mat, a, q_cov in cases:
             k = len(b_mat)
@@ -649,4 +655,14 @@ class TestAxisBlockRouting:
                 assert nodes == list(range(k))
             elif k > len(ulps):  # 1e-3 below half of it, and above
                 assert len(ulps) not in nodes and len(ulps) + 1 in nodes
-        assert [e["node"] for e in lapack.events if e["kind"] == "ill_conditioned"][0] == 102
+        # the margin is what sends the searched stack's threshold slices to
+        # the LAPACK path: at ILL_CONDITIONED the closed form would take a
+        # slice that the LAPACK path logs as ill-conditioned, and lose its event
+        logged = [e["node"] for e in lapack.events if e["kind"] == "ill_conditioned"]
+        _, scale, b_mat, a, q_cov = searched
+        k = len(b_mat)
+        [(layout, blocks)] = info_filter._block_layouts(4, (a, q_cov))
+        monkeypatch.setattr(info_filter, "_BLOCK_COND", ill)
+        taken, _, _ = info_filter._recover_blocks(b_mat, np.ones((k, 4)), np.full(k, float(scale)),
+                                                  layout, blocks)
+        assert taken[logged].any()
