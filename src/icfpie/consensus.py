@@ -31,7 +31,7 @@ sum per node and step, is the test suite's reference
 
 import warnings
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -132,19 +132,25 @@ def plan_lanes(lanes: Sequence[tuple[EntrySelectionSchedule, int]], powers: np.n
     return LanePlan(steps, powers[steps], tuple(payloads))
 
 
-def run_masked_consensus(B: np.ndarray, b: np.ndarray, powers: np.ndarray):
+def run_masked_consensus(B: np.ndarray, b: np.ndarray, powers: np.ndarray,
+                         B_out: Optional[np.ndarray] = None,
+                         b_out: Optional[np.ndarray] = None):
     """Average the rows of every lane's (B, b) in closed form.
 
     `B` (K, N, n, n) and `b` (K, N, n) hold K lanes of N nodes, and
     `powers` (K, n, N, N) is a plan's gathered powers: row r of lane k
     becomes powers[k, r] applied across its nodes, one (N, N) @ (N, n)
     product per lane and row, all in one batched matmul. Rows that no step
-    selects read M^0 = I and come back unchanged. Returns new (B, b);
-    the inputs are not modified.
+    selects read M^0 = I and come back unchanged. Returns the averaged
+    (B, b), written into `B_out` and `b_out` where they are given (arrays
+    of the shapes of B and b that share no memory with the inputs), into
+    new arrays otherwise; the inputs are not modified.
     """
-    B_out = (powers @ B.transpose(0, 2, 1, 3)).transpose(0, 2, 1, 3)
-    b_out = (powers @ b.transpose(0, 2, 1)[..., None])[..., 0].transpose(0, 2, 1)
-    return B_out, b_out
+    B_out = np.matmul(powers, B.transpose(0, 2, 1, 3),
+                      out=None if B_out is None else B_out.transpose(0, 2, 1, 3))
+    b_out = np.matmul(powers, b.transpose(0, 2, 1)[..., None],
+                      out=None if b_out is None else b_out.transpose(0, 2, 1)[..., None])
+    return B_out.transpose(0, 2, 1, 3), b_out[..., 0].transpose(0, 2, 1)
 
 
 def run_consensus(state: ConsensusState, schedule: EntrySelectionSchedule, L: int,

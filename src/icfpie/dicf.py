@@ -8,7 +8,8 @@ local correction terms from each node's own measurement (zero where the
 target is unsensed; `correction_terms` computes them for a whole run in
 one pass), consensus initialization, L masked consensus steps
 with the whole network in closed form, one batched product for every
-lane's N-slice block (the run's `plan_lanes` plan), then
+lane's N-slice block (the run's `plan_lanes` plan), written straight
+into the stack of (B, b) pairs that recovery reads, then
 posterior recovery (Omega = N * B(L), estimate from the B(L) b(L) pair
 with the singular policy) and an information-form prediction, both from
 one Cholesky factor of B(L) per slice. The centralized slice fuses every
@@ -20,6 +21,7 @@ consensus filter; `ckf_step` steps the centralized filter alone through
 `centralized_correct`, with the same bits.
 """
 
+from functools import lru_cache
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -51,15 +53,15 @@ class CorrectionTerms(NamedTuple):
     along a leading time axis, for N nodes that share one sensor:
 
     * `sensed` (N,): whether node i senses the target;
-    * `omega_gain` (n, n): the sensor's symmetrize(C^T V C), which node i
-      adds where it senses (a read-only broadcast along the time axis);
+    * `d_omega` (N, n, n): the sensor's symmetrize(C^T V C) where node i
+      senses the target, else 0;
     * `d_q` (N, n): C^T V y_i where node i senses the target, else 0;
     * `central_omega` (n, n): k C^T V C for the k sensing nodes;
     * `central_q` (n,): the sum of those k C^T V y_i.
     """
 
     sensed: np.ndarray
-    omega_gain: np.ndarray
+    d_omega: np.ndarray
     d_q: np.ndarray
     central_omega: np.ndarray
     central_q: np.ndarray
@@ -74,7 +76,9 @@ def correction_terms(sensor: MeasurementModel, measurements: np.ndarray,
     """The CorrectionTerms of measurements (..., N, m) taken by `sensor`
     where sensed (..., N) is True: one timestep's (N, m), or a run's
     (T, N, m) in one pass. The sensor's gains are computed once per run;
-    only C^T V y is computed here, for every measurement. The centralized
+    only C^T V y and the masks are computed here, for every measurement.
+    A run's (T, N, n, n) masked gains take 384 kB at T = 300, N = 10 and
+    n = 4. The centralized
     sums are the arithmetic of `centralized_correct`: k C^T V C, and the
     sensed C^T V y_i added in node order (the zeros in between add
     nothing)."""
@@ -88,11 +92,20 @@ def correction_terms(sensor: MeasurementModel, measurements: np.ndarray,
         y.shape[:-1] + ctv.shape[:1])
     d_q = np.where(sensed[..., None], q_gains, 0.0)
     return CorrectionTerms(sensed=sensed,
-                           omega_gain=np.broadcast_to(omega_gain,
-                                                      sensed.shape[:-1] + omega_gain.shape),
+                           d_omega=np.where(sensed[..., None, None], omega_gain, 0.0),
                            d_q=d_q,
                            central_omega=sensed.sum(axis=-1)[..., None, None] * omega_gain,
                            central_q=d_q.sum(axis=-2))
+
+
+@lru_cache(maxsize=16)
+def _stack_scale(n_lanes: int, n_nodes: int, n_central: int) -> np.ndarray:
+    """The posterior scale of every slice of a stack, read-only: N for a
+    lane's node slices, 1 for the centralized one."""
+    scale = np.full(n_lanes * n_nodes + n_central, float(n_nodes))
+    scale[n_lanes * n_nodes:] = 1.0
+    scale.setflags(write=False)
+    return scale
 
 
 def dicf_step(prior: InformationState, plan: LanePlan, terms: CorrectionTerms,
@@ -122,21 +135,17 @@ def dicf_step(prior: InformationState, plan: LanePlan, terms: CorrectionTerms,
     lane_prior = InformationState(
         prior.omega[:n_lane_slices].reshape(n_lanes, n_nodes, n, n),
         prior.q[:n_lane_slices].reshape(n_lanes, n_nodes, n))
-    d_omega = np.where(terms.sensed[:, None, None], terms.omega_gain, 0.0)
-    B0, b0 = init_consensus(lane_prior, d_omega, terms.d_q, n_nodes)
+    B0, b0 = init_consensus(lane_prior, terms.d_omega, terms.d_q, n_nodes)
     # the (B, b) pair of every slice, lanes' node blocks first
-    B, b = np.empty_like(prior.omega), np.empty_like(prior.q)
-    lanes_B, lanes_b = consensus.run_masked_consensus(B0, b0, plan.powers)
-    B[:n_lane_slices].reshape(lanes_B.shape)[...] = lanes_B
-    b[:n_lane_slices].reshape(lanes_b.shape)[...] = lanes_b
+    B, b = np.empty(prior.omega.shape), np.empty(prior.q.shape)
+    consensus.run_masked_consensus(B0, b0, plan.powers, B[:n_lane_slices].reshape(B0.shape),
+                                   b[:n_lane_slices].reshape(b0.shape))
     B[n_lane_slices:] = symmetrize(prior.omega[n_lane_slices:] + terms.central_omega)
     b[n_lane_slices:] = prior.q[n_lane_slices:] + terms.central_q
-    scale = np.full(len(b), float(n_nodes))
-    scale[n_lane_slices:] = 1.0
 
     # the estimates come from the consensus pairs themselves; the N factor cancels
     posterior, estimates, next_prior = recover_and_predict(
-        B, b, scale, sys.a, sys.process_cov, log)
+        B, b, _stack_scale(n_lanes, n_nodes, n_central), sys.a, sys.process_cov, log)
     return next_prior, posterior, estimates
 
 

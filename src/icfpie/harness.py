@@ -15,10 +15,12 @@ consumes identical truth and measurement sequences.
 
 import ast
 import dataclasses
+import functools
 import json
 import math
 import numbers
 import os
+import warnings
 from dataclasses import dataclass
 from typing import Optional
 
@@ -306,9 +308,9 @@ def run_once(scenario: Scenario, L, algorithms: Optional[list] = None,
     the stack's last slice. The lanes' consensus plan and the measurement
     terms of every timestep are computed once per run, and a single
     dicf_step per timestep advances every slice, with one NumericsLog. Per
-    timestep the loop keeps only each slice's squared error norm and the
-    log's length (and, with `diagnostics`, the lanes' posterior eigenvalue
-    range); the norms' roots, lane means, node errors, regularize counts
+    timestep the loop keeps only each slice's estimate and the log's
+    length (and, with `diagnostics`, the lanes' posterior eigenvalue
+    range); the error norms, lane means, node errors, regularize counts
     per step and one bandwidth ledger entry per lane are formed after the
     loop. One
     depth returns RunMetrics keyed by algorithm label; a sequence returns
@@ -333,9 +335,9 @@ def run_once(scenario: Scenario, L, algorithms: Optional[list] = None,
     lanes = [(a.schedule, lv) for lv in depths for a in consensus]
     n_lanes = len(lanes)
     n_lane_slices, n_central = n_lanes * n_nodes, 1 if central else 0
-    # squared error norms, summed as np.linalg.norm sums them; the root is
-    # taken after the loop
-    slice_errors = np.zeros((n_steps, n_lane_slices + n_central))
+    # every slice's estimate at every step: (T, S, n), 873 kB for the
+    # sweep's 91 slices over 300 steps
+    estimates = np.empty((n_steps, n_lane_slices + n_central, STATE_DIM))
     events_after = np.zeros(n_steps, dtype=int)  # len(log.events) after step t
     log = NumericsLog()
     eig_range = {key: np.zeros((n_lanes, n_steps, n_nodes))
@@ -347,11 +349,8 @@ def run_once(scenario: Scenario, L, algorithms: Optional[list] = None,
     terms = correction_terms(scenario.sensor, scenario.measurements, scenario.sensed)
 
     for t in range(n_steps):
-        prior, posterior, estimates = dicf_step(prior, plan, terms.at(t), scenario.sys,
-                                                log=log)
-        estimates -= scenario.truth[t]
-        estimates *= estimates
-        np.add.reduce(estimates, axis=-1, out=slice_errors[t])
+        prior, posterior, estimates[t] = dicf_step(prior, plan, terms.at(t), scenario.sys,
+                                                   log=log)
         events_after[t] = len(log.events)
         if diagnostics and lanes:
             ev = np.linalg.eigvalsh(posterior.omega[:n_lane_slices]).reshape(
@@ -359,7 +358,10 @@ def run_once(scenario: Scenario, L, algorithms: Optional[list] = None,
             eig_range["eig_min"][:, t] = ev[..., 0]
             eig_range["eig_max"][:, t] = ev[..., -1]
 
-    np.sqrt(slice_errors, out=slice_errors)
+    # the error norms, as np.linalg.norm forms them
+    estimates -= scenario.truth[:, None]
+    estimates *= estimates
+    slice_errors = np.sqrt(np.add.reduce(estimates, axis=-1))
     node_errors = slice_errors[:, :n_lane_slices].reshape(n_steps, n_lanes, n_nodes)
     errors = np.concatenate([node_errors.mean(axis=-1), slice_errors[:, n_lane_slices:]],
                             axis=1).T
@@ -453,14 +455,34 @@ def _mc_single_run(args) -> dict:
     return out
 
 
+def _recording(fn, args):
+    """(fn(args), the warnings it issued) in a pool worker, each warning as
+    (message, category, filename, lineno). The worker's filters apply, so
+    a warning that they ignore is not recorded."""
+    with warnings.catch_warnings(record=True) as caught:
+        result = fn(args)
+    return result, [(str(w.message), w.category, w.filename, w.lineno) for w in caught]
+
+
+# the registry of the warnings that pool runs issue through this process
+_POOL_WARNINGS: dict = {}
+
+
 def _execute(fn, arglist, jobs: int):
+    """[fn(a) for a in arglist], in `jobs` worker processes when jobs > 1.
+    Each warning that the workers issue is issued once more here, once
+    per distinct warning, so what a command prints does not depend on its
+    worker count: each forked worker would print it once."""
     if jobs <= 1 or len(arglist) <= 1:
         return [fn(a) for a in arglist]
     # imported here so that serial runs do not load the process-pool machinery
     from concurrent.futures import ProcessPoolExecutor
     # a fork pool starts all its workers at the first submit
     with ProcessPoolExecutor(max_workers=min(jobs, len(arglist))) as pool:
-        return list(pool.map(fn, arglist))
+        done = list(pool.map(functools.partial(_recording, fn), arglist))
+    for caught in dict.fromkeys(w for _, issued in done for w in issued):
+        warnings.warn_explicit(*caught, registry=_POOL_WARNINGS)
+    return [result for result, _ in done]
 
 
 def _split_failures(results: list, what: str) -> tuple:

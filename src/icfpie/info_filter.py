@@ -47,10 +47,12 @@ the threshold is left to the LAPACK path.
 Every other slice (not block-diagonal, uncertified, or near or above the
 condition threshold) is gathered into one sub-stack for the LAPACK path,
 which makes every event. It takes one batched pass: one eigenvalue call
-for both checks, one SVD for every minimum-norm solve, one vectorized
-shift and one inversion of the shifted posteriors. Only the event
-records loop over slices. A slice's result depends on that slice alone,
-on either path, so a slice of a stack gets the bits it gets alone.
+for both checks, first; one Cholesky factor of sym(B) for the estimates
+of only the slices that pass the singular test, and one SVD for every
+other slice's minimum-norm solve; one vectorized shift and one inversion
+of the shifted posteriors. Only the event records loop over slices. A
+slice's result depends on that slice alone, on either path, so a slice
+of a stack gets the bits it gets alone.
 """
 
 from collections import Counter
@@ -132,18 +134,20 @@ def _min_eigenvalues(m: np.ndarray, context: str) -> np.ndarray:
 def _shift(stack: np.ndarray, eig_min: np.ndarray, nodes: np.ndarray,
            log: Optional[NumericsLog], context: str) -> np.ndarray:
     """The diagonal-shift policy on a stack whose slices have the smallest
-    eigenvalues eig_min; the event of slice k carries node nodes[k]."""
+    eigenvalues eig_min; the event of slice k carries node nodes[k]. With
+    no slice to shift, the stack itself comes back, not a copy."""
     flagged = eig_min < SINGULAR_EIG
+    if not flagged.any():
+        return stack
+    n = stack.shape[-1]
+    e = eig_min[flagged]
+    lam = (REG_SCALE * (1.0 + np.abs(np.trace(stack[flagged], axis1=-2, axis2=-1)) / n)
+           + np.maximum(0.0, -e))
+    if log is not None:
+        for k, e_k, lam_k in zip(nodes[flagged].tolist(), e.tolist(), lam.tolist()):
+            log.record("regularize", context, eig_min=e_k, lam=lam_k, node=k)
     out = stack.copy()
-    if flagged.any():
-        n = stack.shape[-1]
-        e = eig_min[flagged]
-        lam = (REG_SCALE * (1.0 + np.abs(np.trace(stack[flagged], axis1=-2, axis2=-1)) / n)
-               + np.maximum(0.0, -e))
-        if log is not None:
-            for k, e_k, lam_k in zip(nodes[flagged].tolist(), e.tolist(), lam.tolist()):
-                log.record("regularize", context, eig_min=e_k, lam=lam_k, node=k)
-        out[flagged] += lam[:, None, None] * np.eye(n)
+    out[flagged] += lam[:, None, None] * np.eye(n)
     return out
 
 
@@ -154,7 +158,8 @@ def ensure_invertible(omega: np.ndarray, log: Optional[NumericsLog] = None,
     The shift is 1e-8 * (1 + |trace|/n); slightly indefinite matrices (a
     partial selection cycle can leave the symmetrized posterior with a
     small negative eigenvalue) are additionally shifted past zero. Slices
-    above the threshold are returned unchanged.
+    above the threshold are returned unchanged; when no slice is shifted,
+    the result is `omega` itself.
     """
     context = context or "ensure_invertible"
     return _shift(omega, _min_eigenvalues(omega, context), np.arange(len(omega)), log, context)
@@ -360,16 +365,20 @@ class _Layout(NamedTuple):
     closed form reads a 4 x 4 matrix in it. `order` holds the flat indices
     (4 * row + column) of the entries [00], [10], [01] and [11] of both
     blocks, then of every entry outside them; `vec` holds the vector
-    indices p[0], r[0], p[1], r[1]."""
+    indices p[0], r[0], p[1], r[1]; `scatter` holds where a prediction's
+    (K, 24) buffer keeps them: the estimate's `vec` in columns 0..3, q+'s
+    in 4..7 and Omega+'s entries [00], [10], [01], [11] from column 8 on."""
 
     order: np.ndarray
     vec: np.ndarray
+    scatter: np.ndarray
 
 
 def _layout(p, r) -> _Layout:
     inside = [4 * s[i] + s[j] for i, j in ((0, 0), (1, 0), (0, 1), (1, 1)) for s in (p, r)]
-    return _Layout(np.array(inside + sorted(set(range(16)) - set(inside))),
-                   np.array([p[0], r[0], p[1], r[1]]))
+    vec = [p[0], r[0], p[1], r[1]]
+    return _Layout(np.array(inside + sorted(set(range(16)) - set(inside))), np.array(vec),
+                   np.array(vec + [4 + i for i in vec] + [8 + i for i in inside]))
 
 
 # every split of the state indices into two pairs, in the order tried
@@ -384,32 +393,39 @@ _LAYOUTS = tuple(_layout(p, r) for p, r in (((0, 1), (2, 3)), ((0, 2), (1, 3)),
 _BLOCK_COND = ILL_CONDITIONED / 2
 
 
-def _block_layouts(n: int, model) -> tuple:
-    """The splits the closed form tries on a stack of n x n slices, in
+def _block_layouts(n: int, model, k: int = 1) -> tuple:
+    """The splits the closed form tries on a stack of k slices n x n, in
     order, each as (layout, blocks): with model = (A, Q), the splits in
-    which both are block-diagonal, with the entries [00], [10], [01] and
-    [11] of A's blocks, then of Q's, as one read-only (8, 2, 1) array;
-    without a model, every split, with no blocks; none unless n = 4. The
-    split comes from the model's zeros, so no state layout is assumed
-    here."""
+    which both are block-diagonal, with the entries of their blocks,
+    repeated along the stack, as one read-only (4, 2, 2, k) array: A's
+    [00] and [10], A's [01] and [11], Q's [00] and [11], and Q's [10] and
+    [01], of both blocks; without a model, every split, with no blocks;
+    none unless n = 4. The split comes from the model's zeros, so no state
+    layout is assumed here."""
     if n != 4:
         return ()
     if model is None:
         return tuple((layout, None) for layout in _LAYOUTS)
-    return _model_layouts(b"".join(np.asarray(m, dtype=float).tobytes() for m in model))
+    return _model_layouts(b"".join(np.asarray(m, dtype=float).tobytes() for m in model), k)
 
 
 @lru_cache(maxsize=16)
-def _model_layouts(key: bytes) -> tuple:
-    """`_block_layouts` of the model whose A and Q are the bytes `key`. A
-    run predicts through one model at every step, and reading its splits
-    anew at every step cost about 7 us of a 21-slice step's 90."""
+def _model_layouts(key: bytes, k: int) -> tuple:
+    """`_block_layouts` of the model whose A and Q are the bytes `key`, on
+    a stack of k slices. A run predicts through one model and one stack
+    size at every step, and reading its splits anew at every step cost
+    about 7 us of a 21-slice step's 90."""
     model = np.frombuffer(key).reshape(2, 16)  # A's entries, then Q's
     nonzero = (model != 0).any(axis=0)  # NaN counts as nonzero
     out = []
     for layout in _LAYOUTS:
         if not nonzero[layout.order[8:]].any():
-            blocks = model[:, layout.order[:8]].reshape(8, 2, 1)
+            # (A or Q, entry [00], [10], [01] or [11], block)
+            a, q = model[:, layout.order[:8]].reshape(2, 4, 2)
+            # a product of two (2, k) arrays costs less than one broadcast
+            # from (2, 1)
+            blocks = np.repeat(np.stack([a[:2], a[2:], q[[0, 3]], q[[1, 2]]])[..., None], k,
+                               axis=3)
             blocks.setflags(write=False)
             out.append((layout, blocks))
     return tuple(out)
@@ -438,7 +454,9 @@ def _recover_blocks(b_mat: np.ndarray, b_vec: np.ndarray, scale: np.ndarray,
     """`_recover_lapack` in closed form, for the slices it can take in
     `layout`, with the model's `blocks` in it (or none); returns (taken,
     estimates, next prior or None), whose slices outside `taken` (K,)
-    hold no result.
+    hold no result. The blocks are `_block_layouts`' for a stack of K or
+    more slices, or of one; with them, the estimates, q+ and Omega+ are
+    views of one (K, 24) buffer.
 
     A slice is taken when sym(B) is block-diagonal in the layout, its
     2 x 2 Cholesky factors certify it (the bound 1 / ||L^-1||_F^2 less
@@ -465,37 +483,42 @@ def _recover_blocks(b_mat: np.ndarray, b_vec: np.ndarray, scale: np.ndarray,
                  - CERT_MARGIN * np.sqrt(fro[0] + fro[1]))
         taken = (bound >= SINGULAR_EIG) & (cond <= _BLOCK_COND) & ~e[8:].any(axis=0)
 
+        # the results in the order of layout.scatter: x's two entries,
+        # q+'s, and Omega+'s [00], [10], [01] and [11]
+        vals = np.empty((8, 2, k))
+        x, q_next, omega_next = vals[:2], vals[2:4], vals[4:]
         # x = L^-T L^-1 b per block
         y0 = m0 * v0
         y1 = m1 * v0 + m2 * v1
-        x0, x1 = m0 * y0 + m1 * y1, m2 * y1
-        x = np.empty((k, 4))
-        x.T[layout.vec] = np.concatenate([x0, x1])
+        np.add(m0 * y0, m1 * y1, out=x[0])
+        np.multiply(m2, y1, out=x[1])
         if blocks is None:
-            return taken, x, None
+            x_out = np.empty((k, 4))
+            x_out.T[layout.vec] = x.reshape(4, k)
+            return taken, x_out, None
 
-        # the model's entries repeated along the stack: a product of two
-        # (2, K) arrays costs less than one broadcast from (2, 1)
-        a00, a10, a01, a11, q00, q10, _, q11 = np.repeat(blocks, k, axis=2)
-        # A P A^T = G^T G / scale with G = L^-1 A^T
-        g00, g01 = m0 * a00, m0 * a10
-        g10 = m1 * a00 + m2 * a01
-        g11 = m1 * a10 + m2 * a11
+        # A's columns (a00, a10) and (a01, a11), Q's diagonal and q10
+        a0, a1, q_diag, (q10, _) = blocks[..., :k]
+        # A P A^T = G^T G / scale with G = L^-1 A^T, whose columns are
+        # g0 = m0 a0 and g1 = m1 a0 + m2 a1
+        g0 = m0 * a0
+        g1 = m1 * a0 + m2 * a1
+        p_diag = (g0 * g0 + g1 * g1) / scale + q_diag
         (n0, n1, n2), cond_next = _cholesky_2x2(
-            (g00 * g00 + g10 * g10) / scale + q00,
-            (g00 * g01 + g10 * g11) / scale + q10,
-            (g01 * g01 + g11 * g11) / scale + q11)
+            p_diag[0], (g0[0] * g0[1] + g1[0] * g1[1]) / scale + q10, p_diag[1])
         taken &= cond_next <= _BLOCK_COND
 
         # Omega+ = N^T N with N the inverse factor of the predicted
         # covariance, and q+ = Omega+ A x
-        o00, o10, o11 = n0 * n0 + n1 * n1, n1 * n2, n2 * n2
-        ax0, ax1 = a00 * x0 + a01 * x1, a10 * x0 + a11 * x1
-        q_next = np.empty((k, 4))
-        q_next.T[layout.vec] = np.concatenate([o00 * ax0 + o10 * ax1, o10 * ax0 + o11 * ax1])
-        omega_next = np.zeros((k, 16))
-        omega_next[:, layout.order[:8]] = np.concatenate([o00, o10, o10, o11]).T
-    return taken, x, InformationState(omega_next.reshape(k, 4, 4), q_next)
+        np.add(n0 * n0, n1 * n1, out=omega_next[0])
+        np.multiply(n1, n2, out=omega_next[1])
+        omega_next[2] = omega_next[1]
+        np.multiply(n2, n2, out=omega_next[3])
+        ax = a0 * x[0] + a1 * x[1]
+        np.add(omega_next[:2] * ax[0], omega_next[2:] * ax[1], out=q_next)
+        out = np.zeros((k, 24))  # x, q+, Omega+; Omega+ is zero outside the blocks
+        out.T[layout.scatter] = vals.reshape(16, k)
+    return taken, out[:, :4], InformationState(out[:, 8:].reshape(k, 4, 4), out[:, 4:8])
 
 
 def _recover(b_mat: np.ndarray, b_vec: np.ndarray, scale: np.ndarray,
@@ -512,7 +535,7 @@ def _recover(b_mat: np.ndarray, b_vec: np.ndarray, scale: np.ndarray,
     LAPACK path.
     """
     return _route(b_mat, b_vec, scale, np.arange(len(b_vec)), log, estimate, model,
-                  _block_layouts(b_mat.shape[-1], model))
+                  _block_layouts(b_mat.shape[-1], model, len(b_vec)))
 
 
 def _route(b_mat: np.ndarray, b_vec: np.ndarray, scale: np.ndarray, nodes: np.ndarray,
@@ -541,10 +564,11 @@ def _recover_lapack(b_mat: np.ndarray, b_vec: np.ndarray, scale: np.ndarray,
 
     One batched eigenvalue call holds both checks: with `estimate`, those
     of sym(B) give the estimate's singular test, and with a model, those of
-    the posterior slices give the shift. The estimate is x = L^-T L^-1 b,
-    from a Cholesky factor L of sym(B); a slice whose smallest eigenvalue
-    is below SINGULAR_EIG, or whose factor is not finite, gets the
-    minimum-norm solution and a `singular_solve` event. With a model,
+    the posterior slices give the shift. Only a slice that passes the
+    singular test is factored: its estimate is x = L^-T L^-1 b, from a
+    Cholesky factor L of sym(B). A slice whose smallest eigenvalue is below
+    SINGULAR_EIG, or whose factor is not finite, gets the minimum-norm
+    solution and a `singular_solve` event. With a model,
     every posterior slice is shifted by the regularization policy where it
     is near-singular, and inverted to P; then Omega+ = (A P A^T + Q)^-1 and
     q+ = Omega+ A x_hat with x_hat = P scale b. Without `estimate`, the
@@ -553,22 +577,27 @@ def _recover_lapack(b_mat: np.ndarray, b_vec: np.ndarray, scale: np.ndarray,
     context = "to_state_estimate" if estimate else "predict"
     parts = []
     if estimate:
-        f = factor_slices(b_mat)
-        parts.append(f.stack)
+        stack = symmetrize(b_mat)
+        parts.append(stack)
     if model is not None:
         posterior = symmetrize(scale[:, None, None] * b_mat)
         parts.append(posterior)
     eig_min = _min_eigenvalues(np.concatenate(parts), context)
     x = None
     if estimate:
-        x = f.solve(b_vec)
         e = eig_min[:len(b_vec)]
-        singular = (e < SINGULAR_EIG) | ~f.ok
+        singular = e < SINGULAR_EIG
+        x = np.empty(b_vec.shape)
+        regular = np.flatnonzero(~singular)
+        if regular.size:
+            f = factor_slices(stack[regular])  # sym(sym(B)) = sym(B), bit for bit
+            x[regular] = f.solve(b_vec[regular])
+            singular[regular[~f.ok]] = True
         if singular.any():
             if log is not None:
                 for k, e_k in zip(nodes[singular].tolist(), e[singular].tolist()):
                     log.record("singular_solve", "to_state_estimate", eig_min=e_k, node=k)
-            x[singular] = _min_norm_solve(f.stack[singular], b_vec[singular])
+            x[singular] = _min_norm_solve(stack[singular], b_vec[singular])
     if model is None:
         return x, None
 
@@ -606,16 +635,20 @@ def recover_and_predict(b_mat: np.ndarray, b_vec: np.ndarray, scale,
 
     From a stack of consensus pairs (B, b), returns (posterior,
     estimates, next prior): the posterior (scale * B, scale * b), with
-    `scale` (K,) per slice or one for all (N for a lane's pairs, 1 for a
-    fused centralized pair), the estimates B^-1 b (what
-    `to_state_estimate` gives for the pairs), and the posterior predicted
-    through (A, Q) (what `predict` gives for it). One Cholesky factor of
-    sym(B) per slice serves both on the closed form: it gives the
-    estimate, and P = B^-1 / scale for the prediction. The smallest
-    eigenvalue scales with B, so one certificate covers the checks of
-    both. The posterior is a ScaledPosterior, formed only where it is read.
+    `scale` one number for all slices or a (K,) float array of one per
+    slice (N for a lane's pairs, 1 for a fused centralized pair), the
+    estimates B^-1 b (what `to_state_estimate` gives for the pairs), and
+    the posterior predicted through (A, Q) (what `predict` gives for it).
+    One Cholesky factor of sym(B) per slice serves both on the closed
+    form: it gives the estimate, and P = B^-1 / scale for the prediction.
+    The smallest eigenvalue scales with B, so one certificate covers the
+    checks of both. The posterior is a ScaledPosterior, formed only where
+    it is read. A (K,) float array of scales is used as it is, not copied:
+    it must not change while the posterior is in use.
     """
-    scale = np.full(len(b_vec), scale, dtype=float)
+    scale = np.asarray(scale, dtype=float)
+    if scale.shape != b_vec.shape[:1]:
+        scale = np.full(len(b_vec), scale)
     x, next_prior = _recover(b_mat, b_vec, scale, log, True, (a, q_cov))
     if not np.isfinite(x).all():
         raise FilterNumericsError("non-finite state estimate")

@@ -174,7 +174,9 @@ class TestSimulateCommand:
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_package_warning_prints_one_line(self, tmp_path, jobs):
         # L = 3 is not a whole number of case 1's 2-step cycle; the suite's
-        # config ignores that warning in-process, so the command runs alone
+        # config ignores that warning in-process, so the command runs alone.
+        # Each pool worker warns in its own process, and the command prints
+        # the line once all the same: stderr does not depend on --jobs
         src = str(Path(icfpie.__file__).resolve().parents[1])
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
@@ -184,10 +186,10 @@ class TestSimulateCommand:
                               "--runs", "2", "--jobs", jobs, "--out", str(tmp_path / "out")],
                              env=env, capture_output=True, text=True, timeout=120)
         assert out.returncode == EXIT_OK, out.stderr
-        lines = out.stderr.splitlines()
-        assert lines
-        for line in lines:
-            assert line.startswith("ConsensusCycleWarning: consensus with L = 3 steps"), out.stderr
+        assert out.stderr.splitlines() == [
+            "ConsensusCycleWarning: consensus with L = 3 steps is not a multiple of the 2-step "
+            "selection cycle of subsets ((1, 3), (2, 4)); posterior rows are mixed across "
+            "cycle phases"], out.stderr
 
     def test_rerun_from_metadata_reproduces_csv(self, tmp_path):
         first = tmp_path / "a"

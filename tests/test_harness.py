@@ -173,7 +173,7 @@ class TestAxisBlocks:
             return inv_spd(stack, nodes, log, context)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(info_filter, "_block_layouts", lambda n, model: ())
+            mp.setattr(info_filter, "_block_layouts", lambda n, model, k=1: ())
             mp.setattr(dicf, "recover_and_predict", pairs_and_priors)
             mp.setattr(info_filter, "_inv_spd", predicted)
             run_once(scenario, L)
@@ -473,15 +473,14 @@ class TestOnePassLanes:
                 assert sum(f"L = {L} " in m and f"subsets {subsets}" in m
                            for m in messages) == 1
 
-    def test_bookkeeping_equals_a_hand_stepped_loop(self):
-        # run_once keeps per-step error norms and the log's length, and forms
-        # lane means, node errors and regularize counts after the loop; this
-        # loop forms them at every step from dicf_step's own outputs
-        cfg = dataclasses.replace(ScenarioConfig(**FAST), selection="case2")
-        scenario = build_scenario(cfg, 4)
-        algorithms = make_algorithms(cfg)
+    @staticmethod
+    def check_bookkeeping(scenario, algorithms, depths):
+        """Hold run_once's series, node errors, regularize counts and
+        bandwidth to a loop that forms them at every step from dicf_step's
+        own outputs; returns the loop's regularize counts (rows, T) and its
+        singular_solve counts per step (T,)."""
+        cfg = scenario.cfg
         consensus = [a for a in algorithms if a.uses_consensus]
-        depths = (2, 3, 5)
         lanes = [(a.schedule, L) for L in depths for a in consensus]
         N, T, rows = cfg.n_nodes, cfg.n_steps, len(lanes) + 1
         plan = plan_lanes(lanes, averaging_powers(scenario.net, scenario.eps, max(depths)), 4)
@@ -489,6 +488,7 @@ class TestOnePassLanes:
         errors = np.zeros((rows, T))
         node_errors = np.zeros((len(lanes), T, N))
         reg = np.zeros((rows, T), dtype=int)
+        singular = np.zeros(T, dtype=int)
         for t in range(T):
             log = NumericsLog()
             prior, _, estimates = dicf_step(
@@ -502,9 +502,7 @@ class TestOnePassLanes:
             for event in log.events:
                 if event["kind"] == "regularize":
                     reg[event["node"] // N, t] += 1
-        # events at several steps and in several rows, the centralized one too
-        assert (reg.sum(axis=1) > 0).sum() > 2 and reg[-1].sum() > 0
-        assert (reg.sum(axis=0) > 0).sum() > 2
+            singular[t] = log.count("singular_solve")
 
         by_depth = run_once(scenario, depths, algorithms, diagnostics=True)
         for d, L in enumerate(depths):
@@ -517,6 +515,26 @@ class TestOnePassLanes:
                 assert metrics.bandwidth[a.label] == T * N * sum(plan.payloads[k])
             assert np.array_equal(metrics.series["ckf"], errors[-1])
             assert np.array_equal(metrics.diag["reg_events"]["ckf"], reg[-1])
+        return reg, singular
+
+    def test_bookkeeping_equals_a_hand_stepped_loop(self):
+        # run_once keeps every step's estimates and the log's length, and
+        # forms error norms, lane means, node errors and regularize counts
+        # after the loop
+        cfg = dataclasses.replace(ScenarioConfig(**FAST), selection="case2")
+        reg, _ = self.check_bookkeeping(build_scenario(cfg, 4), make_algorithms(cfg), (2, 3, 5))
+        # events at several steps and in several rows, the centralized one too
+        assert (reg.sum(axis=1) > 0).sum() > 2 and reg[-1].sum() > 0
+        assert (reg.sum(axis=0) > 0).sum() > 2
+
+    def test_sweep_grid_bookkeeping_equals_a_hand_stepped_loop(self):
+        # the benchmark's sweep shape: both partial-exchange cases, full
+        # exchange and the centralized filter at L in (1, 3, 20), whose
+        # partial-cycle lanes send slices to the LAPACK path at many steps
+        cfg = ScenarioConfig()
+        _, singular = self.check_bookkeeping(build_scenario(cfg, 2),
+                                             harness._sweep_algorithms(cfg), (1, 3, 20))
+        assert (singular[1:] > 0).sum() > cfg.n_steps // 4
 
     def test_a_run_on_another_network_leaves_a_run_unchanged(self):
         # consensus plans are kept per (schedule, L) for the whole process;

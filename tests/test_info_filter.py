@@ -317,6 +317,36 @@ class TestFlaggedPass:
         assert np.array_equal(got, regularize_loop(stack, expected_log, "test"))
         assert got_log.events == expected_log.events
 
+    @pytest.mark.parametrize("kinds", [["zero", "tiny", "rank_deficient", "indefinite"] * 2,
+                                       ["spd", "zero", "rank_deficient", "spd", "tiny"]])
+    def test_only_slices_that_pass_the_singular_test_are_factored(self, rng, monkeypatch,
+                                                                  kinds):
+        # sym(B) is factored for the estimate only on the slices at or above
+        # SINGULAR_EIG; every other slice goes straight to the minimum-norm
+        # solve, and the path factors just the shifted posterior and the
+        # predicted covariance besides
+        b_mat = np.array([mixed_slice(rng, kind) for kind in kinds])
+        b_vec = rng.normal(size=(len(kinds), 4))
+        k = len(kinds)
+        regular = np.linalg.eigvalsh(symmetrize(b_mat))[:, 0] >= SINGULAR_EIG
+        assert regular.tolist() == [kind == "spd" for kind in kinds]
+        expected_log = NumericsLog()
+        expected = estimates_loop(b_mat, b_vec, expected_log)
+        factored = []
+        cholesky = _umath_linalg.cholesky_lo
+
+        def counting(m, **kwargs):
+            factored.append(len(m))
+            return cholesky(m, **kwargs)
+        monkeypatch.setattr(_umath_linalg, "cholesky_lo", counting)
+        log = NumericsLog()
+        x, _ = info_filter._recover_lapack(b_mat, b_vec, np.full(k, 10.0), np.arange(k), log,
+                                           True, (constant_velocity_matrix(0.1), np.eye(4)))
+        assert factored == [regular.sum()] * int(regular.any()) + [k, k]
+        for g, e in zip(x, expected):
+            assert_rel_close(g, e, 1e-12)
+        assert [e for e in log.events if e["kind"] == "singular_solve"] == expected_log.events
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("entry", [(0, 0), (3, 3), (2, 1)])
     def test_non_finite_slice_still_raises(self, rng, bad, entry):

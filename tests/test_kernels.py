@@ -124,11 +124,35 @@ class TestKernelRows:
 
 
 SCHEDULES = {kind: default_schedule(4, kind) for kind in ("identity", "case1", "case2")}
+LANES = st.lists(st.tuples(st.sampled_from(sorted(SCHEDULES)), st.integers(1, 25)),
+                 min_size=1, max_size=9)
+SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 
 
-@given(st.lists(st.tuples(st.sampled_from(sorted(SCHEDULES)), st.integers(1, 25)),
-                min_size=1, max_size=9),
-       st.integers(min_value=0, max_value=2**32 - 1))
+@given(LANES, st.integers(min_value=2, max_value=12), SEEDS)
+@example([("case2", 1), ("case1", 3), ("identity", 25), ("case2", 6)], 10, 0)  # zero-step rows
+@settings(max_examples=40, deadline=None)
+def test_output_arrays_get_the_allocating_results(drawn, n_nodes, seed):
+    # a step has the kernel write the lanes' pairs into the lane-major
+    # stack that recovery reads, whose last slice is the centralized one
+    lanes = [(SCHEDULES[kind], L) for kind, L in drawn]
+    net, B, b = make_lanes(seed, len(lanes), n_nodes)
+    powers = plan_lanes(lanes, averaging_powers(net, consensus_gain(net), 25), 4).powers
+    expected_B, expected_b = run_masked_consensus(B, b, powers)
+    stack_B = np.full((len(lanes) * n_nodes + 1, 4, 4), np.nan)
+    stack_b = np.full((len(lanes) * n_nodes + 1, 4), np.nan)
+    B_out, b_out = run_masked_consensus(B, b, powers, stack_B[:-1].reshape(B.shape),
+                                        stack_b[:-1].reshape(b.shape))
+    assert np.shares_memory(B_out, stack_B) and np.shares_memory(b_out, stack_b)
+    assert np.array_equal(B_out, expected_B) and np.array_equal(b_out, expected_b)
+    assert np.array_equal(stack_B[:-1].reshape(B.shape), expected_B)
+    assert np.array_equal(stack_b[:-1].reshape(b.shape), expected_b)
+    assert np.isnan(stack_B[-1]).all() and np.isnan(stack_b[-1]).all()
+
+
+
+
+@given(LANES, SEEDS)
 @example([("case2", 1), ("case1", 3), ("identity", 25), ("case2", 6)], 0)  # zero-step rows
 @settings(max_examples=40, deadline=None)
 def test_each_lane_of_the_all_lane_kernel_equals_run_consensus(drawn, seed):
