@@ -19,14 +19,14 @@ where z_r is the cycle phase that selects row r (k_r = 0 when z_r >= L).
 This is the closed form of Xiao & Boyd 2004 ("Fast linear iterations for
 distributed averaging"), read from a table of the powers M^0 .. M^L that
 `averaging_powers` builds once per network. A run's lanes, its (schedule,
-L) pairs, are fixed, so `plan_lanes` plans them once per run: the step
-counts k_r of every lane and row, the matching powers gathered into one
-(K, n, N, N) array, and each lane's per-step payloads. Every timestep
-then moves every row of every lane in one batched product
-(`run_masked_consensus`); rows with k_r = 0 read M^0 = I. `run_consensus`
-is the same for one lane. The paper's step-by-step form, one neighbor
-sum per node and step, is the test suite's reference
-(`tests/consensus_reference.py`).
+L) pairs, are fixed, so `plan_lanes` plans them once per run of a chunk
+of R seeds: the step counts k_r of every lane and row, the matching
+powers of each seed's own network gathered into one (R*K, n, N, N) array,
+and each lane's per-step payloads. Every timestep then moves every row of
+every lane of every seed in one batched product (`run_masked_consensus`);
+rows with k_r = 0 read M^0 = I. `run_consensus` is the same for one
+lane. The paper's step-by-step form, one neighbor sum per node and step,
+is the test suite's reference (`tests/consensus_reference.py`).
 """
 
 import warnings
@@ -82,13 +82,15 @@ def averaging_powers(net: SensorNetwork, eps: float, k_max: int) -> np.ndarray:
 
 
 class LanePlan(NamedTuple):
-    """What a run's K consensus lanes do at every timestep on its network.
+    """What K consensus lanes do at every timestep, for R seeds that each
+    run them on their own network of N nodes.
 
-    `steps` (K, n) counts how often lane k averages row r, `powers` (K, n,
-    N, N) gathers the matching powers of the network's table,
-    powers[steps], and `payloads` holds each lane's scalars sent by one
-    node at each of its L steps. Built once per run by `plan_lanes`; it
-    holds that network's powers, so it is never shared between runs.
+    `steps` (K, n) counts how often lane k averages row r, `powers` (R*K,
+    n, N, N) gathers the matching powers of each seed's table, seed-major
+    (lane k of seed s is entry s*K + k), and `payloads` holds each lane's
+    scalars sent by one node at each of its L steps. Built once per run by
+    `plan_lanes`; it holds those networks' powers, so it is never shared
+    between runs.
     """
 
     steps: np.ndarray
@@ -100,20 +102,22 @@ def plan_lanes(lanes: Sequence[tuple[EntrySelectionSchedule, int]], powers: np.n
                n: int) -> LanePlan:
     """The plan of the (schedule, L) `lanes` over states of dimension n.
 
-    `powers` is the network's `averaging_powers` table, up to at least the
-    deepest lane's M^L. Row r of a lane under `schedule` is selected at the
-    steps l < L with l mod theta equal to the phase of its subset. Warns
-    (and proceeds) once per lane whose L is not a whole number of
-    selection cycles.
+    `powers` is one network's `averaging_powers` table, (k_max + 1, N, N),
+    or the tables of R seeds' networks stacked (R, k_max + 1, N, N), up to
+    at least the deepest lane's M^L. Row r of a lane under `schedule` is
+    selected at the steps l < L with l mod theta equal to the phase of its
+    subset. Warns (and proceeds) once per lane whose L is not a whole
+    number of selection cycles.
     """
+    tables = powers.reshape((-1,) + powers.shape[-3:])
     steps = np.zeros((len(lanes), n), dtype=int)
     payloads = []
     for k, (schedule, L) in enumerate(lanes):
         if L < 1:
             raise ConfigurationError(f"consensus step count must be >= 1, got {L}")
-        if L >= len(powers):
+        if L >= tables.shape[1]:
             raise ConfigurationError(f"{L} consensus steps need powers up to M^{L}; "
-                                     f"the table ends at M^{len(powers) - 1}")
+                                     f"the table ends at M^{tables.shape[1] - 1}")
         if schedule.n != n:
             raise ConfigurationError(f"schedule over {schedule.n} rows for a state of "
                                      f"dimension {n}")
@@ -129,7 +133,8 @@ def plan_lanes(lanes: Sequence[tuple[EntrySelectionSchedule, int]], powers: np.n
             steps[k, rows] = len(range(z, L, theta))
         sizes = [rows.size * (n + 1) for rows in schedule.rows]
         payloads.append(tuple(sizes[l % theta] for l in range(L)))
-    return LanePlan(steps, powers[steps], tuple(payloads))
+    gathered = tables[:, steps].reshape((len(tables) * len(lanes), n) + tables.shape[-2:])
+    return LanePlan(steps, gathered, tuple(payloads))
 
 
 def run_masked_consensus(B: np.ndarray, b: np.ndarray, powers: np.ndarray,

@@ -1,24 +1,29 @@
 """Per-timestep steps of the distributed filters and the centralized one.
 
-A run's state is one stacked InformationState: omega (K*N + C, n, n) and
-q (K*N + C, n) for K consensus lanes of N nodes each, then C = 0 or 1
-centralized slice. A lane is one (schedule, L) pair; the stack is
-lane-major, so slice k*N + i is node i of lane k. A distributed step:
-local correction terms from each node's own measurement (zero where the
-target is unsensed; `correction_terms` computes them for a whole run in
-one pass), consensus initialization, L masked consensus steps
-with the whole network in closed form, one batched product for every
-lane's N-slice block (the run's `plan_lanes` plan), written straight
-into the stack of (B, b) pairs that recovery reads, then
-posterior recovery (Omega = N * B(L), estimate from the B(L) b(L) pair
-with the singular policy) and an information-form prediction, both from
-one Cholesky factor of B(L) per slice. The centralized slice fuses every
-sensed node's contribution at once, the pair consensus converges to,
-from the same local correction terms the lanes start from, and joins
-that one recovery call with scale 1 in place of N. With the identity
-selection schedule a lane is exactly the original full-exchange
-consensus filter; `ckf_step` steps the centralized filter alone through
-`centralized_correct`, with the same bits.
+A run advances a chunk of R seeds of one config as one stacked
+InformationState: omega (R*K*N + C, n, n) and q (R*K*N + C, n) for K
+consensus lanes of N nodes each per seed, then C = 0 or R centralized
+slices, one per seed. A lane is one (seed, schedule, L) triple; the stack
+is seed-major and lane-major, so slice (r*K + k)*N + i is node i of lane
+k of seed r, and slice R*K*N + r is the centralized filter of seed r.
+Each seed keeps its own network, truth and measurements. A distributed
+step: local correction terms from each node's own measurement (zero
+where the target is unsensed; `correction_terms` computes them for every
+seed and timestep of a run in one pass), consensus initialization, L
+masked consensus steps with the whole network in closed form, one
+batched product for every lane's N-slice block (the run's `plan_lanes`
+plan), written straight into the stack of (B, b) pairs that recovery
+reads, then posterior recovery (Omega = N * B(L), estimate from the B(L)
+b(L) pair with the singular policy) and an information-form prediction,
+both from one Cholesky factor of B(L) per slice. The centralized slice
+fuses every sensed node's contribution at once, the pair consensus
+converges to, from the same local correction terms the lanes start from,
+and joins that one recovery call with scale 1 in place of N. A slice's
+result depends on that slice alone, so a seed run in a chunk gets the
+bits it gets alone. With the identity selection schedule a lane is
+exactly the original full-exchange consensus filter; `ckf_step` steps
+the centralized filter alone through `centralized_correct`, with the
+same bits.
 """
 
 from functools import lru_cache
@@ -50,7 +55,8 @@ from .models import linearize  # noqa: F401  unused here; perfbench/tracer.py wr
 
 class CorrectionTerms(NamedTuple):
     """The measurement terms of one timestep, or of every timestep of a run
-    along a leading time axis, for N nodes that share one sensor:
+    along a leading time axis, for N nodes that share one sensor; with a
+    seed axis before the node axis, for each of R seeds:
 
     * `sensed` (N,): whether node i senses the target;
     * `d_omega` (N, n, n): the sensor's symmetrize(C^T V C) where node i
@@ -74,11 +80,11 @@ class CorrectionTerms(NamedTuple):
 def correction_terms(sensor: MeasurementModel, measurements: np.ndarray,
                      sensed: np.ndarray) -> CorrectionTerms:
     """The CorrectionTerms of measurements (..., N, m) taken by `sensor`
-    where sensed (..., N) is True: one timestep's (N, m), or a run's
-    (T, N, m) in one pass. The sensor's gains are computed once per run;
-    only C^T V y and the masks are computed here, for every measurement.
-    A run's (T, N, n, n) masked gains take 384 kB at T = 300, N = 10 and
-    n = 4. The centralized
+    where sensed (..., N) is True: one timestep's (N, m), a run's (T, N, m)
+    or a chunk's (T, R, N, m), in one pass. The sensor's gains are computed
+    once per run; only C^T V y and the masks are computed here, for every
+    measurement. A seed's (T, N, n, n) masked gains take 384 kB at T = 300,
+    N = 10 and n = 4. The centralized
     sums are the arithmetic of `centralized_correct`: k C^T V C, and the
     sensed C^T V y_i added in node order (the zeros in between add
     nothing)."""
@@ -101,7 +107,7 @@ def correction_terms(sensor: MeasurementModel, measurements: np.ndarray,
 @lru_cache(maxsize=16)
 def _stack_scale(n_lanes: int, n_nodes: int, n_central: int) -> np.ndarray:
     """The posterior scale of every slice of a stack, read-only: N for a
-    lane's node slices, 1 for the centralized one."""
+    lane's node slices, 1 for each centralized one."""
     scale = np.full(n_lanes * n_nodes + n_central, float(n_nodes))
     scale[n_lanes * n_nodes:] = 1.0
     scale.setflags(write=False)
@@ -109,43 +115,58 @@ def _stack_scale(n_lanes: int, n_nodes: int, n_central: int) -> np.ndarray:
 
 
 def dicf_step(prior: InformationState, plan: LanePlan, terms: CorrectionTerms,
-              sys: SystemModel, log: Optional[NumericsLog] = None):
+              sys: SystemModel, log: Optional[NumericsLog] = None, layouts=None):
     """Advance every slice of the stack one timestep; returns (next prior,
     posterior, estimates): the stacked posterior (S, n, n) / (S, n) and
     the (S, n) posterior state estimates.
 
-    `plan` is the run's `plan_lanes` plan of K lanes on an N-node network,
-    and `prior` their lane-major stack of K*N node states, then at most one
-    slice that steps as `ckf_step` steps it alone: S = K*N + C >= 1 with C
-    in {0, 1}. One batched consensus product per step advances every lane.
-    `terms` are the timestep's `correction_terms`: the lanes start
-    consensus from the node terms, and the centralized slice adds the
+    `terms` are the timestep's `correction_terms` of R seeds, (R, N, ...)
+    arrays, or (N, ...) arrays of one seed. `plan` is the run's
+    `plan_lanes` plan of K lanes on each seed's N-node network, and `prior`
+    their stack of R*K*N node states, seed-major and lane-major, then C = 0
+    or R centralized slices, one per seed, each of which steps as
+    `ckf_step` steps it alone: S = R*K*N + C >= 1. One batched consensus
+    product advances every lane of every seed, and one
+    `recover_and_predict` call every slice. The lanes of seed r start
+    consensus from its node terms, and its centralized slice adds its
     centralized sums to its prior, as `centralized_correct` would. Events
-    in `log` carry the slice index as `node`: k*N + i, and K*N for the
-    centralized slice.
+    in `log` carry the slice index as `node`: (r*K + k)*N + i, and R*K*N + r
+    for the centralized slice of seed r. `layouts` are the model's
+    `block_layouts` for S slices, which a run reads once; without them
+    `recover_and_predict` reads them at every step.
     """
     n_lanes, n_nodes = plan.powers.shape[0], plan.powers.shape[-1]
+    n_seeds = terms.sensed.size // n_nodes
     n_lane_slices = n_lanes * n_nodes
     n_central = prior.q.shape[0] - n_lane_slices
-    if n_central not in (0, 1) or prior.q.shape[0] == 0:
-        raise ConfigurationError(f"prior stack has {prior.q.shape[0]} slices; expected {n_lanes} "
-                                 f"lanes x {n_nodes} nodes plus 0 or 1 centralized, 1 or more in all")
+    if (terms.sensed.shape[-1] != n_nodes or n_lanes % n_seeds
+            or n_central not in (0, n_seeds) or prior.q.shape[0] == 0):
+        raise ConfigurationError(
+            f"prior stack has {prior.q.shape[0]} slices; expected {n_lanes} lanes x "
+            f"{n_nodes} nodes for {n_seeds} seeds, plus 0 or {n_seeds} centralized, "
+            "1 or more in all")
     n = prior.q.shape[-1]
-    # lane k of the (K, N, ...) view takes the N node corrections by broadcasting
-    lane_prior = InformationState(
-        prior.omega[:n_lane_slices].reshape(n_lanes, n_nodes, n, n),
-        prior.q[:n_lane_slices].reshape(n_lanes, n_nodes, n))
-    B0, b0 = init_consensus(lane_prior, terms.d_omega, terms.d_q, n_nodes)
+    # lane k of seed r in the (R, K, N, ...) view takes its seed's N node
+    # corrections by broadcasting
+    seed_lanes = (n_seeds, n_lanes // n_seeds, n_nodes)
+    lane_prior = InformationState(prior.omega[:n_lane_slices].reshape(seed_lanes + (n, n)),
+                                  prior.q[:n_lane_slices].reshape(seed_lanes + (n,)))
+    B0, b0 = init_consensus(lane_prior, terms.d_omega.reshape(n_seeds, 1, n_nodes, n, n),
+                            terms.d_q.reshape(n_seeds, 1, n_nodes, n), n_nodes)
     # the (B, b) pair of every slice, lanes' node blocks first
     B, b = np.empty(prior.omega.shape), np.empty(prior.q.shape)
-    consensus.run_masked_consensus(B0, b0, plan.powers, B[:n_lane_slices].reshape(B0.shape),
-                                   b[:n_lane_slices].reshape(b0.shape))
-    B[n_lane_slices:] = symmetrize(prior.omega[n_lane_slices:] + terms.central_omega)
-    b[n_lane_slices:] = prior.q[n_lane_slices:] + terms.central_q
+    lanes = (n_lanes, n_nodes)
+    consensus.run_masked_consensus(B0.reshape(lanes + (n, n)), b0.reshape(lanes + (n,)),
+                                   plan.powers, B[:n_lane_slices].reshape(lanes + (n, n)),
+                                   b[:n_lane_slices].reshape(lanes + (n,)))
+    if n_central:
+        B[n_lane_slices:] = symmetrize(prior.omega[n_lane_slices:]
+                                       + terms.central_omega.reshape(n_central, n, n))
+        b[n_lane_slices:] = prior.q[n_lane_slices:] + terms.central_q.reshape(n_central, n)
 
     # the estimates come from the consensus pairs themselves; the N factor cancels
     posterior, estimates, next_prior = recover_and_predict(
-        B, b, _stack_scale(n_lanes, n_nodes, n_central), sys.a, sys.process_cov, log)
+        B, b, _stack_scale(n_lanes, n_nodes, n_central), sys.a, sys.process_cov, log, layouts)
     return next_prior, posterior, estimates
 
 

@@ -34,6 +34,7 @@ from .errors import ConfigurationError, FilterNumericsError
 from .info_filter import (
     InformationState,
     NumericsLog,
+    block_layouts,
     information_state,
     to_state_estimate,  # noqa: F401  unused here; perfbench/tracer.py wraps it by this name
 )
@@ -50,6 +51,13 @@ from .selection import EntrySelectionSchedule, build_schedule, default_schedule
 
 STATE_DIM = 4
 MEAS_DIM = 2
+
+# Slices per filter stack that a batch of seeds aims for: its seeds run in
+# chunks of up to CHUNK_SLICES // (slices per seed), at least one. A
+# timestep's cost is mostly per numpy call, and the gain per seed levels
+# off at a few hundred slices: 18 seeds of a timeseries run (21 slices
+# each), 4 of the sweep grid (1, 3, 20) (91) and 1 of the grid 1..20 (601).
+CHUNK_SLICES = 384
 
 _INTEGER_FIELDS = ("n_nodes", "L", "seed", "mc_runs")
 _NUMBER_FIELDS = ("comm_range", "sensing_range", "dt", "horizon", "speed_variance")
@@ -242,8 +250,8 @@ class Scenario:
 
     def zero_prior(self, n_slices: int) -> InformationState:
         """A stack of n_slices zero-information priors: omega (n_slices, n, n),
-        q (n_slices, n). A run's stack holds K*N slices for the nodes of
-        K lanes, then one for the centralized filter."""
+        q (n_slices, n). A run of R seeds holds R*K*N slices for the nodes
+        of each seed's K lanes, then one for each seed's centralized filter."""
         return information_state(np.zeros((n_slices, STATE_DIM, STATE_DIM)),
                                  np.zeros((n_slices, STATE_DIM)))
 
@@ -295,111 +303,147 @@ class RunMetrics:
     final: dict               # label -> float
     bandwidth: dict           # label -> total scalars broadcast
     diag: Optional[dict] = None
+    events: Optional[list] = None  # the seed's numerics events, with diagnostics
 
 
-def run_once(scenario: Scenario, L, algorithms: Optional[list] = None,
+def run_once(scenarios, L, algorithms: Optional[list] = None,
              diagnostics: bool = False):
-    """Simulate the full horizon once, stepping every algorithm on the
-    same truth and measurement sequences.
+    """Simulate the full horizon of a chunk of seeds as one filter stack,
+    stepping every algorithm on each seed's own truth and measurement
+    sequences.
 
-    `L` is one consensus depth or a sequence of them. Every consensus
-    algorithm runs at every depth, and each such (algorithm, L) lane is a
-    block of one stacked state; the centralized filter, if asked for, is
-    the stack's last slice. The lanes' consensus plan and the measurement
-    terms of every timestep are computed once per run, and a single
-    dicf_step per timestep advances every slice, with one NumericsLog. Per
-    timestep the loop keeps only each slice's estimate and the log's
-    length (and, with `diagnostics`, the lanes' posterior eigenvalue
-    range); the error norms, lane means, node errors, regularize counts
-    per step and one bandwidth ledger entry per lane are formed after the
-    loop. One
-    depth returns RunMetrics keyed by algorithm label; a sequence returns
-    {L: RunMetrics}, each of which also holds the centralized filter,
-    which has no depth.
+    `scenarios` is a list of R scenarios of one config, or one Scenario, a
+    chunk of one. `L` is one consensus depth or a sequence of them. Every
+    consensus algorithm runs at every depth on every seed, and each such
+    (seed, algorithm, L) lane is a block of one stacked state; each seed's
+    centralized filter, if asked for, is one of the stack's last R slices
+    (`dicf_step` gives the layout). The lanes' consensus plan, the model's
+    block layouts and the measurement terms of every seed and timestep are
+    computed once per run, and a single dicf_step per timestep advances
+    every slice, with one NumericsLog. Per timestep the loop keeps only
+    each slice's estimate and the log's length (and, with `diagnostics`,
+    the lanes' posterior eigenvalue range); the error norms, lane means,
+    node errors, each seed's events and regularize counts per step, and
+    one bandwidth ledger entry per lane are formed after the loop. A slice
+    gets the bits it gets alone, so each seed's metrics are those of its
+    run alone. Per seed, one depth gives RunMetrics keyed by algorithm
+    label, and a sequence gives {L: RunMetrics}, each of which also holds
+    the centralized filter, which has no depth; a list of scenarios gives
+    a list of these, one per seed, and one Scenario its own. With
+    `diagnostics`, a seed's `events` are its log records, each with its
+    step `t` and its slice in the seed's own stack as `node`: k*N + i, and
+    K*N for the centralized filter.
     """
-    cfg = scenario.cfg
+    chunk = [scenarios] if isinstance(scenarios, Scenario) else list(scenarios)
+    if not chunk:
+        raise ConfigurationError("run_once needs at least one scenario")
+    cfg = chunk[0].cfg
+    if any(s.cfg != cfg for s in chunk):
+        raise ConfigurationError("the scenarios of one run_once call must share one config")
     if algorithms is None:
         algorithms = make_algorithms(cfg)
     one_depth = isinstance(L, numbers.Integral)
     depths = [L] if one_depth else list(dict.fromkeys(int(v) for v in L))
     if not depths:
         raise ConfigurationError("run_once needs at least one consensus depth L")
-    n_steps = cfg.n_steps
-    n_nodes = scenario.net.n_nodes
+    n_seeds, n_steps, n_nodes = len(chunk), cfg.n_steps, cfg.n_nodes
 
-    # row k = d * len(consensus) + j of the tables is the lane that runs
-    # consensus[j] at depths[d]; the centralized filter takes the row after
-    # them, and every centralized algorithm reads that one filter
+    # row k = d * len(consensus) + j of a seed's tables is the lane that
+    # runs consensus[j] at depths[d]; the centralized filter takes the row
+    # after them, and every centralized algorithm reads that one filter
     consensus = [a for a in algorithms if a.uses_consensus]
     central = [a for a in algorithms if not a.uses_consensus]
     lanes = [(a.schedule, lv) for lv in depths for a in consensus]
-    n_lanes = len(lanes)
-    n_lane_slices, n_central = n_lanes * n_nodes, 1 if central else 0
-    # every slice's estimate at every step: (T, S, n), 873 kB for the
-    # sweep's 91 slices over 300 steps
-    estimates = np.empty((n_steps, n_lane_slices + n_central, STATE_DIM))
+    n_lanes, n_own_central = len(lanes), 1 if central else 0
+    n_lane_slices = n_seeds * n_lanes * n_nodes
+    n_slices = n_lane_slices + n_seeds * n_own_central
+    # every slice's estimate at every step: (T, S, n), 873 kB for one seed
+    # of the sweep's 91 slices over 300 steps
+    estimates = np.empty((n_steps, n_slices, STATE_DIM))
     events_after = np.zeros(n_steps, dtype=int)  # len(log.events) after step t
     log = NumericsLog()
-    eig_range = {key: np.zeros((n_lanes, n_steps, n_nodes))
+    eig_range = {key: np.zeros((n_seeds * n_lanes, n_steps, n_nodes))
                  for key in ("eig_min", "eig_max")} if diagnostics else {}
-    prior = scenario.zero_prior(n_lane_slices + n_central)
-    plan = plan_lanes(lanes, averaging_powers(scenario.net, scenario.eps, max(depths)),
-                      STATE_DIM)
-
-    terms = correction_terms(scenario.sensor, scenario.measurements, scenario.sensed)
+    prior = chunk[0].zero_prior(n_slices)
+    plan = plan_lanes(lanes, np.stack([averaging_powers(s.net, s.eps, max(depths))
+                                       for s in chunk]), STATE_DIM)
+    terms = correction_terms(chunk[0].sensor, np.stack([s.measurements for s in chunk], axis=1),
+                             np.stack([s.sensed for s in chunk], axis=1))
+    sys = chunk[0].sys
+    layouts = block_layouts(STATE_DIM, (sys.a, sys.process_cov), n_slices)
 
     for t in range(n_steps):
-        prior, posterior, estimates[t] = dicf_step(prior, plan, terms.at(t), scenario.sys,
-                                                   log=log)
+        prior, posterior, estimates[t] = dicf_step(prior, plan, terms.at(t), sys, log=log,
+                                                   layouts=layouts)
         events_after[t] = len(log.events)
         if diagnostics and lanes:
             ev = np.linalg.eigvalsh(posterior.omega[:n_lane_slices]).reshape(
-                n_lanes, n_nodes, -1)
+                n_seeds * n_lanes, n_nodes, -1)
             eig_range["eig_min"][:, t] = ev[..., 0]
             eig_range["eig_max"][:, t] = ev[..., -1]
 
-    # the error norms, as np.linalg.norm forms them
-    estimates -= scenario.truth[:, None]
+    # the error norms, as np.linalg.norm forms them, of each slice against
+    # its own seed's truth, in place: a (T, R, slices per seed, n) view of
+    # each block of the stack
+    truth = np.stack([s.truth for s in chunk], axis=1)[:, :, None]
+    for block, per_seed in ((estimates[:, :n_lane_slices], n_lanes * n_nodes),
+                            (estimates[:, n_lane_slices:], n_own_central)):
+        errs = block.reshape(n_steps, n_seeds, per_seed, STATE_DIM)
+        errs -= truth
     estimates *= estimates
     slice_errors = np.sqrt(np.add.reduce(estimates, axis=-1))
-    node_errors = slice_errors[:, :n_lane_slices].reshape(n_steps, n_lanes, n_nodes)
-    errors = np.concatenate([node_errors.mean(axis=-1), slice_errors[:, n_lane_slices:]],
-                            axis=1).T
+    node_errors = slice_errors[:, :n_lane_slices].reshape(n_steps, n_seeds, n_lanes, n_nodes)
+    # (R, K + C, T): each seed's lane means, then its centralized filter
+    errors = np.concatenate(
+        [node_errors.mean(axis=-1),
+         slice_errors[:, n_lane_slices:].reshape(n_steps, n_seeds, n_own_central)],
+        axis=2).transpose(1, 2, 0)
     if diagnostics:
-        node_diag = {"node_errors": node_errors.transpose(1, 0, 2), **eig_range}
-        # an event's `node` is its slice in the stack, so it lands in row
-        # node // N, which is row n_lanes for the centralized slice; event
-        # i happened at the step t with events_after[t - 1] <= i < events_after[t]
+        node_diag = {"node_errors": node_errors.transpose(1, 2, 0, 3),
+                     **{key: v.reshape(n_seeds, n_lanes, n_steps, n_nodes)
+                        for key, v in eig_range.items()}}
+        # event i happened at the step t with events_after[t - 1] <= i <
+        # events_after[t]; its `node` is its slice in the chunk's stack
+        seed_events = [[] for _ in chunk]
+        steps = np.searchsorted(events_after, np.arange(len(log.events)), side="right")
+        for e, t in zip(log.events, steps.tolist()):
+            seed, node = (divmod(e["node"], n_lanes * n_nodes) if e["node"] < n_lane_slices
+                          else (e["node"] - n_lane_slices, n_lanes * n_nodes))
+            seed_events[seed].append({**e, "node": node, "t": t})
+        # a regularize event lands in row node // N of its seed, which is
+        # row K for the centralized slice
         reg = np.zeros(errors.shape, dtype=int)
-        regularized = [(i, e["node"] // n_nodes) for i, e in enumerate(log.events)
-                       if e["kind"] == "regularize"]
+        regularized = [(seed, e["node"] // n_nodes, e["t"])
+                       for seed, events in enumerate(seed_events)
+                       for e in events if e["kind"] == "regularize"]
         if regularized:
-            index, row = np.array(regularized).T
-            np.add.at(reg, (row, np.searchsorted(events_after, index, side="right")), 1)
+            np.add.at(reg, tuple(np.array(regularized).T), 1)
 
     # every step of a lane sends the same payloads: one ledger entry per lane
     ledgers = [BandwidthLedger() for _ in lanes]
     for ledger, payloads in zip(ledgers, plan.payloads):
         ledger.record_consensus(0, n_nodes, payloads, n_steps)
-    scalars = [ledger.total_scalars() for ledger in ledgers] + [0] * n_central
+    scalars = [ledger.total_scalars() for ledger in ledgers] + [0] * n_own_central
 
-    def metrics_at(d: int) -> RunMetrics:
+    def metrics_at(seed: int, d: int) -> RunMetrics:
         row = {a.label: d * len(consensus) + j for j, a in enumerate(consensus)}
         row.update({a.label: n_lanes for a in central})
-        series = {a.label: errors[row[a.label]] for a in algorithms}
-        diag = None
+        series = {a.label: errors[seed, row[a.label]] for a in algorithms}
+        diag, events = None, None
         if diagnostics:
-            diag = {key: {a.label: values[row[a.label]] for a in consensus}
+            diag = {key: {a.label: values[seed, row[a.label]] for a in consensus}
                     for key, values in node_diag.items()}
-            diag["reg_events"] = {a.label: reg[row[a.label]] for a in algorithms}
+            diag["reg_events"] = {a.label: reg[seed, row[a.label]] for a in algorithms}
+            events = seed_events[seed]
         return RunMetrics(series=series,
                           final={label: float(s[-1]) for label, s in series.items()},
                           bandwidth={a.label: scalars[row[a.label]] for a in algorithms},
-                          diag=diag)
+                          diag=diag, events=events)
 
-    if one_depth:
-        return metrics_at(0)
-    return {lv: metrics_at(d) for d, lv in enumerate(depths)}
+    runs = [metrics_at(seed, 0) if one_depth
+            else {lv: metrics_at(seed, d) for d, lv in enumerate(depths)}
+            for seed in range(n_seeds)]
+    return runs[0] if isinstance(scenarios, Scenario) else runs
 
 
 @dataclass
@@ -440,19 +484,47 @@ def _run_summary(metrics: RunMetrics, cfg: ScenarioConfig) -> dict:
     return out
 
 
-def _mc_single_run(args) -> dict:
-    cfg, L, include, diagnostics, seed = args
-    scenario = build_scenario(cfg, seed)
-    algorithms = make_algorithms(cfg, include)
+def _chunks(cfg: ScenarioConfig, algorithms: list, n_depths: int) -> list:
+    """(seed count, first seed) of each chunk of the cfg.mc_runs seeds, in
+    seed order: as few chunks as keep each stack at up to CHUNK_SLICES
+    slices (or one seed), of sizes that differ by at most one."""
+    n_lanes = n_depths * sum(a.uses_consensus for a in algorithms)
+    per_seed = n_lanes * cfg.n_nodes + any(not a.uses_consensus for a in algorithms)
+    n_chunks = -(-cfg.mc_runs // max(1, CHUNK_SLICES // per_seed))
+    size, extra = divmod(cfg.mc_runs, n_chunks)
+    sizes = [size + (k < extra) for k in range(n_chunks)]
+    return [(n, cfg.seed + sum(sizes[:k])) for k, n in enumerate(sizes)]
+
+
+def _isolated(run, scenarios: list) -> list:
+    """run(scenarios), a list of one result per seed. If the chunk fails
+    numerically, each of its seeds runs again alone, and a seed that fails
+    alone gives {"seed": seed, "failed": message}. A seed's slices do not
+    depend on the others, so every other seed keeps the bits of its chunk."""
     try:
-        metrics = run_once(scenario, L, algorithms, diagnostics=diagnostics)
+        return run(scenarios)
     except (FilterNumericsError, np.linalg.LinAlgError) as exc:
-        return {"seed": seed, "failed": str(exc)}
-    out = {"seed": seed, "failed": None, "series": metrics.series,
-           "bandwidth": metrics.bandwidth}
-    if diagnostics:
-        out["summary"] = _run_summary(metrics, cfg)
-    return out
+        if len(scenarios) == 1:
+            return [{"seed": scenarios[0].seed, "failed": str(exc)}]
+    return [r for s in scenarios for r in _isolated(run, [s])]
+
+
+def _mc_single_run(args) -> dict:
+    """One chunk of a Monte-Carlo batch, `args` = (cfg, L, include,
+    diagnostics, seed count, first seed): {"runs": one result per seed}."""
+    cfg, L, include, diagnostics, n_seeds, first = args
+    algorithms = make_algorithms(cfg, include)
+
+    def run(scenarios):
+        out = []
+        for scenario, metrics in zip(scenarios, run_once(scenarios, L, algorithms,
+                                                         diagnostics=diagnostics)):
+            out.append({"seed": scenario.seed, "failed": None, "series": metrics.series,
+                        "bandwidth": metrics.bandwidth})
+            if diagnostics:
+                out[-1]["summary"] = _run_summary(metrics, cfg)
+        return out
+    return {"runs": _isolated(run, [build_scenario(cfg, first + k) for k in range(n_seeds)])}
 
 
 def _recording(fn, args):
@@ -501,13 +573,15 @@ def _split_failures(results: list, what: str) -> tuple:
 
 def run_monte_carlo(cfg: ScenarioConfig, L: int, include=("ckf", "icf", "icfpie"),
                     diagnostics: bool = False, jobs: int = 1) -> MonteCarloResult:
-    """Average run_once over cfg.mc_runs runs with seeds master+k.
+    """Average run_once over cfg.mc_runs runs with seeds master+k, run in
+    chunks of seeds (`CHUNK_SLICES`), each chunk one filter stack; workers
+    take whole chunks.
 
     Failed runs are excluded and counted; more than 5% failures raises.
     """
-    arglist = [(cfg, L, tuple(include), diagnostics, cfg.seed + k)
-               for k in range(cfg.mc_runs)]
-    good, failed = _split_failures(_execute(_mc_single_run, arglist, jobs), "Monte-Carlo")
+    arglist = [(cfg, L, tuple(include), diagnostics, n, first)
+               for n, first in _chunks(cfg, make_algorithms(cfg, include), 1)]
+    good, failed = _split_failures(_chunk_runs(_mc_single_run, arglist, jobs), "Monte-Carlo")
 
     stacked = {lab: np.array([r["series"][lab] for r in good]) for lab in good[0]["series"]}
     return MonteCarloResult(
@@ -547,15 +621,22 @@ def _sweep_algorithms(cfg: ScenarioConfig) -> list:
 
 
 def _sweep_single_run(args) -> dict:
-    cfg, L_values, seed = args
-    scenario = build_scenario(cfg, seed)
-    try:
-        by_depth = run_once(scenario, L_values, _sweep_algorithms(cfg))
-    except (FilterNumericsError, np.linalg.LinAlgError) as exc:
-        return {"seed": seed, "failed": str(exc)}
-    return {"seed": seed, "failed": None,
-            "finals": {lv: m.final for lv, m in by_depth.items()},
-            "bandwidth": {lv: m.bandwidth for lv, m in by_depth.items()}}
+    """One chunk of a sweep, `args` = (cfg, L values, seed count, first
+    seed): {"runs": one result per seed}."""
+    cfg, L_values, n_seeds, first = args
+
+    def run(scenarios):
+        return [{"seed": scenario.seed, "failed": None,
+                 "finals": {lv: m.final for lv, m in by_depth.items()},
+                 "bandwidth": {lv: m.bandwidth for lv, m in by_depth.items()}}
+                for scenario, by_depth in zip(scenarios, run_once(scenarios, L_values,
+                                                                  _sweep_algorithms(cfg)))]
+    return {"runs": _isolated(run, [build_scenario(cfg, first + k) for k in range(n_seeds)])}
+
+
+def _chunk_runs(fn, arglist, jobs: int) -> list:
+    """The per-seed results of the chunk tasks `arglist`, in seed order."""
+    return [r for chunk in _execute(fn, arglist, jobs) for r in chunk["runs"]]
 
 
 def sweep_consensus_steps(cfg: ScenarioConfig, L_values, jobs: int = 1) -> SweepResult:
@@ -565,9 +646,10 @@ def sweep_consensus_steps(cfg: ScenarioConfig, L_values, jobs: int = 1) -> Sweep
     L_values = sorted({int(v) for v in L_values})
     if not L_values:
         raise ConfigurationError("sweep needs at least one L value")
-    arglist = [(cfg, tuple(L_values), cfg.seed + k) for k in range(cfg.mc_runs)]
-    good, failed = _split_failures(_execute(_sweep_single_run, arglist, jobs), "sweep")
     algorithms = _sweep_algorithms(cfg)
+    arglist = [(cfg, tuple(L_values), n, first)
+               for n, first in _chunks(cfg, algorithms, len(L_values))]
+    good, failed = _split_failures(_chunk_runs(_sweep_single_run, arglist, jobs), "sweep")
     rows = [{"L": lv, "alg": a.name, "case": a.case, "label": a.label,
              "final_error": float(np.array([r["finals"][lv][a.label] for r in good]).mean()),
              "total_scalars": int(good[0]["bandwidth"][lv][a.label])}

@@ -57,7 +57,7 @@ of a stack gets the bits it gets alone.
 
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -393,7 +393,7 @@ _LAYOUTS = tuple(_layout(p, r) for p, r in (((0, 1), (2, 3)), ((0, 2), (1, 3)),
 _BLOCK_COND = ILL_CONDITIONED / 2
 
 
-def _block_layouts(n: int, model, k: int = 1) -> tuple:
+def block_layouts(n: int, model, k: int = 1) -> tuple:
     """The splits the closed form tries on a stack of k slices n x n, in
     order, each as (layout, blocks): with model = (A, Q), the splits in
     which both are block-diagonal, with the entries of their blocks,
@@ -401,21 +401,14 @@ def _block_layouts(n: int, model, k: int = 1) -> tuple:
     [00] and [10], A's [01] and [11], Q's [00] and [11], and Q's [10] and
     [01], of both blocks; without a model, every split, with no blocks;
     none unless n = 4. The split comes from the model's zeros, so no state
-    layout is assumed here."""
+    layout is assumed here. A run predicts through one model and one stack
+    size at every step, so it reads them once and passes them to every
+    `recover_and_predict` call."""
     if n != 4:
         return ()
     if model is None:
         return tuple((layout, None) for layout in _LAYOUTS)
-    return _model_layouts(b"".join(np.asarray(m, dtype=float).tobytes() for m in model), k)
-
-
-@lru_cache(maxsize=16)
-def _model_layouts(key: bytes, k: int) -> tuple:
-    """`_block_layouts` of the model whose A and Q are the bytes `key`, on
-    a stack of k slices. A run predicts through one model and one stack
-    size at every step, and reading its splits anew at every step cost
-    about 7 us of a 21-slice step's 90."""
-    model = np.frombuffer(key).reshape(2, 16)  # A's entries, then Q's
+    model = np.asarray(model, dtype=float).reshape(2, 16)  # A's entries, then Q's
     nonzero = (model != 0).any(axis=0)  # NaN counts as nonzero
     out = []
     for layout in _LAYOUTS:
@@ -454,7 +447,7 @@ def _recover_blocks(b_mat: np.ndarray, b_vec: np.ndarray, scale: np.ndarray,
     """`_recover_lapack` in closed form, for the slices it can take in
     `layout`, with the model's `blocks` in it (or none); returns (taken,
     estimates, next prior or None), whose slices outside `taken` (K,)
-    hold no result. The blocks are `_block_layouts`' for a stack of K or
+    hold no result. The blocks are `block_layouts`' for a stack of K or
     more slices, or of one; with them, the estimates, q+ and Omega+ are
     views of one (K, 24) buffer.
 
@@ -522,20 +515,21 @@ def _recover_blocks(b_mat: np.ndarray, b_vec: np.ndarray, scale: np.ndarray,
 
 
 def _recover(b_mat: np.ndarray, b_vec: np.ndarray, scale: np.ndarray,
-             log: Optional[NumericsLog], estimate: bool, model=None):
+             log: Optional[NumericsLog], estimate: bool, model=None, layouts=None):
     """The estimates B^-1 b and, with model = (A, Q), the prediction of the
     posterior (scale * B, scale * b), slice k scaled by scale[k]; returns
     (estimates, next prior or None).
 
-    Each slice is done in closed form in the first split of
-    `_block_layouts` whose `_recover_blocks` takes it; the others are
-    gathered into one sub-stack for `_recover_lapack`, whose events carry
-    each slice's index in the whole stack. With no split (n other than 4,
-    or an A or Q that is block-diagonal in none) every slice takes the
-    LAPACK path.
+    Each slice is done in closed form in the first split of `layouts`
+    (the stack's `block_layouts`, read here when None) whose
+    `_recover_blocks` takes it; the others are gathered into one sub-stack
+    for `_recover_lapack`, whose events carry each slice's index in the
+    whole stack. With no split (n other than 4, or an A or Q that is
+    block-diagonal in none) every slice takes the LAPACK path.
     """
-    return _route(b_mat, b_vec, scale, np.arange(len(b_vec)), log, estimate, model,
-                  _block_layouts(b_mat.shape[-1], model, len(b_vec)))
+    if layouts is None:
+        layouts = block_layouts(b_mat.shape[-1], model, len(b_vec))
+    return _route(b_mat, b_vec, scale, np.arange(len(b_vec)), log, estimate, model, layouts)
 
 
 def _route(b_mat: np.ndarray, b_vec: np.ndarray, scale: np.ndarray, nodes: np.ndarray,
@@ -630,7 +624,7 @@ def to_state_estimate(s: InformationState, log: Optional[NumericsLog] = None) ->
 
 def recover_and_predict(b_mat: np.ndarray, b_vec: np.ndarray, scale,
                         a: np.ndarray, q_cov: np.ndarray,
-                        log: Optional[NumericsLog] = None):
+                        log: Optional[NumericsLog] = None, layouts=None):
     """Posterior recovery and prediction with one factorization per slice.
 
     From a stack of consensus pairs (B, b), returns (posterior,
@@ -644,12 +638,14 @@ def recover_and_predict(b_mat: np.ndarray, b_vec: np.ndarray, scale,
     The smallest eigenvalue scales with B, so one certificate covers the
     checks of both. The posterior is a ScaledPosterior, formed only where
     it is read. A (K,) float array of scales is used as it is, not copied:
-    it must not change while the posterior is in use.
+    it must not change while the posterior is in use. `layouts` are
+    `block_layouts(n, (a, q_cov), K)`, which a run reads once; they are read
+    here when not given.
     """
     scale = np.asarray(scale, dtype=float)
     if scale.shape != b_vec.shape[:1]:
         scale = np.full(len(b_vec), scale)
-    x, next_prior = _recover(b_mat, b_vec, scale, log, True, (a, q_cov))
+    x, next_prior = _recover(b_mat, b_vec, scale, log, True, (a, q_cov), layouts)
     if not np.isfinite(x).all():
         raise FilterNumericsError("non-finite state estimate")
     return ScaledPosterior(b_mat, b_vec, scale), x, next_prior

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -175,15 +176,20 @@ class TestSimulateCommand:
     def test_package_warning_prints_one_line(self, tmp_path, jobs):
         # L = 3 is not a whole number of case 1's 2-step cycle; the suite's
         # config ignores that warning in-process, so the command runs alone.
-        # Each pool worker warns in its own process, and the command prints
-        # the line once all the same: stderr does not depend on --jobs
+        # A chunk holds 29 of these seeds (13 slices each), so 30 runs are
+        # two chunks, and --jobs 2 starts two workers. Each pool worker
+        # warns in its own process, and the command prints the line once
+        # all the same: stderr does not depend on --jobs
+        cfg = harness.load_config(write_cfg(tmp_path))[0]
+        cfg = dataclasses.replace(cfg, L=3, mc_runs=30)
+        assert len(harness._chunks(cfg, harness.make_algorithms(cfg), 1)) == 2
         src = str(Path(icfpie.__file__).resolve().parents[1])
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
         env.pop("PYTHONWARNINGS", None)
         out = subprocess.run([sys.executable, "-m", "icfpie", "simulate",
                               "--config", write_cfg(tmp_path), "--consensus-steps", "3",
-                              "--runs", "2", "--jobs", jobs, "--out", str(tmp_path / "out")],
+                              "--runs", "30", "--jobs", jobs, "--out", str(tmp_path / "out")],
                              env=env, capture_output=True, text=True, timeout=120)
         assert out.returncode == EXIT_OK, out.stderr
         assert out.stderr.splitlines() == [

@@ -173,7 +173,7 @@ class TestAxisBlocks:
             return inv_spd(stack, nodes, log, context)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(info_filter, "_block_layouts", lambda n, model, k=1: ())
+            mp.setattr(harness, "block_layouts", lambda n, model, k=1: ())
             mp.setattr(dicf, "recover_and_predict", pairs_and_priors)
             mp.setattr(info_filter, "_inv_spd", predicted)
             run_once(scenario, L)
@@ -234,17 +234,22 @@ class TestMonteCarlo:
             manual = (runs[0].series[label] + runs[1].series[label]) / 2
             assert np.allclose(mc.mean_series[label], manual, rtol=1e-15)
 
-    def test_parallel_matches_serial(self):
-        cfg = dataclasses.replace(ScenarioConfig(**FAST), mc_runs=3)
+    def test_parallel_matches_serial(self, monkeypatch):
+        # serially the 5 seeds are one chunk; with chunks of at most 2 seeds
+        # (13 slices each) the pool's two workers take chunks of 2, 2 and 1
+        cfg = dataclasses.replace(ScenarioConfig(**FAST), mc_runs=5)
         serial = run_monte_carlo(cfg, 4, jobs=1)
+        monkeypatch.setattr(harness, "CHUNK_SLICES", 2 * 13)
+        assert harness._chunks(cfg, make_algorithms(cfg), 1) == [(2, 3), (2, 5), (1, 7)]
         parallel = run_monte_carlo(cfg, 4, jobs=2)
         for label in serial.mean_series:
             assert np.array_equal(serial.mean_series[label], parallel.mean_series[label])
 
-
     def test_pool_starts_no_more_workers_than_seeds(self, monkeypatch):
         # a fork pool starts all of max_workers at its first submit; this
-        # stand-in records the count and runs the seeds inline
+        # stand-in records the count and runs the chunks inline. Workers
+        # take whole chunks, so the pool has min(jobs, chunks) of them, and
+        # a run of one chunk starts none
         import concurrent.futures
         workers = []
 
@@ -262,9 +267,11 @@ class TestMonteCarlo:
                 return map(fn, arglist)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
         cfg = dataclasses.replace(ScenarioConfig(**FAST), mc_runs=2)
+        serial = run_monte_carlo(cfg, 4, jobs=8)
+        assert workers == []
+        monkeypatch.setattr(harness, "CHUNK_SLICES", 1)  # one seed per chunk
         pooled = run_monte_carlo(cfg, 4, jobs=8)
         assert workers == [2]
-        serial = run_monte_carlo(cfg, 4)
         for label in serial.mean_series:
             assert np.array_equal(serial.mean_series[label], pooled.mean_series[label])
 
@@ -296,13 +303,14 @@ class TestSweep:
 
     @pytest.mark.parametrize("what", ["Monte-Carlo", "sweep"])
     def test_too_many_failures_name_the_seeds(self, monkeypatch, what):
+        # both seeds are one chunk: it fails, and each seed runs again alone
         cfg = ScenarioConfig(**FAST)
         run_once = harness.run_once
 
-        def failing(scenario, *args, **kwargs):
-            if scenario.seed == cfg.seed + 1:
+        def failing(scenarios, *args, **kwargs):
+            if cfg.seed + 1 in [s.seed for s in scenarios]:
                 raise FilterNumericsError("injected failure")
-            return run_once(scenario, *args, **kwargs)
+            return run_once(scenarios, *args, **kwargs)
         monkeypatch.setattr(harness, "run_once", failing)
         failed = rf"1/2 {what} runs failed numerically \(seeds \[{cfg.seed + 1}\]\)"
         with pytest.raises(FilterNumericsError, match=failed):
@@ -557,6 +565,98 @@ class TestOnePassLanes:
         scenario = build_scenario(ScenarioConfig(**FAST), 2)
         with pytest.raises(ConfigurationError):
             run_once(scenario, [])
+
+
+class TestChunks:
+    """A chunk of seeds runs as one filter stack; every seed in it must
+    read bit for bit as its one-seed run_once."""
+
+    @staticmethod
+    def assert_same_run(chunked, alone):
+        assert list(chunked.series) == list(alone.series)
+        for label, series in alone.series.items():
+            assert np.array_equal(chunked.series[label], series)
+        assert chunked.final == alone.final
+        assert chunked.bandwidth == alone.bandwidth
+        assert list(chunked.diag) == list(alone.diag)
+        for key, values in alone.diag.items():
+            assert list(chunked.diag[key]) == list(values)
+            for label, v in values.items():
+                assert np.array_equal(chunked.diag[key][label], v)
+        assert chunked.events == alone.events
+
+    @pytest.mark.parametrize("grid", [False, True])
+    def test_each_seed_reads_as_its_one_seed_run(self, grid):
+        # L = 12 with the default algorithms, or the benchmark's sweep grid,
+        # whose partial-cycle lanes send slices to the LAPACK path
+        cfg = ScenarioConfig()
+        L, algorithms = (((1, 3, 20), harness._sweep_algorithms(cfg)) if grid
+                         else (cfg.L, make_algorithms(cfg)))
+        scenarios = [build_scenario(cfg, seed) for seed in (2, 7, 11)]
+        chunk = run_once(scenarios, L, algorithms, diagnostics=True)
+        assert len(chunk) == len(scenarios)
+        kinds, nodes = set(), set()
+        for scenario, chunked in zip(scenarios, chunk):
+            alone = run_once(scenario, L, algorithms, diagnostics=True)
+            pairs = ([(chunked[lv], alone[lv]) for lv in L] if grid
+                     else [(chunked, alone)])
+            for c, a in pairs:
+                self.assert_same_run(c, a)
+                kinds.update(e["kind"] for e in a.events)
+                nodes.update(e["node"] for e in a.events)
+        # events of lane slices and of the centralized one, K*N, map back
+        n_central = (len(algorithms) - 1) * (len(L) if grid else 1) * cfg.n_nodes
+        assert "singular_solve" in kinds and n_central in nodes and min(nodes) < n_central
+
+    def test_a_failing_seed_leaves_the_others_their_bits(self, monkeypatch):
+        # one seed's NaN measurement fails the chunk's stack; the chunk runs
+        # again seed by seed, so the failure is that seed's own and every
+        # other seed reads as its one-seed task
+        # a horizon past the summaries' 2 s transient
+        cfg = dataclasses.replace(ScenarioConfig(**FAST), mc_runs=3, horizon=4.0)
+        bad = cfg.seed + 1
+        build = harness.build_scenario
+
+        def injected(cfg, seed):
+            scenario = build(cfg, seed)
+            if seed == bad:
+                scenario.measurements[5:] = np.nan
+            return scenario
+        monkeypatch.setattr(harness, "build_scenario", injected)
+        with pytest.raises(FilterNumericsError) as alone:
+            run_once(injected(cfg, bad), cfg.L)
+        tasks = {"Monte-Carlo": (harness._mc_single_run, (cfg, cfg.L, ("ckf", "icf", "icfpie"),
+                                                          True)),
+                 "sweep": (harness._sweep_single_run, (cfg, (1, 2)))}
+        for what, (task, args) in tasks.items():
+            runs = task(args + (cfg.mc_runs, cfg.seed))["runs"]
+            assert [r["seed"] for r in runs] == [cfg.seed + k for k in range(cfg.mc_runs)]
+            for r in runs:
+                [one] = task(args + (1, r["seed"]))["runs"]
+                assert r.keys() == one.keys()
+                for key in r:
+                    if isinstance(r[key], dict):
+                        for label, v in r[key].items():
+                            assert np.array_equal(v, one[key][label]), (what, key, label)
+                    else:
+                        assert r[key] == one[key]
+            assert runs[1] == {"seed": bad, "failed": str(alone.value)}
+        failed = rf"1/3 Monte-Carlo runs failed numerically \(seeds \[{bad}\]\)"
+        with pytest.raises(FilterNumericsError, match=failed):
+            run_monte_carlo(cfg, cfg.L)
+
+    def test_chunks_hold_up_to_the_slice_budget(self):
+        # per seed: 21 slices at L = 12, 91 on the (1, 3, 20) grid, 601 on
+        # the grid 1..20, more than a chunk holds
+        cfg = dataclasses.replace(ScenarioConfig(), mc_runs=100)
+        chunks = harness._chunks(cfg, make_algorithms(cfg), 1)
+        assert [n for n, _ in chunks] == [17, 17, 17, 17, 16, 16]
+        assert [first for _, first in chunks] == [0, 17, 34, 51, 68, 84]
+        sweep = harness._sweep_algorithms(cfg)
+        assert {n for n, _ in harness._chunks(cfg, sweep, 3)} == {4}
+        assert harness._chunks(cfg, sweep, 20) == [(1, k) for k in range(100)]
+        assert harness._chunks(dataclasses.replace(cfg, mc_runs=2), make_algorithms(cfg), 1) \
+            == [(2, 0)]
 
 
 class TestOutputs:

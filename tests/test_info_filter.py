@@ -480,7 +480,7 @@ class TestCertificate:
         rng = np.random.default_rng(seed)
         b_mat = np.array([block_slice(rng, pair) for pair in kinds])
         b_vec = rng.normal(size=(len(kinds), 4))
-        [(layout, blocks)] = info_filter._block_layouts(4, block_model(rng))
+        [(layout, blocks)] = info_filter.block_layouts(4, block_model(rng))
         eig_min = np.linalg.eigvalsh(symmetrize(b_mat))[:, 0]
         for model_blocks in (None, blocks):
             taken, _, _ = info_filter._recover_blocks(b_mat, b_vec, np.ones(len(kinds)),
@@ -691,7 +691,7 @@ class TestAxisBlockRouting:
         logged = [e["node"] for e in lapack.events if e["kind"] == "ill_conditioned"]
         _, scale, b_mat, a, q_cov = searched
         k = len(b_mat)
-        [(layout, blocks)] = info_filter._block_layouts(4, (a, q_cov))
+        [(layout, blocks)] = info_filter.block_layouts(4, (a, q_cov))
         monkeypatch.setattr(info_filter, "_BLOCK_COND", ill)
         taken, _, _ = info_filter._recover_blocks(b_mat, np.ones((k, 4)), np.full(k, float(scale)),
                                                   layout, blocks)
