@@ -115,7 +115,7 @@ def _stack_scale(n_lanes: int, n_nodes: int, n_central: int) -> np.ndarray:
 
 
 def dicf_step(prior: InformationState, plan: LanePlan, terms: CorrectionTerms,
-              sys: SystemModel, log: Optional[NumericsLog] = None, layouts=None):
+              sys: SystemModel, log: Optional[NumericsLog] = None, split=...):
     """Advance every slice of the stack one timestep; returns (next prior,
     posterior, estimates): the stacked posterior (S, n, n) / (S, n) and
     the (S, n) posterior state estimates.
@@ -131,9 +131,9 @@ def dicf_step(prior: InformationState, plan: LanePlan, terms: CorrectionTerms,
     consensus from its node terms, and its centralized slice adds its
     centralized sums to its prior, as `centralized_correct` would. Events
     in `log` carry the slice index as `node`: (r*K + k)*N + i, and R*K*N + r
-    for the centralized slice of seed r. `layouts` are the model's
-    `block_layouts` for S slices, which a run reads once; without them
-    `recover_and_predict` reads them at every step.
+    for the centralized slice of seed r. `split` is the model's
+    `block_layouts` for S slices, which a run reads once; when it is not
+    given, `recover_and_predict` reads it at every step.
     """
     n_lanes, n_nodes = plan.powers.shape[0], plan.powers.shape[-1]
     n_seeds = terms.sensed.size // n_nodes
@@ -166,7 +166,7 @@ def dicf_step(prior: InformationState, plan: LanePlan, terms: CorrectionTerms,
 
     # the estimates come from the consensus pairs themselves; the N factor cancels
     posterior, estimates, next_prior = recover_and_predict(
-        B, b, _stack_scale(n_lanes, n_nodes, n_central), sys.a, sys.process_cov, log, layouts)
+        B, b, _stack_scale(n_lanes, n_nodes, n_central), sys.a, sys.process_cov, log, split)
     return next_prior, posterior, estimates
 
 

@@ -318,7 +318,7 @@ def run_once(scenarios, L, algorithms: Optional[list] = None,
     (seed, algorithm, L) lane is a block of one stacked state; each seed's
     centralized filter, if asked for, is one of the stack's last R slices
     (`dicf_step` gives the layout). The lanes' consensus plan, the model's
-    block layouts and the measurement terms of every seed and timestep are
+    block split and the measurement terms of every seed and timestep are
     computed once per run, and a single dicf_step per timestep advances
     every slice, with one NumericsLog. Per timestep the loop keeps only
     each slice's estimate and the log's length (and, with `diagnostics`,
@@ -370,11 +370,11 @@ def run_once(scenarios, L, algorithms: Optional[list] = None,
     terms = correction_terms(chunk[0].sensor, np.stack([s.measurements for s in chunk], axis=1),
                              np.stack([s.sensed for s in chunk], axis=1))
     sys = chunk[0].sys
-    layouts = block_layouts(STATE_DIM, (sys.a, sys.process_cov), n_slices)
+    split = block_layouts(STATE_DIM, (sys.a, sys.process_cov), n_slices)
 
     for t in range(n_steps):
         prior, posterior, estimates[t] = dicf_step(prior, plan, terms.at(t), sys, log=log,
-                                                   layouts=layouts)
+                                                   split=split)
         events_after[t] = len(log.events)
         if diagnostics and lanes:
             ev = np.linalg.eigvalsh(posterior.omega[:n_lane_slices]).reshape(
@@ -464,7 +464,8 @@ class MonteCarloResult:
 
 
 def _run_summary(metrics: RunMetrics, cfg: ScenarioConfig) -> dict:
-    """Compact per-run diagnostics used by the stability/boundedness checks."""
+    """Compact per-run diagnostics used by the stability/boundedness checks;
+    a run no longer than the 2 s transient has no eigenvalue range after it."""
     n_last = max(1, int(round(10.0 / cfg.dt)))
     transient = int(round(2.0 / cfg.dt))
     out = {}
@@ -474,8 +475,9 @@ def _run_summary(metrics: RunMetrics, cfg: ScenarioConfig) -> dict:
             ne = metrics.diag["node_errors"][label]
             entry["finite"] = entry["finite"] and bool(np.isfinite(ne).all())
             entry["last10s_mse_max_node"] = float((ne[-n_last:] ** 2).mean(axis=0).max())
-            entry["eig_min_after_transient"] = float(metrics.diag["eig_min"][label][transient:].min())
-            entry["eig_max_after_transient"] = float(metrics.diag["eig_max"][label][transient:].max())
+            lo, hi = (metrics.diag[key][label][transient:] for key in ("eig_min", "eig_max"))
+            entry["eig_min_after_transient"] = float(lo.min()) if lo.size else None
+            entry["eig_max_after_transient"] = float(hi.max()) if hi.size else None
         else:
             entry["last10s_mse_max_node"] = float((s[-n_last:] ** 2).mean())
         entry["reg_events_after_transient"] = int(metrics.diag["reg_events"][label][transient:].sum()) \
@@ -702,16 +704,25 @@ def load_config(path) -> tuple:
     Python literals when possible) or a metadata JSON from emit_outputs.
 
     Returns (ScenarioConfig, extra) where extra holds run options the
-    config may carry (mode, L_values).
+    config may carry (mode, and L_values, a list of integers >= 1).
     """
     with open(path) as fh:
         text = fh.read()
     stripped = text.lstrip()
     if stripped.startswith("{"):
         meta = json.loads(text)
-        cfg = ScenarioConfig.from_dict(meta.get("config", {}))
+        config = meta.get("config", {})
+        if not isinstance(config, dict):
+            raise ConfigurationError(f"{path}: config must be a JSON object, got {config!r}")
         extra = {k: meta[k] for k in ("mode", "L", "L_values") if k in meta}
-        return cfg, extra
+        if extra.get("mode") == "sweep" or "L_values" in extra:
+            values = extra.get("L_values")
+            # bool is an int subclass; JSON true is not a depth
+            if (not isinstance(values, list) or not values
+                    or any(type(v) is not int or v < 1 for v in values)):
+                raise ConfigurationError(f"{path}: L_values must be a non-empty list of "
+                                         f"integers >= 1, got {values!r}")
+        return ScenarioConfig.from_dict(config), extra
 
     aliases = {"runs": "mc_runs", "consensus_steps": "L", "case": "selection"}
     values, set_by = {}, {}

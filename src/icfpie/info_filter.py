@@ -17,18 +17,19 @@ Numerical policy (applied everywhere, per slice, logged via NumericsLog):
     plus whatever clears a negative eigenvalue;
   * state extraction from a singular Omega returns the minimum-norm
     least-squares solution and flags the event.
-Every recovery (`recover_and_predict`, `predict`, `to_state_estimate`)
-routes each slice by its own input, along one of two paths: a closed
-form, which skips both eigenvalue checks for a slice that it certifies,
-and the LAPACK path, which runs the policy on every other slice.
+The fused step of every run, `recover_and_predict`, routes each slice by
+its own input, along one of two paths: a closed form, which skips both
+eigenvalue checks for a slice that it certifies, and the LAPACK path,
+which runs the policy on every other slice. `predict` and
+`to_state_estimate` take the LAPACK path alone, as the tests' reference.
 
 The block invariant: with position sensors and diagonal Q and R, the
 constant-velocity model of `models` never couples its two axes, so every
 consensus pair, posterior, prior and predicted covariance of a run is
 block-diagonal in two 2 x 2 blocks, one (position, velocity) pair per
 axis, and so are A and Q. The split of the four state indices into two
-pairs is read from the zeros of A and Q (without a model, each split is
-tried in turn), so this module assumes no state layout. A slice whose
+pairs is the first one in which A and Q are block-diagonal, read from
+their zeros, so this module assumes no state layout. A slice whose
 sym(B) is block-diagonal in the split is recovered and predicted in
 closed form, on the three distinct entries of each block: Cholesky
 pivots, the certificate, the estimate, the predicted covariance's factor
@@ -297,34 +298,6 @@ def _cholesky(stack: np.ndarray):
     return c, ok
 
 
-@dataclass(frozen=True)
-class SliceFactors:
-    """One Cholesky factorization per slice of a symmetrized stack.
-
-    `c_inv` holds the inverse factors L^-1, the identity where the factor
-    is not finite (`ok` False).
-    """
-
-    stack: np.ndarray
-    c_inv: np.ndarray
-    ok: np.ndarray
-
-    def solve(self, q: np.ndarray) -> np.ndarray:
-        """Omega^-1 q = L^-T L^-1 q for every slice (meaningful where ok)."""
-        return _matvec(self.c_inv.swapaxes(-1, -2), _matvec(self.c_inv, q))
-
-
-def factor_slices(omega: np.ndarray) -> SliceFactors:
-    """Cholesky-factor every slice of the stack sym(omega). A slice whose
-    factorization fails never affects the others. Nothing here checks
-    finiteness: the eigenvalue policy rejects a non-finite slice."""
-    stack = symmetrize(omega)
-    c, ok = _cholesky(stack)
-    with np.errstate(all="ignore"):
-        c_inv = _inv_lower(c)
-    return SliceFactors(stack=stack, c_inv=c_inv, ok=ok)
-
-
 def _min_norm_solve(m: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Minimum-norm least-squares solution of every slice of m x = q, from
     one batched SVD. Singular values at or below n * eps * s_max count as
@@ -393,24 +366,21 @@ _LAYOUTS = tuple(_layout(p, r) for p, r in (((0, 1), (2, 3)), ((0, 2), (1, 3)),
 _BLOCK_COND = ILL_CONDITIONED / 2
 
 
-def block_layouts(n: int, model, k: int = 1) -> tuple:
-    """The splits the closed form tries on a stack of k slices n x n, in
-    order, each as (layout, blocks): with model = (A, Q), the splits in
-    which both are block-diagonal, with the entries of their blocks,
-    repeated along the stack, as one read-only (4, 2, 2, k) array: A's
-    [00] and [10], A's [01] and [11], Q's [00] and [11], and Q's [10] and
-    [01], of both blocks; without a model, every split, with no blocks;
-    none unless n = 4. The split comes from the model's zeros, so no state
-    layout is assumed here. A run predicts through one model and one stack
-    size at every step, so it reads them once and passes them to every
-    `recover_and_predict` call."""
+def block_layouts(n: int, model, k: int = 1):
+    """The split the closed form takes on a stack of k slices n x n, as
+    (layout, blocks): the first split in which both matrices of model =
+    (A, Q) are block-diagonal, with the entries of their blocks, repeated
+    along the stack, as one read-only (4, 2, 2, k) array: A's [00] and
+    [10], A's [01] and [11], Q's [00] and [11], and Q's [10] and [01], of
+    both blocks; None if there is no such split, or n is not 4. The split
+    comes from the model's zeros, so no state layout is assumed here. A
+    run predicts through one model and one stack size at every step, so
+    it reads the split once and passes it to every `recover_and_predict`
+    call."""
     if n != 4:
-        return ()
-    if model is None:
-        return tuple((layout, None) for layout in _LAYOUTS)
+        return None
     model = np.asarray(model, dtype=float).reshape(2, 16)  # A's entries, then Q's
     nonzero = (model != 0).any(axis=0)  # NaN counts as nonzero
-    out = []
     for layout in _LAYOUTS:
         if not nonzero[layout.order[8:]].any():
             # (A or Q, entry [00], [10], [01] or [11], block)
@@ -420,8 +390,8 @@ def block_layouts(n: int, model, k: int = 1) -> tuple:
             blocks = np.repeat(np.stack([a[:2], a[2:], q[[0, 3]], q[[1, 2]]])[..., None], k,
                                axis=3)
             blocks.setflags(write=False)
-            out.append((layout, blocks))
-    return tuple(out)
+            return layout, blocks
+    return None
 
 
 def _cholesky_2x2(a: np.ndarray, b: np.ndarray, c: np.ndarray):
@@ -445,18 +415,17 @@ def _cholesky_2x2(a: np.ndarray, b: np.ndarray, c: np.ndarray):
 def _recover_blocks(b_mat: np.ndarray, b_vec: np.ndarray, scale: np.ndarray,
                     layout: _Layout, blocks):
     """`_recover_lapack` in closed form, for the slices it can take in
-    `layout`, with the model's `blocks` in it (or none); returns (taken,
-    estimates, next prior or None), whose slices outside `taken` (K,)
-    hold no result. The blocks are `block_layouts`' for a stack of K or
-    more slices, or of one; with them, the estimates, q+ and Omega+ are
-    views of one (K, 24) buffer.
+    `layout`, with the model's `blocks` in it; returns (taken, estimates,
+    next prior), whose slices outside `taken` (K,) hold no result. The
+    blocks are `block_layouts`' for a stack of K or more slices, or of
+    one. The estimates, q+ and Omega+ are views of one (K, 24) buffer.
 
     A slice is taken when sym(B) is block-diagonal in the layout, its
     2 x 2 Cholesky factors certify it (the bound 1 / ||L^-1||_F^2 less
     CERT_MARGIN * ||sym(B)||_F clears SINGULAR_EIG, and its condition
-    estimate over all four pivots is at most _BLOCK_COND), and, with
-    blocks, its predicted covariance factors too, with a condition
-    estimate at most _BLOCK_COND. These are slices for which the
+    estimate over all four pivots is at most _BLOCK_COND), and its
+    predicted covariance factors too, with a condition estimate at most
+    _BLOCK_COND. These are slices for which the
     LAPACK path would record no event. Every result is elementwise in the
     slice's own entries, so a slice's bits do not depend on the stack
     around it. Each quantity is a (2, K) array, one entry of both blocks
@@ -485,10 +454,6 @@ def _recover_blocks(b_mat: np.ndarray, b_vec: np.ndarray, scale: np.ndarray,
         y1 = m1 * v0 + m2 * v1
         np.add(m0 * y0, m1 * y1, out=x[0])
         np.multiply(m2, y1, out=x[1])
-        if blocks is None:
-            x_out = np.empty((k, 4))
-            x_out.T[layout.vec] = x.reshape(4, k)
-            return taken, x_out, None
 
         # A's columns (a00, a10) and (a01, a11), Q's diagonal and q10
         a0, a1, q_diag, (q10, _) = blocks[..., :k]
@@ -514,47 +479,13 @@ def _recover_blocks(b_mat: np.ndarray, b_vec: np.ndarray, scale: np.ndarray,
     return taken, out[:, :4], InformationState(out[:, 8:].reshape(k, 4, 4), out[:, 4:8])
 
 
-def _recover(b_mat: np.ndarray, b_vec: np.ndarray, scale: np.ndarray,
-             log: Optional[NumericsLog], estimate: bool, model=None, layouts=None):
-    """The estimates B^-1 b and, with model = (A, Q), the prediction of the
-    posterior (scale * B, scale * b), slice k scaled by scale[k]; returns
-    (estimates, next prior or None).
-
-    Each slice is done in closed form in the first split of `layouts`
-    (the stack's `block_layouts`, read here when None) whose
-    `_recover_blocks` takes it; the others are gathered into one sub-stack
-    for `_recover_lapack`, whose events carry each slice's index in the
-    whole stack. With no split (n other than 4, or an A or Q that is
-    block-diagonal in none) every slice takes the LAPACK path.
-    """
-    if layouts is None:
-        layouts = block_layouts(b_mat.shape[-1], model, len(b_vec))
-    return _route(b_mat, b_vec, scale, np.arange(len(b_vec)), log, estimate, model, layouts)
-
-
-def _route(b_mat: np.ndarray, b_vec: np.ndarray, scale: np.ndarray, nodes: np.ndarray,
-           log: Optional[NumericsLog], estimate: bool, model, layouts: tuple):
-    """`_recover` of the slices `nodes` of a stack, trying `layouts` in turn."""
-    if not layouts:
-        return _recover_lapack(b_mat, b_vec, scale, nodes, log, estimate, model)
-    taken, x, next_prior = _recover_blocks(b_mat, b_vec, scale, *layouts[0])
-    if taken.all():
-        return x, next_prior
-    rest = np.flatnonzero(~taken)
-    x_rest, next_rest = _route(b_mat[rest], b_vec[rest], scale[rest], nodes[rest], log,
-                               estimate, model, layouts[1:])
-    if estimate:
-        x[rest] = x_rest
-    if next_prior is not None:
-        next_prior.omega[rest] = next_rest.omega
-        next_prior.q[rest] = next_rest.q
-    return x, next_prior
-
-
 def _recover_lapack(b_mat: np.ndarray, b_vec: np.ndarray, scale: np.ndarray,
                     nodes: np.ndarray, log: Optional[NumericsLog], estimate: bool, model=None):
-    """`_recover` by numpy's batched LAPACK routines, with the eigenvalue
-    policy on every slice; the event of slice k carries node nodes[k].
+    """The estimates B^-1 b and, with model = (A, Q), the prediction of the
+    posterior (scale * B, scale * b), slice k scaled by scale[k], by
+    numpy's batched LAPACK routines, with the eigenvalue policy on every
+    slice; returns (estimates or None, next prior or None). The event of
+    slice k carries node nodes[k].
 
     One batched eigenvalue call holds both checks: with `estimate`, those
     of sym(B) give the estimate's singular test, and with a model, those of
@@ -584,9 +515,11 @@ def _recover_lapack(b_mat: np.ndarray, b_vec: np.ndarray, scale: np.ndarray,
         x = np.empty(b_vec.shape)
         regular = np.flatnonzero(~singular)
         if regular.size:
-            f = factor_slices(stack[regular])  # sym(sym(B)) = sym(B), bit for bit
-            x[regular] = f.solve(b_vec[regular])
-            singular[regular[~f.ok]] = True
+            c, ok = _cholesky(stack[regular])  # sym(sym(B)) = sym(B), bit for bit
+            with np.errstate(all="ignore"):
+                c_inv = _inv_lower(c)
+            x[regular] = _matvec(c_inv.swapaxes(-1, -2), _matvec(c_inv, b_vec[regular]))
+            singular[regular[~ok]] = True
         if singular.any():
             if log is not None:
                 for k, e_k in zip(nodes[singular].tolist(), e[singular].tolist()):
@@ -607,24 +540,26 @@ def _recover_lapack(b_mat: np.ndarray, b_vec: np.ndarray, scale: np.ndarray,
 
 def predict(post: InformationState, a: np.ndarray, q_cov: np.ndarray,
             log: Optional[NumericsLog] = None) -> InformationState:
-    """Time update in information form, slice by slice.
+    """Time update in information form, slice by slice, on the LAPACK path.
 
     Omega+ = (A Omega^-1 A^T + Q)^-1 and q+ = Omega+ A x_hat, where
     x_hat = Omega^-1 q and Q is the process-noise covariance.
     """
     model = (np.asarray(a, dtype=float), np.asarray(q_cov, dtype=float))
-    return _recover(post.omega, post.q, np.ones(len(post.q)), log, False, model)[1]
+    k = len(post.q)
+    return _recover_lapack(post.omega, post.q, np.ones(k), np.arange(k), log, False, model)[1]
 
 
 def to_state_estimate(s: InformationState, log: Optional[NumericsLog] = None) -> np.ndarray:
-    """State estimates Omega^-1 q, (K, n); minimum-norm solution for every
-    slice whose Omega is singular."""
-    return _recover(s.omega, s.q, np.ones(len(s.q)), log, True)[0]
+    """State estimates Omega^-1 q, (K, n), on the LAPACK path; minimum-norm
+    solution for every slice whose Omega is singular."""
+    k = len(s.q)
+    return _recover_lapack(s.omega, s.q, np.ones(k), np.arange(k), log, True)[0]
 
 
 def recover_and_predict(b_mat: np.ndarray, b_vec: np.ndarray, scale,
                         a: np.ndarray, q_cov: np.ndarray,
-                        log: Optional[NumericsLog] = None, layouts=None):
+                        log: Optional[NumericsLog] = None, split=...):
     """Posterior recovery and prediction with one factorization per slice.
 
     From a stack of consensus pairs (B, b), returns (posterior,
@@ -633,19 +568,33 @@ def recover_and_predict(b_mat: np.ndarray, b_vec: np.ndarray, scale,
     slice (N for a lane's pairs, 1 for a fused centralized pair), the
     estimates B^-1 b (what `to_state_estimate` gives for the pairs), and
     the posterior predicted through (A, Q) (what `predict` gives for it).
-    One Cholesky factor of sym(B) per slice serves both on the closed
-    form: it gives the estimate, and P = B^-1 / scale for the prediction.
-    The smallest eigenvalue scales with B, so one certificate covers the
-    checks of both. The posterior is a ScaledPosterior, formed only where
-    it is read. A (K,) float array of scales is used as it is, not copied:
-    it must not change while the posterior is in use. `layouts` are
-    `block_layouts(n, (a, q_cov), K)`, which a run reads once; they are read
-    here when not given.
+    This is the only entry that takes the closed form, in the model's
+    `split`, `block_layouts(n, (a, q_cov), K)`, which a run reads once
+    (it is read here when not given). There one Cholesky factor of sym(B)
+    per slice gives the estimate and P = B^-1 / scale for the prediction,
+    and one certificate covers the checks of both, as the smallest
+    eigenvalue scales with B. Every other slice goes to `_recover_lapack`
+    in one call, whose events carry each slice's index in the stack. The
+    posterior is a ScaledPosterior, formed only where it is read. A (K,)
+    float array of scales is used as it is, not copied: it must not
+    change while the posterior is in use.
     """
     scale = np.asarray(scale, dtype=float)
     if scale.shape != b_vec.shape[:1]:
         scale = np.full(len(b_vec), scale)
-    x, next_prior = _recover(b_mat, b_vec, scale, log, True, (a, q_cov), layouts)
+    if split is ...:
+        split = block_layouts(b_mat.shape[-1], (a, q_cov), len(b_vec))
+    if split is None:
+        x, next_prior = _recover_lapack(b_mat, b_vec, scale, np.arange(len(b_vec)), log, True,
+                                        (a, q_cov))
+    else:
+        taken, x, next_prior = _recover_blocks(b_mat, b_vec, scale, *split)
+        if not taken.all():
+            rest = np.flatnonzero(~taken)
+            x[rest], next_rest = _recover_lapack(b_mat[rest], b_vec[rest], scale[rest], rest,
+                                                 log, True, (a, q_cov))
+            next_prior.omega[rest] = next_rest.omega
+            next_prior.q[rest] = next_rest.q
     if not np.isfinite(x).all():
         raise FilterNumericsError("non-finite state estimate")
     return ScaledPosterior(b_mat, b_vec, scale), x, next_prior

@@ -9,22 +9,32 @@ estimates, and one shift per near-singular slice for the regularization.
 
 import numpy as np
 
-from icfpie.info_filter import REG_SCALE, SINGULAR_EIG, factor_slices
+from icfpie.info_filter import (
+    REG_SCALE,
+    SINGULAR_EIG,
+    _cholesky,
+    _inv_lower,
+    _matvec,
+    symmetrize,
+)
 
 
 def estimates_loop(omega: np.ndarray, q: np.ndarray, log=None) -> np.ndarray:
     """Omega^-1 q per slice; slices whose smallest eigenvalue is below
     SINGULAR_EIG, or whose factorization failed, get lstsq's minimum-norm
     least-squares solution and a `singular_solve` event."""
-    f = factor_slices(omega)
-    x = f.solve(q)
-    eig_min = np.linalg.eigvalsh(f.stack)[:, 0]
+    stack = symmetrize(omega)
+    c, ok = _cholesky(stack)
+    with np.errstate(all="ignore"):
+        c_inv = _inv_lower(c)
+    x = _matvec(c_inv.swapaxes(-1, -2), _matvec(c_inv, q))
+    eig_min = np.linalg.eigvalsh(stack)[:, 0]
     for k, e in enumerate(eig_min):
-        if e >= SINGULAR_EIG and f.ok[k]:
+        if e >= SINGULAR_EIG and ok[k]:
             continue
         if log is not None:
             log.record("singular_solve", "to_state_estimate", eig_min=float(e), node=k)
-        x[k], *_ = np.linalg.lstsq(f.stack[k], q[k], rcond=None)
+        x[k], *_ = np.linalg.lstsq(stack[k], q[k], rcond=None)
     return x
 
 

@@ -146,6 +146,25 @@ class TestSimulateCommand:
         assert err.count("\n") == 1 and message in err and "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("meta, message", [
+        ({"mode": "sweep"}, "L_values must be a non-empty list of integers >= 1, got None"),
+        ({"mode": "sweep", "L_values": "ab"}, "got 'ab'"),
+        ({"mode": "sweep", "L_values": 5}, "got 5"),
+        ({"mode": "sweep", "L_values": [True, 2.5]}, "got [True, 2.5]"),
+        ({"config": 5}, "config must be a JSON object, got 5"),
+    ], ids=["no_L_values", "string_L_values", "scalar_L_values", "bool_and_float_L_values",
+            "config_not_an_object"])
+    def test_malformed_metadata_exits_with_one_line(self, tmp_path, capsys, meta, message):
+        path = tmp_path / "metadata.json"
+        path.write_text(json.dumps({"config": {"n_nodes": 6, "horizon": 2.0, "mc_runs": 1},
+                                    **meta}))
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) \
+            == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("config error: ") and message in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_out_blocked_by_a_file_exits_before_any_run(self, tmp_path, capsys, monkeypatch):
         def no_run(*args, **kwargs):
             raise AssertionError("a run started although --out can never be written")

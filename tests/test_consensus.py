@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -16,11 +17,13 @@ from icfpie.consensus import (
     ConsensusState,
     averaging_powers,
     init_consensus,
+    plan_lanes,
     run_consensus,
+    run_masked_consensus,
 )
 from icfpie.errors import ConfigurationError, ConsensusCycleWarning
 from icfpie.info_filter import information_state
-from icfpie.network import BandwidthLedger, consensus_gain, random_geometric
+from icfpie.network import BandwidthLedger, SensorNetwork, consensus_gain, random_geometric
 from icfpie.selection import build_schedule, default_schedule
 
 
@@ -288,3 +291,58 @@ class TestConsensusProperties:
             mats, vecs = new_mats, new_vecs
         assert np.allclose(out.B, mats, atol=1e-12)
         assert np.allclose(out.b, vecs, atol=1e-12)
+
+
+@st.composite
+def connected_networks(draw):
+    """A random connected graph on 2 to 8 nodes: a random spanning tree,
+    which keeps it connected, and random extra edges."""
+    n = draw(st.integers(min_value=2, max_value=8))
+    adj = np.zeros((n, n), dtype=bool)
+    for i in range(1, n):
+        j = draw(st.integers(min_value=0, max_value=i - 1))
+        adj[i, j] = adj[j, i] = True
+    for i, j in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                              max_size=n * n)):
+        if i != j:
+            adj[i, j] = adj[j, i] = True
+    return SensorNetwork(positions=np.zeros((n, 2)), adjacency=adj)
+
+
+class TestSpectralContraction:
+    """The paper's convergence argument as an inequality (Xiao & Boyd
+    2004): M = I - eps Lap is symmetric and doubly stochastic, so each of
+    the k_r steps that average row r of a lane contracts the row's
+    deviation from its node mean by at least rho, the largest |eigenvalue|
+    of M other than its eigenvalue 1, and keeps the mean."""
+
+    @given(connected_networks(), st.sampled_from(["identity", "case1", "case2"]),
+           st.integers(min_value=1, max_value=40), st.integers(min_value=0, max_value=2**16))
+    @settings(max_examples=100, deadline=None)
+    def test_each_row_contracts_at_the_spectral_rate(self, net, kind, L, seed):
+        rng = np.random.default_rng(seed)
+        n_nodes, eps = net.n_nodes, consensus_gain(net)
+        powers = averaging_powers(net, eps, L)
+        # M - 11^T / N has M's eigenvalues, with 0 in place of the 1 of
+        # the constant vector
+        rho = np.abs(np.linalg.eigvalsh(powers[1] - 1.0 / n_nodes)).max()
+        assert rho < 1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ConsensusCycleWarning)
+            plan = plan_lanes([(default_schedule(4, kind), L)], powers, 4)
+        B0 = np.array([random_spd(rng, 4) for _ in range(n_nodes)])[None]
+        b0 = rng.normal(size=(1, n_nodes, 4))
+        B, b = run_masked_consensus(B0, b0, plan.powers)
+        for r, k in enumerate(plan.steps[0].tolist()):
+            # row r of every node's (B, b): (N, 5)
+            before = np.column_stack([B0[0, :, r], b0[0, :, r]])
+            after = np.column_stack([B[0, :, r], b[0, :, r]])
+            # rounding allowance: M^k is formed in at most 2 log2(k) + 1
+            # products of N x N matrices and applied in one more, each of
+            # which errs by at most N eps relative to the entries' size;
+            # (k + 1) N eps per entry, 4x over, bounds them all
+            slack = 4 * (k + 1) * n_nodes * np.finfo(float).eps * np.linalg.norm(before)
+            mean = before.mean(axis=0)
+            assert np.all(np.abs(after.mean(axis=0) - mean) <= slack)
+            assert (np.linalg.norm(after - mean)
+                    <= rho ** k * np.linalg.norm(before - mean) + slack)

@@ -173,7 +173,7 @@ class TestAxisBlocks:
             return inv_spd(stack, nodes, log, context)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(harness, "block_layouts", lambda n, model, k=1: ())
+            mp.setattr(harness, "block_layouts", lambda n, model, k=1: None)
             mp.setattr(dicf, "recover_and_predict", pairs_and_priors)
             mp.setattr(info_filter, "_inv_spd", predicted)
             run_once(scenario, L)
@@ -190,12 +190,12 @@ class TestAxisBlocks:
         # priors of t = 0)
         scenario = build_scenario(ScenarioConfig(), 0)
         steps = []
-        recover, lapack = info_filter._recover, info_filter._recover_lapack
+        blocks, lapack = info_filter._recover_blocks, info_filter._recover_lapack
         estimates = info_filter._condition_estimates
 
         def each_step(*args):
             steps.append([])
-            return recover(*args)
+            return blocks(*args)
 
         def sent(*args):
             conds = []
@@ -208,7 +208,7 @@ class TestAxisBlocks:
             singular = np.linalg.eigvalsh(symmetrize(args[0]))[:, 0] < SINGULAR_EIG
             steps[-1].extend((singular | near).tolist())
             return out
-        monkeypatch.setattr(info_filter, "_recover", each_step)
+        monkeypatch.setattr(info_filter, "_recover_blocks", each_step)
         monkeypatch.setattr(info_filter, "_recover_lapack", sent)
         run_once(scenario, 12)
         assert len(steps) == scenario.cfg.n_steps
@@ -225,6 +225,25 @@ class TestMonteCarlo:
         once = run_once(scenario, 4)
         for label in mc.mean_series:
             assert np.array_equal(mc.mean_series[label], once.series[label])
+
+    @pytest.mark.parametrize("horizon", [2.0, 2.5])
+    def test_summary_reads_the_steps_after_the_transient(self, horizon):
+        # the transient is the first 2 s (20 steps); a run no longer than
+        # that has no eigenvalue range after it
+        cfg = ScenarioConfig(horizon=horizon, n_nodes=4, mc_runs=1)
+        [summary] = run_monte_carlo(cfg, 4, diagnostics=True).run_diags
+        once = run_once(build_scenario(cfg, cfg.seed), 4, diagnostics=True)
+        lanes = 0
+        for label, entry in summary.items():
+            if label not in once.diag["eig_min"]:
+                assert "eig_min_after_transient" not in entry
+                continue
+            lanes += 1
+            lo, hi = once.diag["eig_min"][label][20:], once.diag["eig_max"][label][20:]
+            assert entry["eig_min_after_transient"] == (lo.min() if lo.size else None)
+            assert entry["eig_max_after_transient"] == (hi.max() if hi.size else None)
+            assert entry["reg_events_after_transient"] == 0
+        assert lanes == 2
 
     def test_averaging_is_linear(self):
         cfg = dataclasses.replace(ScenarioConfig(**FAST), mc_runs=2)

@@ -378,7 +378,7 @@ class TestTriangularInverse:
         rng = np.random.default_rng(seed)
         stack = symmetrize(np.array([mixed_slice(rng, kinds[k % len(kinds)], n)
                                      for k in range(count)]))
-        # the identity where the factorization fails, as factor_slices leaves it
+        # the identity where the factorization fails, as _cholesky leaves it
         c = np.broadcast_to(np.eye(n), stack.shape).copy()
         failed = []
         for k in range(count):
@@ -398,7 +398,9 @@ class TestTriangularInverse:
 class TestRecoverAndPredict:
     """The fused posterior step gives, slice by slice, what its two unfused
     steps give: to_state_estimate on the consensus pairs (B, b), then
-    predict on the posterior (N B, N b), with the same events."""
+    predict on the posterior (N B, N b), with the same events. The unfused
+    steps are the LAPACK path alone, so this checks the closed form
+    against it."""
 
     @given(MIXED_KINDS, SEEDS, st.integers(min_value=1, max_value=12))
     @settings(max_examples=60, deadline=None)
@@ -480,15 +482,14 @@ class TestCertificate:
         rng = np.random.default_rng(seed)
         b_mat = np.array([block_slice(rng, pair) for pair in kinds])
         b_vec = rng.normal(size=(len(kinds), 4))
-        [(layout, blocks)] = info_filter.block_layouts(4, block_model(rng))
+        layout, blocks = info_filter.block_layouts(4, block_model(rng))
         eig_min = np.linalg.eigvalsh(symmetrize(b_mat))[:, 0]
-        for model_blocks in (None, blocks):
-            taken, _, _ = info_filter._recover_blocks(b_mat, b_vec, np.ones(len(kinds)),
-                                                      layout, model_blocks)
-            assert np.all(eig_min[taken] >= SINGULAR_EIG)
-            # well-conditioned blocks are taken; every kind near or below
-            # the singular threshold takes the eigenvalue policy
-            assert list(taken) == [pair == ("spd", "spd") for pair in kinds]
+        taken, _, _ = info_filter._recover_blocks(b_mat, b_vec, np.ones(len(kinds)), layout,
+                                                  blocks)
+        assert np.all(eig_min[taken] >= SINGULAR_EIG)
+        # well-conditioned blocks are taken; every kind near or below the
+        # singular threshold takes the eigenvalue policy
+        assert list(taken) == [pair == ("spd", "spd") for pair in kinds]
 
     def test_certified_slices_skip_eigvalsh(self, rng, monkeypatch):
         checked = []
@@ -557,9 +558,17 @@ class TestAxisBlockRouting:
         # slice of a well-conditioned 1e6 I predicts to a covariance with a
         # condition estimate near 1e13
         a, q_cov = constant_velocity_matrix(0.1), np.diag([1e7, 1e7, 1e-8, 1e-8])
-        make = {"block": lambda: block_slice(rng, ("spd", "spd")),
-                "flagged": lambda: block_slice(rng, (rng.choice(["zero", "rank_deficient"]),
-                                                     "spd")),
+
+        def axis_blocks(first):
+            # the axis blocks `first` and an spd block at unit scale: at the
+            # top of block_slice's 1e-3..1e3 spd scales, this Q predicts a
+            # "block" or "flagged" slice past ILL_CONDITIONED too
+            out = np.zeros((4, 4))
+            out[0::2, 0::2], out[1::2, 1::2] = first, random_spd(rng, 2)
+            return out
+        make = {"block": lambda: axis_blocks(random_spd(rng, 2)),
+                "flagged": lambda: axis_blocks(
+                    mixed_slice(rng, rng.choice(["zero", "rank_deficient"]), 2)),
                 "ill_conditioned": lambda: 1e6 * np.eye(4),
                 "dense": lambda: random_spd(rng, 4)}
         b_mat = np.array([make[kind]() for kind in kinds])
@@ -583,16 +592,50 @@ class TestAxisBlockRouting:
                                     "flagged": {"singular_solve", "regularize"}}[kind]
 
     def test_block_path_makes_no_event_and_no_lapack_call(self, rng, monkeypatch):
+        # the fused step takes the closed form with no LAPACK call; the
+        # unfused entries are the LAPACK path, which logs no event for
+        # these slices either
         b_mat = np.array([block_slice(rng, ("spd", "spd")) for _ in range(91)])
         b_vec = rng.normal(size=(91, 4))
         sent = lapack_sends(monkeypatch)
         log = NumericsLog()
-        for call in (lambda: recover_and_predict(b_mat, b_vec, 10, *block_model(rng), log),
-                     lambda: predict(InformationState(b_mat, b_vec), *block_model(rng), log),
-                     lambda: to_state_estimate(InformationState(b_mat, b_vec), log)):
-            call()
+        recover_and_predict(b_mat, b_vec, 10, *block_model(rng), log)
         assert sent == []
+        predict(InformationState(b_mat, b_vec), *block_model(rng), log)
+        to_state_estimate(InformationState(b_mat, b_vec), log)
         assert log.events == []
+
+    @pytest.mark.parametrize("model", ["constant_velocity", "diagonal"])
+    def test_only_the_fused_step_takes_the_closed_form(self, rng, monkeypatch, model):
+        # predict and to_state_estimate are the LAPACK path. The fused step
+        # tries the model's one split once per call, and sends every slice
+        # that it declines to the LAPACK path in one call, also when A and
+        # Q are block-diagonal in more than one split (the diagonal model,
+        # in every split: the first one takes none of these slices)
+        b_mat = np.array([block_slice(rng, ("spd", "spd")) for _ in range(9)])
+        b_mat[[2, 5]] = 0.0
+        b_vec = rng.normal(size=(9, 4))
+        a, q_cov = (block_model(rng) if model == "constant_velocity"
+                    else (np.eye(4), np.diag(rng.uniform(0.5, 2.0, size=4))))
+        tried = []
+        recover_blocks = info_filter._recover_blocks
+
+        def spy(b_mat, *rest):
+            tried.append(len(b_mat))
+            return recover_blocks(b_mat, *rest)
+        monkeypatch.setattr(info_filter, "_recover_blocks", spy)
+        sent = lapack_sends(monkeypatch)
+        state = InformationState(b_mat, b_vec)
+        predict(state, a, q_cov)
+        to_state_estimate(state)
+        assert tried == []
+        assert sent == [list(range(9))] * 2
+        declined = [2, 5] if model == "constant_velocity" else list(range(9))
+        for calls in range(1, 4):
+            sent.clear()
+            recover_and_predict(b_mat, b_vec, 10, a, q_cov)
+            assert tried == [9] * calls
+            assert sent == [declined]
 
     def test_zero_information_stack_factors_in_one_call(self, monkeypatch):
         # at t = 0 every slice of a run is zero-information: each one fails
@@ -628,9 +671,11 @@ class TestAxisBlockRouting:
         b_vec_p = b_vec[:, perm]
         _, x_p, nxt_p = recover_and_predict(reorder(b_mat), b_vec_p, 10, reorder(a),
                                             reorder(q_cov))
-        alone = to_state_estimate(InformationState(reorder(b_mat), b_vec_p))
         assert sent == []
-        assert np.array_equal(alone, x_p)
+        # to_state_estimate is the LAPACK path, whose rounding differs
+        alone = to_state_estimate(InformationState(reorder(b_mat), b_vec_p))
+        for g_k, e_k in zip(x_p, alone):
+            assert_rel_close(g_k, e_k, 1e-13)
         for got, expected in ((x_p, x[:, perm]), (nxt_p.omega, reorder(nxt.omega)),
                               (nxt_p.q, nxt.q[:, perm])):
             if exact:
@@ -691,7 +736,7 @@ class TestAxisBlockRouting:
         logged = [e["node"] for e in lapack.events if e["kind"] == "ill_conditioned"]
         _, scale, b_mat, a, q_cov = searched
         k = len(b_mat)
-        [(layout, blocks)] = info_filter.block_layouts(4, (a, q_cov))
+        layout, blocks = info_filter.block_layouts(4, (a, q_cov))
         monkeypatch.setattr(info_filter, "_BLOCK_COND", ill)
         taken, _, _ = info_filter._recover_blocks(b_mat, np.ones((k, 4)), np.full(k, float(scale)),
                                                   layout, blocks)
