@@ -18,15 +18,16 @@ ends at
 where z_r is the cycle phase that selects row r (k_r = 0 when z_r >= L).
 This is the closed form of Xiao & Boyd 2004 ("Fast linear iterations for
 distributed averaging"), read from a table of the powers M^0 .. M^L that
-`averaging_powers` builds once per network. A run's lanes, its (schedule,
-L) pairs, are fixed, so `plan_lanes` plans them once per run of a chunk
-of R seeds: the step counts k_r of every lane and row, the matching
-powers of each seed's own network gathered into one (R*K, n, N, N) array,
-and each lane's per-step payloads. Every timestep then moves every row of
-every lane of every seed in one batched product (`run_masked_consensus`);
-rows with k_r = 0 read M^0 = I. `run_consensus` is the same for one
-lane. The paper's step-by-step form, one neighbor sum per node and step,
-is the test suite's reference (`tests/consensus_reference.py`).
+`averaging_powers` builds once per network. A run takes a chunk of R
+seeds, each on its own network, and its lanes, the (schedule, L) pairs,
+are fixed, so `plan_lanes` plans them once per run from the R stacked
+tables: the step counts k_r of every lane and row, the matching powers
+of each seed's network gathered into one (R*K, n, N, N) array, and each
+lane's per-step payloads. Every timestep then moves every row of every
+lane of every seed in one batched product (`run_masked_consensus`); rows
+with k_r = 0 read M^0 = I. `run_consensus` runs one lane on one network
+as a chunk of one. The paper's step-by-step form is the test suite's
+reference (`tests/consensus_reference.py`).
 """
 
 import warnings
@@ -102,22 +103,20 @@ def plan_lanes(lanes: Sequence[tuple[EntrySelectionSchedule, int]], powers: np.n
                n: int) -> LanePlan:
     """The plan of the (schedule, L) `lanes` over states of dimension n.
 
-    `powers` is one network's `averaging_powers` table, (k_max + 1, N, N),
-    or the tables of R seeds' networks stacked (R, k_max + 1, N, N), up to
-    at least the deepest lane's M^L. Row r of a lane under `schedule` is
-    selected at the steps l < L with l mod theta equal to the phase of its
-    subset. Warns (and proceeds) once per lane whose L is not a whole
-    number of selection cycles.
+    `powers` stacks the `averaging_powers` tables of R seeds' networks,
+    (R, k_max + 1, N, N), each up to at least the deepest lane's M^L. Row
+    r of a lane under `schedule` is selected at the steps l < L with l mod
+    theta equal to the phase of its subset. Warns (and proceeds) once per
+    lane whose L is not a whole number of selection cycles.
     """
-    tables = powers.reshape((-1,) + powers.shape[-3:])
     steps = np.zeros((len(lanes), n), dtype=int)
     payloads = []
     for k, (schedule, L) in enumerate(lanes):
         if L < 1:
             raise ConfigurationError(f"consensus step count must be >= 1, got {L}")
-        if L >= tables.shape[1]:
+        if L >= powers.shape[1]:
             raise ConfigurationError(f"{L} consensus steps need powers up to M^{L}; "
-                                     f"the table ends at M^{tables.shape[1] - 1}")
+                                     f"the table ends at M^{powers.shape[1] - 1}")
         if schedule.n != n:
             raise ConfigurationError(f"schedule over {schedule.n} rows for a state of "
                                      f"dimension {n}")
@@ -133,7 +132,7 @@ def plan_lanes(lanes: Sequence[tuple[EntrySelectionSchedule, int]], powers: np.n
             steps[k, rows] = len(range(z, L, theta))
         sizes = [rows.size * (n + 1) for rows in schedule.rows]
         payloads.append(tuple(sizes[l % theta] for l in range(L)))
-    gathered = tables[:, steps].reshape((len(tables) * len(lanes), n) + tables.shape[-2:])
+    gathered = powers[:, steps].reshape((len(powers) * len(lanes), n) + powers.shape[-2:])
     return LanePlan(steps, gathered, tuple(payloads))
 
 
@@ -170,7 +169,7 @@ def run_consensus(state: ConsensusState, schedule: EntrySelectionSchedule, L: in
     every node's broadcast sizes are recorded as one compact entry for the
     whole run.
     """
-    plan = plan_lanes([(schedule, L)], powers, state.n)
+    plan = plan_lanes([(schedule, L)], powers[None], state.n)
     B, b = run_masked_consensus(state.B[None], state.b[None], plan.powers)
     if ledger is not None:
         ledger.record_consensus(t, state.n_nodes, plan.payloads[0])

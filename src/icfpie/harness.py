@@ -21,6 +21,7 @@ import math
 import numbers
 import os
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Optional
 
@@ -71,6 +72,17 @@ _RETIRED_KEYS = {"initial_estimate": (0.0, 0.0, 0.0, 0.0), "truth_noise": "speed
 
 def _finite_number(v) -> bool:
     return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+
+
+def _consensus_depths(values, what: str = "L_values") -> list:
+    """The consensus depths `values`, a non-empty sequence of integers >= 1
+    (a bool is not one), as a list of ints."""
+    if not (isinstance(values, Sequence) and values and all(
+            isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= 1
+            for v in values)):
+        raise ConfigurationError(f"{what} must be a non-empty list of integers >= 1, "
+                                 f"got {values!r}")
+    return [int(v) for v in values]
 
 
 @dataclass(frozen=True)
@@ -221,6 +233,8 @@ class AlgorithmSpec:
 
 
 def make_algorithms(cfg: ScenarioConfig, include=("ckf", "icf", "icfpie")) -> list:
+    if not include:
+        raise ConfigurationError("the algorithm list is empty")
     algs = []
     for name in include:
         if name == "ckf":
@@ -306,35 +320,34 @@ class RunMetrics:
     events: Optional[list] = None  # the seed's numerics events, with diagnostics
 
 
-def run_once(scenarios, L, algorithms: Optional[list] = None,
-             diagnostics: bool = False):
+def run_once(scenarios, depths, algorithms: Optional[list] = None,
+             diagnostics: bool = False) -> list:
     """Simulate the full horizon of a chunk of seeds as one filter stack,
     stepping every algorithm on each seed's own truth and measurement
     sequences.
 
-    `scenarios` is a list of R scenarios of one config, or one Scenario, a
-    chunk of one. `L` is one consensus depth or a sequence of them. Every
-    consensus algorithm runs at every depth on every seed, and each such
-    (seed, algorithm, L) lane is a block of one stacked state; each seed's
-    centralized filter, if asked for, is one of the stack's last R slices
-    (`dicf_step` gives the layout). The lanes' consensus plan, the model's
-    block split and the measurement terms of every seed and timestep are
-    computed once per run, and a single dicf_step per timestep advances
-    every slice, with one NumericsLog. Per timestep the loop keeps only
-    each slice's estimate and the log's length (and, with `diagnostics`,
-    the lanes' posterior eigenvalue range); the error norms, lane means,
-    node errors, each seed's events and regularize counts per step, and
-    one bandwidth ledger entry per lane are formed after the loop. A slice
-    gets the bits it gets alone, so each seed's metrics are those of its
-    run alone. Per seed, one depth gives RunMetrics keyed by algorithm
-    label, and a sequence gives {L: RunMetrics}, each of which also holds
-    the centralized filter, which has no depth; a list of scenarios gives
-    a list of these, one per seed, and one Scenario its own. With
-    `diagnostics`, a seed's `events` are its log records, each with its
-    step `t` and its slice in the seed's own stack as `node`: k*N + i, and
-    K*N for the centralized filter.
+    `scenarios` is a list of R scenarios of one config, and `depths` a
+    sequence of consensus depths L. Every consensus algorithm runs at
+    every depth on every seed, and each such (seed, algorithm, L) lane is
+    a block of one stacked state; each seed's centralized filter, if asked
+    for, is one of the stack's last R slices (`dicf_step` gives the
+    layout). The lanes' consensus plan, the model's block split and the
+    measurement terms of every seed and timestep are computed once per
+    run, and a single dicf_step per timestep advances every slice, with
+    one NumericsLog. Per timestep the loop keeps only each slice's
+    estimate and the log's length (and, with `diagnostics`, the lanes'
+    posterior eigenvalue range); the error norms, lane means, node errors,
+    each seed's events and regularize counts per step, and one bandwidth
+    ledger entry per lane are formed after the loop. A slice gets the bits
+    it gets alone, so each seed's metrics are those of its run alone.
+    Returns one {L: RunMetrics} per seed, in the order of `scenarios`;
+    each RunMetrics is keyed by algorithm label and also holds the
+    centralized filter, which has no depth. With `diagnostics`, a seed's
+    `events` are its log records, each with its step `t` and its slice in
+    the seed's own stack as `node`: k*N + i, and K*N for the centralized
+    filter.
     """
-    chunk = [scenarios] if isinstance(scenarios, Scenario) else list(scenarios)
+    chunk = list(scenarios)
     if not chunk:
         raise ConfigurationError("run_once needs at least one scenario")
     cfg = chunk[0].cfg
@@ -342,10 +355,7 @@ def run_once(scenarios, L, algorithms: Optional[list] = None,
         raise ConfigurationError("the scenarios of one run_once call must share one config")
     if algorithms is None:
         algorithms = make_algorithms(cfg)
-    one_depth = isinstance(L, numbers.Integral)
-    depths = [L] if one_depth else list(dict.fromkeys(int(v) for v in L))
-    if not depths:
-        raise ConfigurationError("run_once needs at least one consensus depth L")
+    depths = list(dict.fromkeys(_consensus_depths(depths, "run_once depths")))
     n_seeds, n_steps, n_nodes = len(chunk), cfg.n_steps, cfg.n_nodes
 
     # row k = d * len(consensus) + j of a seed's tables is the lane that
@@ -373,8 +383,7 @@ def run_once(scenarios, L, algorithms: Optional[list] = None,
     split = block_layouts(STATE_DIM, (sys.a, sys.process_cov), n_slices)
 
     for t in range(n_steps):
-        prior, posterior, estimates[t] = dicf_step(prior, plan, terms.at(t), sys, log=log,
-                                                   split=split)
+        prior, posterior, estimates[t] = dicf_step(prior, plan, terms.at(t), sys, split, log)
         events_after[t] = len(log.events)
         if diagnostics and lanes:
             ev = np.linalg.eigvalsh(posterior.omega[:n_lane_slices]).reshape(
@@ -440,10 +449,8 @@ def run_once(scenarios, L, algorithms: Optional[list] = None,
                           bandwidth={a.label: scalars[row[a.label]] for a in algorithms},
                           diag=diag, events=events)
 
-    runs = [metrics_at(seed, 0) if one_depth
-            else {lv: metrics_at(seed, d) for d, lv in enumerate(depths)}
+    return [{lv: metrics_at(seed, d) for d, lv in enumerate(depths)}
             for seed in range(n_seeds)]
-    return runs[0] if isinstance(scenarios, Scenario) else runs
 
 
 @dataclass
@@ -519,8 +526,9 @@ def _mc_single_run(args) -> dict:
 
     def run(scenarios):
         out = []
-        for scenario, metrics in zip(scenarios, run_once(scenarios, L, algorithms,
-                                                         diagnostics=diagnostics)):
+        for scenario, by_depth in zip(scenarios, run_once(scenarios, [L], algorithms,
+                                                          diagnostics=diagnostics)):
+            metrics = by_depth[L]
             out.append({"seed": scenario.seed, "failed": None, "series": metrics.series,
                         "bandwidth": metrics.bandwidth})
             if diagnostics:
@@ -547,7 +555,9 @@ def _execute(fn, arglist, jobs: int):
     Each warning that the workers issue is issued once more here, once
     per distinct warning, so what a command prints does not depend on its
     worker count: each forked worker would print it once."""
-    if jobs <= 1 or len(arglist) <= 1:
+    if jobs < 1:
+        raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
+    if jobs == 1 or len(arglist) <= 1:
         return [fn(a) for a in arglist]
     # imported here so that serial runs do not load the process-pool machinery
     from concurrent.futures import ProcessPoolExecutor
@@ -581,6 +591,7 @@ def run_monte_carlo(cfg: ScenarioConfig, L: int, include=("ckf", "icf", "icfpie"
 
     Failed runs are excluded and counted; more than 5% failures raises.
     """
+    (L,) = _consensus_depths([L], "[L]")
     arglist = [(cfg, L, tuple(include), diagnostics, n, first)
                for n, first in _chunks(cfg, make_algorithms(cfg, include), 1)]
     good, failed = _split_failures(_chunk_runs(_mc_single_run, arglist, jobs), "Monte-Carlo")
@@ -645,9 +656,7 @@ def sweep_consensus_steps(cfg: ScenarioConfig, L_values, jobs: int = 1) -> Sweep
     """Monte-Carlo-averaged final error over a grid of consensus step
     counts, for both partial-exchange cases, full exchange, and the
     centralized benchmark. The grid is sorted and rid of duplicates."""
-    L_values = sorted({int(v) for v in L_values})
-    if not L_values:
-        raise ConfigurationError("sweep needs at least one L value")
+    L_values = sorted(set(_consensus_depths(L_values)))
     algorithms = _sweep_algorithms(cfg)
     arglist = [(cfg, tuple(L_values), n, first)
                for n, first in _chunks(cfg, algorithms, len(L_values))]
@@ -716,12 +725,7 @@ def load_config(path) -> tuple:
             raise ConfigurationError(f"{path}: config must be a JSON object, got {config!r}")
         extra = {k: meta[k] for k in ("mode", "L", "L_values") if k in meta}
         if extra.get("mode") == "sweep" or "L_values" in extra:
-            values = extra.get("L_values")
-            # bool is an int subclass; JSON true is not a depth
-            if (not isinstance(values, list) or not values
-                    or any(type(v) is not int or v < 1 for v in values)):
-                raise ConfigurationError(f"{path}: L_values must be a non-empty list of "
-                                         f"integers >= 1, got {values!r}")
+            _consensus_depths(extra.get("L_values"), f"{path}: L_values")
         return ScenarioConfig.from_dict(config), extra
 
     aliases = {"runs": "mc_runs", "consensus_steps": "L", "case": "selection"}

@@ -5,10 +5,11 @@ information vector q = P^-1 x_hat. Correction is additive in (Omega, q);
 prediction maps through the covariance form once per step.
 
 Every estimate is a stack of K slices: Omega of shape (K, n, n) and q of
-shape (K, n), one slice per node, and the centralized filter's one more.
-Every primitive acts on the stack slice by slice through numpy's
-batched linear algebra, and every event carries its slice index as
-`node`.
+shape (K, n). A run's stack holds one slice per node of every consensus
+lane of every seed in its chunk, then one per seed for the centralized
+filter (`dicf` gives the layout). Every primitive acts on the stack
+slice by slice through numpy's batched linear algebra, and every event
+carries its slice index as `node`.
 
 Numerical policy (applied everywhere, per slice, logged via NumericsLog):
   * symmetrize Omega after every arithmetic update;
@@ -17,8 +18,10 @@ Numerical policy (applied everywhere, per slice, logged via NumericsLog):
     plus whatever clears a negative eigenvalue;
   * state extraction from a singular Omega returns the minimum-norm
     least-squares solution and flags the event.
-The fused step of every run, `recover_and_predict`, routes each slice by
-its own input, along one of two paths: a closed form, which skips both
+The fused step of every run, `recover_and_predict`, takes a (K,) array
+of posterior scales and the model's split (`block_layouts`), which the
+caller reads once per stack shape, and routes each slice by its own
+input along one of two paths: a closed form, which skips both
 eigenvalue checks for a slice that it certifies, and the LAPACK path,
 which runs the policy on every other slice. `predict` and
 `to_state_estimate` take the LAPACK path alone, as the tests' reference.
@@ -557,33 +560,28 @@ def to_state_estimate(s: InformationState, log: Optional[NumericsLog] = None) ->
     return _recover_lapack(s.omega, s.q, np.ones(k), np.arange(k), log, True)[0]
 
 
-def recover_and_predict(b_mat: np.ndarray, b_vec: np.ndarray, scale,
-                        a: np.ndarray, q_cov: np.ndarray,
-                        log: Optional[NumericsLog] = None, split=...):
+def recover_and_predict(b_mat: np.ndarray, b_vec: np.ndarray, scale: np.ndarray,
+                        a: np.ndarray, q_cov: np.ndarray, split,
+                        log: Optional[NumericsLog] = None):
     """Posterior recovery and prediction with one factorization per slice.
 
-    From a stack of consensus pairs (B, b), returns (posterior,
+    From a stack of K consensus pairs (B, b), returns (posterior,
     estimates, next prior): the posterior (scale * B, scale * b), with
-    `scale` one number for all slices or a (K,) float array of one per
-    slice (N for a lane's pairs, 1 for a fused centralized pair), the
-    estimates B^-1 b (what `to_state_estimate` gives for the pairs), and
-    the posterior predicted through (A, Q) (what `predict` gives for it).
-    This is the only entry that takes the closed form, in the model's
-    `split`, `block_layouts(n, (a, q_cov), K)`, which a run reads once
-    (it is read here when not given). There one Cholesky factor of sym(B)
-    per slice gives the estimate and P = B^-1 / scale for the prediction,
-    and one certificate covers the checks of both, as the smallest
-    eigenvalue scales with B. Every other slice goes to `_recover_lapack`
-    in one call, whose events carry each slice's index in the stack. The
-    posterior is a ScaledPosterior, formed only where it is read. A (K,)
-    float array of scales is used as it is, not copied: it must not
-    change while the posterior is in use.
+    `scale` a (K,) float array of one number per slice (N for a lane's
+    pairs, 1 for a fused centralized pair), the estimates B^-1 b (what
+    `to_state_estimate` gives for the pairs), and the posterior predicted
+    through (A, Q) (what `predict` gives for it). This is the only entry
+    that takes the closed form, in `split`, the model's
+    `block_layouts(n, (a, q_cov), K)`, which a caller reads once per
+    stack shape; with None every slice takes the LAPACK path. On the
+    closed form one Cholesky factor of sym(B) per slice gives the estimate
+    and P = B^-1 / scale for the prediction, and one certificate covers
+    the checks of both, as the smallest eigenvalue scales with B. Every
+    other slice goes to `_recover_lapack` in one call, whose events carry
+    each slice's index in the stack. The posterior is a ScaledPosterior,
+    formed only where it is read; it keeps `scale` as it is, so the array
+    must not change while the posterior is in use.
     """
-    scale = np.asarray(scale, dtype=float)
-    if scale.shape != b_vec.shape[:1]:
-        scale = np.full(len(b_vec), scale)
-    if split is ...:
-        split = block_layouts(b_mat.shape[-1], (a, q_cov), len(b_vec))
     if split is None:
         x, next_prior = _recover_lapack(b_mat, b_vec, scale, np.arange(len(b_vec)), log, True,
                                         (a, q_cov))

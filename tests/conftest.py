@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from consensus_reference import network_from_positions
+from icfpie.network import SensorNetwork
 
 
 @pytest.fixture
@@ -31,3 +33,19 @@ def assert_rel_close(actual, expected, rel=1e-12):
     actual, expected = np.asarray(actual), np.asarray(expected)
     assert actual.shape == expected.shape
     assert np.max(np.abs(actual - expected)) <= rel * np.max(np.abs(expected))
+
+
+@st.composite
+def connected_networks(draw):
+    """A random connected graph on 2 to 8 nodes: a random spanning tree,
+    which keeps it connected, and random extra edges."""
+    n = draw(st.integers(min_value=2, max_value=8))
+    adj = np.zeros((n, n), dtype=bool)
+    for i in range(1, n):
+        j = draw(st.integers(min_value=0, max_value=i - 1))
+        adj[i, j] = adj[j, i] = True
+    for i, j in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                              max_size=n * n)):
+        if i != j:
+            adj[i, j] = adj[j, i] = True
+    return SensorNetwork(positions=np.zeros((n, 2)), adjacency=adj)

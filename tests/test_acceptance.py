@@ -16,7 +16,7 @@ import pytest
 from conftest import random_spd
 from consensus_reference import closed_neighborhoods
 from icfpie.consensus import ConsensusState, averaging_powers, plan_lanes, run_consensus
-from icfpie.dicf import ckf_step, correction_terms, dicf_step
+from icfpie.dicf import ckf_step, correction_terms
 from icfpie.harness import (
     ScenarioConfig,
     build_scenario,
@@ -36,6 +36,7 @@ from icfpie.network import consensus_gain, random_geometric
 from icfpie.selection import default_schedule
 from icf_reference import run_original_icf
 from kf_reference import run_kf
+from one_seed import step_one
 
 FULL_MODE = os.environ.get("ICFPIE_ACCEPT_FULL") == "1"
 MC_RUNS = 100 if FULL_MODE else 25
@@ -80,13 +81,13 @@ def test_criterion_1_identity_schedule_reduction():
     schedule = default_schedule(4, "identity")
 
     prior = scenario.zero_prior(cfg.n_nodes)
-    plan = plan_lanes([(schedule, 12)], averaging_powers(scenario.net, scenario.eps, 12), 4)
+    plan = plan_lanes([(schedule, 12)], averaging_powers(scenario.net, scenario.eps, 12)[None], 4)
     n_steps = cfg.n_steps
     est = np.zeros((n_steps, cfg.n_nodes, 4))
     omegas = np.zeros((n_steps, cfg.n_nodes, 4, 4))
     for t in range(n_steps):
         terms = correction_terms(scenario.sensor, scenario.measurements[t], scenario.sensed[t])
-        prior, posterior, est[t] = dicf_step(prior, plan, terms, scenario.sys)
+        prior, posterior, est[t] = step_one(prior, plan, terms, scenario.sys)
         omegas[t] = posterior.omega
 
     ref_est, ref_omegas = run_original_icf(
@@ -126,10 +127,10 @@ def test_criterion_3_single_step_convergence_to_benchmark():
     meas, sensed = scenario.measurements[0], scenario.sensed[0]
 
     plan = plan_lanes([(default_schedule(4, "case1"), 400)],
-                      averaging_powers(scenario.net, scenario.eps, 400), 4)
-    _, posterior, estimates = dicf_step(scenario.zero_prior(cfg.n_nodes), plan,
-                                        correction_terms(scenario.sensor, meas, sensed),
-                                        scenario.sys)
+                      averaging_powers(scenario.net, scenario.eps, 400)[None], 4)
+    _, posterior, estimates = step_one(scenario.zero_prior(cfg.n_nodes), plan,
+                                       correction_terms(scenario.sensor, meas, sensed),
+                                       scenario.sys)
     _, ckf_post, _ = ckf_step(scenario.zero_prior(1), meas, sensed, scenario.sensor,
                               scenario.sys)
     x_ckf = to_state_estimate(ckf_post)[0]
@@ -156,10 +157,10 @@ def test_criterion_4_bandwidth_ratios_exact():
     per_step = {}
     for kind in ("identity", "case1", "case2"):
         plan = plan_lanes([(default_schedule(4, kind), L)],
-                          averaging_powers(scenario.net, scenario.eps, L), 4)
-        dicf_step(scenario.zero_prior(cfg.n_nodes), plan,
-                  correction_terms(scenario.sensor, scenario.measurements[0],
-                                   scenario.sensed[0]), scenario.sys)
+                          averaging_powers(scenario.net, scenario.eps, L)[None], 4)
+        step_one(scenario.zero_prior(cfg.n_nodes), plan,
+                 correction_terms(scenario.sensor, scenario.measurements[0],
+                                  scenario.sensed[0]), scenario.sys)
         (payloads,) = plan.payloads
         totals[kind] = cfg.n_nodes * sum(payloads)
         per_step[kind] = cfg.n_nodes * payloads[0]

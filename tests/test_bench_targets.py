@@ -62,7 +62,7 @@ def test_traced_run_counts_consensus_and_events(tracer):
     L, n = 2, 4
     try:
         tracer.install()
-        metrics = harness.run_once(scenario, L)
+        metrics = harness.run_once([scenario], [L])[0][L]
     finally:
         assert tracer.restore() == []
     # one kernel call per timestep advances both consensus lanes, timed

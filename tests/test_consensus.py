@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_rel_close, random_spd
+from conftest import assert_rel_close, connected_networks, random_spd
 from consensus_reference import (
     closed_neighborhoods,
     consensus_step,
@@ -23,7 +23,7 @@ from icfpie.consensus import (
 )
 from icfpie.errors import ConfigurationError, ConsensusCycleWarning
 from icfpie.info_filter import information_state
-from icfpie.network import BandwidthLedger, SensorNetwork, consensus_gain, random_geometric
+from icfpie.network import BandwidthLedger, consensus_gain, random_geometric
 from icfpie.selection import build_schedule, default_schedule
 
 
@@ -293,22 +293,6 @@ class TestConsensusProperties:
         assert np.allclose(out.b, vecs, atol=1e-12)
 
 
-@st.composite
-def connected_networks(draw):
-    """A random connected graph on 2 to 8 nodes: a random spanning tree,
-    which keeps it connected, and random extra edges."""
-    n = draw(st.integers(min_value=2, max_value=8))
-    adj = np.zeros((n, n), dtype=bool)
-    for i in range(1, n):
-        j = draw(st.integers(min_value=0, max_value=i - 1))
-        adj[i, j] = adj[j, i] = True
-    for i, j in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
-                              max_size=n * n)):
-        if i != j:
-            adj[i, j] = adj[j, i] = True
-    return SensorNetwork(positions=np.zeros((n, 2)), adjacency=adj)
-
-
 class TestSpectralContraction:
     """The paper's convergence argument as an inequality (Xiao & Boyd
     2004): M = I - eps Lap is symmetric and doubly stochastic, so each of
@@ -329,7 +313,7 @@ class TestSpectralContraction:
         assert rho < 1.0
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ConsensusCycleWarning)
-            plan = plan_lanes([(default_schedule(4, kind), L)], powers, 4)
+            plan = plan_lanes([(default_schedule(4, kind), L)], powers[None], 4)
         B0 = np.array([random_spd(rng, 4) for _ in range(n_nodes)])[None]
         b0 = rng.normal(size=(1, n_nodes, 4))
         B, b = run_masked_consensus(B0, b0, plan.powers)

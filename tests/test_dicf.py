@@ -6,11 +6,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_rel_close, random_spd
+from conftest import assert_rel_close, connected_networks, random_spd
 from consensus_reference import closed_neighborhoods
 from icfpie.consensus import averaging_powers, plan_lanes
-from icfpie.dicf import ckf_step, correction_terms, dicf_step
-from icfpie.harness import ScenarioConfig, build_scenario, make_algorithms, run_once
+from icfpie.dicf import ckf_step, correction_terms
+from icfpie.harness import ScenarioConfig, build_scenario, make_algorithms
 from icfpie.errors import ConfigurationError
 from icfpie.info_filter import (
     NumericsLog,
@@ -25,10 +25,11 @@ from icfpie.models import (
     constant_velocity_matrix,
     position_measurement_matrix,
 )
-from icfpie.network import SensorNetwork
+from icfpie.network import SensorNetwork, consensus_gain
 from icfpie.selection import default_schedule
 from icf_reference import run_original_icf
 from kf_reference import run_kf
+from one_seed import run_one, step_one
 
 
 def reference_models():
@@ -43,13 +44,13 @@ def run_package_icfpie(scenario, schedule, L):
     """Drive dicf_step over a prebuilt scenario; returns (estimates, omegas)."""
     cfg = scenario.cfg
     prior = scenario.zero_prior(cfg.n_nodes)
-    plan = plan_lanes([(schedule, L)], averaging_powers(scenario.net, scenario.eps, L), 4)
+    plan = plan_lanes([(schedule, L)], averaging_powers(scenario.net, scenario.eps, L)[None], 4)
     n_steps = cfg.n_steps
     estimates = np.zeros((n_steps, cfg.n_nodes, 4))
     omegas = np.zeros((n_steps, cfg.n_nodes, 4, 4))
     for t in range(n_steps):
         terms = correction_terms(scenario.sensor, scenario.measurements[t], scenario.sensed[t])
-        prior, posterior, estimates[t] = dicf_step(prior, plan, terms, scenario.sys)
+        prior, posterior, estimates[t] = step_one(prior, plan, terms, scenario.sys)
         omegas[t] = posterior.omega
     return estimates, omegas
 
@@ -84,8 +85,8 @@ def step_lanes(scenario, lanes, prior, t):
     outputs, the plan and the log."""
     log = NumericsLog()
     powers = averaging_powers(scenario.net, scenario.eps, max((L for _, L in lanes), default=0))
-    plan = plan_lanes(lanes, powers, 4)
-    next_prior, posterior, estimates = dicf_step(
+    plan = plan_lanes(lanes, powers[None], 4)
+    next_prior, posterior, estimates = step_one(
         prior, plan, correction_terms(scenario.sensor, scenario.measurements[t],
                                       scenario.sensed[t]), scenario.sys, log=log)
     return next_prior, posterior, estimates, plan, log
@@ -183,11 +184,11 @@ class TestCentralSlice:
         assert scenario.sensed.any(axis=1).argmax() == first_sensed
         lanes = [(SCHEDULES[kind], 3) for kind in kinds]
         last = len(lanes) * scenario.net.n_nodes
-        plan = plan_lanes(lanes, averaging_powers(scenario.net, scenario.eps, 3), 4)
+        plan = plan_lanes(lanes, averaging_powers(scenario.net, scenario.eps, 3)[None], 4)
         prior = scenario.zero_prior(last + 1)
         for t, (next_ckf, post_ckf, estimate_ckf, events_ckf) in enumerate(steps):
             log = NumericsLog()
-            prior, posterior, estimates = dicf_step(
+            prior, posterior, estimates = step_one(
                 prior, plan, correction_terms(scenario.sensor, scenario.measurements[t],
                                               scenario.sensed[t]), scenario.sys, log=log)
             for got, expected in [(prior.omega[last:], next_ckf.omega),
@@ -210,10 +211,10 @@ class TestCentralSlice:
         scenario, steps = ckf_loop(seed)
         lanes = [(SCHEDULES[kind], L) for L in depths for kind in ("identity", "case1", "case2")]
         last = len(lanes) * scenario.net.n_nodes
-        plan = plan_lanes(lanes, averaging_powers(scenario.net, scenario.eps, max(depths)), 4)
+        plan = plan_lanes(lanes, averaging_powers(scenario.net, scenario.eps, max(depths))[None], 4)
         prior = scenario.zero_prior(last + 1)
         for t, (next_ckf, post_ckf, estimate_ckf, _) in enumerate(steps[:20]):
-            prior, posterior, estimates = dicf_step(
+            prior, posterior, estimates = step_one(
                 prior, plan, correction_terms(scenario.sensor, scenario.measurements[t],
                                               scenario.sensed[t]), scenario.sys)
             for got, expected in [(prior.omega[last:], next_ckf.omega),
@@ -225,8 +226,8 @@ class TestCentralSlice:
 
     def test_run_once_with_only_the_centralized_filter(self):
         scenario, steps = ckf_loop(196)
-        metrics = run_once(scenario, 4, make_algorithms(scenario.cfg, ["ckf"]),
-                           diagnostics=True)
+        metrics = run_one(scenario, 4, make_algorithms(scenario.cfg, ["ckf"]),
+                          diagnostics=True)
         errors = [np.linalg.norm(scenario.truth[t] - estimate, axis=-1)[0]
                   for t, (_, _, estimate, _) in enumerate(steps)]
         regularized = [sum(e["kind"] == "regularize" for e in events)
@@ -259,10 +260,10 @@ class TestConvergenceToCentral:
 
         prior = scenario.zero_prior(cfg.n_nodes)
         central = scenario.zero_prior(1)
-        plan = plan_lanes([(schedule, L)], averaging_powers(scenario.net, scenario.eps, L), 4)
+        plan = plan_lanes([(schedule, L)], averaging_powers(scenario.net, scenario.eps, L)[None], 4)
         for t in range(cfg.n_steps):
             meas, sensed = scenario.measurements[t], scenario.sensed[t]
-            prior, posterior, estimates = dicf_step(
+            prior, posterior, estimates = step_one(
                 prior, plan, correction_terms(scenario.sensor, meas, sensed), scenario.sys)
             central, ckf_post, _ = ckf_step(central, meas, sensed, scenario.sensor,
                                             scenario.sys)
@@ -274,6 +275,51 @@ class TestConvergenceToCentral:
                 x_rel = (np.linalg.norm(estimates[k] - x_ckf)
                          / max(np.linalg.norm(x_ckf), 1e-12))
                 assert x_rel < 1e-6
+
+    @given(connected_networks(), st.integers(min_value=1, max_value=10),
+           st.integers(min_value=0, max_value=2**16))
+    @settings(max_examples=100, deadline=None)
+    def test_lanes_reach_the_centralized_pair_at_the_spectral_rate(self, net, cycles, seed):
+        """From a prior common to every node, the nodes' mean of (B(0), b(0))
+        is the centralized corrected pair over N. At whole cycles L = c
+        theta every row r is averaged c times, and each average contracts
+        the row's deviation from that mean by rho, the largest |eigenvalue|
+        of M - 11^T / N (Xiao & Boyd 2004). So node i of every lane has
+        ||N rows_r(B_i(L), b_i(L)) - rows_r(centralized)|| <= N rho^c
+        max_r ||rows_r(0) - mean||, with rows_r(0) the (N, n + 1) block of
+        row r across the nodes. The centralized pair is the stack's
+        trailing slice, corrected in the same step."""
+        rng = np.random.default_rng(seed)
+        n_nodes = net.n_nodes
+        lanes = [(SCHEDULES[kind], cycles * SCHEDULES[kind].theta_bar)
+                 for kind in ("identity", "case1", "case2")]
+        powers = averaging_powers(net, consensus_gain(net), 4 * cycles)
+        rho = np.abs(np.linalg.eigvalsh(powers[1] - 1.0 / n_nodes)).max()
+        assert rho < 1.0
+        a, q, r, c = reference_models()
+        common = random_spd(rng, 4, scale=rng.uniform(0.01, 100.0)), rng.normal(size=4)
+        n_slices = len(lanes) * n_nodes + 1
+        prior = information_state(np.tile(common[0], (n_slices, 1, 1)),
+                                  np.tile(common[1], (n_slices, 1)))
+        terms = correction_terms(MeasurementModel.linear(c, r),
+                                 rng.normal(scale=300.0, size=(n_nodes, 2)),
+                                 rng.random(n_nodes) < 0.7)
+        _, posterior, _ = step_one(prior, plan_lanes(lanes, powers[None], 4), terms,
+                                   SystemModel.lti(a, q))
+
+        def rows(omega, q_vec):
+            """Row r of each slice's pair, (..., n, n + 1)."""
+            return np.concatenate([omega, q_vec[..., None]], axis=-1)
+        start = rows(common[0] / n_nodes + terms.d_omega, common[1] / n_nodes + terms.d_q)
+        spread = np.linalg.norm(start - start.mean(axis=0), axis=(0, 2)).max()
+        distance = np.linalg.norm(rows(posterior.omega[:-1], posterior.q[:-1])
+                                  - rows(posterior.omega[-1], posterior.q[-1]), axis=-1)
+        # rounding allowance: TestSpectralContraction's 4 (k + 1) N eps per
+        # row, for k = c averages, times N for the scaled pairs, and twice
+        # over for the rounding of B(0) and of the centralized pair
+        size = np.linalg.norm(start, axis=(0, 2)).max()
+        slack = 8 * (cycles + 1) * n_nodes ** 2 * np.finfo(float).eps * size
+        assert distance.max() <= n_nodes * rho ** cycles * spread + slack
 
     def test_estimate_distance_to_ckf_shrinks_with_more_steps(self):
         cfg = ScenarioConfig(seed=13, mc_runs=1)
@@ -307,8 +353,8 @@ class TestDegenerateNetwork:
         net1 = SensorNetwork(positions=np.zeros((1, 2)), adjacency=np.zeros((1, 1), dtype=bool))
         y = np.array([12.0, -3.0])
         plan = plan_lanes([(default_schedule(4, "identity"), 1)],
-                          averaging_powers(net1, 0.5, 1), 4)
-        next_stacked, posterior, estimates = dicf_step(
+                          averaging_powers(net1, 0.5, 1)[None], 4)
+        next_stacked, posterior, estimates = step_one(
             prior, plan, correction_terms(sensor, y[None], np.array([True])), sys)
 
         post = centralized_correct(prior, c, sensor.v, y[None])

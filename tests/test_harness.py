@@ -14,7 +14,7 @@ import icfpie
 from conftest import assert_rel_close
 from icfpie import dicf, harness, info_filter
 from icfpie.consensus import averaging_powers, plan_lanes
-from icfpie.dicf import correction_terms, dicf_step
+from icfpie.dicf import correction_terms
 from icfpie.errors import ConfigurationError, ConsensusCycleWarning, FilterNumericsError
 from icfpie.harness import (
     ScenarioConfig,
@@ -30,6 +30,7 @@ from icfpie.models import TruthModel
 from icfpie.info_filter import SINGULAR_EIG, NumericsLog, symmetrize
 from icfpie.network import random_geometric
 from measurement_reference import sample_measurement
+from one_seed import run_one, step_one
 from truth_reference import truth_loop
 
 FAST = dict(n_nodes=6, horizon=2.0, mc_runs=2, seed=3)
@@ -94,7 +95,7 @@ class TestRunOnce:
     def test_benchmark_error_shrinks_from_start(self):
         cfg = ScenarioConfig(seed=5, mc_runs=1)
         scenario = build_scenario(cfg, 5)
-        metrics = run_once(scenario, 1, make_algorithms(cfg, ["ckf"]))
+        metrics = run_one(scenario, 1, make_algorithms(cfg, ["ckf"]))
         s = metrics.series["ckf"]
         # compare the settled tail against the cold-start error
         assert s[-10:].mean() < 0.3 * s[0]
@@ -102,7 +103,7 @@ class TestRunOnce:
     def test_identity_partial_exchange_equals_full_exchange_series(self):
         cfg = dataclasses.replace(ScenarioConfig(**FAST), selection="identity")
         scenario = build_scenario(cfg, 2)
-        metrics = run_once(scenario, 4)
+        metrics = run_one(scenario, 4)
         assert np.array_equal(metrics.series["icfpie[identity]"],
                               metrics.series["icf[identity]"])
 
@@ -110,14 +111,14 @@ class TestRunOnce:
         cfg = ScenarioConfig(**FAST)
         scenario = build_scenario(cfg, 2)
         for L in (4, 12):
-            metrics = run_once(scenario, L)
+            metrics = run_one(scenario, L)
             for label, series in metrics.series.items():
                 assert np.all(np.isfinite(series)), label
 
     def test_bandwidth_totals_scale_with_selected_entries(self):
         cfg = ScenarioConfig(**FAST)
         scenario = build_scenario(cfg, 2)
-        metrics = run_once(scenario, 4)
+        metrics = run_one(scenario, 4)
         ident = metrics.bandwidth["icf[identity]"]
         assert metrics.bandwidth["icfpie[1]"] * 2 == ident
         assert metrics.bandwidth["ckf"] == 0
@@ -176,7 +177,7 @@ class TestAxisBlocks:
             mp.setattr(harness, "block_layouts", lambda n, model, k=1: None)
             mp.setattr(dicf, "recover_and_predict", pairs_and_priors)
             mp.setattr(info_filter, "_inv_spd", predicted)
-            run_once(scenario, L)
+            run_one(scenario, L)
         assert len(seen) == 3 * cfg.n_steps
         for m in seen:
             assert not cross_axis(m).any()
@@ -210,11 +211,61 @@ class TestAxisBlocks:
             return out
         monkeypatch.setattr(info_filter, "_recover_blocks", each_step)
         monkeypatch.setattr(info_filter, "_recover_lapack", sent)
-        run_once(scenario, 12)
+        run_one(scenario, 12)
         assert len(steps) == scenario.cfg.n_steps
         assert all(all(reasons) for reasons in steps)
         assert [t for t, reasons in enumerate(steps) if reasons] == [0]
         assert len(steps[0]) == 2 * scenario.net.n_nodes + 1
+
+
+def no_run(*args, **kwargs):
+    raise AssertionError("a run started although its arguments are refused")
+
+
+class TestArgumentChecks:
+    """The run entries refuse bad arguments with ConfigurationError before
+    any seed is built."""
+
+    @pytest.mark.parametrize("entry, depths", [
+        ("run_monte_carlo", True),
+        ("run_monte_carlo", 2.5),
+        ("sweep_consensus_steps", [2.7]),
+        ("sweep_consensus_steps", [True, 2]),
+        ("sweep_consensus_steps", 5),
+        ("run_once", 12),
+        ("run_once", [2.5]),
+        ("run_once", [True]),
+        ("run_once", {2, 3}),
+    ])
+    def test_depths_that_are_not_integers_from_one_rejected(self, monkeypatch, entry,
+                                                            depths):
+        cfg = ScenarioConfig(**FAST)
+        scenario = build_scenario(cfg, cfg.seed)
+        monkeypatch.setattr(harness, "build_scenario", no_run)
+        call = {"run_monte_carlo": lambda: run_monte_carlo(cfg, depths),
+                "sweep_consensus_steps": lambda: sweep_consensus_steps(cfg, depths),
+                "run_once": lambda: run_once([scenario], depths)}[entry]
+        with pytest.raises(ConfigurationError, match="must be a non-empty list of integers"):
+            call()
+
+    def test_empty_algorithm_list_rejected(self, monkeypatch):
+        cfg = ScenarioConfig(**FAST)
+        monkeypatch.setattr(harness, "build_scenario", no_run)
+        with pytest.raises(ConfigurationError, match="algorithm list is empty"):
+            make_algorithms(cfg, [])
+        with pytest.raises(ConfigurationError, match="algorithm list is empty"):
+            run_monte_carlo(cfg, 4, include=())
+
+    @pytest.mark.parametrize("jobs", [0, -1])
+    @pytest.mark.parametrize("entry", ["run_monte_carlo", "sweep_consensus_steps"])
+    def test_jobs_below_one_rejected(self, monkeypatch, entry, jobs):
+        cfg = ScenarioConfig(**FAST)
+        monkeypatch.setattr(harness, "build_scenario", no_run)
+        with pytest.raises(ConfigurationError, match="jobs must be >= 1"):
+            if entry == "run_monte_carlo":
+                run_monte_carlo(cfg, 4, jobs=jobs)
+            else:
+                sweep_consensus_steps(cfg, [1, 2], jobs=jobs)
 
 
 class TestMonteCarlo:
@@ -222,7 +273,7 @@ class TestMonteCarlo:
         cfg = dataclasses.replace(ScenarioConfig(**FAST), mc_runs=1)
         mc = run_monte_carlo(cfg, 4)
         scenario = build_scenario(cfg, cfg.seed)
-        once = run_once(scenario, 4)
+        once = run_one(scenario, 4)
         for label in mc.mean_series:
             assert np.array_equal(mc.mean_series[label], once.series[label])
 
@@ -232,7 +283,7 @@ class TestMonteCarlo:
         # that has no eigenvalue range after it
         cfg = ScenarioConfig(horizon=horizon, n_nodes=4, mc_runs=1)
         [summary] = run_monte_carlo(cfg, 4, diagnostics=True).run_diags
-        once = run_once(build_scenario(cfg, cfg.seed), 4, diagnostics=True)
+        once = run_one(build_scenario(cfg, cfg.seed), 4, diagnostics=True)
         lanes = 0
         for label, entry in summary.items():
             if label not in once.diag["eig_min"]:
@@ -248,7 +299,7 @@ class TestMonteCarlo:
     def test_averaging_is_linear(self):
         cfg = dataclasses.replace(ScenarioConfig(**FAST), mc_runs=2)
         mc = run_monte_carlo(cfg, 4)
-        runs = [run_once(build_scenario(cfg, cfg.seed + k), 4) for k in range(2)]
+        runs = [run_one(build_scenario(cfg, cfg.seed + k), 4) for k in range(2)]
         for label in mc.mean_series:
             manual = (runs[0].series[label] + runs[1].series[label]) / 2
             assert np.allclose(mc.mean_series[label], manual, rtol=1e-15)
@@ -354,7 +405,7 @@ class TestOnePassLanes:
         assert len(sweep.rows) == 4 * len(algs)
         for row in sweep.rows:
             label = row["label"]
-            runs = [run_once(s, row["L"], [algs[label]]) for s in scenarios]
+            runs = [run_one(s, row["L"], [algs[label]]) for s in scenarios]
             expected = np.array([m.final[label] for m in runs]).mean()
             assert abs(row["final_error"] - expected) <= 1e-12 * abs(expected)
             assert row["total_scalars"] == runs[0].bandwidth[label]
@@ -365,12 +416,12 @@ class TestOnePassLanes:
         cfg = dataclasses.replace(ScenarioConfig(**FAST), selection="case2")
         scenario = build_scenario(cfg, 4)
         algorithms = make_algorithms(cfg)
-        by_depth = run_once(scenario, (2, 3, 5), algorithms, diagnostics=True)
+        [by_depth] = run_once([scenario], (2, 3, 5), algorithms, diagnostics=True)
         assert sorted(by_depth) == [2, 3, 5]
         assert by_depth[3].diag["reg_events"]["icfpie[2]"][1:].sum() > 0
         for L, together in by_depth.items():
             for a in algorithms:
-                alone = run_once(scenario, L, [a], diagnostics=True)
+                alone = run_one(scenario, L, [a], diagnostics=True)
                 assert np.array_equal(together.diag["reg_events"][a.label],
                                       alone.diag["reg_events"][a.label])
                 assert together.bandwidth[a.label] == alone.bandwidth[a.label]
@@ -388,8 +439,8 @@ class TestOnePassLanes:
         cfg = dataclasses.replace(ScenarioConfig(**FAST), selection="case2")
         scenario = build_scenario(cfg, 4)
         algorithms = make_algorithms(cfg)
-        given = run_once(scenario, (2, 3), algorithms, diagnostics=True)
-        flipped = run_once(scenario, (2, 3), algorithms[::-1], diagnostics=True)
+        [given] = run_once([scenario], (2, 3), algorithms, diagnostics=True)
+        [flipped] = run_once([scenario], (2, 3), algorithms[::-1], diagnostics=True)
         for L in (2, 3):
             for metrics, algs in ((given[L], algorithms), (flipped[L], algorithms[::-1])):
                 labels = [a.label for a in algs]
@@ -442,8 +493,8 @@ class TestOnePassLanes:
         # puts its events in row K, after every lane's row
         cfg = dataclasses.replace(ScenarioConfig(**FAST), selection="case2")
         scenario = build_scenario(cfg, 4)
-        together = run_once(scenario, (2, 3, 5), make_algorithms(cfg), diagnostics=True)
-        alone = run_once(scenario, 3, make_algorithms(cfg, ["ckf"]), diagnostics=True)
+        [together] = run_once([scenario], (2, 3, 5), make_algorithms(cfg), diagnostics=True)
+        alone = run_one(scenario, 3, make_algorithms(cfg, ["ckf"]), diagnostics=True)
         assert alone.diag["reg_events"]["ckf"].sum() > 0
         for metrics in together.values():
             assert np.array_equal(metrics.diag["reg_events"]["ckf"],
@@ -462,9 +513,9 @@ class TestOnePassLanes:
         monkeypatch.setattr(harness, "averaging_powers", counting)
         monkeypatch.setattr(consensus, "averaging_powers", counting)
         scenario = build_scenario(ScenarioConfig(**FAST), 2)
-        run_once(scenario, (2, 5, 3))
+        run_once([scenario], (2, 5, 3))
         assert built == [5]
-        run_once(scenario, 4)
+        run_one(scenario, 4)
         assert built == [5, 4]
 
     def test_one_lane_plan_per_run_once(self, monkeypatch):
@@ -479,10 +530,10 @@ class TestOnePassLanes:
         monkeypatch.setattr(harness, "plan_lanes", counting)
         monkeypatch.setattr(consensus, "plan_lanes", counting)
         scenario = build_scenario(ScenarioConfig(**FAST), 2)
-        run_once(scenario, (2, 5, 3))
+        run_once([scenario], (2, 5, 3))
         # icf and icfpie at each depth, in the order of the stack's lanes
         assert planned == [[2, 2, 5, 5, 3, 3]]
-        run_once(scenario, 4)
+        run_one(scenario, 4)
         assert planned == [[2, 2, 5, 5, 3, 3], [4, 4]]
 
     def test_one_cycle_warning_per_partial_lane_and_run(self):
@@ -491,7 +542,7 @@ class TestOnePassLanes:
         cfg = ScenarioConfig(**FAST)
         scenario = build_scenario(cfg, 2)
         with pytest.warns(ConsensusCycleWarning) as record:
-            run_once(scenario, (1, 3, 20), harness._sweep_algorithms(cfg))
+            run_once([scenario], (1, 3, 20), harness._sweep_algorithms(cfg))
         messages = [str(w.message) for w in record
                     if issubclass(w.category, ConsensusCycleWarning)]
         assert len(messages) == 4
@@ -510,7 +561,7 @@ class TestOnePassLanes:
         consensus = [a for a in algorithms if a.uses_consensus]
         lanes = [(a.schedule, L) for L in depths for a in consensus]
         N, T, rows = cfg.n_nodes, cfg.n_steps, len(lanes) + 1
-        plan = plan_lanes(lanes, averaging_powers(scenario.net, scenario.eps, max(depths)), 4)
+        plan = plan_lanes(lanes, averaging_powers(scenario.net, scenario.eps, max(depths))[None], 4)
         prior = scenario.zero_prior(len(lanes) * N + 1)
         errors = np.zeros((rows, T))
         node_errors = np.zeros((len(lanes), T, N))
@@ -518,7 +569,7 @@ class TestOnePassLanes:
         singular = np.zeros(T, dtype=int)
         for t in range(T):
             log = NumericsLog()
-            prior, _, estimates = dicf_step(
+            prior, _, estimates = step_one(
                 prior, plan, correction_terms(scenario.sensor, scenario.measurements[t],
                                               scenario.sensed[t]), scenario.sys, log=log)
             errs = np.linalg.norm(scenario.truth[t] - estimates, axis=-1)
@@ -531,7 +582,7 @@ class TestOnePassLanes:
                     reg[event["node"] // N, t] += 1
             singular[t] = log.count("singular_solve")
 
-        by_depth = run_once(scenario, depths, algorithms, diagnostics=True)
+        [by_depth] = run_once([scenario], depths, algorithms, diagnostics=True)
         for d, L in enumerate(depths):
             metrics = by_depth[L]
             for j, a in enumerate(consensus):
@@ -570,9 +621,9 @@ class TestOnePassLanes:
         first, other = build_scenario(cfg, 4), build_scenario(
             dataclasses.replace(cfg, n_nodes=8), 5)
         algorithms = make_algorithms(cfg)
-        before = run_once(first, (2, 3, 5), algorithms, diagnostics=True)
-        run_once(other, (2, 3, 5), algorithms, diagnostics=True)
-        after = run_once(first, (2, 3, 5), algorithms, diagnostics=True)
+        [before] = run_once([first], (2, 3, 5), algorithms, diagnostics=True)
+        run_once([other], (2, 3, 5), algorithms, diagnostics=True)
+        [after] = run_once([first], (2, 3, 5), algorithms, diagnostics=True)
         for L, metrics in before.items():
             for a in algorithms:
                 assert np.array_equal(metrics.series[a.label], after[L].series[a.label])
@@ -583,7 +634,7 @@ class TestOnePassLanes:
     def test_empty_depth_sequence_rejected(self):
         scenario = build_scenario(ScenarioConfig(**FAST), 2)
         with pytest.raises(ConfigurationError):
-            run_once(scenario, [])
+            run_once([scenario], [])
 
 
 class TestChunks:
@@ -609,22 +660,20 @@ class TestChunks:
         # L = 12 with the default algorithms, or the benchmark's sweep grid,
         # whose partial-cycle lanes send slices to the LAPACK path
         cfg = ScenarioConfig()
-        L, algorithms = (((1, 3, 20), harness._sweep_algorithms(cfg)) if grid
-                         else (cfg.L, make_algorithms(cfg)))
+        depths, algorithms = (((1, 3, 20), harness._sweep_algorithms(cfg)) if grid
+                              else ((cfg.L,), make_algorithms(cfg)))
         scenarios = [build_scenario(cfg, seed) for seed in (2, 7, 11)]
-        chunk = run_once(scenarios, L, algorithms, diagnostics=True)
+        chunk = run_once(scenarios, depths, algorithms, diagnostics=True)
         assert len(chunk) == len(scenarios)
         kinds, nodes = set(), set()
         for scenario, chunked in zip(scenarios, chunk):
-            alone = run_once(scenario, L, algorithms, diagnostics=True)
-            pairs = ([(chunked[lv], alone[lv]) for lv in L] if grid
-                     else [(chunked, alone)])
-            for c, a in pairs:
-                self.assert_same_run(c, a)
-                kinds.update(e["kind"] for e in a.events)
-                nodes.update(e["node"] for e in a.events)
+            [alone] = run_once([scenario], depths, algorithms, diagnostics=True)
+            for lv in depths:
+                self.assert_same_run(chunked[lv], alone[lv])
+                kinds.update(e["kind"] for e in alone[lv].events)
+                nodes.update(e["node"] for e in alone[lv].events)
         # events of lane slices and of the centralized one, K*N, map back
-        n_central = (len(algorithms) - 1) * (len(L) if grid else 1) * cfg.n_nodes
+        n_central = (len(algorithms) - 1) * len(depths) * cfg.n_nodes
         assert "singular_solve" in kinds and n_central in nodes and min(nodes) < n_central
 
     def test_a_failing_seed_leaves_the_others_their_bits(self, monkeypatch):
@@ -643,7 +692,7 @@ class TestChunks:
             return scenario
         monkeypatch.setattr(harness, "build_scenario", injected)
         with pytest.raises(FilterNumericsError) as alone:
-            run_once(injected(cfg, bad), cfg.L)
+            run_one(injected(cfg, bad), cfg.L)
         tasks = {"Monte-Carlo": (harness._mc_single_run, (cfg, cfg.L, ("ckf", "icf", "icfpie"),
                                                           True)),
                  "sweep": (harness._sweep_single_run, (cfg, (1, 2)))}

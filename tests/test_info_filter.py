@@ -15,6 +15,7 @@ from icfpie.info_filter import (
     InformationState,
     NumericsLog,
     _inv_lower,
+    block_layouts,
     centralized_correct,
     SINGULAR_EIG,
     ensure_invertible,
@@ -28,6 +29,14 @@ from icfpie.info_filter import (
 )
 from kf_reference import run_kf
 from recovery_reference import estimates_loop, regularize_loop
+
+
+def fused_step(b_mat, b_vec, scale, a, q_cov, log=None):
+    """recover_and_predict with one posterior scale for every slice, on the
+    model's split for the stack, as a run passes them."""
+    k = len(b_vec)
+    return recover_and_predict(b_mat, b_vec, np.full(k, float(scale)), a, q_cov,
+                               block_layouts(b_mat.shape[-1], (a, q_cov), k), log)
 
 
 def triple_loop_product(c, v, y):
@@ -358,7 +367,7 @@ class TestFlaggedPass:
         b_mat[57][entry] = bad
         b_mat[57][entry[::-1]] = bad
         state = InformationState(b_mat, b_vec)
-        for call in (lambda: recover_and_predict(b_mat, b_vec, 10, np.eye(4), np.eye(4)),
+        for call in (lambda: fused_step(b_mat, b_vec, 10, np.eye(4), np.eye(4)),
                      lambda: predict(state, np.eye(4), np.eye(4)),
                      lambda: to_state_estimate(state)):
             with pytest.raises(FilterNumericsError, match="non-finite information matrix"):
@@ -412,7 +421,7 @@ class TestRecoverAndPredict:
         q_cov = random_spd(rng, 4)
 
         def fused(pair, log):
-            return recover_and_predict(*pair, scale, a, q_cov, log)
+            return fused_step(*pair, scale, a, q_cov, log)
 
         def unfused(pair, log):
             x = to_state_estimate(information_state(*pair), log)
@@ -502,10 +511,10 @@ class TestCertificate:
         b_mat = np.array([block_slice(rng, ("spd", "spd")) for _ in range(5)])
         b_vec = rng.normal(size=(5, 4))
         model = block_model(rng)
-        recover_and_predict(b_mat, b_vec, 10, *model)
+        fused_step(b_mat, b_vec, 10, *model)
         assert checked == []
         b_mat[3] = 0.0
-        recover_and_predict(b_mat, b_vec, 10, *model)
+        fused_step(b_mat, b_vec, 10, *model)
         # one call for the zero slice alone: its B for the estimate and its
         # posterior 10 B for the prediction
         assert checked == [2]
@@ -526,7 +535,7 @@ class TestAxisBlockRouting:
         scales = np.full(len(kinds), float(scale))
 
         def routed(pair, log):
-            _, x, nxt = recover_and_predict(*pair, scale, *model, log)
+            _, x, nxt = fused_step(*pair, scale, *model, log)
             return x, nxt.omega, nxt.q
 
         def lapack(pair, log):
@@ -576,7 +585,7 @@ class TestAxisBlockRouting:
 
         def run(pair):
             log = NumericsLog()
-            _, x, nxt = recover_and_predict(*pair, 10, a, q_cov, log)
+            _, x, nxt = fused_step(*pair, 10, a, q_cov, log)
             return (x, nxt.omega, nxt.q), log.events
 
         stacked, events = run((b_mat, b_vec))
@@ -599,7 +608,7 @@ class TestAxisBlockRouting:
         b_vec = rng.normal(size=(91, 4))
         sent = lapack_sends(monkeypatch)
         log = NumericsLog()
-        recover_and_predict(b_mat, b_vec, 10, *block_model(rng), log)
+        fused_step(b_mat, b_vec, 10, *block_model(rng), log)
         assert sent == []
         predict(InformationState(b_mat, b_vec), *block_model(rng), log)
         to_state_estimate(InformationState(b_mat, b_vec), log)
@@ -633,7 +642,7 @@ class TestAxisBlockRouting:
         declined = [2, 5] if model == "constant_velocity" else list(range(9))
         for calls in range(1, 4):
             sent.clear()
-            recover_and_predict(b_mat, b_vec, 10, a, q_cov)
+            fused_step(b_mat, b_vec, 10, a, q_cov)
             assert tried == [9] * calls
             assert sent == [declined]
 
@@ -648,8 +657,8 @@ class TestAxisBlockRouting:
             return cholesky(m, *args, **kwargs)
         monkeypatch.setattr(np.linalg, "cholesky", counting)
         log = NumericsLog()
-        _, x, _ = recover_and_predict(np.zeros((91, 4, 4)), np.zeros((91, 4)), 10,
-                                      constant_velocity_matrix(0.1), np.eye(4), log)
+        _, x, _ = fused_step(np.zeros((91, 4, 4)), np.zeros((91, 4)), 10,
+                             constant_velocity_matrix(0.1), np.eye(4), log)
         assert single == []
         assert np.array_equal(x, np.zeros((91, 4)))
         assert log.count("singular_solve") == 91 and log.count("regularize") == 91
@@ -667,10 +676,9 @@ class TestAxisBlockRouting:
         def reorder(m):
             return m[..., perm, :][..., perm]
         sent = lapack_sends(monkeypatch)
-        _, x, nxt = recover_and_predict(b_mat, b_vec, 10, a, q_cov)
+        _, x, nxt = fused_step(b_mat, b_vec, 10, a, q_cov)
         b_vec_p = b_vec[:, perm]
-        _, x_p, nxt_p = recover_and_predict(reorder(b_mat), b_vec_p, 10, reorder(a),
-                                            reorder(q_cov))
+        _, x_p, nxt_p = fused_step(reorder(b_mat), b_vec_p, 10, reorder(a), reorder(q_cov))
         assert sent == []
         # to_state_estimate is the LAPACK path, whose rounding differs
         alone = to_state_estimate(InformationState(reorder(b_mat), b_vec_p))
@@ -718,7 +726,7 @@ class TestAxisBlockRouting:
             b_vec = np.ones((k, 4))
             sent.clear()
             routed, lapack = NumericsLog(), NumericsLog()
-            _, x, nxt = recover_and_predict(b_mat, b_vec, scale, a, q_cov, routed)
+            _, x, nxt = fused_step(b_mat, b_vec, scale, a, q_cov, routed)
             x_l, nxt_l = lapack_path(b_mat, b_vec, np.full(k, float(scale)), np.arange(k), lapack,
                                      True, (a, q_cov))
             assert routed.events == lapack.events

@@ -112,7 +112,7 @@ class TestKernelRows:
         # that were never selected read M^0 = I
         net, B0, b0 = make_lanes(12, 2)
         plan = plan_lanes([(default_schedule(4, "case2"), 2), (CASE1, 1)],
-                          averaging_powers(net, consensus_gain(net), 2), 4)
+                          averaging_powers(net, consensus_gain(net), 2)[None], 4)
         frozen = plan.steps == 0
         assert frozen.tolist() == [[False, False, True, True], [False, True, False, True]]
         powers = plan.powers
@@ -137,7 +137,7 @@ def test_output_arrays_get_the_allocating_results(drawn, n_nodes, seed):
     # stack that recovery reads, whose last slice is the centralized one
     lanes = [(SCHEDULES[kind], L) for kind, L in drawn]
     net, B, b = make_lanes(seed, len(lanes), n_nodes)
-    powers = plan_lanes(lanes, averaging_powers(net, consensus_gain(net), 25), 4).powers
+    powers = plan_lanes(lanes, averaging_powers(net, consensus_gain(net), 25)[None], 4).powers
     expected_B, expected_b = run_masked_consensus(B, b, powers)
     stack_B = np.full((len(lanes) * n_nodes + 1, 4, 4), np.nan)
     stack_b = np.full((len(lanes) * n_nodes + 1, 4), np.nan)
@@ -159,7 +159,7 @@ def test_each_lane_of_the_all_lane_kernel_equals_run_consensus(drawn, seed):
     lanes = [(SCHEDULES[kind], L) for kind, L in drawn]
     net, B, b = make_lanes(seed, len(lanes))
     powers = averaging_powers(net, consensus_gain(net), 25)
-    B_all, b_all = run_masked_consensus(B, b, plan_lanes(lanes, powers, 4).powers)
+    B_all, b_all = run_masked_consensus(B, b, plan_lanes(lanes, powers[None], 4).powers)
     for k, (schedule, L) in enumerate(lanes):
         one = run_consensus(ConsensusState(B[k], b[k]), schedule, L, powers)
         assert np.array_equal(B_all[k], one.B) and np.array_equal(b_all[k], one.b)
