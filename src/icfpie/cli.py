@@ -9,8 +9,8 @@ otherwise a Monte-Carlo-averaged error time series (timeseries.csv).
 Every run also writes metadata.json, which can be passed back through
 --config to reproduce the outputs byte for byte.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure
-threshold exceeded.
+Exit codes: 0 success, 2 configuration error (outputs that cannot be
+written included), 3 numerical failure threshold exceeded.
 """
 
 import argparse
@@ -103,6 +103,10 @@ def _configure(args) -> tuple:
         sweep_values = parse_sweep(args.sweep)
     elif extra.get("mode") == "sweep":
         sweep_values = extra["L_values"]
+    for name in ("timeseries.csv" if sweep_values is None else "sweep.csv", "metadata.json"):
+        path = os.path.join(args.out, name)
+        if os.path.isdir(path):
+            raise ConfigurationError(f"--out {args.out}: {path} is a directory")
     return cfg, sweep_values
 
 
@@ -116,21 +120,25 @@ def simulate(args) -> int:
     try:
         if sweep_values is not None:
             result = sweep_consensus_steps(cfg, sweep_values, jobs=args.jobs)
-            written = emit_outputs(result, args.out, cfg)
-            print(f"sweep over L={result.L_values} done "
-                  f"({result.n_runs} runs, {result.failures} failures)")
+            summary = (f"sweep over L={result.L_values} done "
+                       f"({result.n_runs} runs, {result.failures} failures)")
         else:
             result = run_monte_carlo(cfg, cfg.L, jobs=args.jobs)
-            written = emit_outputs(result, args.out, cfg, extra_metadata={})
             finals = ", ".join(f"{k}={v:.3f}" for k, v in result.final_mean.items())
-            print(f"L={cfg.L}, {result.n_runs} runs, {result.failures} failures; "
-                  f"final error norms: {finals}")
+            summary = (f"L={cfg.L}, {result.n_runs} runs, {result.failures} failures; "
+                       f"final error norms: {finals}")
     except (ConfigurationError, PlacementError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except FilterNumericsError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICS
+    try:
+        written = emit_outputs(result, args.out, cfg)
+    except OSError as exc:  # `_configure` refuses the outputs it can foresee
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    print(summary)
     for path in written:
         print(f"wrote {path}")
     return EXIT_OK

@@ -175,12 +175,3 @@ def run_consensus(state: ConsensusState, schedule: EntrySelectionSchedule, L: in
         ledger.record_consensus(t, state.n_nodes, plan.payloads[0])
     return ConsensusState(B=B[0], b=b[0])
 
-
-__all__ = [
-    "ConsensusState",
-    "LanePlan",
-    "init_consensus",
-    "averaging_powers",
-    "plan_lanes",
-    "run_consensus",
-]

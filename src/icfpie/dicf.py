@@ -15,10 +15,10 @@ closed form, one batched product for every lane's N-slice block (the
 run's `plan_lanes` plan) written straight into the stack of (B, b) pairs
 that recovery reads, and recovers the posterior (Omega = N * B(L),
 estimate from the B(L) b(L) pair with the singular policy) and predicts
-in information form, in one `recover_and_predict` call on the model's
-split, which the run reads once. The centralized slice fuses every
-sensed node's contribution at once, the pair consensus converges to, and
-joins that call with scale 1 in place of N. A slice's result depends on
+in information form, in one `recover_and_predict` call through the
+system model, which holds its own split. The centralized slice fuses
+every sensed node's contribution at once, the pair consensus converges
+to, and joins that call with scale 1 in place of N. A slice's result depends on
 that slice alone, so a seed run in a chunk gets the bits it gets alone.
 With the identity selection schedule a lane is exactly the original
 full-exchange consensus filter; `ckf_step` steps one centralized filter
@@ -37,7 +37,6 @@ from .errors import ConfigurationError
 from .info_filter import (
     InformationState,
     NumericsLog,
-    block_layouts,
     centralized_correct,
     measurement_gains,
     recover_and_predict,
@@ -114,7 +113,7 @@ def _stack_scale(n_lanes: int, n_nodes: int, n_central: int) -> np.ndarray:
 
 
 def dicf_step(prior: InformationState, plan: LanePlan, terms: CorrectionTerms,
-              sys: SystemModel, split, log: Optional[NumericsLog] = None):
+              sys: SystemModel, log: Optional[NumericsLog] = None):
     """Advance every slice of the stack one timestep; returns (next prior,
     posterior, estimates): the stacked posterior (S, n, n) / (S, n) and
     the (S, n) posterior state estimates.
@@ -124,9 +123,8 @@ def dicf_step(prior: InformationState, plan: LanePlan, terms: CorrectionTerms,
     seed's N-node network, and `prior` their stack of R*K*N node states,
     seed-major and lane-major, then C = 0 or R centralized slices, one per
     seed, each of which steps as `ckf_step` steps it alone: S = R*K*N + C
-    >= 1. `split` is the model's `block_layouts` for S slices, or None,
-    which a run reads once. One batched consensus product advances every
-    lane of every seed, and one `recover_and_predict` call every slice.
+    >= 1. One batched consensus product advances every lane of every
+    seed, and one `recover_and_predict` call through `sys` every slice.
     The lanes of seed r start consensus from its node terms, and its
     centralized slice adds its centralized sums to its prior, as
     `centralized_correct` would. Events in `log` carry the slice index as
@@ -162,7 +160,7 @@ def dicf_step(prior: InformationState, plan: LanePlan, terms: CorrectionTerms,
 
     # the estimates come from the consensus pairs themselves; the N factor cancels
     posterior, estimates, next_prior = recover_and_predict(
-        B, b, _stack_scale(n_lanes, n_nodes, n_central), sys.a, sys.process_cov, split, log)
+        B, b, _stack_scale(n_lanes, n_nodes, n_central), sys, log)
     return next_prior, posterior, estimates
 
 
@@ -175,11 +173,10 @@ def ckf_step(central: InformationState, measurements: np.ndarray, sensed: np.nda
     `measurements` is (N, m) and `sensed` (N,) bool: one seed's timestep.
     Returns (next prior, posterior, estimate); the posterior and its
     (1, n) estimate are the benchmark fused estimate for this timestep.
-    It reads the model's split at every call. A run steps this filter as
-    a trailing slice of its `dicf_step` stack, with the same bits.
+    A run steps this filter as a trailing slice of its `dicf_step` stack,
+    with the same bits.
     """
     fused = centralized_correct(central, sensor.c, sensor.v, measurements[sensed])
-    model = (sys.a, sys.process_cov)
-    posterior, x_post, next_prior = recover_and_predict(
-        fused.omega, fused.q, np.ones(1), *model, block_layouts(central.q.shape[-1], model), log)
+    posterior, x_post, next_prior = recover_and_predict(fused.omega, fused.q, np.ones(1), sys,
+                                                        log)
     return next_prior, posterior, x_post

@@ -35,7 +35,6 @@ from .errors import ConfigurationError, FilterNumericsError
 from .info_filter import (
     InformationState,
     NumericsLog,
-    block_layouts,
     information_state,
     to_state_estimate,  # noqa: F401  unused here; perfbench/tracer.py wraps it by this name
 )
@@ -331,12 +330,13 @@ def run_once(scenarios, depths, algorithms: Optional[list] = None,
     every depth on every seed, and each such (seed, algorithm, L) lane is
     a block of one stacked state; each seed's centralized filter, if asked
     for, is one of the stack's last R slices (`dicf_step` gives the
-    layout). The lanes' consensus plan, the model's block split and the
-    measurement terms of every seed and timestep are computed once per
-    run, and a single dicf_step per timestep advances every slice, with
-    one NumericsLog. Per timestep the loop keeps only each slice's
-    estimate and the log's length (and, with `diagnostics`, the lanes'
-    posterior eigenvalue range); the error norms, lane means, node errors,
+    layout). The lanes' consensus plan and the measurement terms of every
+    seed and timestep are computed once per run, and a single dicf_step
+    per timestep advances every slice, with one NumericsLog, through the
+    first seed's system model, which computes its split once. Per
+    timestep the loop keeps only each slice's estimate and the log's
+    length (and, with `diagnostics`, the lanes' posterior eigenvalue
+    range); the error norms, lane means, node errors,
     each seed's events and regularize counts per step, and one bandwidth
     ledger entry per lane are formed after the loop. A slice gets the bits
     it gets alone, so each seed's metrics are those of its run alone.
@@ -379,11 +379,9 @@ def run_once(scenarios, depths, algorithms: Optional[list] = None,
                                        for s in chunk]), STATE_DIM)
     terms = correction_terms(chunk[0].sensor, np.stack([s.measurements for s in chunk], axis=1),
                              np.stack([s.sensed for s in chunk], axis=1))
-    sys = chunk[0].sys
-    split = block_layouts(STATE_DIM, (sys.a, sys.process_cov), n_slices)
 
     for t in range(n_steps):
-        prior, posterior, estimates[t] = dicf_step(prior, plan, terms.at(t), sys, split, log)
+        prior, posterior, estimates[t] = dicf_step(prior, plan, terms.at(t), chunk[0].sys, log)
         events_after[t] = len(log.events)
         if diagnostics and lanes:
             ev = np.linalg.eigvalsh(posterior.omega[:n_lane_slices]).reshape(
@@ -713,7 +711,8 @@ def load_config(path) -> tuple:
     Python literals when possible) or a metadata JSON from emit_outputs.
 
     Returns (ScenarioConfig, extra) where extra holds run options the
-    config may carry (mode, and L_values, a list of integers >= 1).
+    config may carry (mode, L, which must equal the config's L, and
+    L_values, a list of integers >= 1).
     """
     with open(path) as fh:
         text = fh.read()
@@ -726,7 +725,10 @@ def load_config(path) -> tuple:
         extra = {k: meta[k] for k in ("mode", "L", "L_values") if k in meta}
         if extra.get("mode") == "sweep" or "L_values" in extra:
             _consensus_depths(extra.get("L_values"), f"{path}: L_values")
-        return ScenarioConfig.from_dict(config), extra
+        cfg = ScenarioConfig.from_dict(config)
+        if extra.get("L", cfg.L) != cfg.L:
+            raise ConfigurationError(f"{path}: L = {extra['L']!r} contradicts config L = {cfg.L}")
+        return cfg, extra
 
     aliases = {"runs": "mc_runs", "consensus_steps": "L", "case": "selection"}
     values, set_by = {}, {}

@@ -19,9 +19,9 @@ Numerical policy (applied everywhere, per slice, logged via NumericsLog):
   * state extraction from a singular Omega returns the minimum-norm
     least-squares solution and flags the event.
 The fused step of every run, `recover_and_predict`, takes a (K,) array
-of posterior scales and the model's split (`block_layouts`), which the
-caller reads once per stack shape, and routes each slice by its own
-input along one of two paths: a closed form, which skips both
+of posterior scales and the system model, whose `split` (`block_layouts`
+of its A and Q) the model computes once, and routes each slice by its
+own input along one of two paths: a closed form, which skips both
 eigenvalue checks for a slice that it certifies, and the LAPACK path,
 which runs the policy on every other slice. `predict` and
 `to_state_estimate` take the LAPACK path alone, as the tests' reference.
@@ -369,17 +369,15 @@ _LAYOUTS = tuple(_layout(p, r) for p, r in (((0, 1), (2, 3)), ((0, 2), (1, 3)),
 _BLOCK_COND = ILL_CONDITIONED / 2
 
 
-def block_layouts(n: int, model, k: int = 1):
-    """The split the closed form takes on a stack of k slices n x n, as
-    (layout, blocks): the first split in which both matrices of model =
-    (A, Q) are block-diagonal, with the entries of their blocks, repeated
-    along the stack, as one read-only (4, 2, 2, k) array: A's [00] and
+def block_layouts(n: int, model):
+    """The split the closed form takes on n x n slices, as (layout,
+    blocks): the first split in which both matrices of model = (A, Q) are
+    block-diagonal, with the entries of their blocks as one read-only
+    (4, 2, 2, 1) array, which broadcasts along any stack: A's [00] and
     [10], A's [01] and [11], Q's [00] and [11], and Q's [10] and [01], of
     both blocks; None if there is no such split, or n is not 4. The split
     comes from the model's zeros, so no state layout is assumed here. A
-    run predicts through one model and one stack size at every step, so
-    it reads the split once and passes it to every `recover_and_predict`
-    call."""
+    SystemModel computes its own once, as its `split`."""
     if n != 4:
         return None
     model = np.asarray(model, dtype=float).reshape(2, 16)  # A's entries, then Q's
@@ -388,10 +386,7 @@ def block_layouts(n: int, model, k: int = 1):
         if not nonzero[layout.order[8:]].any():
             # (A or Q, entry [00], [10], [01] or [11], block)
             a, q = model[:, layout.order[:8]].reshape(2, 4, 2)
-            # a product of two (2, k) arrays costs less than one broadcast
-            # from (2, 1)
-            blocks = np.repeat(np.stack([a[:2], a[2:], q[[0, 3]], q[[1, 2]]])[..., None], k,
-                               axis=3)
+            blocks = np.stack([a[:2], a[2:], q[[0, 3]], q[[1, 2]]])[..., None]
             blocks.setflags(write=False)
             return layout, blocks
     return None
@@ -420,8 +415,7 @@ def _recover_blocks(b_mat: np.ndarray, b_vec: np.ndarray, scale: np.ndarray,
     """`_recover_lapack` in closed form, for the slices it can take in
     `layout`, with the model's `blocks` in it; returns (taken, estimates,
     next prior), whose slices outside `taken` (K,) hold no result. The
-    blocks are `block_layouts`' for a stack of K or more slices, or of
-    one. The estimates, q+ and Omega+ are views of one (K, 24) buffer.
+    estimates, q+ and Omega+ are views of one (K, 24) buffer.
 
     A slice is taken when sym(B) is block-diagonal in the layout, its
     2 x 2 Cholesky factors certify it (the bound 1 / ||L^-1||_F^2 less
@@ -459,7 +453,7 @@ def _recover_blocks(b_mat: np.ndarray, b_vec: np.ndarray, scale: np.ndarray,
         np.multiply(m2, y1, out=x[1])
 
         # A's columns (a00, a10) and (a01, a11), Q's diagonal and q10
-        a0, a1, q_diag, (q10, _) = blocks[..., :k]
+        a0, a1, q_diag, (q10, _) = blocks
         # A P A^T = G^T G / scale with G = L^-1 A^T, whose columns are
         # g0 = m0 a0 and g1 = m1 a0 + m2 a1
         g0 = m0 * a0
@@ -560,8 +554,7 @@ def to_state_estimate(s: InformationState, log: Optional[NumericsLog] = None) ->
     return _recover_lapack(s.omega, s.q, np.ones(k), np.arange(k), log, True)[0]
 
 
-def recover_and_predict(b_mat: np.ndarray, b_vec: np.ndarray, scale: np.ndarray,
-                        a: np.ndarray, q_cov: np.ndarray, split,
+def recover_and_predict(b_mat: np.ndarray, b_vec: np.ndarray, scale: np.ndarray, sys,
                         log: Optional[NumericsLog] = None):
     """Posterior recovery and prediction with one factorization per slice.
 
@@ -570,27 +563,28 @@ def recover_and_predict(b_mat: np.ndarray, b_vec: np.ndarray, scale: np.ndarray,
     `scale` a (K,) float array of one number per slice (N for a lane's
     pairs, 1 for a fused centralized pair), the estimates B^-1 b (what
     `to_state_estimate` gives for the pairs), and the posterior predicted
-    through (A, Q) (what `predict` gives for it). This is the only entry
-    that takes the closed form, in `split`, the model's
-    `block_layouts(n, (a, q_cov), K)`, which a caller reads once per
-    stack shape; with None every slice takes the LAPACK path. On the
-    closed form one Cholesky factor of sym(B) per slice gives the estimate
-    and P = B^-1 / scale for the prediction, and one certificate covers
-    the checks of both, as the smallest eigenvalue scales with B. Every
-    other slice goes to `_recover_lapack` in one call, whose events carry
-    each slice's index in the stack. The posterior is a ScaledPosterior,
-    formed only where it is read; it keeps `scale` as it is, so the array
-    must not change while the posterior is in use.
+    through the system model `sys` (what `predict` gives for it through
+    sys.a and sys.process_cov). This is the only entry that takes the
+    closed form, in the model's own `split`; with None every slice takes
+    the LAPACK path. On the closed form one Cholesky factor of sym(B) per
+    slice gives the estimate and P = B^-1 / scale for the prediction, and
+    one certificate covers the checks of both, as the smallest eigenvalue
+    scales with B. Every other slice goes to `_recover_lapack` in one
+    call, whose events carry each slice's index in the stack. The
+    posterior is a ScaledPosterior, formed only where it is read; it
+    keeps `scale` as it is, so the array must not change while the
+    posterior is in use.
     """
+    model, split = (sys.a, sys.process_cov), sys.split
     if split is None:
         x, next_prior = _recover_lapack(b_mat, b_vec, scale, np.arange(len(b_vec)), log, True,
-                                        (a, q_cov))
+                                        model)
     else:
         taken, x, next_prior = _recover_blocks(b_mat, b_vec, scale, *split)
         if not taken.all():
             rest = np.flatnonzero(~taken)
             x[rest], next_rest = _recover_lapack(b_mat[rest], b_vec[rest], scale[rest], rest,
-                                                 log, True, (a, q_cov))
+                                                 log, True, model)
             next_prior.omega[rest] = next_rest.omega
             next_prior.q[rest] = next_rest.q
     if not np.isfinite(x).all():

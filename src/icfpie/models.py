@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigurationError, DegenerateHeadingWarning, FilterNumericsError
-from .info_filter import sensor_gains, symmetrize
+from .info_filter import block_layouts, sensor_gains, symmetrize
 
 
 def constant_velocity_matrix(dt: float, n: int = 4) -> np.ndarray:
@@ -68,6 +68,12 @@ class SystemModel:
     def jacobian(self, x_hat: np.ndarray) -> np.ndarray:
         """Transition Jacobian at x_hat: the constant A."""
         return self.a
+
+    @cached_property
+    def split(self):
+        """The closed form's split of (A, Q) (`info_filter.block_layouts`),
+        computed on first use: every step through this model reuses it."""
+        return block_layouts(self.a.shape[-1], (self.a, self.process_cov))
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,6 @@ one scenario at one depth, or step one seed's terms."""
 
 from icfpie.dicf import CorrectionTerms, dicf_step
 from icfpie.harness import run_once
-from icfpie.info_filter import block_layouts
 
 
 def run_one(scenario, L, algorithms=None, diagnostics=False):
@@ -13,8 +12,5 @@ def run_one(scenario, L, algorithms=None, diagnostics=False):
 
 
 def step_one(prior, plan, terms, sys, log=None):
-    """dicf_step on one seed's (N, ...) `terms`, as a chunk of one seed,
-    on the model's split for the prior's stack."""
-    split = block_layouts(prior.q.shape[-1], (sys.a, sys.process_cov), len(prior.q))
-    return dicf_step(prior, plan, CorrectionTerms(*(term[None] for term in terms)), sys,
-                     split, log)
+    """dicf_step on one seed's (N, ...) `terms`, as a chunk of one seed."""
+    return dicf_step(prior, plan, CorrectionTerms(*(term[None] for term in terms)), sys, log)

@@ -152,8 +152,10 @@ class TestSimulateCommand:
         ({"mode": "sweep", "L_values": 5}, "got 5"),
         ({"mode": "sweep", "L_values": [True, 2.5]}, "got [True, 2.5]"),
         ({"config": 5}, "config must be a JSON object, got 5"),
+        # the top-level L that a timeseries run records beside its config
+        ({"mode": "timeseries", "L": 9}, "L = 9 contradicts config L = 12"),
     ], ids=["no_L_values", "string_L_values", "scalar_L_values", "bool_and_float_L_values",
-            "config_not_an_object"])
+            "config_not_an_object", "L_contradicts_config"])
     def test_malformed_metadata_exits_with_one_line(self, tmp_path, capsys, meta, message):
         path = tmp_path / "metadata.json"
         path.write_text(json.dumps({"config": {"n_nodes": 6, "horizon": 2.0, "mc_runs": 1},
@@ -177,6 +179,34 @@ class TestSimulateCommand:
             err = capsys.readouterr().err
             assert err.count("\n") == 1 and f"{blocker} exists and is not a directory" in err
         assert blocker.read_text() == "keep"
+
+    @pytest.mark.parametrize("flags, name", [
+        ([], "timeseries.csv"), ([], "metadata.json"),
+        (["--sweep", "2"], "sweep.csv"), (["--sweep", "2"], "metadata.json")])
+    def test_output_that_is_a_directory_exits_before_any_run(self, tmp_path, capsys,
+                                                            monkeypatch, flags, name):
+        def no_run(*args, **kwargs):
+            raise AssertionError("a run started although an output can never be written")
+        monkeypatch.setattr(harness, "run_once", no_run)
+        blocker = tmp_path / "out" / name
+        blocker.mkdir(parents=True)
+        assert main(["simulate", "--config", write_cfg(tmp_path), *flags,
+                     "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"{blocker} is a directory" in err
+        assert blocker.is_dir() and not any(blocker.iterdir())
+
+    def test_unwritable_output_exits_with_one_line(self, tmp_path, capsys):
+        # a dangling link passes every check before the run; writing
+        # through it fails only after the run
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "timeseries.csv").symlink_to(tmp_path / "missing" / "timeseries.csv")
+        assert main(["simulate", "--config", write_cfg(tmp_path), "--out", str(out)]) \
+            == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("config error: ")
+        assert "timeseries.csv" in err and "Traceback" not in err
 
     def test_jobs_below_one_rejected(self, tmp_path, capsys):
         assert main(["simulate", "--config", write_cfg(tmp_path), "--jobs", "0",

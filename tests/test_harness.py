@@ -174,7 +174,7 @@ class TestAxisBlocks:
             return inv_spd(stack, nodes, log, context)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(harness, "block_layouts", lambda n, model, k=1: None)
+            mp.setitem(scenario.sys.__dict__, "split", None)
             mp.setattr(dicf, "recover_and_predict", pairs_and_priors)
             mp.setattr(info_filter, "_inv_spd", predicted)
             run_one(scenario, L)

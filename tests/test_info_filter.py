@@ -10,12 +10,11 @@ from numpy.linalg import _umath_linalg
 from conftest import assert_rel_close, random_spd
 from icfpie import info_filter
 from icfpie.errors import ConfigurationError, FilterNumericsError
-from icfpie.models import constant_velocity_matrix
+from icfpie.models import SystemModel, constant_velocity_matrix
 from icfpie.info_filter import (
     InformationState,
     NumericsLog,
     _inv_lower,
-    block_layouts,
     centralized_correct,
     SINGULAR_EIG,
     ensure_invertible,
@@ -32,11 +31,10 @@ from recovery_reference import estimates_loop, regularize_loop
 
 
 def fused_step(b_mat, b_vec, scale, a, q_cov, log=None):
-    """recover_and_predict with one posterior scale for every slice, on the
-    model's split for the stack, as a run passes them."""
-    k = len(b_vec)
-    return recover_and_predict(b_mat, b_vec, np.full(k, float(scale)), a, q_cov,
-                               block_layouts(b_mat.shape[-1], (a, q_cov), k), log)
+    """recover_and_predict with one posterior scale for every slice, through
+    the system model (A, Q), as a run passes them."""
+    return recover_and_predict(b_mat, b_vec, np.full(len(b_vec), float(scale)),
+                               SystemModel(a, q_cov), log)
 
 
 def triple_loop_product(c, v, y):

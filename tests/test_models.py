@@ -1,9 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from icfpie import info_filter, models
+from icfpie.dicf import ckf_step
 from icfpie.errors import ConfigurationError, DegenerateHeadingWarning
+from icfpie.harness import ScenarioConfig, build_scenario
 from icfpie.models import (
     MeasurementModel,
     SystemModel,
@@ -14,6 +19,7 @@ from icfpie.models import (
     truth_trajectory,
 )
 from measurement_reference import sample_measurement
+from one_seed import run_one
 from truth_reference import propagate_truth, truth_loop
 
 
@@ -196,3 +202,49 @@ class TestModelValidation:
             assert s[0] == 400.0 and s[1] == 0.0
             assert 10.0 <= speed <= 15.0
             assert np.pi / 2 <= heading <= 3 * np.pi / 4
+
+
+class TestSystemModelSplit:
+    """A system model computes the closed form's split of its own A and Q,
+    once, so that no step can predict through a split of another model."""
+
+    @pytest.fixture
+    def layouts(self, monkeypatch):
+        calls = []
+        block_layouts = info_filter.block_layouts
+
+        def spy(n, model):
+            calls.append(n)
+            return block_layouts(n, model)
+        monkeypatch.setattr(models, "block_layouts", spy)
+        return calls
+
+    def test_one_split_per_model_over_a_run(self, layouts):
+        scenario = build_scenario(ScenarioConfig(), 0)
+        assert scenario.cfg.n_steps == 300
+        run_one(scenario, 12)
+        assert layouts == [4]
+
+    def test_one_split_per_model_over_ckf_steps(self, layouts):
+        scenario = build_scenario(ScenarioConfig(horizon=2.0), 1)
+        central = scenario.zero_prior(1)
+        for t in range(scenario.cfg.n_steps):
+            central, _, _ = ckf_step(central, scenario.measurements[t], scenario.sensed[t],
+                                     scenario.sensor, scenario.sys)
+        assert layouts == [4]
+        ckf_step(central, scenario.measurements[0], scenario.sensed[0], scenario.sensor,
+                 SystemModel.lti(scenario.sys.a, scenario.sys.process_cov))
+        assert layouts == [4, 4]
+
+    def test_split_is_read_from_the_model_and_read_only(self):
+        sys = SystemModel.lti(constant_velocity_matrix(0.1), np.diag([10.0, 10.0, 1.0, 1.0]))
+        layout, blocks = sys.split
+        expected = info_filter.block_layouts(4, (sys.a, sys.process_cov))
+        assert np.array_equal(layout.order, expected[0].order)
+        assert np.array_equal(blocks, expected[1])
+        assert not blocks.flags.writeable
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            sys.split = None
+        # a model that couples its axes in every split has none
+        coupled = SystemModel.lti(np.ones((4, 4)) + np.eye(4), np.eye(4))
+        assert coupled.split is None
