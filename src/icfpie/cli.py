@@ -41,13 +41,14 @@ EXIT_NUMERICS = 3
 
 
 def parse_sweep(spec: str) -> list:
-    """Parse an L grid: 'A..B' (inclusive range) or comma-separated values."""
+    """Parse an L grid: 'A..B' (inclusive range) or comma-separated values,
+    none of them empty."""
     spec = spec.strip()
     lo, dots, hi = spec.partition("..")
     try:
         values = (list(range(int(lo), int(hi) + 1)) if dots
-                  else [int(v) for v in spec.split(",") if v.strip()])
-    except ValueError:  # a part that is not an integer
+                  else [int(v) for v in spec.split(",")])
+    except ValueError:  # a part that is empty or not an integer
         values = []
     if not values or any(v < 1 for v in values):
         raise ConfigurationError(f"invalid sweep spec {spec!r}")

@@ -4,8 +4,9 @@ Each node starts from B(0) = Omega_prior / N + delta_Omega and
 b(0) = q_prior / N + delta_q and repeatedly averages with its neighbors.
 At step l only the rows/entries that the schedule selects for that step
 move; everything else is frozen. Broadcasting node j therefore
-serializes |J| rows of B plus |J| entries of b, i.e. |J|*(n+1) scalars,
-which the bandwidth ledger records.
+serializes |J| rows of B plus |J| entries of b, i.e. |J|*(n+1) scalars.
+Over L steps that is (n+1) * sum_r k_r scalars per node, with k_r the
+step counts below, which is how a run counts its bandwidth.
 
 One averaging step over all nodes is the matrix M = I - eps * Lap, with
 Lap the Laplacian of the network's adjacency, applied to the stack of a
@@ -21,13 +22,13 @@ distributed averaging"), read from a table of the powers M^0 .. M^L that
 `averaging_powers` builds once per network. A run takes a chunk of R
 seeds, each on its own network, and its lanes, the (schedule, L) pairs,
 are fixed, so `plan_lanes` plans them once per run from the R stacked
-tables: the step counts k_r of every lane and row, the matching powers
-of each seed's network gathered into one (R*K, n, N, N) array, and each
-lane's per-step payloads. Every timestep then moves every row of every
-lane of every seed in one batched product (`run_masked_consensus`); rows
-with k_r = 0 read M^0 = I. `run_consensus` runs one lane on one network
-as a chunk of one. The paper's step-by-step form is the test suite's
-reference (`tests/consensus_reference.py`).
+tables: the step counts k_r of every lane and row, and the matching
+powers of each seed's network gathered into one (R*K, n, N, N) array.
+Every timestep then moves every row of every lane of every seed in one
+batched product (`run_masked_consensus`); rows with k_r = 0 read
+M^0 = I. `run_consensus` runs one lane on one network as a chunk of
+one. The paper's step-by-step form is the test suite's reference
+(`tests/consensus_reference.py`).
 """
 
 import warnings
@@ -86,17 +87,16 @@ class LanePlan(NamedTuple):
     """What K consensus lanes do at every timestep, for R seeds that each
     run them on their own network of N nodes.
 
-    `steps` (K, n) counts how often lane k averages row r, `powers` (R*K,
-    n, N, N) gathers the matching powers of each seed's table, seed-major
-    (lane k of seed s is entry s*K + k), and `payloads` holds each lane's
-    scalars sent by one node at each of its L steps. Built once per run by
-    `plan_lanes`; it holds those networks' powers, so it is never shared
-    between runs.
+    `steps` (K, n) counts how often lane k averages row r, so one node
+    of lane k sends (n + 1) * steps[k].sum() scalars per timestep, and
+    `powers` (R*K, n, N, N) gathers the matching powers of each seed's
+    table, seed-major (lane k of seed s is entry s*K + k). Built once per
+    run by `plan_lanes`; it holds those networks' powers, so it is never
+    shared between runs.
     """
 
     steps: np.ndarray
     powers: np.ndarray
-    payloads: tuple
 
 
 def plan_lanes(lanes: Sequence[tuple[EntrySelectionSchedule, int]], powers: np.ndarray,
@@ -110,7 +110,6 @@ def plan_lanes(lanes: Sequence[tuple[EntrySelectionSchedule, int]], powers: np.n
     lane whose L is not a whole number of selection cycles.
     """
     steps = np.zeros((len(lanes), n), dtype=int)
-    payloads = []
     for k, (schedule, L) in enumerate(lanes):
         if L < 1:
             raise ConfigurationError(f"consensus step count must be >= 1, got {L}")
@@ -130,10 +129,8 @@ def plan_lanes(lanes: Sequence[tuple[EntrySelectionSchedule, int]], powers: np.n
             )
         for z, rows in enumerate(schedule.rows):
             steps[k, rows] = len(range(z, L, theta))
-        sizes = [rows.size * (n + 1) for rows in schedule.rows]
-        payloads.append(tuple(sizes[l % theta] for l in range(L)))
     gathered = powers[:, steps].reshape((len(powers) * len(lanes), n) + powers.shape[-2:])
-    return LanePlan(steps, gathered, tuple(payloads))
+    return LanePlan(steps, gathered)
 
 
 def run_masked_consensus(B: np.ndarray, b: np.ndarray, powers: np.ndarray,
@@ -165,13 +162,14 @@ def run_consensus(state: ConsensusState, schedule: EntrySelectionSchedule, L: in
     Step l moves the rows `schedule.rows_at(l)` at every node;
     `powers` is the network's `averaging_powers` table, up to at least M^L.
     Plans the lane as `plan_lanes` does, so it warns (and proceeds) when L
-    is not a whole number of selection cycles. When a ledger is given,
-    every node's broadcast sizes are recorded as one compact entry for the
-    whole run.
+    is not a whole number of selection cycles. When a ledger is given, it
+    gets one entry at time t: every node sends |rows_at(l)| * (n + 1)
+    scalars at step l.
     """
     plan = plan_lanes([(schedule, L)], powers[None], state.n)
     B, b = run_masked_consensus(state.B[None], state.b[None], plan.powers)
     if ledger is not None:
-        ledger.record_consensus(t, state.n_nodes, plan.payloads[0])
+        ledger.record_consensus(t, state.n_nodes, [schedule.rows_at(l).size * (state.n + 1)
+                                                   for l in range(L)])
     return ConsensusState(B=B[0], b=b[0])
 

@@ -56,7 +56,6 @@ class CorrectionTerms(NamedTuple):
     """The measurement terms of R seeds' N nodes, which share one sensor, at
     one timestep, or at every timestep of a run along a leading time axis:
 
-    * `sensed` (R, N): whether node i of seed r senses the target;
     * `d_omega` (R, N, n, n): the sensor's symmetrize(C^T V C) where node
       i senses the target, else 0;
     * `d_q` (R, N, n): C^T V y_i where node i senses the target, else 0;
@@ -64,7 +63,6 @@ class CorrectionTerms(NamedTuple):
     * `central_q` (R, n): the sum of those k C^T V y_i.
     """
 
-    sensed: np.ndarray
     d_omega: np.ndarray
     d_q: np.ndarray
     central_omega: np.ndarray
@@ -95,8 +93,7 @@ def correction_terms(sensor: MeasurementModel, measurements: np.ndarray,
     q_gains = measurement_gains(ctv, y.reshape(-1, y.shape[-1])).reshape(
         y.shape[:-1] + ctv.shape[:1])
     d_q = np.where(sensed[..., None], q_gains, 0.0)
-    return CorrectionTerms(sensed=sensed,
-                           d_omega=np.where(sensed[..., None, None], omega_gain, 0.0),
+    return CorrectionTerms(d_omega=np.where(sensed[..., None, None], omega_gain, 0.0),
                            d_q=d_q,
                            central_omega=sensed.sum(axis=-1)[..., None, None] * omega_gain,
                            central_q=d_q.sum(axis=-2))
@@ -119,11 +116,11 @@ def dicf_step(prior: InformationState, plan: LanePlan, terms: CorrectionTerms,
     the (S, n) posterior state estimates.
 
     `terms` are the timestep's `correction_terms` of R seeds, (R, N, ...)
-    arrays. `plan` is the run's `plan_lanes` plan of K lanes on each
-    seed's N-node network, and `prior` their stack of R*K*N node states,
-    seed-major and lane-major, then C = 0 or R centralized slices, one per
-    seed, each of which steps as `ckf_step` steps it alone: S = R*K*N + C
-    >= 1. One batched consensus product advances every lane of every
+    arrays, whose d_q (R, N, n) gives R and N. `plan` is the run's
+    `plan_lanes` plan of K lanes on each seed's N-node network, and
+    `prior` their stack of R*K*N node states, seed-major and lane-major,
+    then C = 0 or R centralized slices, one per seed, each of which steps
+    as `ckf_step` steps it alone: S = R*K*N + C >= 1. One batched consensus product advances every lane of every
     seed, and one `recover_and_predict` call through `sys` every slice.
     The lanes of seed r start consensus from its node terms, and its
     centralized slice adds its centralized sums to its prior, as
@@ -131,14 +128,14 @@ def dicf_step(prior: InformationState, plan: LanePlan, terms: CorrectionTerms,
     `node`: (r*K + k)*N + i, and R*K*N + r for the centralized slice of
     seed r.
     """
-    n_seeds = terms.sensed.shape[0]
+    n_seeds = terms.d_q.shape[0]
     n_lanes, n_nodes = plan.powers.shape[0], plan.powers.shape[-1]
     n_lane_slices = n_lanes * n_nodes
     n_central = prior.q.shape[0] - n_lane_slices
-    if (terms.sensed.shape[1:] != (n_nodes,) or n_lanes % n_seeds
+    if (terms.d_q.shape[1:-1] != (n_nodes,) or n_lanes % n_seeds
             or n_central not in (0, n_seeds) or prior.q.shape[0] == 0):
         raise ConfigurationError(
-            f"prior stack has {prior.q.shape[0]} slices for terms {terms.sensed.shape}; "
+            f"prior stack has {prior.q.shape[0]} slices for terms {terms.d_q.shape[:-1]}; "
             f"expected {n_lanes} lanes x {n_nodes} nodes for {n_seeds} seeds, plus 0 or "
             f"{n_seeds} centralized, 1 or more in all")
     n = prior.q.shape[-1]

@@ -46,7 +46,7 @@ from .models import (
     position_measurement_matrix,
     truth_trajectory,
 )
-from .network import BandwidthLedger, SensorNetwork, consensus_gain, random_geometric
+from .network import SensorNetwork, consensus_gain, random_geometric
 from .selection import EntrySelectionSchedule, build_schedule, default_schedule
 
 STATE_DIM = 4
@@ -336,9 +336,10 @@ def run_once(scenarios, depths, algorithms: Optional[list] = None,
     first seed's system model, which computes its split once. Per
     timestep the loop keeps only each slice's estimate and the log's
     length (and, with `diagnostics`, the lanes' posterior eigenvalue
-    range); the error norms, lane means, node errors,
-    each seed's events and regularize counts per step, and one bandwidth
-    ledger entry per lane are formed after the loop. A slice gets the bits
+    range); the error norms, lane means, node errors and each seed's events
+    and regularize counts per step are formed after the loop. A lane's
+    bandwidth is read from the plan's step counts: each of its N nodes
+    sends (n + 1) * sum_r k_r scalars per timestep. A slice gets the bits
     it gets alone, so each seed's metrics are those of its run alone.
     Returns one {L: RunMetrics} per seed, in the order of `scenarios`;
     each RunMetrics is keyed by algorithm label and also holds the
@@ -426,11 +427,9 @@ def run_once(scenarios, depths, algorithms: Optional[list] = None,
         if regularized:
             np.add.at(reg, tuple(np.array(regularized).T), 1)
 
-    # every step of a lane sends the same payloads: one ledger entry per lane
-    ledgers = [BandwidthLedger() for _ in lanes]
-    for ledger, payloads in zip(ledgers, plan.payloads):
-        ledger.record_consensus(0, n_nodes, payloads, n_steps)
-    scalars = [ledger.total_scalars() for ledger in ledgers] + [0] * n_own_central
+    # every timestep of a lane sends the same scalars
+    scalars = (n_steps * n_nodes * (STATE_DIM + 1) * plan.steps.sum(axis=1)).tolist()
+    scalars += [0] * n_own_central
 
     def metrics_at(seed: int, d: int) -> RunMetrics:
         row = {a.label: d * len(consensus) + j for j, a in enumerate(consensus)}
@@ -517,10 +516,10 @@ def _isolated(run, scenarios: list) -> list:
 
 
 def _mc_single_run(args) -> dict:
-    """One chunk of a Monte-Carlo batch, `args` = (cfg, L, include,
-    diagnostics, seed count, first seed): {"runs": one result per seed}."""
-    cfg, L, include, diagnostics, n_seeds, first = args
-    algorithms = make_algorithms(cfg, include)
+    """One chunk of a Monte-Carlo batch, `args` = (cfg, L, diagnostics,
+    seed count, first seed): {"runs": one result per seed}."""
+    cfg, L, diagnostics, n_seeds, first = args
+    algorithms = make_algorithms(cfg)
 
     def run(scenarios):
         out = []
@@ -581,8 +580,8 @@ def _split_failures(results: list, what: str) -> tuple:
     return good, failed
 
 
-def run_monte_carlo(cfg: ScenarioConfig, L: int, include=("ckf", "icf", "icfpie"),
-                    diagnostics: bool = False, jobs: int = 1) -> MonteCarloResult:
+def run_monte_carlo(cfg: ScenarioConfig, L: int, diagnostics: bool = False,
+                    jobs: int = 1) -> MonteCarloResult:
     """Average run_once over cfg.mc_runs runs with seeds master+k, run in
     chunks of seeds (`CHUNK_SLICES`), each chunk one filter stack; workers
     take whole chunks.
@@ -590,15 +589,15 @@ def run_monte_carlo(cfg: ScenarioConfig, L: int, include=("ckf", "icf", "icfpie"
     Failed runs are excluded and counted; more than 5% failures raises.
     """
     (L,) = _consensus_depths([L], "[L]")
-    arglist = [(cfg, L, tuple(include), diagnostics, n, first)
-               for n, first in _chunks(cfg, make_algorithms(cfg, include), 1)]
+    algorithms = make_algorithms(cfg)
+    arglist = [(cfg, L, diagnostics, n, first) for n, first in _chunks(cfg, algorithms, 1)]
     good, failed = _split_failures(_chunk_runs(_mc_single_run, arglist, jobs), "Monte-Carlo")
 
     stacked = {lab: np.array([r["series"][lab] for r in good]) for lab in good[0]["series"]}
     return MonteCarloResult(
         t=np.array([round((k + 1) * cfg.dt, 10) for k in range(cfg.n_steps)]),
         L=L,
-        algorithms=make_algorithms(cfg, include),
+        algorithms=algorithms,
         mean_series={lab: s.mean(axis=0) for lab, s in stacked.items()},
         final_mean={lab: float(s[:, -1].mean()) for lab, s in stacked.items()},
         bandwidth=good[0]["bandwidth"],
@@ -673,10 +672,12 @@ def _fmt(x) -> str:
 def emit_outputs(result, out_dir, cfg: ScenarioConfig, extra_metadata: Optional[dict] = None):
     """Write CSV outputs plus a metadata file that fully reproduces them.
 
-    MonteCarloResult -> timeseries.csv; SweepResult -> sweep.csv. Returns
-    the list of written paths.
+    MonteCarloResult -> timeseries.csv, with the config of the run: `cfg`
+    at the result's L; SweepResult -> sweep.csv. Returns the list of
+    written paths.
     """
     if isinstance(result, MonteCarloResult):
+        cfg = dataclasses.replace(cfg, L=result.L)
         name, header = "timeseries.csv", "t,alg,case,L,avg_error_norm"
         lines = (f"{_fmt(ti)},{a.name},{a.case},{result.L},{_fmt(v)}"
                  for a in result.algorithms
@@ -711,8 +712,8 @@ def load_config(path) -> tuple:
     Python literals when possible) or a metadata JSON from emit_outputs.
 
     Returns (ScenarioConfig, extra) where extra holds run options the
-    config may carry (mode, L, which must equal the config's L, and
-    L_values, a list of integers >= 1).
+    config may carry (mode, "timeseries" or "sweep"; L, which must equal
+    the config's L; and L_values, a list of integers >= 1).
     """
     with open(path) as fh:
         text = fh.read()
@@ -723,6 +724,9 @@ def load_config(path) -> tuple:
         if not isinstance(config, dict):
             raise ConfigurationError(f"{path}: config must be a JSON object, got {config!r}")
         extra = {k: meta[k] for k in ("mode", "L", "L_values") if k in meta}
+        if extra.get("mode", "timeseries") not in ("timeseries", "sweep"):
+            raise ConfigurationError(f"{path}: mode must be \"timeseries\" or \"sweep\", "
+                                     f"got {extra['mode']!r}")
         if extra.get("mode") == "sweep" or "L_values" in extra:
             _consensus_depths(extra.get("L_values"), f"{path}: L_values")
         cfg = ScenarioConfig.from_dict(config)

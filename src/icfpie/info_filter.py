@@ -59,7 +59,6 @@ slice's result depends on that slice alone, on either path, so a slice
 of a stack gets the bits it gets alone.
 """
 
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple, Optional
@@ -80,16 +79,15 @@ class NumericsLog:
     """Collects regularization and singular-solve events for diagnostics."""
 
     events: list = field(default_factory=list)
-    counts: Counter = field(default_factory=Counter)
 
     def record(self, kind: str, context: str, **info):
         self.events.append({"kind": kind, "context": context, **info})
-        self.counts[kind] += 1
 
     def count(self, kind: Optional[str] = None) -> int:
+        """The number of events, or of the events of one kind."""
         if kind is None:
             return len(self.events)
-        return self.counts[kind]
+        return sum(e["kind"] == kind for e in self.events)
 
 
 def symmetrize(m: np.ndarray) -> np.ndarray:

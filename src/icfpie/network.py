@@ -4,9 +4,9 @@ Nodes are placed uniformly in a rectangle and linked whenever their
 Euclidean distance is at most the communication range (inclusive).
 Placement is resampled until the graph is connected. The adjacency
 matrix is the network's one description of who hears whom: consensus
-builds its averaging matrix I - eps * Lap from it. The ledger counts every
-scalar a node broadcasts, so partial-exchange savings can be verified
-exactly.
+builds its averaging matrix I - eps * Lap from it. The ledger records the
+scalars every node broadcasts at each step of a `consensus.run_consensus`
+call, so partial-exchange savings can be verified exactly.
 """
 
 from dataclasses import dataclass, field
@@ -93,34 +93,28 @@ def consensus_gain(net: SensorNetwork) -> float:
 
 
 class ConsensusBroadcasts(NamedTuple):
-    """All broadcasts of n_steps consecutive consensus runs, one per
-    timestep from time t on: at step l of each, every one of the n_nodes
-    nodes sends payloads[l] scalars."""
+    """The broadcasts of one consensus run at time t: at step l, every one
+    of the n_nodes nodes sends payloads[l] scalars."""
 
     t: int
     n_nodes: int
     payloads: tuple
-    n_steps: int = 1
 
 
 @dataclass
 class BandwidthLedger:
-    """Scalars broadcast during consensus: compact `ConsensusBroadcasts`
-    entries in `rows` (a run records one per lane), and their total."""
+    """Scalars broadcast during consensus: one `ConsensusBroadcasts` entry
+    per run in `rows`, and their total."""
 
     rows: list = field(default_factory=list)
-    _total: int = 0
 
-    def record_consensus(self, t: int, n_nodes: int, payloads, n_steps: int = 1):
+    def record_consensus(self, t: int, n_nodes: int, payloads):
         """Record every node broadcasting payloads[l] scalars at step l of
-        each of n_steps consensus runs, the first at time t."""
+        the consensus run at time t."""
         payloads = tuple(payloads)
         if any(s < 0 for s in payloads):
             raise ConfigurationError("scalar count must be >= 0")
-        if n_steps < 1:
-            raise ConfigurationError(f"an entry covers at least one timestep, got {n_steps}")
-        self.rows.append(ConsensusBroadcasts(t, n_nodes, payloads, n_steps))
-        self._total += n_steps * n_nodes * sum(payloads)
+        self.rows.append(ConsensusBroadcasts(t, n_nodes, payloads))
 
     def total_scalars(self) -> int:
-        return self._total
+        return sum(e.n_nodes * sum(e.payloads) for e in self.rows)

@@ -154,8 +154,11 @@ class TestSimulateCommand:
         ({"config": 5}, "config must be a JSON object, got 5"),
         # the top-level L that a timeseries run records beside its config
         ({"mode": "timeseries", "L": 9}, "L = 9 contradicts config L = 12"),
+        # a misspelt mode would otherwise run a timeseries
+        ({"mode": "sweeep", "L_values": [2, 4]},
+         'mode must be "timeseries" or "sweep", got \'sweeep\''),
     ], ids=["no_L_values", "string_L_values", "scalar_L_values", "bool_and_float_L_values",
-            "config_not_an_object", "L_contradicts_config"])
+            "config_not_an_object", "L_contradicts_config", "unknown_mode"])
     def test_malformed_metadata_exits_with_one_line(self, tmp_path, capsys, meta, message):
         path = tmp_path / "metadata.json"
         path.write_text(json.dumps({"config": {"n_nodes": 6, "horizon": 2.0, "mc_runs": 1},
@@ -165,6 +168,16 @@ class TestSimulateCommand:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("config error: ") and message in err
         assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("spec", ["1,2,", "1,,2", ","])
+    def test_sweep_with_an_empty_entry_exits_with_one_line(self, tmp_path, capsys,
+                                                           monkeypatch, spec):
+        monkeypatch.setattr(harness, "build_scenario", None)
+        assert main(["simulate", "--sweep", spec, "--out", str(tmp_path / "out")]) \
+            == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == f"config error: invalid sweep spec {spec!r}\n"
         assert not (tmp_path / "out").exists()
 
     def test_out_blocked_by_a_file_exits_before_any_run(self, tmp_path, capsys, monkeypatch):
@@ -256,6 +269,23 @@ class TestSimulateCommand:
                      "--out", str(second)]) == EXIT_OK
         assert (first / "timeseries.csv").read_bytes() == \
             (second / "timeseries.csv").read_bytes()
+
+    def test_rerun_from_the_metadata_of_an_api_run_at_another_depth(self, tmp_path):
+        # the run's depth differs from its config's L; metadata.json records
+        # the config at the depth that timeseries.csv holds
+        cfg = harness.ScenarioConfig(n_nodes=6, horizon=2.0, mc_runs=1, seed=3)
+        assert cfg.L != 4
+        first = tmp_path / "a"
+        harness.emit_outputs(harness.run_monte_carlo(cfg, 4), first, cfg)
+        meta = json.loads((first / "metadata.json").read_text())
+        assert meta["L"] == meta["config"]["L"] == 4
+        second = tmp_path / "b"
+        assert main(["simulate", "--config", str(first / "metadata.json"),
+                     "--out", str(second)]) == EXIT_OK
+        assert (first / "timeseries.csv").read_bytes() == \
+            (second / "timeseries.csv").read_bytes()
+        assert (first / "metadata.json").read_bytes() == \
+            (second / "metadata.json").read_bytes()
 
     @pytest.mark.parametrize("spec", ["2,4", "4,2,4"])
     def test_rerun_sweep_from_metadata(self, tmp_path, spec):

@@ -136,7 +136,7 @@ class TestRunConsensus:
         (out_first, ledger_first), (out_again, ledger_again) = runs
         assert np.array_equal(out_first.B, out_again.B)
         assert np.array_equal(out_first.b, out_again.b)
-        assert ledger_first.rows == ledger_again.rows == [(2, 6, (10,) * 5, 1)]
+        assert ledger_first.rows == ledger_again.rows == [(2, 6, (10,) * 5)]
 
     def test_single_identity_step_equals_consensus_step(self, pair_net2):
         sched = default_schedule(2, "identity")
@@ -196,7 +196,7 @@ class TestRunConsensus:
         run_consensus(two_node_state(), sched, 4, averaging_powers(pair_net2, 0.5, 4),
                       ledger=ledger, t=3)
         # per step per node: 1 selected row of B (n=2) plus 1 entry of b
-        assert ledger.rows == [(3, 2, (3, 3, 3, 3), 1)]
+        assert ledger.rows == [(3, 2, (3, 3, 3, 3))]
         assert ledger.total_scalars() == 4 * 2 * 3
         identity_ledger = BandwidthLedger()
         run_consensus(two_node_state(), default_schedule(2, "identity"), 4,

@@ -132,7 +132,7 @@ class TestStackedLanes:
             assert_rel_close(posterior.omega[block], one_posterior.omega)
             assert_rel_close(posterior.q[block], one_posterior.q)
             assert_rel_close(estimates[block], one_estimates)
-            assert plan.payloads[k] == one_plan.payloads[0]
+            assert np.array_equal(plan.steps[k], one_plan.steps[0])
             expected_events.update((k, e["node"], e["kind"]) for e in one_log.events)
         assert events == expected_events
         if t == 0:

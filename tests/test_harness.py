@@ -17,6 +17,7 @@ from icfpie.consensus import averaging_powers, plan_lanes
 from icfpie.dicf import correction_terms
 from icfpie.errors import ConfigurationError, ConsensusCycleWarning, FilterNumericsError
 from icfpie.harness import (
+    AlgorithmSpec,
     ScenarioConfig,
     build_scenario,
     emit_outputs,
@@ -29,6 +30,7 @@ from icfpie.harness import (
 from icfpie.models import TruthModel
 from icfpie.info_filter import SINGULAR_EIG, NumericsLog, symmetrize
 from icfpie.network import random_geometric
+from icfpie.selection import build_schedule
 from measurement_reference import sample_measurement
 from one_seed import run_one, step_one
 from truth_reference import truth_loop
@@ -248,13 +250,11 @@ class TestArgumentChecks:
         with pytest.raises(ConfigurationError, match="must be a non-empty list of integers"):
             call()
 
-    def test_empty_algorithm_list_rejected(self, monkeypatch):
+    def test_empty_algorithm_list_rejected(self):
         cfg = ScenarioConfig(**FAST)
-        monkeypatch.setattr(harness, "build_scenario", no_run)
-        with pytest.raises(ConfigurationError, match="algorithm list is empty"):
-            make_algorithms(cfg, [])
-        with pytest.raises(ConfigurationError, match="algorithm list is empty"):
-            run_monte_carlo(cfg, 4, include=())
+        for empty in ([], ()):
+            with pytest.raises(ConfigurationError, match="algorithm list is empty"):
+                make_algorithms(cfg, empty)
 
     @pytest.mark.parametrize("jobs", [0, -1])
     @pytest.mark.parametrize("entry", ["run_monte_carlo", "sweep_consensus_steps"])
@@ -519,8 +519,8 @@ class TestOnePassLanes:
         assert built == [5, 4]
 
     def test_one_lane_plan_per_run_once(self, monkeypatch):
-        # every lane's step counts, gathered powers and payloads are planned
-        # once per run; a per-step run_consensus would plan again at every step
+        # every lane's step counts and gathered powers are planned once per
+        # run; a per-step run_consensus would plan again at every step
         from icfpie import consensus
         planned = []
 
@@ -590,7 +590,8 @@ class TestOnePassLanes:
                 assert np.array_equal(metrics.series[a.label], errors[k])
                 assert np.array_equal(metrics.diag["node_errors"][a.label], node_errors[k])
                 assert np.array_equal(metrics.diag["reg_events"][a.label], reg[k])
-                assert metrics.bandwidth[a.label] == T * N * sum(plan.payloads[k])
+                assert metrics.bandwidth[a.label] == T * N * 5 * sum(
+                    a.schedule.rows_at(l).size for l in range(L))
             assert np.array_equal(metrics.series["ckf"], errors[-1])
             assert np.array_equal(metrics.diag["reg_events"]["ckf"], reg[-1])
         return reg, singular
@@ -635,6 +636,25 @@ class TestOnePassLanes:
         scenario = build_scenario(ScenarioConfig(**FAST), 2)
         with pytest.raises(ConfigurationError):
             run_once([scenario], [])
+
+    def test_bandwidth_is_every_step_of_the_schedule(self):
+        # at step l each of the N nodes sends the |J_{l mod theta}| selected
+        # rows of B and entries of b, every timestep of the run; the centralized
+        # filter sends nothing. Partial cycles (L = 1, 3) included
+        cfg = ScenarioConfig(**FAST)
+        custom = AlgorithmSpec("icfpie", "custom", build_schedule(4, [[1], [2, 3], [4]]))
+        algorithms = harness._sweep_algorithms(cfg) + [custom]
+        scenarios = [build_scenario(cfg, seed) for seed in (2, 3)]
+        runs = run_once(scenarios, (1, 3, 20), algorithms)
+        for by_depth in runs:
+            for L, metrics in by_depth.items():
+                for a in algorithms:
+                    per_node = sum(a.schedule.rows_at(l).size * 5 for l in range(L)) \
+                        if a.uses_consensus else 0
+                    assert metrics.bandwidth[a.label] == cfg.n_steps * cfg.n_nodes * per_node
+        assert runs[0][20].bandwidth == {"icfpie[1]": 20 * 6 * 200, "icfpie[2]": 20 * 6 * 100,
+                                         "icf[identity]": 20 * 6 * 400, "ckf": 0,
+                                         "icfpie[custom]": 20 * 6 * 135}
 
 
 class TestChunks:
@@ -693,8 +713,7 @@ class TestChunks:
         monkeypatch.setattr(harness, "build_scenario", injected)
         with pytest.raises(FilterNumericsError) as alone:
             run_one(injected(cfg, bad), cfg.L)
-        tasks = {"Monte-Carlo": (harness._mc_single_run, (cfg, cfg.L, ("ckf", "icf", "icfpie"),
-                                                          True)),
+        tasks = {"Monte-Carlo": (harness._mc_single_run, (cfg, cfg.L, True)),
                  "sweep": (harness._sweep_single_run, (cfg, (1, 2)))}
         for what, (task, args) in tasks.items():
             runs = task(args + (cfg.mc_runs, cfg.seed))["runs"]
