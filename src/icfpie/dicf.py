@@ -13,16 +13,16 @@ of every seed and timestep of a run in one pass, (R, N, ...) per step.
 is unsensed), runs L masked consensus steps on the whole network in
 closed form, one batched product for every lane's N-slice block (the
 run's `plan_lanes` plan) written straight into the stack of (B, b) pairs
-that recovery reads, and recovers the posterior (Omega = N * B(L),
-estimate from the B(L) b(L) pair with the singular policy) and predicts
-in information form, in one `recover_and_predict` call through the
-system model, which holds its own split. The centralized slice fuses
-every sensed node's contribution at once, the pair consensus converges
-to, and joins that call with scale 1 in place of N. A slice's result depends on
-that slice alone, so a seed run in a chunk gets the bits it gets alone.
-With the identity selection schedule a lane is exactly the original
-full-exchange consensus filter; `ckf_step` steps one centralized filter
-alone through `centralized_correct`, with the same bits as its slice.
+that recovery reads. One `recover_and_predict` call through the system
+model, which holds its own split, gives the estimates (B(L)^-1 b(L),
+with the singular policy) and the prediction of the posterior
+Omega = N * B(L), which `dicf_step` wraps from the pairs. The centralized
+slice fuses every sensed node's contribution at once, the pair consensus
+converges to, and joins that call with scale 1 in place of N. A slice's
+result depends on that slice alone, so a seed run in a chunk gets the
+bits it gets alone. With the identity selection schedule a lane is the
+original full-exchange consensus filter; `ckf_step` steps one
+centralized filter alone, with the same bits as its slice.
 """
 
 from functools import lru_cache
@@ -37,6 +37,7 @@ from .errors import ConfigurationError
 from .info_filter import (
     InformationState,
     NumericsLog,
+    ScaledPosterior,
     centralized_correct,
     measurement_gains,
     recover_and_predict,
@@ -112,16 +113,17 @@ def _stack_scale(n_lanes: int, n_nodes: int, n_central: int) -> np.ndarray:
 def dicf_step(prior: InformationState, plan: LanePlan, terms: CorrectionTerms,
               sys: SystemModel, log: Optional[NumericsLog] = None):
     """Advance every slice of the stack one timestep; returns (next prior,
-    posterior, estimates): the stacked posterior (S, n, n) / (S, n) and
-    the (S, n) posterior state estimates.
+    posterior, estimates): the stacked posterior (S, n, n) / (S, n), a
+    ScaledPosterior of the step's pairs, and the (S, n) state estimates.
 
     `terms` are the timestep's `correction_terms` of R seeds, (R, N, ...)
     arrays, whose d_q (R, N, n) gives R and N. `plan` is the run's
     `plan_lanes` plan of K lanes on each seed's N-node network, and
     `prior` their stack of R*K*N node states, seed-major and lane-major,
     then C = 0 or R centralized slices, one per seed, each of which steps
-    as `ckf_step` steps it alone: S = R*K*N + C >= 1. One batched consensus product advances every lane of every
-    seed, and one `recover_and_predict` call through `sys` every slice.
+    as `ckf_step` steps it alone: S = R*K*N + C >= 1. One batched
+    consensus product advances every lane of every seed, and one
+    `recover_and_predict` call through `sys` every slice.
     The lanes of seed r start consensus from its node terms, and its
     centralized slice adds its centralized sums to its prior, as
     `centralized_correct` would. Events in `log` carry the slice index as
@@ -156,9 +158,9 @@ def dicf_step(prior: InformationState, plan: LanePlan, terms: CorrectionTerms,
         b[n_lane_slices:] = prior.q[n_lane_slices:] + terms.central_q
 
     # the estimates come from the consensus pairs themselves; the N factor cancels
-    posterior, estimates, next_prior = recover_and_predict(
-        B, b, _stack_scale(n_lanes, n_nodes, n_central), sys, log)
-    return next_prior, posterior, estimates
+    scale = _stack_scale(n_lanes, n_nodes, n_central)
+    estimates, next_prior = recover_and_predict(B, b, scale, sys, log)
+    return next_prior, ScaledPosterior(B, b, scale), estimates
 
 
 def ckf_step(central: InformationState, measurements: np.ndarray, sensed: np.ndarray,
@@ -168,12 +170,11 @@ def ckf_step(central: InformationState, measurements: np.ndarray, sensed: np.nda
 
     `central` is a one-slice stack, omega (1, n, n) and q (1, n).
     `measurements` is (N, m) and `sensed` (N,) bool: one seed's timestep.
-    Returns (next prior, posterior, estimate); the posterior and its
-    (1, n) estimate are the benchmark fused estimate for this timestep.
-    A run steps this filter as a trailing slice of its `dicf_step` stack,
-    with the same bits.
+    Returns (next prior, posterior, estimate): the posterior is the fused
+    state of `centralized_correct`, and with its (1, n) estimate it is the
+    benchmark fused estimate for this timestep. A run steps this filter as
+    a trailing slice of its `dicf_step` stack, with the same bits.
     """
     fused = centralized_correct(central, sensor.c, sensor.v, measurements[sensed])
-    posterior, x_post, next_prior = recover_and_predict(fused.omega, fused.q, np.ones(1), sys,
-                                                        log)
-    return next_prior, posterior, x_post
+    x_post, next_prior = recover_and_predict(fused.omega, fused.q, np.ones(1), sys, log)
+    return next_prior, fused, x_post

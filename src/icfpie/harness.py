@@ -31,7 +31,7 @@ from . import __version__
 from .consensus import averaging_powers, plan_lanes
 from .dicf import ckf_step  # noqa: F401  unused here; perfbench/tracer.py wraps it by this name
 from .dicf import correction_terms, dicf_step
-from .errors import ConfigurationError, FilterNumericsError
+from .errors import ConfigurationError, DegenerateHeadingWarning, FilterNumericsError
 from .info_filter import (
     InformationState,
     NumericsLog,
@@ -41,10 +41,8 @@ from .info_filter import (
 from .models import (
     MeasurementModel,
     SystemModel,
-    TruthModel,
     constant_velocity_matrix,
     position_measurement_matrix,
-    truth_trajectory,
 )
 from .network import SensorNetwork, consensus_gain, random_geometric
 from .selection import EntrySelectionSchedule, build_schedule, default_schedule
@@ -159,9 +157,6 @@ class ScenarioConfig:
     def n_steps(self) -> int:
         return int(round(self.horizon / self.dt))
 
-    def system_matrix(self) -> np.ndarray:
-        return constant_velocity_matrix(self.dt, STATE_DIM)
-
     def schedule(self) -> EntrySelectionSchedule:
         return schedule_from_selection(self.selection)
 
@@ -269,6 +264,41 @@ class Scenario:
                                  np.zeros((n_slices, STATE_DIM)))
 
 
+def truth_trajectory(cfg: ScenarioConfig, rng: np.random.Generator) -> np.ndarray:
+    """The target's states at cfg.n_steps timesteps, (n_steps, 4): a speed
+    and a heading drawn uniformly from their configured ranges, then each
+    step moves with the current velocity, perturbs the speed by one normal
+    draw of variance cfg.speed_variance and keeps the heading. At zero
+    speed the heading is undefined: the velocity is kept, nothing is
+    drawn, and a DegenerateHeadingWarning is issued. The steps run on
+    Python floats, but np.hypot, np.arctan2 and the initial np.cos and
+    np.sin stay: the math module's versions do not always share their
+    last bit.
+    """
+    v0 = rng.uniform(*cfg.speed_range)
+    psi0 = rng.uniform(*cfg.heading_range)
+    x, y = map(float, cfg.target_initial_position)
+    vx, vy = float(v0 * np.cos(psi0)), float(v0 * np.sin(psi0))
+    dt, sigma = cfg.dt, math.sqrt(cfg.speed_variance)
+    states = [(x, y, vx, vy)]
+    for _ in range(1, cfg.n_steps):
+        x, y = x + dt * vx, y + dt * vy
+        speed = float(np.hypot(vx, vy))
+        if speed == 0.0:
+            warnings.warn("zero-speed target state: heading undefined, velocity kept",
+                          DegenerateHeadingWarning, stacklevel=2)
+        else:
+            heading = float(np.arctan2(vy, vx))
+            if cfg.speed_variance > 0:
+                speed = speed + rng.normal(0.0, sigma)
+            vx, vy = speed * math.cos(heading), speed * math.sin(heading)
+        states.append((x, y, vx, vy))
+    truth = np.array(states)
+    if not np.isfinite(truth).all():
+        raise FilterNumericsError("non-finite truth state after propagation")
+    return truth
+
+
 def build_scenario(cfg: ScenarioConfig, seed: int) -> Scenario:
     """Deterministically materialize network, truth, and measurements."""
     rng = np.random.default_rng(seed)
@@ -283,19 +313,12 @@ def build_scenario(cfg: ScenarioConfig, seed: int) -> Scenario:
             raise ConfigurationError(
                 f"eps = {eps} is outside 0 < eps <= 1/max degree = 1/{net.max_degree()} "
                 f"for the network of seed {seed}")
-    truth_model = TruthModel(
-        initial_position=tuple(cfg.target_initial_position),
-        speed_range=tuple(cfg.speed_range),
-        heading_range=tuple(cfg.heading_range),
-        speed_variance=cfg.speed_variance,
-        dt=cfg.dt,
-    )
-    sys = SystemModel.lti(cfg.system_matrix(), np.diag(cfg.q_diag))
+    sys = SystemModel.lti(constant_velocity_matrix(cfg.dt, STATE_DIM), np.diag(cfg.q_diag))
     sensor = MeasurementModel.linear(position_measurement_matrix(STATE_DIM),
                                      np.diag(cfg.r_diag))
 
     n_steps = cfg.n_steps
-    truth = truth_trajectory(truth_model, n_steps, rng)
+    truth = truth_trajectory(cfg, rng)
 
     # one draw in the (t, node) order of a per-measurement loop
     noise_draw = rng.standard_normal((n_steps, cfg.n_nodes, MEAS_DIM))
@@ -462,9 +485,12 @@ class MonteCarloResult:
     final_mean: dict
     bandwidth: dict
     n_runs: int
-    failures: int
-    failed_seeds: list
+    failed_seeds: list  # the seeds that failed numerically, excluded from the means
     run_diags: Optional[list] = None
+
+    @property
+    def failures(self) -> int:
+        return len(self.failed_seeds)
 
 
 def _run_summary(metrics: RunMetrics, cfg: ScenarioConfig) -> dict:
@@ -602,7 +628,6 @@ def run_monte_carlo(cfg: ScenarioConfig, L: int, diagnostics: bool = False,
         final_mean={lab: float(s[:, -1].mean()) for lab, s in stacked.items()},
         bandwidth=good[0]["bandwidth"],
         n_runs=len(good),
-        failures=len(failed),
         failed_seeds=[r["seed"] for r in failed],
         run_diags=[r["summary"] for r in good] if diagnostics else None,
     )
@@ -615,7 +640,11 @@ class SweepResult:
     rows: list      # dicts with keys L, alg, case, label, final_error, total_scalars
     L_values: list  # the grid: ascending, without duplicates
     n_runs: int
-    failures: int
+    failed_seeds: list  # the seeds that failed numerically, excluded from the means
+
+    @property
+    def failures(self) -> int:
+        return len(self.failed_seeds)
 
     def final_error(self, L: int, label: str) -> float:
         for row in self.rows:
@@ -625,9 +654,10 @@ class SweepResult:
 
 
 def _sweep_algorithms(cfg: ScenarioConfig) -> list:
-    """The sweep's algorithms, in the row order of sweep.csv."""
-    return [make_algorithms(dataclasses.replace(cfg, selection=case), ["icfpie"])[0]
-            for case in ("case1", "case2")] + make_algorithms(cfg, ["icf", "ckf"])
+    """The sweep's algorithms, in the row order of sweep.csv: icfpie in
+    both cases, whatever cfg.selection is, then icf and ckf."""
+    return [AlgorithmSpec("icfpie", label, default_schedule(STATE_DIM, f"case{label}"))
+            for label in ("1", "2")] + make_algorithms(cfg, ["icf", "ckf"])
 
 
 def _sweep_single_run(args) -> dict:
@@ -662,7 +692,8 @@ def sweep_consensus_steps(cfg: ScenarioConfig, L_values, jobs: int = 1) -> Sweep
              "final_error": float(np.array([r["finals"][lv][a.label] for r in good]).mean()),
              "total_scalars": int(good[0]["bandwidth"][lv][a.label])}
             for lv in L_values for a in algorithms]
-    return SweepResult(rows=rows, L_values=L_values, n_runs=len(good), failures=len(failed))
+    return SweepResult(rows=rows, L_values=L_values, n_runs=len(good),
+                       failed_seeds=[r["seed"] for r in failed])
 
 
 def _fmt(x) -> str:
@@ -711,6 +742,7 @@ def load_config(path) -> tuple:
     """Read a config file: either flat key=value lines (values parsed as
     Python literals when possible) or a metadata JSON from emit_outputs.
 
+    A JSON file must hold a "config" object, as every metadata.json does.
     Returns (ScenarioConfig, extra) where extra holds run options the
     config may carry (mode, "timeseries" or "sweep"; L, which must equal
     the config's L; and L_values, a list of integers >= 1).
@@ -720,7 +752,10 @@ def load_config(path) -> tuple:
     stripped = text.lstrip()
     if stripped.startswith("{"):
         meta = json.loads(text)
-        config = meta.get("config", {})
+        if "config" not in meta:
+            raise ConfigurationError(f"{path}: a JSON config needs a \"config\" object, "
+                                     f"as metadata.json holds; got keys {sorted(meta)}")
+        config = meta["config"]
         if not isinstance(config, dict):
             raise ConfigurationError(f"{path}: config must be a JSON object, got {config!r}")
         extra = {k: meta[k] for k in ("mode", "L", "L_values") if k in meta}

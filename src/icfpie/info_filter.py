@@ -23,8 +23,10 @@ of posterior scales and the system model, whose `split` (`block_layouts`
 of its A and Q) the model computes once, and routes each slice by its
 own input along one of two paths: a closed form, which skips both
 eigenvalue checks for a slice that it certifies, and the LAPACK path,
-which runs the policy on every other slice. `predict` and
-`to_state_estimate` take the LAPACK path alone, as the tests' reference.
+which runs the policy on every other slice. The LAPACK path has two
+halves, `_estimates` and `_prediction`; `predict` and `to_state_estimate`
+each make their own eigenvalue call and take only their half, as the
+tests' reference.
 
 The block invariant: with position sensors and diagonal Q and R, the
 constant-velocity model of `models` never couples its two axes, so every
@@ -51,12 +53,12 @@ the threshold is left to the LAPACK path.
 Every other slice (not block-diagonal, uncertified, or near or above the
 condition threshold) is gathered into one sub-stack for the LAPACK path,
 which makes every event. It takes one batched pass: one eigenvalue call
-for both checks, first; one Cholesky factor of sym(B) for the estimates
-of only the slices that pass the singular test, and one SVD for every
-other slice's minimum-norm solve; one vectorized shift and one inversion
-of the shifted posteriors. Only the event records loop over slices. A
-slice's result depends on that slice alone, on either path, so a slice
-of a stack gets the bits it gets alone.
+for both checks, first; then `_estimates`, with one Cholesky factor of
+sym(B) for only the slices that pass the singular test, and one SVD for
+every other slice's minimum-norm solve; then `_prediction`, with one
+vectorized shift and one inversion of the shifted posteriors. Only the
+event records loop over slices. A slice's result depends on that slice
+alone, on either path, so a slice of a stack gets the bits it gets alone.
 """
 
 from dataclasses import dataclass, field
@@ -209,12 +211,26 @@ def _inv_lower(c: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(x.transpose(2, 0, 1))
 
 
-def _inv_spd(stack: np.ndarray, nodes: np.ndarray, log: Optional[NumericsLog],
-             context: str) -> np.ndarray:
-    # numpy's routine fills the factor of a slice that fails with NaN
+def _cholesky(stack: np.ndarray):
+    """Lower Cholesky factor of every slice, and a mask `ok` of the slices
+    whose factor is finite; the identity stands in for every other factor.
+
+    One batched call of numpy's routine, which fills the factor of a slice
+    that fails with NaN. A non-finite entry makes its own factor entry
+    non-finite, so such a slice is never `ok`; the eigenvalue policy
+    rejects it.
+    """
     with np.errstate(all="ignore"):
         c = _umath_linalg.cholesky_lo(stack, signature="d->d")
-    if np.isnan(c).any():
+    ok = np.isfinite(c).all(axis=(-2, -1))
+    c[~ok] = np.eye(stack.shape[-1])
+    return c, ok
+
+
+def _inv_spd(stack: np.ndarray, nodes: np.ndarray, log: Optional[NumericsLog],
+             context: str) -> np.ndarray:
+    c, ok = _cholesky(stack)
+    if not ok.all():
         raise FilterNumericsError(f"matrix not positive definite in {context or 'inv_spd'}: "
                                   "Matrix is not positive definite")
     if log is not None:
@@ -281,22 +297,6 @@ def centralized_correct(prior: InformationState, c: np.ndarray, v: np.ndarray,
     for every slice of the prior. With k = 0 the prior comes back unchanged."""
     d_omega, d_q = local_correction_terms(c, v, y)
     return information_state(prior.omega + len(d_q) * d_omega, prior.q + d_q.sum(axis=0))
-
-
-def _cholesky(stack: np.ndarray):
-    """Lower Cholesky factor of every slice, and a mask `ok` of the slices
-    whose factor is finite; the identity stands in for every other factor.
-
-    One batched call of numpy's routine, which fills the factor of a slice
-    that fails with NaN. A non-finite entry makes its own factor entry
-    non-finite, so such a slice is never `ok`; the eigenvalue policy
-    rejects it.
-    """
-    with np.errstate(all="ignore"):
-        c = _umath_linalg.cholesky_lo(stack, signature="d->d")
-    ok = np.isfinite(c).all(axis=(-2, -1))
-    c[~ok] = np.eye(stack.shape[-1])
-    return c, ok
 
 
 def _min_norm_solve(m: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -474,63 +474,61 @@ def _recover_blocks(b_mat: np.ndarray, b_vec: np.ndarray, scale: np.ndarray,
     return taken, out[:, :4], InformationState(out[:, 8:].reshape(k, 4, 4), out[:, 4:8])
 
 
-def _recover_lapack(b_mat: np.ndarray, b_vec: np.ndarray, scale: np.ndarray,
-                    nodes: np.ndarray, log: Optional[NumericsLog], estimate: bool, model=None):
-    """The estimates B^-1 b and, with model = (A, Q), the prediction of the
-    posterior (scale * B, scale * b), slice k scaled by scale[k], by
-    numpy's batched LAPACK routines, with the eigenvalue policy on every
-    slice; returns (estimates or None, next prior or None). The event of
-    slice k carries node nodes[k].
+def _estimates(stack: np.ndarray, b_vec: np.ndarray, eig_min: np.ndarray, nodes: np.ndarray,
+               log: Optional[NumericsLog]) -> np.ndarray:
+    """stack^-1 b for a symmetric stack with smallest eigenvalues eig_min.
+    A slice at or above SINGULAR_EIG is solved by its Cholesky factor L,
+    x = L^-T L^-1 b; every other slice, and one whose factor is not finite,
+    gets the minimum-norm solution and a `singular_solve` event, as node
+    nodes[k] for slice k."""
+    singular = eig_min < SINGULAR_EIG
+    x = np.empty(b_vec.shape)
+    regular = np.flatnonzero(~singular)
+    if regular.size:
+        c, ok = _cholesky(stack[regular])  # sym(sym(B)) = sym(B), bit for bit
+        with np.errstate(all="ignore"):
+            c_inv = _inv_lower(c)
+        x[regular] = _matvec(c_inv.swapaxes(-1, -2), _matvec(c_inv, b_vec[regular]))
+        singular[regular[~ok]] = True
+    if singular.any():
+        if log is not None:
+            for k, e_k in zip(nodes[singular].tolist(), eig_min[singular].tolist()):
+                log.record("singular_solve", "to_state_estimate", eig_min=e_k, node=k)
+        x[singular] = _min_norm_solve(stack[singular], b_vec[singular])
+    return x
 
-    One batched eigenvalue call holds both checks: with `estimate`, those
-    of sym(B) give the estimate's singular test, and with a model, those of
-    the posterior slices give the shift. Only a slice that passes the
-    singular test is factored: its estimate is x = L^-T L^-1 b, from a
-    Cholesky factor L of sym(B). A slice whose smallest eigenvalue is below
-    SINGULAR_EIG, or whose factor is not finite, gets the minimum-norm
-    solution and a `singular_solve` event. With a model,
-    every posterior slice is shifted by the regularization policy where it
-    is near-singular, and inverted to P; then Omega+ = (A P A^T + Q)^-1 and
-    q+ = Omega+ A x_hat with x_hat = P scale b. Without `estimate`, the
-    estimates come back as None.
-    """
-    context = "to_state_estimate" if estimate else "predict"
-    parts = []
-    if estimate:
-        stack = symmetrize(b_mat)
-        parts.append(stack)
-    if model is not None:
-        posterior = symmetrize(scale[:, None, None] * b_mat)
-        parts.append(posterior)
-    eig_min = _min_eigenvalues(np.concatenate(parts), context)
-    x = None
-    if estimate:
-        e = eig_min[:len(b_vec)]
-        singular = e < SINGULAR_EIG
-        x = np.empty(b_vec.shape)
-        regular = np.flatnonzero(~singular)
-        if regular.size:
-            c, ok = _cholesky(stack[regular])  # sym(sym(B)) = sym(B), bit for bit
-            with np.errstate(all="ignore"):
-                c_inv = _inv_lower(c)
-            x[regular] = _matvec(c_inv.swapaxes(-1, -2), _matvec(c_inv, b_vec[regular]))
-            singular[regular[~ok]] = True
-        if singular.any():
-            if log is not None:
-                for k, e_k in zip(nodes[singular].tolist(), e[singular].tolist()):
-                    log.record("singular_solve", "to_state_estimate", eig_min=e_k, node=k)
-            x[singular] = _min_norm_solve(stack[singular], b_vec[singular])
-    if model is None:
-        return x, None
 
-    a, q_cov = model
-    shifted = _shift(posterior, eig_min[-len(b_vec):], nodes, log, "predict")
+def _prediction(a: np.ndarray, q_cov: np.ndarray, posterior: np.ndarray, q: np.ndarray,
+                eig_min: np.ndarray, nodes: np.ndarray,
+                log: Optional[NumericsLog]) -> InformationState:
+    """The posterior stack (Omega, q), with smallest eigenvalues eig_min,
+    predicted through (A, Q): each slice is shifted where it is
+    near-singular and inverted to P, then Omega+ = (A P A^T + Q)^-1 and
+    q+ = Omega+ A P q. The events of slice k carry node nodes[k]."""
+    shifted = _shift(posterior, eig_min, nodes, log, "predict")
     p = _inv_spd(shifted, nodes, log, "predict: invert posterior")
-    x_hat = _matvec(p, scale[:, None] * b_vec)
+    x_hat = _matvec(p, q)
     p_next = symmetrize(a @ p @ np.ascontiguousarray(a.T)) + q_cov
     # _inv_spd returns a symmetric stack, so information_state would not change it
     omega_next = _inv_spd(p_next, nodes, log, "predict: invert predicted covariance")
-    return x, InformationState(omega_next, _matvec(omega_next, _matvec(a, x_hat)))
+    return InformationState(omega_next, _matvec(omega_next, _matvec(a, x_hat)))
+
+
+def _recover_lapack(b_mat: np.ndarray, b_vec: np.ndarray, scale: np.ndarray,
+                    nodes: np.ndarray, log: Optional[NumericsLog], sys):
+    """The estimates B^-1 b and the prediction through `sys` of the
+    posterior (scale * B, scale * b) by numpy's batched LAPACK routines,
+    with the eigenvalue policy on every slice; returns (estimates, next
+    prior), and the events of slice k carry node nodes[k]. One eigenvalue
+    call serves both halves: sym(B)'s for the singular test of
+    `_estimates`, the posterior's for the shift of `_prediction`."""
+    stack = symmetrize(b_mat)
+    posterior = symmetrize(scale[:, None, None] * b_mat)
+    eig_min = _min_eigenvalues(np.concatenate([stack, posterior]), "to_state_estimate")
+    k = len(b_vec)
+    return (_estimates(stack, b_vec, eig_min[:k], nodes, log),
+            _prediction(sys.a, sys.process_cov, posterior, scale[:, None] * b_vec, eig_min[k:],
+                        nodes, log))
 
 
 def predict(post: InformationState, a: np.ndarray, q_cov: np.ndarray,
@@ -540,51 +538,49 @@ def predict(post: InformationState, a: np.ndarray, q_cov: np.ndarray,
     Omega+ = (A Omega^-1 A^T + Q)^-1 and q+ = Omega+ A x_hat, where
     x_hat = Omega^-1 q and Q is the process-noise covariance.
     """
-    model = (np.asarray(a, dtype=float), np.asarray(q_cov, dtype=float))
-    k = len(post.q)
-    return _recover_lapack(post.omega, post.q, np.ones(k), np.arange(k), log, False, model)[1]
+    posterior = symmetrize(post.omega)
+    return _prediction(np.asarray(a, dtype=float), np.asarray(q_cov, dtype=float), posterior,
+                       post.q, _min_eigenvalues(posterior, "predict"), np.arange(len(post.q)),
+                       log)
 
 
 def to_state_estimate(s: InformationState, log: Optional[NumericsLog] = None) -> np.ndarray:
     """State estimates Omega^-1 q, (K, n), on the LAPACK path; minimum-norm
     solution for every slice whose Omega is singular."""
-    k = len(s.q)
-    return _recover_lapack(s.omega, s.q, np.ones(k), np.arange(k), log, True)[0]
+    stack = symmetrize(s.omega)
+    return _estimates(stack, s.q, _min_eigenvalues(stack, "to_state_estimate"),
+                      np.arange(len(s.q)), log)
 
 
 def recover_and_predict(b_mat: np.ndarray, b_vec: np.ndarray, scale: np.ndarray, sys,
                         log: Optional[NumericsLog] = None):
     """Posterior recovery and prediction with one factorization per slice.
 
-    From a stack of K consensus pairs (B, b), returns (posterior,
-    estimates, next prior): the posterior (scale * B, scale * b), with
-    `scale` a (K,) float array of one number per slice (N for a lane's
-    pairs, 1 for a fused centralized pair), the estimates B^-1 b (what
-    `to_state_estimate` gives for the pairs), and the posterior predicted
-    through the system model `sys` (what `predict` gives for it through
-    sys.a and sys.process_cov). This is the only entry that takes the
-    closed form, in the model's own `split`; with None every slice takes
-    the LAPACK path. On the closed form one Cholesky factor of sym(B) per
-    slice gives the estimate and P = B^-1 / scale for the prediction, and
-    one certificate covers the checks of both, as the smallest eigenvalue
-    scales with B. Every other slice goes to `_recover_lapack` in one
-    call, whose events carry each slice's index in the stack. The
-    posterior is a ScaledPosterior, formed only where it is read; it
-    keeps `scale` as it is, so the array must not change while the
-    posterior is in use.
+    From a stack of K consensus pairs (B, b), returns (estimates, next
+    prior): the estimates B^-1 b (what `to_state_estimate` gives for the
+    pairs), and the posterior (scale * B, scale * b) predicted through the
+    system model `sys` (what `predict` gives for it through sys.a and
+    sys.process_cov), with `scale` a (K,) float array of one number per
+    slice (N for a lane's pairs, 1 for a fused centralized pair). This is
+    the only entry that takes the closed form, in the model's own `split`;
+    with None every slice takes the LAPACK path. On the closed form one
+    Cholesky factor of sym(B) per slice gives the estimate and
+    P = B^-1 / scale for the prediction, and one certificate covers the
+    checks of both, as the smallest eigenvalue scales with B. Every other
+    slice goes to `_recover_lapack` in one call, whose events carry each
+    slice's index in the stack.
     """
-    model, split = (sys.a, sys.process_cov), sys.split
+    split = sys.split
     if split is None:
-        x, next_prior = _recover_lapack(b_mat, b_vec, scale, np.arange(len(b_vec)), log, True,
-                                        model)
+        x, next_prior = _recover_lapack(b_mat, b_vec, scale, np.arange(len(b_vec)), log, sys)
     else:
         taken, x, next_prior = _recover_blocks(b_mat, b_vec, scale, *split)
         if not taken.all():
             rest = np.flatnonzero(~taken)
             x[rest], next_rest = _recover_lapack(b_mat[rest], b_vec[rest], scale[rest], rest,
-                                                 log, True, model)
+                                                 log, sys)
             next_prior.omega[rest] = next_rest.omega
             next_prior.q[rest] = next_rest.q
     if not np.isfinite(x).all():
         raise FilterNumericsError("non-finite state estimate")
-    return ScaledPosterior(b_mat, b_vec, scale), x, next_prior
+    return x, next_prior

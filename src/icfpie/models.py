@@ -1,20 +1,18 @@
-"""State-space system/measurement models and truth-trajectory generation.
+"""The filters' linear models: the system x' = A x + w and the sensor
+y = C x + v that every node carries.
 
 The tracking scenario is a 2-D constant-velocity target: state
-[x, y, vx, vy] in meters and meters/second. Filters see a linear system
-(x' = A x + w) while the simulated target's speed fluctuates directly,
-so the truth model and the filter's process noise are deliberately
-separate objects.
+[x, y, vx, vy] in meters and meters/second. The simulated target's speed
+fluctuates directly (`harness.truth_trajectory`), so the filters'
+process noise Q is a model of that motion, not its source.
 """
 
-import math
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigurationError, DegenerateHeadingWarning, FilterNumericsError
+from .errors import ConfigurationError, FilterNumericsError
 from .info_filter import block_layouts, sensor_gains, symmetrize
 
 
@@ -112,67 +110,6 @@ class MeasurementModel:
     @property
     def m(self) -> int:
         return self.meas_cov.shape[0]
-
-
-@dataclass(frozen=True)
-class TruthModel:
-    """Target motion: constant heading, speed with per-step Gaussian jitter."""
-
-    initial_position: tuple[float, float]
-    speed_range: tuple[float, float]
-    heading_range: tuple[float, float]
-    speed_variance: float
-    dt: float
-
-    def __post_init__(self):
-        if self.speed_range[0] > self.speed_range[1]:
-            raise ConfigurationError(f"speed range reversed: {self.speed_range}")
-        if self.heading_range[0] > self.heading_range[1]:
-            raise ConfigurationError(f"heading range reversed: {self.heading_range}")
-        if self.speed_variance < 0:
-            raise ConfigurationError("speed variance must be >= 0")
-        if self.dt <= 0:
-            raise ConfigurationError("dt must be > 0")
-
-    def initial_state(self, rng: np.random.Generator) -> np.ndarray:
-        """Draw [x0, y0, V0 cos(psi0), V0 sin(psi0)] with uniform V0, psi0."""
-        v0 = rng.uniform(*self.speed_range)
-        psi0 = rng.uniform(*self.heading_range)
-        x0, y0 = self.initial_position
-        return np.array([x0, y0, v0 * np.cos(psi0), v0 * np.sin(psi0)])
-
-
-def truth_trajectory(model: TruthModel, n_steps: int, rng: np.random.Generator) -> np.ndarray:
-    """The target's states at n_steps timesteps, (n_steps, 4): the initial
-    state drawn by `initial_state`, then one step at a time: move with the
-    current velocity, then perturb the speed by one normal draw and keep
-    the heading.
-
-    With zero speed the heading is undefined; the velocity is kept, no
-    speed is drawn, and a DegenerateHeadingWarning is issued. The
-    arithmetic runs on Python floats, one step after the other; the speed
-    and the heading come from np.hypot and np.arctan2, whose last bit the
-    math module's versions do not always share.
-    """
-    x, y, vx, vy = model.initial_state(rng).tolist()
-    dt, sigma = model.dt, math.sqrt(model.speed_variance)
-    states = [(x, y, vx, vy)]
-    for _ in range(1, n_steps):
-        x, y = x + dt * vx, y + dt * vy
-        speed = float(np.hypot(vx, vy))
-        if speed == 0.0:
-            warnings.warn("zero-speed target state: heading undefined, velocity kept",
-                          DegenerateHeadingWarning, stacklevel=2)
-        else:
-            heading = float(np.arctan2(vy, vx))
-            if model.speed_variance > 0:
-                speed = speed + rng.normal(0.0, sigma)
-            vx, vy = speed * math.cos(heading), speed * math.sin(heading)
-        states.append((x, y, vx, vy))
-    truth = np.array(states)
-    if not np.isfinite(truth).all():
-        raise FilterNumericsError("non-finite truth state after propagation")
-    return truth
 
 
 def linearize(model, x_hat: np.ndarray) -> np.ndarray:

@@ -112,6 +112,9 @@ class TestSimulateCommand:
         ("sensing_range = -1.0\n", "sensing_range must be > 0"),
         ("comm_range = -5.0\n", "comm_range must be > 0"),
         ("horizon = 0.04\n", "horizon = 0.04 with dt = 0.1 gives 0 steps"),
+        ("dt = 0.0\n", "dt and horizon must be positive"),
+        ("dt = -0.1\n", "dt and horizon must be positive"),
+        ("horizon = 0\n", "dt and horizon must be positive"),
         ("q_diag = [10.0, 10.0, 0.0, 1.0]\n", "q_diag entries must be > 0"),
         ("r_diag = [25.0, -25.0]\n", "r_diag entries must be > 0"),
         ("speed_range = [15.0, 10.0]\n", "speed_range must be ordered"),
@@ -168,6 +171,22 @@ class TestSimulateCommand:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("config error: ") and message in err
         assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("meta", [{}, {"confg": {"n_nodes": 6, "horizon": 2.0}},
+                                      {"mode": "timeseries", "L": 12}],
+                             ids=["empty", "misspelt_config", "no_config"])
+    def test_json_without_a_config_object_exits_with_one_line(self, tmp_path, capsys,
+                                                              monkeypatch, meta):
+        # such a file would otherwise run the default study
+        monkeypatch.setattr(harness, "build_scenario", None)
+        path = tmp_path / "metadata.json"
+        path.write_text(json.dumps(meta))
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) \
+            == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("config error: ")
+        assert 'needs a "config" object' in err and "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("spec", ["1,2,", "1,,2", ","])

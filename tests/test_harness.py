@@ -15,7 +15,12 @@ from conftest import assert_rel_close
 from icfpie import dicf, harness, info_filter
 from icfpie.consensus import averaging_powers, plan_lanes
 from icfpie.dicf import correction_terms
-from icfpie.errors import ConfigurationError, ConsensusCycleWarning, FilterNumericsError
+from icfpie.errors import (
+    ConfigurationError,
+    ConsensusCycleWarning,
+    DegenerateHeadingWarning,
+    FilterNumericsError,
+)
 from icfpie.harness import (
     AlgorithmSpec,
     ScenarioConfig,
@@ -26,14 +31,15 @@ from icfpie.harness import (
     run_monte_carlo,
     run_once,
     sweep_consensus_steps,
+    truth_trajectory,
 )
-from icfpie.models import TruthModel
 from icfpie.info_filter import SINGULAR_EIG, NumericsLog, symmetrize
+from icfpie.models import constant_velocity_matrix
 from icfpie.network import random_geometric
 from icfpie.selection import build_schedule
 from measurement_reference import sample_measurement
 from one_seed import run_one, step_one
-from truth_reference import truth_loop
+from truth_reference import propagate_truth, truth_loop
 
 FAST = dict(n_nodes=6, horizon=2.0, mc_runs=2, seed=3)
 
@@ -80,9 +86,7 @@ class TestBuildScenario:
             scenario = build_scenario(cfg, seed)
             rng = np.random.default_rng(seed)
             random_geometric(cfg.n_nodes, cfg.region, cfg.comm_range, rng)
-            truth_model = TruthModel(cfg.target_initial_position, cfg.speed_range,
-                                     cfg.heading_range, cfg.speed_variance, cfg.dt)
-            truth = truth_loop(truth_model, cfg.n_steps, rng)
+            truth = truth_loop(cfg, rng)
             assert np.array_equal(scenario.truth, truth)
             expected = [[sample_measurement(x, scenario.sensor, rng) for _ in range(cfg.n_nodes)]
                         for x in truth]
@@ -91,6 +95,95 @@ class TestBuildScenario:
     def test_step_count(self):
         assert ScenarioConfig().n_steps == 300
         assert ScenarioConfig(**FAST).n_steps == 20
+
+
+class TestPropagateTruth:
+    def test_noise_free_eastbound(self, rng):
+        out = propagate_truth(np.array([0.0, 0.0, 10.0, 0.0]), ScenarioConfig(speed_variance=0.0),
+                              rng)
+        assert np.allclose(out, [1.0, 0.0, 10.0, 0.0])
+
+    def test_noise_free_northbound_from_start_point(self, rng):
+        out = propagate_truth(np.array([400.0, 0.0, 0.0, 12.0]),
+                              ScenarioConfig(speed_variance=0.0), rng)
+        assert np.allclose(out, [400.0, 1.2, 0.0, 12.0])
+
+    def test_speed_jitter_preserves_heading(self):
+        # recompute the expected speed with an identically seeded generator
+        state = np.array([0.0, 0.0, 3.0, 4.0])
+        out = propagate_truth(state, ScenarioConfig(speed_variance=0.25),
+                              np.random.default_rng(42))
+        w = np.random.default_rng(42).normal(0.0, 0.5)
+        expected_speed = 5.0 + w
+        heading = np.arctan2(4.0, 3.0)
+        assert np.hypot(out[2], out[3]) == pytest.approx(expected_speed, rel=1e-12)
+        assert np.arctan2(out[3], out[2]) == pytest.approx(heading, rel=1e-12)
+
+    def test_zero_velocity_warns_and_keeps_velocity(self, rng):
+        state = np.array([5.0, 6.0, 0.0, 0.0])
+        with pytest.warns(DegenerateHeadingWarning):
+            out = propagate_truth(state, ScenarioConfig(speed_variance=0.25), rng)
+        assert np.array_equal(out, state)
+
+    def test_wrong_length_rejected(self, rng):
+        with pytest.raises(ConfigurationError):
+            propagate_truth(np.zeros(3), ScenarioConfig(), rng)
+
+    @given(st.lists(st.floats(min_value=-500, max_value=500), min_size=4, max_size=4))
+    @settings(max_examples=50, deadline=None)
+    def test_noise_free_propagation_is_linear(self, entries):
+        state = np.array(entries)
+        if np.hypot(state[2], state[3]) == 0.0:
+            return
+        out = propagate_truth(state, ScenarioConfig(speed_variance=0.0),
+                              np.random.default_rng(0))
+        expected = constant_velocity_matrix(0.1) @ state
+        assert np.allclose(out, expected, rtol=1e-12, atol=1e-12)
+
+
+class TestTruthTrajectory:
+    """The run's truth in Python floats equals, bit for bit, the one-step
+    numpy oracle called once per timestep, draw for draw."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_equals_one_step_oracle(self, seed):
+        cfg = ScenarioConfig(speed_variance=0.25)
+        got = truth_trajectory(cfg, np.random.default_rng(seed))
+        assert got.shape == (300, 4)
+        assert np.array_equal(got, truth_loop(cfg, np.random.default_rng(seed)))
+
+    def test_zero_speed_keeps_velocity_and_draws_nothing(self):
+        # zero speed skips the draw: the generator is left where the
+        # oracle leaves it, and every step warns
+        cfg = ScenarioConfig(target_initial_position=(5.0, 6.0), speed_range=(0.0, 0.0),
+                             heading_range=(0.0, 1.0), speed_variance=0.25, horizon=0.6)
+        rng, oracle_rng = np.random.default_rng(3), np.random.default_rng(3)
+        with pytest.warns(DegenerateHeadingWarning) as got_warnings:
+            got = truth_trajectory(cfg, rng)
+        with pytest.warns(DegenerateHeadingWarning) as oracle_warnings:
+            expected = truth_loop(cfg, oracle_rng)
+        assert np.array_equal(got, expected)
+        assert np.array_equal(got[:, :2], np.tile([5.0, 6.0], (6, 1)))
+        assert len(got_warnings) == len(oracle_warnings) == 5
+        assert rng.random() == oracle_rng.random()
+
+    def test_noise_free_and_single_step(self):
+        cfg = ScenarioConfig(speed_variance=0.0, horizon=5.0)
+        assert np.array_equal(truth_trajectory(cfg, np.random.default_rng(1)),
+                              truth_loop(cfg, np.random.default_rng(1)))
+        one_step = dataclasses.replace(cfg, horizon=0.1)
+        assert truth_trajectory(one_step, np.random.default_rng(1)).shape == (1, 4)
+
+    def test_first_state_within_configured_ranges(self):
+        cfg = ScenarioConfig(horizon=0.1)
+        rng = np.random.default_rng(3)
+        for _ in range(100):
+            s = truth_trajectory(cfg, rng)[0]
+            speed = np.hypot(s[2], s[3])
+            heading = np.arctan2(s[3], s[2])
+            assert s[0] == 400.0 and s[1] == 0.0
+            assert 10.0 <= speed <= 15.0
+            assert np.pi / 2 <= heading <= 3 * np.pi / 4
 
 
 class TestRunOnce:
@@ -166,9 +259,9 @@ class TestAxisBlocks:
         recover_and_predict, inv_spd = dicf.recover_and_predict, info_filter._inv_spd
 
         def pairs_and_priors(b_mat, *args):
-            posterior, x, next_prior = recover_and_predict(b_mat, *args)
+            x, next_prior = recover_and_predict(b_mat, *args)
             seen.extend([b_mat, next_prior.omega])
-            return posterior, x, next_prior
+            return x, next_prior
 
         def predicted(stack, nodes, log, context):
             if context == "predict: invert predicted covariance":
@@ -388,6 +481,25 @@ class TestSweep:
                 sweep_consensus_steps(cfg, [1, 2])
             else:
                 run_monte_carlo(cfg, 2)
+
+
+    @pytest.mark.parametrize("what", ["Monte-Carlo", "sweep"])
+    def test_a_failed_seed_is_named_in_the_result(self, monkeypatch, what):
+        # one of 21 seeds fails, under the 5% limit: the result names it,
+        # and its failure count reads the same record
+        cfg = dataclasses.replace(ScenarioConfig(**FAST), horizon=0.3, mc_runs=21)
+        bad = cfg.seed + 7
+        run_once = harness.run_once
+
+        def failing(scenarios, *args, **kwargs):
+            if bad in [s.seed for s in scenarios]:
+                raise FilterNumericsError("injected failure")
+            return run_once(scenarios, *args, **kwargs)
+        monkeypatch.setattr(harness, "run_once", failing)
+        result = (sweep_consensus_steps(cfg, [1, 2]) if what == "sweep"
+                  else run_monte_carlo(cfg, 2))
+        assert result.failed_seeds == [bad]
+        assert result.failures == 1 and result.n_runs == 20
 
 
 class TestOnePassLanes:

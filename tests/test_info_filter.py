@@ -348,7 +348,7 @@ class TestFlaggedPass:
         monkeypatch.setattr(_umath_linalg, "cholesky_lo", counting)
         log = NumericsLog()
         x, _ = info_filter._recover_lapack(b_mat, b_vec, np.full(k, 10.0), np.arange(k), log,
-                                           True, (constant_velocity_matrix(0.1), np.eye(4)))
+                                           SystemModel(constant_velocity_matrix(0.1), np.eye(4)))
         assert factored == [regular.sum()] * int(regular.any()) + [k, k]
         for g, e in zip(x, expected):
             assert_rel_close(g, e, 1e-12)
@@ -424,7 +424,7 @@ class TestRecoverAndPredict:
         def unfused(pair, log):
             x = to_state_estimate(information_state(*pair), log)
             posterior = information_state(scale * pair[0], scale * pair[1])
-            return posterior, x, predict(posterior, a, q_cov, log)
+            return x, predict(posterior, a, q_cov, log)
 
         cases = [(b_mat, b_vec)] + [(m[None], v[None]) for m, v in zip(b_mat, b_vec)]
         for pair in cases:
@@ -434,9 +434,8 @@ class TestRecoverAndPredict:
                 assert got is None
                 continue
             assert got is not None
-            (got_post, got_x, got_next), (post, x, nxt) = got, expected
-            for g, e in [(got_post.omega, post.omega), (got_post.q, post.q), (got_x, x),
-                         (got_next.omega, nxt.omega), (got_next.q, nxt.q)]:
+            (got_x, got_next), (x, nxt) = got, expected
+            for g, e in [(got_x, x), (got_next.omega, nxt.omega), (got_next.q, nxt.q)]:
                 assert g.shape == e.shape
                 for g_k, e_k in zip(g, e):
                     assert_rel_close(g_k, e_k)
@@ -533,12 +532,12 @@ class TestAxisBlockRouting:
         scales = np.full(len(kinds), float(scale))
 
         def routed(pair, log):
-            _, x, nxt = fused_step(*pair, scale, *model, log)
+            x, nxt = fused_step(*pair, scale, *model, log)
             return x, nxt.omega, nxt.q
 
         def lapack(pair, log):
             x, nxt = info_filter._recover_lapack(*pair, scales, np.arange(len(kinds)), log,
-                                                 True, model)
+                                                 SystemModel(*model))
             return x, nxt.omega, nxt.q
 
         with pytest.MonkeyPatch.context() as mp:
@@ -583,7 +582,7 @@ class TestAxisBlockRouting:
 
         def run(pair):
             log = NumericsLog()
-            _, x, nxt = fused_step(*pair, 10, a, q_cov, log)
+            x, nxt = fused_step(*pair, 10, a, q_cov, log)
             return (x, nxt.omega, nxt.q), log.events
 
         stacked, events = run((b_mat, b_vec))
@@ -614,11 +613,12 @@ class TestAxisBlockRouting:
 
     @pytest.mark.parametrize("model", ["constant_velocity", "diagonal"])
     def test_only_the_fused_step_takes_the_closed_form(self, rng, monkeypatch, model):
-        # predict and to_state_estimate are the LAPACK path. The fused step
-        # tries the model's one split once per call, and sends every slice
-        # that it declines to the LAPACK path in one call, also when A and
-        # Q are block-diagonal in more than one split (the diagonal model,
-        # in every split: the first one takes none of these slices)
+        # predict and to_state_estimate each take their own half of the
+        # LAPACK path, on every slice. The fused step tries the model's one
+        # split once per call, and sends every slice that it declines to
+        # the LAPACK path in one call, also when A and Q are block-diagonal
+        # in more than one split (the diagonal model, in every split: the
+        # first one takes none of these slices)
         b_mat = np.array([block_slice(rng, ("spd", "spd")) for _ in range(9)])
         b_mat[[2, 5]] = 0.0
         b_vec = rng.normal(size=(9, 4))
@@ -631,12 +631,18 @@ class TestAxisBlockRouting:
             tried.append(len(b_mat))
             return recover_blocks(b_mat, *rest)
         monkeypatch.setattr(info_filter, "_recover_blocks", spy)
+        halves = []
+        for name in ("_estimates", "_prediction"):
+            def half_spy(*args, half=getattr(info_filter, name), name=name):
+                halves.append((name, args[-2].tolist()))  # each half's `nodes`
+                return half(*args)
+            monkeypatch.setattr(info_filter, name, half_spy)
         sent = lapack_sends(monkeypatch)
         state = InformationState(b_mat, b_vec)
         predict(state, a, q_cov)
         to_state_estimate(state)
-        assert tried == []
-        assert sent == [list(range(9))] * 2
+        assert tried == [] and sent == []
+        assert halves == [("_prediction", list(range(9))), ("_estimates", list(range(9)))]
         declined = [2, 5] if model == "constant_velocity" else list(range(9))
         for calls in range(1, 4):
             sent.clear()
@@ -655,8 +661,8 @@ class TestAxisBlockRouting:
             return cholesky(m, *args, **kwargs)
         monkeypatch.setattr(np.linalg, "cholesky", counting)
         log = NumericsLog()
-        _, x, _ = fused_step(np.zeros((91, 4, 4)), np.zeros((91, 4)), 10,
-                             constant_velocity_matrix(0.1), np.eye(4), log)
+        x, _ = fused_step(np.zeros((91, 4, 4)), np.zeros((91, 4)), 10,
+                          constant_velocity_matrix(0.1), np.eye(4), log)
         assert single == []
         assert np.array_equal(x, np.zeros((91, 4)))
         assert log.count("singular_solve") == 91 and log.count("regularize") == 91
@@ -674,9 +680,9 @@ class TestAxisBlockRouting:
         def reorder(m):
             return m[..., perm, :][..., perm]
         sent = lapack_sends(monkeypatch)
-        _, x, nxt = fused_step(b_mat, b_vec, 10, a, q_cov)
+        x, nxt = fused_step(b_mat, b_vec, 10, a, q_cov)
         b_vec_p = b_vec[:, perm]
-        _, x_p, nxt_p = fused_step(reorder(b_mat), b_vec_p, 10, reorder(a), reorder(q_cov))
+        x_p, nxt_p = fused_step(reorder(b_mat), b_vec_p, 10, reorder(a), reorder(q_cov))
         assert sent == []
         # to_state_estimate is the LAPACK path, whose rounding differs
         alone = to_state_estimate(InformationState(reorder(b_mat), b_vec_p))
@@ -724,9 +730,9 @@ class TestAxisBlockRouting:
             b_vec = np.ones((k, 4))
             sent.clear()
             routed, lapack = NumericsLog(), NumericsLog()
-            _, x, nxt = fused_step(b_mat, b_vec, scale, a, q_cov, routed)
+            x, nxt = fused_step(b_mat, b_vec, scale, a, q_cov, routed)
             x_l, nxt_l = lapack_path(b_mat, b_vec, np.full(k, float(scale)), np.arange(k), lapack,
-                                     True, (a, q_cov))
+                                     SystemModel(a, q_cov))
             assert routed.events == lapack.events
             for got, expected in ((x, x_l), (nxt.omega, nxt_l.omega), (nxt.q, nxt_l.q)):
                 for g_k, e_k in zip(got, expected):

@@ -2,104 +2,20 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from icfpie import info_filter, models
 from icfpie.dicf import ckf_step
-from icfpie.errors import ConfigurationError, DegenerateHeadingWarning
+from icfpie.errors import ConfigurationError
 from icfpie.harness import ScenarioConfig, build_scenario
 from icfpie.models import (
     MeasurementModel,
     SystemModel,
-    TruthModel,
     constant_velocity_matrix,
     linearize,
     position_measurement_matrix,
-    truth_trajectory,
 )
 from measurement_reference import sample_measurement
 from one_seed import run_one
-from truth_reference import propagate_truth, truth_loop
-
-
-def truth_model(speed_variance=0.0, dt=0.1):
-    return TruthModel(initial_position=(400.0, 0.0), speed_range=(10.0, 15.0),
-                      heading_range=(np.pi / 2, 3 * np.pi / 4),
-                      speed_variance=speed_variance, dt=dt)
-
-
-class TestPropagateTruth:
-    def test_noise_free_eastbound(self, rng):
-        out = propagate_truth(np.array([0.0, 0.0, 10.0, 0.0]), truth_model(), rng)
-        assert np.allclose(out, [1.0, 0.0, 10.0, 0.0])
-
-    def test_noise_free_northbound_from_start_point(self, rng):
-        out = propagate_truth(np.array([400.0, 0.0, 0.0, 12.0]), truth_model(), rng)
-        assert np.allclose(out, [400.0, 1.2, 0.0, 12.0])
-
-    def test_speed_jitter_preserves_heading(self):
-        # recompute the expected speed with an identically seeded generator
-        state = np.array([0.0, 0.0, 3.0, 4.0])
-        out = propagate_truth(state, truth_model(speed_variance=0.25),
-                              np.random.default_rng(42))
-        w = np.random.default_rng(42).normal(0.0, 0.5)
-        expected_speed = 5.0 + w
-        heading = np.arctan2(4.0, 3.0)
-        assert np.hypot(out[2], out[3]) == pytest.approx(expected_speed, rel=1e-12)
-        assert np.arctan2(out[3], out[2]) == pytest.approx(heading, rel=1e-12)
-
-    def test_zero_velocity_warns_and_keeps_velocity(self, rng):
-        state = np.array([5.0, 6.0, 0.0, 0.0])
-        with pytest.warns(DegenerateHeadingWarning):
-            out = propagate_truth(state, truth_model(speed_variance=0.25), rng)
-        assert np.array_equal(out, state)
-
-    def test_wrong_length_rejected(self, rng):
-        with pytest.raises(ConfigurationError):
-            propagate_truth(np.zeros(3), truth_model(), rng)
-
-    @given(st.lists(st.floats(min_value=-500, max_value=500), min_size=4, max_size=4))
-    @settings(max_examples=50, deadline=None)
-    def test_noise_free_propagation_is_linear(self, entries):
-        state = np.array(entries)
-        if np.hypot(state[2], state[3]) == 0.0:
-            return
-        out = propagate_truth(state, truth_model(), np.random.default_rng(0))
-        expected = constant_velocity_matrix(0.1) @ state
-        assert np.allclose(out, expected, rtol=1e-12, atol=1e-12)
-
-
-class TestTruthTrajectory:
-    """The run's truth in Python floats equals, bit for bit, the one-step
-    numpy oracle called once per timestep, draw for draw."""
-
-    @pytest.mark.parametrize("seed", range(20))
-    def test_equals_one_step_oracle(self, seed):
-        model = truth_model(speed_variance=0.25)
-        got = truth_trajectory(model, 300, np.random.default_rng(seed))
-        assert np.array_equal(got, truth_loop(model, 300, np.random.default_rng(seed)))
-
-    def test_zero_speed_keeps_velocity_and_draws_nothing(self):
-        # zero speed skips the draw: the generator is left where the
-        # oracle leaves it, and every step warns
-        model = TruthModel(initial_position=(5.0, 6.0), speed_range=(0.0, 0.0),
-                           heading_range=(0.0, 1.0), speed_variance=0.25, dt=0.1)
-        rng, oracle_rng = np.random.default_rng(3), np.random.default_rng(3)
-        with pytest.warns(DegenerateHeadingWarning) as got_warnings:
-            got = truth_trajectory(model, 6, rng)
-        with pytest.warns(DegenerateHeadingWarning) as oracle_warnings:
-            expected = truth_loop(model, 6, oracle_rng)
-        assert np.array_equal(got, expected)
-        assert np.array_equal(got[:, :2], np.tile([5.0, 6.0], (6, 1)))
-        assert len(got_warnings) == len(oracle_warnings) == 5
-        assert rng.random() == oracle_rng.random()
-
-    def test_noise_free_and_single_step(self):
-        model = truth_model()
-        assert np.array_equal(truth_trajectory(model, 50, np.random.default_rng(1)),
-                              truth_loop(model, 50, np.random.default_rng(1)))
-        assert truth_trajectory(model, 1, np.random.default_rng(1)).shape == (1, 4)
 
 
 class TestSampleMeasurement:
@@ -183,25 +99,6 @@ class TestModelValidation:
         with pytest.raises(ConfigurationError):
             MeasurementModel.linear(position_measurement_matrix(),
                                     np.array([[1.0, 2.0], [2.0, 1.0]]))
-
-    def test_truth_model_invariants(self):
-        with pytest.raises(ConfigurationError):
-            TruthModel((0, 0), (15.0, 10.0), (0.0, 1.0), 0.25, 0.1)
-        with pytest.raises(ConfigurationError):
-            TruthModel((0, 0), (10.0, 15.0), (0.0, 1.0), -1.0, 0.1)
-        with pytest.raises(ConfigurationError):
-            TruthModel((0, 0), (10.0, 15.0), (0.0, 1.0), 0.25, 0.0)
-
-    def test_initial_state_within_configured_ranges(self):
-        model = truth_model(speed_variance=0.25)
-        rng = np.random.default_rng(3)
-        for _ in range(100):
-            s = model.initial_state(rng)
-            speed = np.hypot(s[2], s[3])
-            heading = np.arctan2(s[3], s[2])
-            assert s[0] == 400.0 and s[1] == 0.0
-            assert 10.0 <= speed <= 15.0
-            assert np.pi / 2 <= heading <= 3 * np.pi / 4
 
 
 class TestSystemModelSplit:

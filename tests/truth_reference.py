@@ -2,7 +2,8 @@
 
 `build_scenario` advances the target for a whole run in Python floats. This
 is the step it replaces, on 2-vectors of numpy, called once per timestep:
-the reference that the trajectory must match bit for bit.
+the reference that the trajectory must match bit for bit. Both read the
+truth's parameters from a ScenarioConfig.
 """
 
 import warnings
@@ -12,9 +13,9 @@ import numpy as np
 from icfpie.errors import ConfigurationError, DegenerateHeadingWarning, FilterNumericsError
 
 
-def propagate_truth(state: np.ndarray, model, rng: np.random.Generator) -> np.ndarray:
-    """Advance the target one step: move with the current velocity, then
-    perturb the speed and keep the heading.
+def propagate_truth(state: np.ndarray, cfg, rng: np.random.Generator) -> np.ndarray:
+    """Advance the target one step of cfg.dt: move with the current
+    velocity, then perturb the speed and keep the heading.
 
     With zero speed the heading is undefined; the velocity is kept and a
     DegenerateHeadingWarning is issued.
@@ -22,7 +23,7 @@ def propagate_truth(state: np.ndarray, model, rng: np.random.Generator) -> np.nd
     state = np.asarray(state, dtype=float)
     if state.shape != (4,):
         raise ConfigurationError(f"truth state must have length 4, got shape {state.shape}")
-    pos = state[:2] + model.dt * state[2:]
+    pos = state[:2] + cfg.dt * state[2:]
     vel = state[2:]
     speed = float(np.hypot(vel[0], vel[1]))
     if speed == 0.0:
@@ -31,8 +32,8 @@ def propagate_truth(state: np.ndarray, model, rng: np.random.Generator) -> np.nd
         new_vel = vel
     else:
         heading = np.arctan2(vel[1], vel[0])
-        if model.speed_variance > 0:
-            speed = speed + rng.normal(0.0, np.sqrt(model.speed_variance))
+        if cfg.speed_variance > 0:
+            speed = speed + rng.normal(0.0, np.sqrt(cfg.speed_variance))
         new_vel = speed * np.array([np.cos(heading), np.sin(heading)])
     out = np.concatenate([pos, new_vel])
     if not np.all(np.isfinite(out)):
@@ -40,9 +41,14 @@ def propagate_truth(state: np.ndarray, model, rng: np.random.Generator) -> np.nd
     return out
 
 
-def truth_loop(model, n_steps: int, rng: np.random.Generator) -> np.ndarray:
-    """The initial state, then n_steps - 1 calls of propagate_truth."""
-    truth = [model.initial_state(rng)]
-    for _ in range(1, n_steps):
-        truth.append(propagate_truth(truth[-1], model, rng))
+def truth_loop(cfg, rng: np.random.Generator) -> np.ndarray:
+    """The initial state [x0, y0, V0 cos(psi0), V0 sin(psi0)], with V0 and
+    psi0 drawn uniformly from cfg's ranges, then cfg.n_steps - 1 calls of
+    propagate_truth."""
+    v0 = rng.uniform(*cfg.speed_range)
+    psi0 = rng.uniform(*cfg.heading_range)
+    x0, y0 = cfg.target_initial_position
+    truth = [np.array([x0, y0, v0 * np.cos(psi0), v0 * np.sin(psi0)])]
+    for _ in range(1, cfg.n_steps):
+        truth.append(propagate_truth(truth[-1], cfg, rng))
     return np.array(truth)
